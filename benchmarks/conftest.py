@@ -13,9 +13,30 @@ fixture so each experiment is analysed exactly once per benchmark session.
 
 from __future__ import annotations
 
+import time
+from typing import Callable, Sequence
+
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
+
+
+def interleaved_seconds(thunks: Sequence[Callable[[], object]],
+                        repeats: int) -> list[float]:
+    """Best-of-``repeats`` wall-clock of every thunk, alternated back to back.
+
+    Interleaving keeps transient machine load from landing on one mode
+    only, and min-of-N discards the loaded repetitions entirely.  Shared by
+    the standalone baseline scripts, which import it from here.
+    """
+    best: list[float | None] = [None] * len(thunks)
+    for _ in range(repeats):
+        for i, thunk in enumerate(thunks):
+            t0 = time.perf_counter()
+            thunk()
+            dt = time.perf_counter() - t0
+            best[i] = dt if best[i] is None else min(best[i], dt)
+    return best
 
 
 def pytest_configure(config):

@@ -22,7 +22,6 @@ baseline consumed by ``scripts/ci_check.sh``::
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -31,6 +30,11 @@ from repro.ad import activity as act
 from repro.ad.plan import PlanCache
 from repro.ad.segmented import SweepStats
 from repro.npb import registry
+
+try:
+    from benchmarks.conftest import interleaved_seconds
+except ImportError:  # run as a script from inside benchmarks/
+    from conftest import interleaved_seconds
 
 #: ports timed monolithic vs segmented vs plan-replayed; class T is the
 #: recording-bound regime the plan-derived transfer is about, the class-A
@@ -49,22 +53,6 @@ def _monolithic_once(bench, state, watch):
     tape, leaves, _out = bench.traced_restart(state, watch=list(watch))
     results = act.read_masks(tape, [leaves[key] for key in watch])
     return dict(zip(watch, results)), tape
-
-
-def _interleaved_seconds(thunks, repeats) -> list[float]:
-    """Best-of-N wall-clock for every mode, alternated back to back.
-
-    Interleaving keeps transient machine load from landing on one mode
-    only, and min-of-N discards the loaded repetitions entirely.
-    """
-    best = [None] * len(thunks)
-    for _ in range(repeats):
-        for i, thunk in enumerate(thunks):
-            t0 = time.perf_counter()
-            thunk()
-            dt = time.perf_counter() - t0
-            best[i] = dt if best[i] is None else min(best[i], dt)
-    return best
 
 
 def measure_activity(name: str, problem_class: str,
@@ -101,7 +89,7 @@ def measure_activity(name: str, problem_class: str,
             assert np.array_equal(a, c), \
                 f"{name}[{key}].{field}: plan-replayed masks differ"
 
-    t_mono, t_seg, t_plan = _interleaved_seconds([
+    t_mono, t_seg, t_plan = interleaved_seconds([
         lambda: _monolithic_once(bench, state, watch),
         lambda: act.segmented_read_masks(bench, state, watch=watch,
                                          trace_cache="off"),

@@ -1,21 +1,18 @@
-"""Plan lowering: fused-interp vs unfused-interp vs numba warm replay.
+"""Plan lowering: fused vs unfused warm replay.
 
 For each coarse class-T port (the recording-bound regime where the plan
 compiles within one sweep) the *warm replay* of the cached step plan --
 one ``replay_step`` call, forward kernels plus reverse sweep over the
-preallocated arena -- is timed under three configurations of the
+preallocated arena -- is timed under two configurations of the
 capture -> IR -> passes -> executor pipeline:
 
-* ``fused``    -- ``plan_optimize="fuse"``, ``executor="interp"`` (the
-  default: fusion groups, dead-slot elimination, packed arena, and the
-  specialised ``out=``-buffer kernels);
-* ``unfused``  -- ``plan_optimize="off"``, ``executor="interp"`` (the
-  faithful pre-lowering replay: generic emitters, no passes);
-* ``numba``    -- ``plan_optimize="fuse"``, ``executor="numba"`` (falls
-  back to interp silently when numba is not installed; the recorded
-  ``executor_kind`` says which one actually ran).
+* ``fused``    -- ``plan_optimize="fuse"`` (the default: fusion groups,
+  dead-slot elimination, packed arena, and the specialised
+  ``out=``-buffer kernels);
+* ``unfused``  -- ``plan_optimize="off"`` (the faithful pre-lowering
+  replay: generic emitters, no passes).
 
-Gradients are asserted bitwise-identical across all three modes and
+Gradients are asserted bitwise-identical across both modes and
 against the uncached tracer, and the liveness-packed arena footprint is
 asserted strictly smaller than the unpacked one on every measured port.
 The pytest entry pins the lowering PR's acceptance criterion -- the
@@ -30,7 +27,6 @@ standalone to emit the ``BENCH_lowering.json`` perf baseline consumed by
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -38,6 +34,11 @@ import pytest
 from repro.ad.plan import PlanCache
 from repro.ad.segmented import segmented_gradients
 from repro.npb import registry
+
+try:
+    from benchmarks.conftest import interleaved_seconds
+except ImportError:  # run as a script from inside benchmarks/
+    from conftest import interleaved_seconds
 
 #: the coarse class-T ports: their step plans compile within one sweep,
 #: so the steady state of every probe loop is pure warm replay
@@ -51,12 +52,8 @@ PINNED_SPEEDUP = {("BT", "T"): 1.5, ("CG", "T"): 1.5}
 #: every measured port must at least break even (generous noise margin)
 FLOOR_SPEEDUP = 1.0
 
-#: (plan_optimize, executor) per measured mode
-MODES = {
-    "fused": ("fuse", "interp"),
-    "unfused": ("off", "interp"),
-    "numba": ("fuse", "numba"),
-}
+#: plan_optimize per measured mode
+MODES = {"fused": "fuse", "unfused": "off"}
 
 
 def _bitwise(a, b, label: str) -> None:
@@ -67,9 +64,9 @@ def _bitwise(a, b, label: str) -> None:
         f"{label}: bits differ"
 
 
-def _warm_step_plan(bench, state, plan_optimize: str, executor: str):
+def _warm_step_plan(bench, state, plan_optimize: str):
     """Warm a cache through 3 sweeps; return (cache, cached step plan)."""
-    cache = PlanCache(plan_optimize=plan_optimize, executor=executor)
+    cache = PlanCache(plan_optimize=plan_optimize)
     for _ in range(3):   # capture, compile, warm replay
         grads = segmented_gradients(bench, state, plan_cache=cache)
     plans = [entry.coarse_plan for entry in cache._entries.values()
@@ -87,9 +84,8 @@ def measure_lowering(name: str, problem_class: str, repeats: int = 30,
     reference = segmented_gradients(bench, state, trace_cache="off")
 
     caches, plans = {}, {}
-    for mode, (plan_optimize, executor) in MODES.items():
-        cache, plan, grads = _warm_step_plan(bench, state,
-                                             plan_optimize, executor)
+    for mode, plan_optimize in MODES.items():
+        cache, plan, grads = _warm_step_plan(bench, state, plan_optimize)
         caches[mode], plans[mode] = cache, plan
         for key in reference:
             _bitwise(reference[key], grads[key],
@@ -101,21 +97,16 @@ def measure_lowering(name: str, problem_class: str, repeats: int = 30,
                   for key, slot in zip(plan0.watch, plan0._leaf_slots)}
     replayed = {mode: plan.replay_step(state, cotangents)
                 for mode, plan in plans.items()}
-    for mode in ("fused", "numba"):
-        for key in replayed[mode]:
-            _bitwise(replayed["unfused"][key], replayed[mode][key],
-                     f"{name} {mode} replay[{key}]")
+    for key in replayed["fused"]:
+        _bitwise(replayed["unfused"][key], replayed["fused"][key],
+                 f"{name} fused replay[{key}]")
 
-    # interleaved best-of-N: transient machine load cannot land on one
-    # mode only, and min-of-N discards the loaded rounds entirely
-    best: dict[str, float] = {}
-    for _ in range(rounds):
-        for mode, plan in plans.items():
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                plan.replay_step(state, cotangents)
-            dt = time.perf_counter() - t0
-            best[mode] = min(best.get(mode, dt), dt)
+    def replays(plan):
+        return lambda: [plan.replay_step(state, cotangents)
+                        for _ in range(repeats)]
+
+    best = dict(zip(plans, interleaved_seconds(
+        [replays(plan) for plan in plans.values()], rounds)))
 
     fused = caches["fused"]
     row = {
@@ -124,9 +115,6 @@ def measure_lowering(name: str, problem_class: str, repeats: int = 30,
         "replay_us": {mode: round(best[mode] * 1e6 / repeats, 2)
                       for mode in MODES},
         "speedup_fused": round(best["unfused"] / best["fused"], 3),
-        "speedup_numba": round(best["unfused"] / best["numba"], 3),
-        "executor_kind": {mode: caches[mode].executor_kind
-                          for mode in MODES},
         "fused_ops": fused.fused_ops,
         "eliminated_slots": fused.eliminated_slots,
         "arena_nbytes": fused.arena_nbytes,
@@ -151,9 +139,6 @@ def test_lowering_speedup(benchmark, name, problem_class):
     benchmark.extra_info.update(row)
 
     assert row["fused_ops"] > 0, row
-    assert row["executor_kind"]["unfused"] == "interp"
-    # numba is optional: the resolved kind records the silent fallback
-    assert row["executor_kind"]["numba"] in ("numba", "interp")
 
     floor = PINNED_SPEEDUP.get((name, problem_class), FLOOR_SPEEDUP)
     assert row["speedup_fused"] >= floor, \
@@ -165,7 +150,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="measure fused vs unfused vs numba warm plan replay; "
+        description="measure fused vs unfused warm plan replay; "
                     "emit a JSON baseline")
     parser.add_argument("--json", default="BENCH_lowering.json",
                         help="output path of the JSON baseline")
@@ -177,10 +162,9 @@ def main(argv=None) -> int:
         rows.append(row)
         us = row["replay_us"]
         print(f"{name}-{problem_class}: unfused={us['unfused']}us "
-              f"fused={us['fused']}us numba={us['numba']}us "
+              f"fused={us['fused']}us "
               f"-> {row['speedup_fused']}x fused "
-              f"({row['executor_kind']['numba']} executor for numba mode, "
-              f"arena {row['arena_nbytes']} -> "
+              f"(arena {row['arena_nbytes']} -> "
               f"{row['arena_nbytes_packed']} B, "
               f"fused_ops={row['fused_ops']})")
 

@@ -58,9 +58,17 @@ N_PROBES = 4
 ROUNDS = 3
 
 
+class _PerProbeAnalyzer(CriticalityAnalyzer):
+    """The analyzer without its batched sweep: the per-probe fallback loop."""
+
+    def _batched_probe_gradients(self, *args, **kwargs):
+        return None
+
+
 def _analyze(bench, state, step, n_probes, probe_batching):
-    analyzer = CriticalityAnalyzer(method="ad", n_probes=n_probes,
-                                   probe_batching=probe_batching)
+    analyzer_cls = CriticalityAnalyzer if probe_batching == "batched" \
+        else _PerProbeAnalyzer
+    analyzer = analyzer_cls(method="ad", n_probes=n_probes)
     t0 = time.perf_counter()
     masks = analyzer.analyze(bench, state=state, step=step)
     return masks, time.perf_counter() - t0

@@ -33,6 +33,11 @@ from repro.ad.schedule import SpillSnapshots, snapshot_state
 from repro.ad.segmented import SweepStats, segmented_gradients
 from repro.npb import registry
 
+try:
+    from benchmarks.conftest import interleaved_seconds
+except ImportError:  # run as a script from inside benchmarks/
+    from conftest import interleaved_seconds
+
 #: ports timed plan-on vs plan-off; class T is the recording-bound regime
 #: the plan is about, class S shows the array-bound (BLAS-dominated) end
 MEASURED = (("BT", "T"), ("SP", "T"), ("MG", "T"), ("CG", "T"),
@@ -44,26 +49,6 @@ PINNED_SPEEDUP = {("CG", "T"): 1.5, ("FT", "T"): 1.5}
 
 #: spill async-vs-sync latency measurement configurations
 SPILL_MEASURED = (("CG", "S"), ("FT", "T"))
-
-
-def _interleaved_seconds(bench, state, repeats, off_kwargs,
-                         on_kwargs) -> tuple[float, float]:
-    """Best-of-N wall-clock for both modes, alternated back to back.
-
-    Interleaving keeps transient machine load from landing on one mode
-    only, and min-of-N discards the loaded repetitions entirely.
-    """
-    best_off = best_on = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        segmented_gradients(bench, state, **off_kwargs)
-        dt = time.perf_counter() - t0
-        best_off = dt if best_off is None else min(best_off, dt)
-        t0 = time.perf_counter()
-        segmented_gradients(bench, state, **on_kwargs)
-        dt = time.perf_counter() - t0
-        best_on = dt if best_on is None else min(best_on, dt)
-    return best_off, best_on
 
 
 def _sweep_allocations(bench, state, **kwargs) -> int:
@@ -101,9 +86,10 @@ def measure_plan(name: str, problem_class: str, repeats: int = 5) -> dict:
 
     if problem_class == "S":
         repeats = min(repeats, 3)    # class-S sweeps are ~0.5 s each
-    t_off, t_on = _interleaved_seconds(bench, state, repeats,
-                                       {"trace_cache": "off"},
-                                       {"plan_cache": cache})
+    t_off, t_on = interleaved_seconds([
+        lambda: segmented_gradients(bench, state, trace_cache="off"),
+        lambda: segmented_gradients(bench, state, plan_cache=cache),
+    ], repeats)
 
     alloc_off = _sweep_allocations(bench, state, trace_cache="off")
     alloc_on = _sweep_allocations(bench, state, plan_cache=cache)

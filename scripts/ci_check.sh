@@ -57,10 +57,6 @@ python -m pytest -q tests/ad/test_activity_sweep.py \
 echo "== CLI smoke: segmented sweep, enlarged class A =="
 python -m repro.cli --class A --sweep segmented analyze CG >/dev/null
 
-echo "== CLI smoke: binomial snapshot schedule, class A =="
-python -m repro.cli --class A --sweep segmented \
-    --snapshot-schedule binomial analyze CG >/dev/null
-
 echo "== CLI smoke: batched multi-probe analysis =="
 python -m repro.cli --class T --probes 4 analyze CG >/dev/null
 
@@ -88,21 +84,17 @@ python benchmarks/test_activity_replay.py --json BENCH_activity.json
 echo "== perf baseline: BENCH_lowering.json =="
 python benchmarks/test_plan_lowering.py --json BENCH_lowering.json
 
-echo "== CLI smoke: segmented sweep with the replay plan disabled =="
-python -m repro.cli --class T --sweep segmented --trace-cache off \
-    analyze CG >/dev/null
-
 echo "== CLI smoke: plan-replayed segmented activity analysis =="
 python -m repro.cli --class T --method activity --sweep segmented \
-    --trace-cache plan analyze CG >/dev/null
-
-echo "== CLI smoke: plan passes disabled (unfused interpreter) =="
-python -m repro.cli --class T --sweep segmented --plan-optimize off \
     analyze CG >/dev/null
 
-echo "== CLI smoke: explicit interp executor =="
-python -m repro.cli --class T --sweep segmented --executor interp \
-    analyze CG >/dev/null
+echo "== correctness: class-S restart verification, default engine =="
+# every port's pruned restart must verify and the negative control (a
+# restart with its critical elements corrupted) must fail; exit 0 iff so
+python -m repro.cli verify >/dev/null
+
+echo "== benchmark harness self-tests =="
+python -m pytest perfbench/tests -q
 
 echo "== CLI smoke: chaos harness (worker kills + cache corruption) =="
 # a chaos-injected batch must complete, quarantine nothing (the CLI exits

@@ -28,13 +28,12 @@ ports of the NPB benchmarks:
   all; :func:`~repro.ad.tangent.tangent_gradients` is the drop-in
   forward-mode counterpart of ``segmented_gradients``.
 * :mod:`repro.ad.forward` -- an independent dual-number forward mode used for
-  cross-validation.
+  cross-validation: it shares no rule tables with the reverse engine, so
+  :func:`repro.ad.checks.check_against_forward` is an independent oracle.
 * :mod:`repro.ad.activity` -- read-set (liveness) analysis over a recorded
   tape, the conservative baseline and the handler for integer variables.
 * :mod:`repro.ad.checks` -- finite-difference and forward/reverse agreement
   checks.
-* :mod:`repro.ad.seeding` -- multi-seed probing to separate structural zeros
-  from coincidental zeros.
 
 Quick example::
 
@@ -49,7 +48,7 @@ Quick example::
 """
 
 from . import activity, checks, dual, forward, ops, probes, reverse, \
-    schedule, seeding, segmented, tangent
+    schedule, segmented, tangent
 from .dual import TangentArray
 from .ops import *  # noqa: F401,F403 - re-export the numpy-like facade
 from .probes import (ProbeBatchingError, batched_gradients, probe_axis,
@@ -96,6 +95,5 @@ __all__ = [
     "forward",
     "activity",
     "checks",
-    "seeding",
     "segmented",
 ]

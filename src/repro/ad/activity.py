@@ -125,7 +125,7 @@ INDEXING_OPS = frozenset({"getitem", "take"})
 # *spec kind* -- a slightly different vocabulary from tape op names (every
 # unary math op shares kind "unary", reductions "max"/"min" share
 # "redminmax", "roll" may lower to "roll_flat", ...).  These two sets
-# partition the spec kinds of ``repro.ad.plan._EMITTERS`` exactly as
+# partition the spec kinds of ``repro.ad.exec._EMITTERS`` exactly as
 # CONSUMING_OPS/MOVEMENT_OPS partition op names, so a transfer derived from
 # a plan categorises every primitive identically to the tape walk.  Ops
 # without a capture spec (``mod``, ``take``) can never appear in a compiled
@@ -505,8 +505,7 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
                          spill_dir: str | Path | None = None,
                          trace_cache: str | None = None,
                          plan_cache=None,
-                         plan_optimize: str | None = None,
-                         executor: str | None = None
+                         plan_optimize: str | None = None
                          ) -> dict[str, "ActivityResult"]:
     """Activity masks of the restart, one iteration's tape at a time.
 
@@ -521,8 +520,8 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     (``snapshot_schedule``/``snapshot_budget``/``spill_dir`` select the
     boundary retention policy, ``trace_cache="plan"`` replays compiled
     transfers, ``plan_cache`` shares plans across analyses,
-    ``plan_optimize``/``executor`` configure how a freshly created cache
-    lowers and runs its plans -- ignored when ``plan_cache`` is supplied);
+    ``plan_optimize`` configures how a freshly created cache lowers its
+    plans -- ignored when ``plan_cache`` is supplied);
     ``stats`` additionally collects the activity telemetry fields of
     :class:`~repro.ad.segmented.SweepStats`.
 
@@ -532,8 +531,8 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     all-False masks (the analyzer routes integer variables to rules, never
     here).
     """
-    from .plan import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                       DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache)
+    from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE,
+                       TRACE_CACHES, PlanCache)
     from .schedule import DEFAULT_SNAPSHOT_SCHEDULE, make_schedule, \
         snapshot_state
     from .segmented import _default_steps, float_state_keys
@@ -544,8 +543,6 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
         trace_cache = DEFAULT_TRACE_CACHE
     if plan_optimize is None:
         plan_optimize = DEFAULT_PLAN_OPTIMIZE
-    if executor is None:
-        executor = DEFAULT_EXECUTOR
 
     for hook in ("traced_step", "traced_output"):
         if not callable(getattr(bench, hook, None)):
@@ -579,7 +576,7 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     planner = out_planner = cache = plan_base = None
     if trace_cache == "plan":
         cache = plan_cache if plan_cache is not None \
-            else PlanCache(plan_optimize=plan_optimize, executor=executor)
+            else PlanCache(plan_optimize=plan_optimize)
         plan_base = cache.counters()
         planner = cache.planner(bench, "step", chain)
         out_planner = cache.planner(bench, "output", chain)

@@ -1,4 +1,4 @@
-"""Pluggable executors for lowered replay plans.
+"""The executor of lowered replay plans.
 
 The back end of the capture -> IR -> passes -> executor pipeline: given a
 validated :class:`~repro.ad.ir.PlanIR` and the :class:`~repro.ad.passes.
@@ -7,30 +7,15 @@ executable op list a :class:`~repro.ad.plan.CompiledPlan` replays -- a flat
 sequence of ``(slot, parents, kernel)`` triples where every kernel maps
 parent slot values to ``(value, vjp)``.
 
-Two executors hide behind one interface:
-
-``"interp"`` (default)
-    The numpy interpreter.  Unfused instructions run the same per-primitive
-    kernels as before (moved here verbatim from ``repro.ad.plan``); fused
-    elementwise/unary chains run a single ``exec``-generated straight-line
-    kernel with **preallocated ``out=`` buffers** for every ufunc step, so
-    a warm replay of a fused chain performs no Python-level dispatch per
-    primitive and no per-step allocation.  The generated code calls exactly
-    the shared rule tables (``EW_BINARY_RULES`` / ``UNARY_RULES`` /
-    ``MINMAX_RULES``) and the ops-layer broadcast helpers, so fused values
-    and cotangents are bitwise what the unfused interpreter produces.
-
-``"numba"`` (optional)
-    Import-gated on ``numba`` availability with **silent fallback**: when
-    the package is missing (it is an optional dependency, never required),
-    requesting ``executor="numba"`` simply runs the interpreter and reports
-    ``executor_kind == "interp"``.  When present, qualifying fused chains
-    (same-shape float64 add/subtract/negative chains -- the subset whose
-    VJPs need no retained intermediates and whose scalar evaluation cannot
-    be re-associated or FMA-contracted) are compiled to a single jitted
-    ufunc via ``numba.vectorize``; every other instruction falls back to
-    the interpreter kernel per-group, so a failed JIT can never fail a
-    replay.
+The executor is a numpy interpreter.  Unfused instructions run the
+per-primitive kernels (each mirrors its ops-layer primitive); fused
+elementwise/unary chains run a single ``exec``-generated straight-line kernel
+with **preallocated ``out=`` buffers** for every ufunc step, so a warm replay
+of a fused chain performs no Python-level dispatch per primitive and no
+per-step allocation.  The generated code calls exactly the shared rule tables
+(``EW_BINARY_RULES`` / ``UNARY_RULES`` / ``MINMAX_RULES``) and the ops-layer
+broadcast helpers, so fused values and cotangents are bitwise what the
+unfused interpreter produces.
 
 Bitwise discipline for ``out=`` buffers: a preallocated buffer is only used
 when the captured output dtype equals the ufunc's natural result dtype (no
@@ -47,36 +32,7 @@ import numpy as np
 
 from .ir import Instr, PlanIR
 
-__all__ = ["EXECUTORS", "DEFAULT_EXECUTOR", "resolve_executor", "build_ops"]
-
-#: recognised plan executors
-EXECUTORS = ("interp", "numba")
-
-#: the executor used when none is requested
-DEFAULT_EXECUTOR = "interp"
-
-
-def _numba_module():
-    """The ``numba`` module, or ``None`` when unavailable (silent gate)."""
-    try:
-        import numba  # type: ignore[import-not-found]
-    except Exception:  # pragma: no cover - depends on the environment
-        return None
-    return numba
-
-
-def resolve_executor(requested: str) -> str:
-    """The executor kind that will actually run for ``requested``.
-
-    ``"numba"`` degrades silently to ``"interp"`` when the optional
-    dependency is missing; the resolved kind is what telemetry reports.
-    """
-    if requested not in EXECUTORS:
-        raise ValueError(f"unknown executor {requested!r}; "
-                         f"choose from {EXECUTORS}")
-    if requested == "numba" and _numba_module() is None:
-        return "interp"
-    return requested
+__all__ = ["build_ops"]
 
 
 def _ops_mod():
@@ -1104,7 +1060,7 @@ _SPECIALIZED: dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# fused-chain codegen (interp executor)
+# fused-chain codegen
 # ---------------------------------------------------------------------------
 #
 # A fusion group (from repro.ad.passes) is a run of elementwise/unary
@@ -1217,25 +1173,18 @@ def _operand_expr(o: _Operand, env: dict, slot: int, tag: str) -> str:
 
 
 def _build_fused_kernel(ir: PlanIR, group: Sequence[int],
-                        out_bufs: dict[int, np.ndarray],
-                        numba=None) -> tuple[Callable, tuple[int, ...]]:
+                        out_bufs: dict[int, np.ndarray]
+                        ) -> tuple[Callable, tuple[int, ...]]:
     """One generated kernel for a fusion group.
 
     ``out_bufs`` maps group slots to preallocated output buffers (absent =
     allocate per call, used for slots whose value escapes the plan).
-    ``numba`` is the imported numba module when the numba executor is
-    active; qualifying chains then replace the whole forward with one
-    jitted ufunc (see :func:`_numba_chain`), everything else keeps the
-    interpreter forward.
     """
     ops = _ops_mod()
     instrs = ir.instrs
     recs = _parse_group(ir, group)
     ext = _fused_parents(group, recs)
     last = group[-1]
-    numba_forward = None
-    if numba is not None and last in out_bufs:
-        numba_forward = _numba_chain(ir, group, recs, numba)
 
     env: dict[str, Any] = {"np": np, "_ub": ops._unbroadcast,
                            "_pr": ops._probe_restore}
@@ -1243,71 +1192,66 @@ def _build_fused_kernel(ir: PlanIR, group: Sequence[int],
     rev: list[str] = []
     outs: list[str] = [""] * len(ext)
 
-    if numba_forward is not None:
-        env["_nb"] = numba_forward
-        env["_o_last"] = out_bufs[last]
-        fwd.append(f"v{last} = _nb(*vals, out=_o_last)")
-    else:
-        for slot in group:
-            instr = instrs[slot]
-            spec = instr.spec
-            operands = recs[slot]
-            if instr.kind in ("ewbinary", "minmax"):
-                a_expr = _operand_expr(operands[0], env, slot, "a")
-                b_expr = _operand_expr(operands[1], env, slot, "b")
-                fwd.append(f"a{slot} = {a_expr}")
-                fwd.append(f"b{slot} = {b_expr}")
-                if instr.kind == "ewbinary":
-                    compute, _ga, _gb = ops.EW_BINARY_RULES[spec[1]]
-                    uf = _EW_UFUNCS.get(spec[1])
-                else:
-                    compute, _mask = ops.MINMAX_RULES[spec[1]]
-                    uf = compute
-                buf = out_bufs.get(slot)
-                if uf is not None and buf is not None:
-                    env[f"_u{slot}"], env[f"_o{slot}"] = uf, buf
-                    fwd.append(f"v{slot} = _u{slot}(a{slot}, b{slot}, "
-                               f"out=_o{slot})")
-                else:
-                    env[f"_f{slot}"] = compute
-                    fwd.append(f"v{slot} = _f{slot}(a{slot}, b{slot})")
-                if instr.kind == "minmax":
-                    mask_uf = _MINMAX_MASK_UFUNCS[spec[1]]
-                    mbuf = np.empty(instr.shape, dtype=bool)
-                    env[f"_mu{slot}"], env[f"_mo{slot}"] = mask_uf, mbuf
-                    fwd.append(f"m{slot} = _mu{slot}(a{slot}, b{slot}, "
-                               f"out=_mo{slot})")
-            elif instr.kind == "unary":
-                a_expr = _operand_expr(operands[0], env, slot, "a")
-                fwd.append(f"a{slot} = {a_expr}")
-                name = spec[1]
-                compute, dydx = ops.UNARY_RULES[name]
-                env[f"_dy{slot}"] = dydx
-                buf = out_bufs.get(slot)
-                if buf is not None and name == "square":
-                    env[f"_o{slot}"] = buf
-                    fwd.append(f"v{slot} = np.multiply(a{slot}, a{slot}, "
-                               f"out=_o{slot})")
-                elif buf is not None and name == "reciprocal":
-                    env[f"_o{slot}"] = buf
-                    fwd.append(f"v{slot} = np.true_divide(1.0, a{slot}, "
-                               f"out=_o{slot})")
-                elif buf is not None and isinstance(compute, np.ufunc):
-                    env[f"_u{slot}"], env[f"_o{slot}"] = compute, buf
-                    fwd.append(f"v{slot} = _u{slot}(a{slot}, out=_o{slot})")
-                else:
-                    env[f"_f{slot}"] = compute
-                    fwd.append(f"v{slot} = _f{slot}(a{slot})")
-            else:  # negative
-                a_expr = _operand_expr(operands[0], env, slot, "a")
-                fwd.append(f"a{slot} = {a_expr}")
-                buf = out_bufs.get(slot)
-                if buf is not None:
-                    env[f"_o{slot}"] = buf
-                    fwd.append(f"v{slot} = np.negative(a{slot}, "
-                               f"out=_o{slot})")
-                else:
-                    fwd.append(f"v{slot} = np.negative(a{slot})")
+    for slot in group:
+        instr = instrs[slot]
+        spec = instr.spec
+        operands = recs[slot]
+        if instr.kind in ("ewbinary", "minmax"):
+            a_expr = _operand_expr(operands[0], env, slot, "a")
+            b_expr = _operand_expr(operands[1], env, slot, "b")
+            fwd.append(f"a{slot} = {a_expr}")
+            fwd.append(f"b{slot} = {b_expr}")
+            if instr.kind == "ewbinary":
+                compute, _ga, _gb = ops.EW_BINARY_RULES[spec[1]]
+                uf = _EW_UFUNCS.get(spec[1])
+            else:
+                compute, _mask = ops.MINMAX_RULES[spec[1]]
+                uf = compute
+            buf = out_bufs.get(slot)
+            if uf is not None and buf is not None:
+                env[f"_u{slot}"], env[f"_o{slot}"] = uf, buf
+                fwd.append(f"v{slot} = _u{slot}(a{slot}, b{slot}, "
+                           f"out=_o{slot})")
+            else:
+                env[f"_f{slot}"] = compute
+                fwd.append(f"v{slot} = _f{slot}(a{slot}, b{slot})")
+            if instr.kind == "minmax":
+                mask_uf = _MINMAX_MASK_UFUNCS[spec[1]]
+                mbuf = np.empty(instr.shape, dtype=bool)
+                env[f"_mu{slot}"], env[f"_mo{slot}"] = mask_uf, mbuf
+                fwd.append(f"m{slot} = _mu{slot}(a{slot}, b{slot}, "
+                           f"out=_mo{slot})")
+        elif instr.kind == "unary":
+            a_expr = _operand_expr(operands[0], env, slot, "a")
+            fwd.append(f"a{slot} = {a_expr}")
+            name = spec[1]
+            compute, dydx = ops.UNARY_RULES[name]
+            env[f"_dy{slot}"] = dydx
+            buf = out_bufs.get(slot)
+            if buf is not None and name == "square":
+                env[f"_o{slot}"] = buf
+                fwd.append(f"v{slot} = np.multiply(a{slot}, a{slot}, "
+                           f"out=_o{slot})")
+            elif buf is not None and name == "reciprocal":
+                env[f"_o{slot}"] = buf
+                fwd.append(f"v{slot} = np.true_divide(1.0, a{slot}, "
+                           f"out=_o{slot})")
+            elif buf is not None and isinstance(compute, np.ufunc):
+                env[f"_u{slot}"], env[f"_o{slot}"] = compute, buf
+                fwd.append(f"v{slot} = _u{slot}(a{slot}, out=_o{slot})")
+            else:
+                env[f"_f{slot}"] = compute
+                fwd.append(f"v{slot} = _f{slot}(a{slot})")
+        else:  # negative
+            a_expr = _operand_expr(operands[0], env, slot, "a")
+            fwd.append(f"a{slot} = {a_expr}")
+            buf = out_bufs.get(slot)
+            if buf is not None:
+                env[f"_o{slot}"] = buf
+                fwd.append(f"v{slot} = np.negative(a{slot}, "
+                           f"out=_o{slot})")
+            else:
+                fwd.append(f"v{slot} = np.negative(a{slot})")
 
     # reverse pass: descending, exactly the unfused sweep's evaluation and
     # accumulation order
@@ -1320,20 +1264,12 @@ def _build_fused_kernel(ir: PlanIR, group: Sequence[int],
         contribs: list[tuple[_Operand, str]] = []
         if instr.kind == "ewbinary":
             _compute, grad_a, grad_b = ops.EW_BINARY_RULES[spec[1]]
-            for is_b, (o, gf, gn) in enumerate(
-                    ((operands[0], grad_a, f"_ga{slot}"),
-                     (operands[1], grad_b, f"_gb{slot}"))):
+            for o, gf, gn in ((operands[0], grad_a, f"_ga{slot}"),
+                              (operands[1], grad_b, f"_gb{slot}")):
                 if not o.traced:
                     continue
-                if numba_forward is not None:
-                    # qualifying chains are add/subtract/negative only:
-                    # their rules are pure sign selections of g, inlined
-                    # so the VJP needs no retained intermediates
-                    raw = f"-g{slot}" if (is_b and spec[1] == "subtract") \
-                        else f"g{slot}"
-                else:
-                    env[gn] = gf
-                    raw = f"{gn}(g{slot}, a{slot}, b{slot})"
+                env[gn] = gf
+                raw = f"{gn}(g{slot}, a{slot}, b{slot})"
                 # the cotangent of slot always carries the member's own
                 # shape, so when the operand was never lifted or broadcast
                 # the _pr(_ub(..)) pair is statically the identity (both
@@ -1385,97 +1321,16 @@ def _build_fused_kernel(ir: PlanIR, group: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# numba forward-chain codegen (optional executor)
-# ---------------------------------------------------------------------------
-
-def _numba_chain(ir: PlanIR, group: Sequence[int],
-                 recs: dict[int, list[_Operand]], numba) -> Callable | None:
-    """A ``numba.vectorize``-compiled ufunc for one qualifying chain.
-
-    Qualifying means: add/subtract/negative members only (the subset whose
-    scalar evaluation order matches the array chain exactly -- no multiply,
-    so LLVM cannot FMA-contract; VJPs need no retained intermediates),
-    float64 throughout, every traced operand unlifted and exactly the
-    member's shape (no broadcasting), constants finite python/numpy
-    scalars.  Returns ``None`` when the group does not qualify or the JIT
-    fails; the caller falls back to the interpreter kernel.
-    """
-    lines = []
-    n_ext = 0
-    for slot in group:
-        instr = ir.instrs[slot]
-        if np.dtype(instr.dtype) != np.float64:
-            return None
-        if instr.kind == "negative":
-            lines.append((slot, "neg", recs[slot]))
-        elif instr.kind == "ewbinary" and instr.spec[1] in ("add",
-                                                           "subtract"):
-            lines.append((slot, instr.spec[1], recs[slot]))
-        else:
-            return None
-        for o in recs[slot]:
-            if o.traced:
-                if o.reshape or (o.shape is not None
-                                 and o.shape != instr.shape):
-                    return None
-                if not o.interior:
-                    n_ext += 1
-            else:
-                c = o.const
-                if isinstance(c, np.ndarray) and c.ndim == 0:
-                    c = c[()]
-                if not isinstance(c, (int, float, np.integer, np.floating)):
-                    return None
-                if not np.isfinite(float(c)):
-                    return None
-    # scalar args are named by each operand's position in the fused
-    # parents tuple (assigned by _fused_parents), so ``_nb(*vals)`` binds
-    # every occurrence -- duplicates included -- to the right input
-    src_lines = []
-    for slot, opname, operands in lines:
-        exprs = []
-        for o in operands:
-            if not o.traced:
-                exprs.append(repr(float(o.const)))
-            elif o.interior:
-                exprs.append(f"t{o.slot}")
-            else:
-                exprs.append(f"x{o.vidx}")
-        if opname == "neg":
-            src_lines.append(f"t{slot} = -{exprs[0]}")
-        elif opname == "add":
-            src_lines.append(f"t{slot} = {exprs[0]} + {exprs[1]}")
-        else:
-            src_lines.append(f"t{slot} = {exprs[0]} - {exprs[1]}")
-    args = ", ".join(f"x{i}" for i in range(n_ext))
-    body = "\n".join(f"    {line}" for line in src_lines)
-    src = (f"def _scalar({args}):\n{body}\n    return t{group[-1]}\n")
-    env: dict[str, Any] = {}
-    try:
-        exec(compile(src, "<numba-chain>", "exec"), env)
-        sig = "float64(" + ", ".join(["float64"] * n_ext) + ")"
-        return numba.vectorize([sig], nopython=True)(env["_scalar"])
-    except Exception:  # pragma: no cover - depends on numba internals
-        return None
-
-
-# ---------------------------------------------------------------------------
 # executable program assembly
 # ---------------------------------------------------------------------------
 
-def build_ops(ir: PlanIR, layout,
-              executor: str = DEFAULT_EXECUTOR
-              ) -> tuple[list[tuple[int, tuple[int, ...], Callable]], str]:
+def build_ops(ir: PlanIR, layout
+              ) -> list[tuple[int, tuple[int, ...], Callable]]:
     """The executable op list for ``ir`` under ``layout``.
 
-    Returns ``(ops, executor_kind)`` where ``ops`` is the ordered list of
-    ``(slot, parents, kernel)`` triples a plan's forward pass runs, and
-    ``executor_kind`` names the executor that actually serves the plan
-    (``"interp"`` when the numba request silently degraded).
+    The ordered list of ``(slot, parents, kernel)`` triples a plan's
+    forward pass runs.
     """
-    kind = resolve_executor(executor)
-    numba = _numba_module() if kind == "numba" else None
-
     group_of_last = {g[-1]: g for g in layout.groups}
     interiors = {s for g in layout.groups for s in g[:-1]}
     # shared packed buffers for fused outputs whose lifetimes the packing
@@ -1515,6 +1370,6 @@ def build_ops(ir: PlanIR, layout,
             elif s not in layout.no_out_buffer:
                 gi = ir.instrs[s]
                 out_bufs[s] = np.empty(gi.shape, dtype=np.dtype(gi.dtype))
-        kernel, parents = _build_fused_kernel(ir, group, out_bufs, numba)
+        kernel, parents = _build_fused_kernel(ir, group, out_bufs)
         ops.append((slot, parents, kernel))
-    return ops, kind
+    return ops

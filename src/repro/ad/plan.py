@@ -76,9 +76,9 @@ and any replay-time error poisons the cache entry with a
 from every trace-specialising system: a kernel whose *structure* depends on
 traced float values, or one that diverges only at an iteration the two
 captures did not see, replays its captured structure.  None of the NPB
-ports does either; custom benchmarks can either override
+ports does either; a custom benchmark that does must override
 ``plan_structure_token`` (see :class:`repro.npb.base.NPBBenchmark`) to key
-plans by the discriminating value, or run with ``trace_cache="off"``.
+plans by the discriminating value.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exec import (DEFAULT_EXECUTOR, EXECUTORS, _EMITTERS,  # noqa: F401
-                   build_ops, resolve_executor)
+from .exec import build_ops
 from .ir import lower_program
 from .passes import DEFAULT_PLAN_OPTIMIZE, PLAN_OPTIMIZES, optimize_ir
 from .tensor import ADArray, value_of
@@ -101,8 +100,6 @@ __all__ = [
     "DEFAULT_TRACE_CACHE",
     "PLAN_OPTIMIZES",
     "DEFAULT_PLAN_OPTIMIZE",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "PlanCache",
     "CompiledPlan",
     "coarse_signature",
@@ -440,8 +437,7 @@ class CompiledPlan:
 
     def __init__(self, program: CaptureProgram,
                  concrete: list[tuple] | None,
-                 optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR) -> None:
+                 optimize: str = DEFAULT_PLAN_OPTIMIZE) -> None:
         self.kind = program.kind
         self.watch = program.watch
         #: the typed, validated lowering of the captured program; derived
@@ -463,7 +459,7 @@ class CompiledPlan:
             int(np.prod(shape, dtype=np.int64)) * 8 for shape in self._shapes)
 
         layout = optimize_ir(self.ir, optimize)
-        self._ops, self.executor_kind = build_ops(self.ir, layout, executor)
+        self._ops = build_ops(self.ir, layout)
         #: pass telemetry (folded into PlanCache / SweepStats maxima)
         self.fused_ops = layout.fused_ops
         self.eliminated_slots = layout.eliminated_slots
@@ -675,17 +671,11 @@ class PlanCache:
     and probe-batched plans never collide.
     """
 
-    def __init__(self, plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR) -> None:
+    def __init__(self, plan_optimize: str = DEFAULT_PLAN_OPTIMIZE) -> None:
         if plan_optimize not in PLAN_OPTIMIZES:
             raise ValueError(f"unknown plan_optimize {plan_optimize!r}; "
                              f"choose from {PLAN_OPTIMIZES}")
         self._plan_optimize = plan_optimize
-        self._executor = executor
-        #: the executor that will actually serve this cache's plans
-        #: (``"interp"`` when a numba request silently degraded); raises
-        #: for unknown executor names
-        self.executor_kind = resolve_executor(executor)
         self._entries: dict[tuple, _Entry] = {}
         #: replayed traced segments
         self.hits = 0
@@ -733,8 +723,7 @@ class PlanCache:
                   other: CaptureProgram) -> CompiledPlan | None:
         try:
             plan = CompiledPlan(program, _concrete_rules(program, other),
-                                optimize=self._plan_optimize,
-                                executor=self._executor)
+                                optimize=self._plan_optimize)
         except Exception as exc:  # noqa: BLE001 - compile must never fail a run
             entry.rejected = True
             entry.reason = f"compile failed: {type(exc).__name__}: {exc}"

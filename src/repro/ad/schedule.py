@@ -36,6 +36,26 @@ module makes the retention policy pluggable:
     (the sweeps call it from a ``finally`` block, so cleanup happens on
     success and on exception alike).
 
+Memory and time per policy (the criticality analyzer always runs
+``"all"``; the others are parameters of the ``repro.ad`` sweep functions):
+
+============  ===========================  ===================  ==========
+schedule      resident snapshots           extra forward        disk
+                                           replay
+============  ===========================  ===================  ==========
+``all``       steps + 1                    none                 none
+``binomial``  ~log2(steps) (the budget)    ~steps x log(steps)  none
+                                           at the default
+                                           budget (quadratic
+                                           at the minimum
+                                           budget of 2)
+``spill``     O(1): 1 fetched + the        none                 steps + 1
+              async write queue (exactly                        checkpoint
+              1 with ``async_writes=                            containers
+              False``)                                          (auto-
+                                                                cleaned)
+============  ===========================  ===================  ==========
+
 Access protocol (what the sweeps guarantee and the policies exploit):
 :meth:`~SnapshotSchedule.record` is called once per boundary ``k = 0 ..
 steps`` in increasing order during the forward pass; :meth:`fetch` is called

@@ -61,8 +61,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .plan import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                   DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache)
+from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE, TRACE_CACHES,
+                   PlanCache)
 from .reverse import backward, backward_from_seeds
 from .schedule import (DEFAULT_SNAPSHOT_SCHEDULE, SnapshotSchedule,
                        make_schedule, snapshot_state)
@@ -131,8 +131,6 @@ class SweepStats:
     plan_fused_ops: int = 0
     #: most dead instructions eliminated from any compiled plan
     plan_eliminated_slots: int = 0
-    #: executor actually serving the observed plan cache ("" = none)
-    executor_kind: str = ""
     #: segments processed by a segmented activity (read-set) sweep
     activity_segments: int = 0
     #: activity segments served by a plan-derived transfer (no tracer run)
@@ -198,7 +196,6 @@ class SweepStats:
         self.plan_fused_ops = max(self.plan_fused_ops, cache.fused_ops)
         self.plan_eliminated_slots = max(self.plan_eliminated_slots,
                                          cache.eliminated_slots)
-        self.executor_kind = cache.executor_kind
 
     def observe_schedule(self, *schedules: SnapshotSchedule) -> None:
         """Fold one sweep's snapshot-schedule telemetry in.
@@ -306,8 +303,7 @@ def segmented_gradients(bench, state: Mapping[str, Any],
                         spill_dir: str | Path | None = None,
                         trace_cache: str = DEFAULT_TRACE_CACHE,
                         plan_cache: PlanCache | None = None,
-                        plan_optimize: str | None = None,
-                        executor: str | None = None
+                        plan_optimize: str | None = None
                         ) -> dict[str, np.ndarray]:
     """Gradients of the restart output w.r.t. ``watch``, one tape at a time.
 
@@ -368,11 +364,6 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         the arena; ``"off"`` interprets every captured primitive
         unoptimised.  Ignored when ``plan_cache`` is supplied (the cache
         already fixed its policy).
-    executor:
-        Plan executor of a freshly created plan cache
-        (:data:`repro.ad.exec.EXECUTORS`): ``"interp"`` (default) or
-        ``"numba"`` (silently falls back to the interpreter when numba is
-        not installed).  Ignored when ``plan_cache`` is supplied.
 
     Returns
     -------
@@ -413,9 +404,7 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         cache = plan_cache if plan_cache is not None \
             else PlanCache(
                 plan_optimize=plan_optimize if plan_optimize is not None
-                else DEFAULT_PLAN_OPTIMIZE,
-                executor=executor if executor is not None
-                else DEFAULT_EXECUTOR)
+                else DEFAULT_PLAN_OPTIMIZE)
         plan_base = cache.counters()
         planner = cache.planner(bench, "step", chain)
         out_planner = cache.planner(bench, "output", chain)

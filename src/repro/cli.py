@@ -24,19 +24,13 @@ processes and ``--cache-dir DIR`` persists results on disk, so e.g.::
     repro-scrutinize --cache-dir out/cache all               # warm: instant
 
 Global ``--sweep segmented`` bounds the AD tape memory to one main-loop
-iteration (bitwise-identical masks), which is what makes the enlarged
-problem class A analysable::
+iteration and replays compiled step plans (bitwise-identical masks), which
+is what makes the enlarged problem class A analysable::
 
     repro-scrutinize --class A --sweep segmented analyze FT
 
-``--snapshot-schedule`` additionally caps the segmented sweep's boundary-
-snapshot memory: ``binomial`` keeps ~log2(steps) snapshots and recomputes
-the rest, ``spill`` pushes the boundaries to disk through the checkpoint
-library (O(1) resident snapshot)::
-
-    repro-scrutinize --sweep segmented --snapshot-schedule binomial analyze CG
-    repro-scrutinize --sweep segmented --snapshot-schedule spill \
-        --spill-dir /tmp/scratch analyze CG
+The sweep is the only execution choice; results computed by either sweep
+share one cache entry.
 """
 
 from __future__ import annotations
@@ -79,18 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "of the loop length, cost scaling with the "
                              "number of watched elements instead; "
                              "'activity' is the derivative-free read-set "
-                             "baseline (honours --sweep, the snapshot "
-                             "schedules and --trace-cache like 'ad')")
+                             "baseline (honours --sweep like 'ad')")
     parser.add_argument("--probes", type=int, default=1,
                         help="number of AD probes per variable")
-    parser.add_argument("--probe-batching", default="batched",
-                        choices=("batched", "per-probe"),
-                        help="how multi-probe AD runs execute: 'batched' "
-                             "stacks all probe states along a leading probe "
-                             "axis and runs one trace plus one sweep "
-                             "(identical masks, automatic per-probe "
-                             "fallback for kernels that cannot broadcast); "
-                             "'per-probe' forces one trace per probe")
     parser.add_argument("--probe-scale", type=float,
                         default=DEFAULT_PROBE_SCALE,
                         help="relative magnitude of the probe "
@@ -101,56 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep strategy of the 'ad' and 'activity' "
                              "analyses: 'monolithic' records every "
                              "remaining iteration on one tape, 'segmented' "
-                             "chains per-iteration tapes so peak memory is "
+                             "chains per-iteration tapes and replays "
+                             "compiled step plans, so peak memory is "
                              "bounded by a single iteration (identical "
-                             "masks)")
-    parser.add_argument("--snapshot-schedule", default="all",
-                        choices=("all", "binomial", "spill"),
-                        help="boundary-snapshot policy of the segmented "
-                             "sweep: 'all' keeps every iteration boundary "
-                             "in memory, 'binomial' keeps ~log2(steps) and "
-                             "recomputes the rest (revolve-style), 'spill' "
-                             "writes boundaries through the checkpoint "
-                             "library to a scratch directory; masks are "
-                             "identical for all three (part of the "
-                             "result-cache key)")
-    parser.add_argument("--snapshot-budget", type=int, default=None,
-                        help="in-memory snapshot budget of the binomial "
-                             "schedule (>= 2; default ~log2(steps))")
-    parser.add_argument("--spill-dir", default=None,
-                        help="parent directory for the spill schedule's "
-                             "scratch files (default: system temp dir); "
-                             "always cleaned up afterwards")
-    parser.add_argument("--trace-cache", default="plan",
-                        choices=("plan", "off"),
-                        help="trace-specialisation of the segmented sweep: "
-                             "'plan' (default) records each step structure "
-                             "once, compiles it to a replay plan and "
-                             "replays it for further segments/probes "
-                             "(bitwise-identical masks); 'off' re-traces "
-                             "every segment -- the escape hatch for custom "
-                             "kernels whose traced structure depends on "
-                             "state values")
-    parser.add_argument("--plan-optimize", default="fuse",
-                        choices=("fuse", "off"),
-                        help="optimisation level of the compiled replay "
-                             "plans: 'fuse' (default) fuses elementwise/"
-                             "unary chains, eliminates dead slots and "
-                             "packs the value arena by liveness; 'off' "
-                             "replays the raw instruction list one op at "
-                             "a time (bitwise-identical masks either way; "
-                             "requires --sweep segmented with "
-                             "--trace-cache plan)")
-    parser.add_argument("--executor", default="interp",
-                        choices=("interp", "numba"),
-                        help="backend that runs the lowered plans: "
-                             "'interp' (default) interprets the "
-                             "instruction stream with preallocated "
-                             "buffers; 'numba' JIT-compiles eligible "
-                             "fused chains when numba is importable and "
-                             "silently falls back to the interpreter "
-                             "otherwise (requires --sweep segmented with "
-                             "--trace-cache plan)")
+                             "masks; both sweeps share cache entries)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the per-benchmark "
                              "analyses (1 = in-process, the default)")
@@ -266,13 +205,6 @@ def _make_runner(args: argparse.Namespace,
                             use_cache=not args.no_cache,
                             sweep=args.sweep,
                             probe_scale=args.probe_scale,
-                            probe_batching=args.probe_batching,
-                            snapshot_schedule=args.snapshot_schedule,
-                            snapshot_budget=args.snapshot_budget,
-                            spill_dir=args.spill_dir,
-                            trace_cache=args.trace_cache,
-                            plan_optimize=args.plan_optimize,
-                            executor=args.executor,
                             fault_policy=policy,
                             on_failure=args.on_failure,
                             journal=not args.no_journal,
@@ -287,8 +219,8 @@ def _print_fault_summary(runner: ExperimentRunner) -> None:
         print(stats.summary())
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    runner = _make_runner(args, step=args.step)
+def _run_analyze(args: argparse.Namespace,
+                 runner: ExperimentRunner) -> int:
     result = runner.result(args.benchmark)
     print(result.describe())
     if args.show_masks and result.ok:
@@ -307,36 +239,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    # the snapshot schedule only exists under the segmented sweep, the
-    # budget only under the binomial schedule and the spill dir only under
-    # the spill schedule; accepting an inapplicable flag silently would do
-    # nothing while still forking the result-cache key
-    if args.sweep != "segmented" and (args.snapshot_schedule != "all"
-                                      or args.snapshot_budget is not None
-                                      or args.spill_dir is not None):
-        parser.error("--snapshot-schedule/--snapshot-budget/--spill-dir "
-                     "require --sweep segmented")
-    if args.snapshot_budget is not None \
-            and args.snapshot_schedule != "binomial":
-        parser.error("--snapshot-budget requires "
-                     "--snapshot-schedule binomial")
-    if args.snapshot_budget is not None and args.snapshot_budget < 2:
-        parser.error("--snapshot-budget must be at least 2")
-    if args.spill_dir is not None and args.snapshot_schedule != "spill":
-        parser.error("--spill-dir requires --snapshot-schedule spill")
-    if args.trace_cache != "plan" and args.sweep != "segmented":
-        parser.error("--trace-cache off only affects --sweep segmented")
-    if args.plan_optimize != "fuse" and (args.sweep != "segmented"
-                                         or args.trace_cache != "plan"):
-        parser.error("--plan-optimize off requires --sweep segmented "
-                     "with --trace-cache plan")
-    if args.executor != "interp" and (args.sweep != "segmented"
-                                      or args.trace_cache != "plan"):
-        parser.error("--executor numba requires --sweep segmented "
-                     "with --trace-cache plan")
-    if args.method == "activity" and args.probes != 1:
-        parser.error("--method activity is value-independent; "
-                     "--probes must be 1")
     if args.max_retries < 0:
         parser.error("--max-retries must be non-negative")
     if args.retry_backoff < 0:
@@ -348,19 +250,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                      "job cannot be preempted)")
     if args.chaos is None and args.chaos_seed != 0:
         parser.error("--chaos-seed requires --chaos")
-    if args.chaos is not None:
-        try:
-            parse_chaos(args.chaos, seed=args.chaos_seed)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.no_journal and args.cache_dir is None:
         parser.error("--no-journal only applies with --cache-dir (the "
                      "journal lives next to the result store)")
 
-    if args.command == "analyze":
-        return _run_analyze(args)
+    # the runner validates the analysis arguments (and the chaos modes)
+    try:
+        runner = _make_runner(args, step=getattr(args, "step", None))
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    runner = _make_runner(args)
+    if args.command == "analyze":
+        return _run_analyze(args, runner)
+
     reports = []
     if args.command == "table1":
         reports.append(table1.run(runner))

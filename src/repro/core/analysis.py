@@ -18,11 +18,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE,
-                                    CriticalityAnalyzer, VariableCriticality)
+from repro.core.criticality import (DEFAULT_PROBE_SCALE, CriticalityAnalyzer,
+                                    VariableCriticality)
 from repro.core.masks import MaskSummary
 from repro.core.regions import Region
 from repro.core.report import pruned_variable_nbytes
@@ -191,14 +188,7 @@ def scrutinize(bench, step: int | None = None,
                steps: int | None = None,
                rng: np.random.Generator | None = None,
                sweep: str = "monolithic",
-               probe_scale: float = DEFAULT_PROBE_SCALE,
-               probe_batching: str = "batched",
-               snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-               snapshot_budget: int | None = None,
-               spill_dir: str | None = None,
-               trace_cache: str = DEFAULT_TRACE_CACHE,
-               plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-               executor: str = DEFAULT_EXECUTOR) -> ScrutinyResult:
+               probe_scale: float = DEFAULT_PROBE_SCALE) -> ScrutinyResult:
     """Run the full element-level analysis of one benchmark.
 
     Parameters
@@ -213,34 +203,18 @@ def scrutinize(bench, step: int | None = None,
         benchmarks -- see the property tests).
     state:
         Explicit checkpoint state; overrides ``step`` when given.
-    method, n_probes, steps, rng, sweep, probe_scale, probe_batching, \
-    snapshot_schedule, snapshot_budget, spill_dir, trace_cache, \
-    plan_optimize, executor:
+    method, n_probes, steps, rng, sweep, probe_scale:
         Forwarded to :class:`~repro.core.criticality.CriticalityAnalyzer`;
         ``sweep="segmented"`` bounds the AD tape memory to one main-loop
-        iteration (bitwise-identical masks), ``probe_batching="batched"``
-        (the default) runs all probes from a single trace with an automatic
-        per-probe fallback, ``probe_scale`` sets the relative magnitude
-        of the probe perturbations, and ``snapshot_schedule`` (with
-        ``snapshot_budget``/``spill_dir``) picks the segmented sweep's
-        boundary-snapshot policy -- ``"all"``, ``"binomial"`` (O(log steps)
-        resident snapshots) or ``"spill"`` (boundaries on disk), all with
-        bitwise-identical masks.  ``trace_cache="plan"`` (the default)
-        compiles each segmented step structure to a replay plan and
-        replays it instead of re-tracing (:mod:`repro.ad.plan`);
-        ``"off"`` re-traces every segment.  ``plan_optimize`` picks the
-        plan lowering level (``"fuse"`` runs the pass pipeline of
-        :mod:`repro.ad.passes`, ``"off"`` replays the raw instruction
-        list) and ``executor`` the plan backend (``"interp"`` or
-        ``"numba"`` with silent interpreter fallback); both require
-        ``sweep="segmented"`` with ``trace_cache="plan"`` and both
-        preserve bitwise-identical masks.  The sweep knobs apply to the
-        ``"ad"`` *and* ``"activity"`` methods: a segmented activity
-        analysis chains per-iteration read masks across boundaries
-        (:func:`repro.ad.activity.segmented_read_masks`) with the same
-        schedules and plan replay, bitwise-identical to the monolithic
-        walk.
+        iteration and replays compiled step plans (bitwise-identical
+        masks, for the ``"ad"`` *and* ``"activity"`` methods), and
+        ``probe_scale`` sets the relative magnitude of the probe
+        perturbations.
     """
+    # built first: a bad argument fails before the forward run
+    analyzer = CriticalityAnalyzer(method=method, n_probes=n_probes,
+                                   steps=steps, rng=rng, sweep=sweep,
+                                   probe_scale=probe_scale)
     # ``analysis_step`` feeds the analyzer's per-analysis probe-rng
     # derivation: for an explicit state with no explicit step it stays
     # ``None`` so the analyzer derives the rng from the state's own step
@@ -255,16 +229,6 @@ def scrutinize(bench, step: int | None = None,
     else:
         state = dict(state)
 
-    analyzer = CriticalityAnalyzer(method=method, n_probes=n_probes,
-                                   steps=steps, rng=rng, sweep=sweep,
-                                   probe_scale=probe_scale,
-                                   probe_batching=probe_batching,
-                                   snapshot_schedule=snapshot_schedule,
-                                   snapshot_budget=snapshot_budget,
-                                   spill_dir=spill_dir,
-                                   trace_cache=trace_cache,
-                                   plan_optimize=plan_optimize,
-                                   executor=executor)
     variables = analyzer.analyze(bench, state=state, step=analysis_step)
     return ScrutinyResult(
         benchmark=bench.name,

@@ -24,8 +24,7 @@ provided:
     bitwise (pinned for all eight NPB ports); cost grows with the number
     of watched elements instead of the loop length, so it wins for small
     states with long loops and many probes.  Supports ``n_probes`` exactly
-    like ``"ad"``; the reverse-sweep knobs (``sweep``, snapshot schedules,
-    ``probe_batching``, ``trace_cache``) do not apply and are ignored.
+    like ``"ad"``; ``sweep`` does not apply and is ignored.
 
 ``"activity"``
     A read-dependency analysis over the same tape: an element is classified
@@ -34,9 +33,8 @@ provided:
     criticality (see :mod:`repro.ad.activity`); provided as the baseline the
     ablation experiments compare the AD method against.  Honours the same
     sweep machinery as ``"ad"``: ``sweep="segmented"`` chains per-iteration
-    read masks across boundaries (O(1-iteration) tape memory, every
-    snapshot schedule) and ``trace_cache="plan"`` replays the analysis from
-    compiled plan structure with no tracing at all -- all modes
+    read masks across boundaries (O(1-iteration) tape memory) and replays
+    the analysis from compiled plan structure with no tracing at all --
     bitwise-identical to the monolithic tape walk.  Value-independent, so
     ``n_probes`` must stay 1 (probing cannot change a read set).
 
@@ -60,11 +58,8 @@ import numpy as np
 
 from repro.ad import activity as activity_mod
 from repro.ad import probes as probes_mod
-from repro.ad.plan import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                           DEFAULT_TRACE_CACHE, EXECUTORS, PLAN_OPTIMIZES,
-                           TRACE_CACHES, PlanCache)
+from repro.ad.plan import PlanCache
 from repro.ad.reverse import backward
-from repro.ad.schedule import DEFAULT_SNAPSHOT_SCHEDULE, SNAPSHOT_SCHEDULES
 from repro.ad.segmented import (cast_gradient, gradient_dtype,
                                 segmented_gradients)
 from repro.ad.tangent import tangent_gradients
@@ -76,16 +71,12 @@ from repro.core.variables import CheckpointVariable, VariableKind
 __all__ = [
     "METHODS",
     "SWEEPS",
-    "PROBE_BATCHING",
-    "SNAPSHOT_SCHEDULES",
-    "DEFAULT_SNAPSHOT_SCHEDULE",
-    "TRACE_CACHES",
-    "DEFAULT_TRACE_CACHE",
     "DEFAULT_PROBE_SCALE",
     "VariableCriticality",
     "CriticalityAnalyzer",
     "criticality_from_gradient",
     "element_criticality",
+    "validate_analysis",
 ]
 
 
@@ -95,9 +86,6 @@ METHODS = ("ad", "tangent", "activity", "rule")
 #: recognised reverse-sweep strategies for the AD method
 SWEEPS = ("monolithic", "segmented")
 
-#: recognised multi-probe execution strategies for the AD method
-PROBE_BATCHING = ("batched", "per-probe")
-
 #: default relative magnitude of the probe perturbations -- the single
 #: source of truth for every layer (analyzer, scrutinize, runners, store
 #: key, CLI); keyed into the result store, so changing it here invalidates
@@ -106,6 +94,27 @@ DEFAULT_PROBE_SCALE = 1.0e-3
 
 #: base seed of the per-analysis probe generators (and the legacy default)
 _PROBE_SEED = 20241117
+
+
+def validate_analysis(method: str, n_probes: int, sweep: str) -> None:
+    """Raise ``ValueError`` for an analysis configuration that cannot run.
+
+    The one check every entry point (analyzer, job, runner) shares, so a
+    bad argument fails where it enters instead of deep inside a sweep.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if int(n_probes) != n_probes or n_probes < 1:
+        raise ValueError(f"n_probes must be an integer of at least 1, "
+                         f"got {n_probes!r}")
+    if method == "activity" and n_probes != 1:
+        # the read set depends only on the traced structure, never on the
+        # state values, so probing cannot change the masks; raising beats
+        # silently charging for sweeps that prove nothing
+        raise ValueError("method='activity' is value-independent; "
+                         "n_probes must be 1")
+    if sweep not in SWEEPS:
+        raise ValueError(f"unknown sweep {sweep!r}; choose from {SWEEPS}")
 
 
 def criticality_from_gradient(gradient: np.ndarray) -> np.ndarray:
@@ -248,149 +257,32 @@ class CriticalityAnalyzer:
         :func:`repro.ad.activity.segmented_read_masks` for "activity" --
         one iteration's tape at a time, peak memory bounded by a single
         iteration, bitwise-identical masks).  Ignored by the "tangent" and
-        "rule" methods.
-    snapshot_schedule:
-        Boundary-snapshot retention policy of the segmented sweep
-        (:mod:`repro.ad.schedule`): ``"all"`` (default) keeps every
-        boundary in memory, ``"binomial"`` keeps O(log steps) and
-        recomputes the rest (revolve-style), ``"spill"`` round-trips the
-        boundaries through the :mod:`repro.ckpt` writer/reader so only one
-        snapshot is resident.  All three produce bitwise-identical masks;
-        ignored unless ``sweep="segmented"``.
-    snapshot_budget:
-        In-memory snapshot budget of the ``"binomial"`` schedule (``None``
-        = ~log2(steps)); ignored by the other schedules.
-    spill_dir:
-        Parent directory of the ``"spill"`` schedule's per-sweep scratch
-        directory (``None`` = system temp dir); the scratch directory is
-        always removed, on success and on failure.
-    probe_batching:
-        How ``n_probes > 1`` AD evaluations are executed: ``"batched"``
-        (the default) stacks all probe states along a leading probe axis
-        and runs **one** traced forward plus **one** reverse sweep
-        (:mod:`repro.ad.probes`), falling back automatically -- with a
-        :class:`RuntimeWarning` -- for benchmarks whose kernels cannot
-        broadcast over the probe axis; ``"per-probe"`` forces the legacy
-        one-trace-per-probe loop.  Both produce identical masks (pinned in
-        ``tests/ad/test_probes.py``); ignored when ``n_probes == 1``.
-    trace_cache:
-        Trace-specialisation policy of the segmented sweep
-        (:mod:`repro.ad.plan`): ``"plan"`` (default) records each step
-        structure once, compiles it to a replay plan and replays it for
-        further segments, probes and forward refills -- bitwise-identical
-        gradients and masks, no repeated tracing; ``"off"`` re-traces
-        every segment (the pre-plan behaviour, and the escape hatch for
-        kernels with state-dependent traced structure).  One plan cache is
-        shared per :meth:`analyze` call, so the per-probe loop replays
-        plans learned by earlier probes.  Applies to the "ad" and
-        "activity" methods with ``sweep="segmented"``; ignored by the
-        monolithic sweep and the "tangent"/"rule" methods.
-    plan_optimize:
-        Optimisation level applied when a recorded step is lowered to a
-        replay plan (:mod:`repro.ad.passes`): ``"fuse"`` (default) runs
-        the full pass pipeline -- elementwise/unary chain fusion,
-        dead-slot elimination, liveness-driven arena packing -- and
-        ``"off"`` replays the raw instruction list one op at a time.
-        Both produce bitwise-identical gradients and masks (pinned in
-        ``tests/ad/test_passes.py``); requires ``sweep="segmented"`` and
-        ``trace_cache="plan"``.
-    executor:
-        Backend that runs the lowered plan (:mod:`repro.ad.exec`):
-        ``"interp"`` (default) interprets the instruction stream with
-        preallocated output buffers, ``"numba"`` JIT-compiles eligible
-        fused chains when numba is importable and silently falls back to
-        the interpreter otherwise.  Requires ``sweep="segmented"`` and
-        ``trace_cache="plan"``.
+        "rule" methods.  The only execution choice: the segmented sweep
+        always keeps every boundary snapshot (the ``"all"`` schedule) and
+        replays compiled plans from one
+        :class:`~repro.ad.plan.PlanCache` per :meth:`analyze` call,
+        lowered with the full ``"fuse"`` pass pipeline.
+
+    Multi-probe AD analyses always stack the probe states along a leading
+    probe axis and run one traced forward plus one reverse sweep
+    (:mod:`repro.ad.probes`), falling back automatically -- with a
+    :class:`RuntimeWarning` -- to one sweep per probe for benchmarks whose
+    kernels cannot broadcast over the probe axis.  Both paths produce
+    identical masks (pinned in ``tests/ad/test_probes.py``).
     """
 
     def __init__(self, method: str = "ad", n_probes: int = 1,
                  probe_scale: float = DEFAULT_PROBE_SCALE,
                  rng: np.random.Generator | None = None,
                  steps: int | None = None,
-                 sweep: str = "monolithic",
-                 probe_batching: str = "batched",
-                 snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-                 snapshot_budget: int | None = None,
-                 spill_dir: str | None = None,
-                 trace_cache: str = DEFAULT_TRACE_CACHE,
-                 plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR) -> None:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-        if n_probes < 1:
-            raise ValueError("n_probes must be at least 1")
-        if method == "activity" and int(n_probes) != 1:
-            # the read set depends only on the traced structure, never on
-            # the state values, so probing cannot change the masks; raising
-            # beats silently charging for sweeps that prove nothing
-            raise ValueError("method='activity' is value-independent; "
-                             "n_probes must be 1")
-        if sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep {sweep!r}; choose from {SWEEPS}")
-        if probe_batching not in PROBE_BATCHING:
-            raise ValueError(f"unknown probe_batching {probe_batching!r}; "
-                             f"choose from {PROBE_BATCHING}")
-        if snapshot_schedule not in SNAPSHOT_SCHEDULES:
-            raise ValueError(f"unknown snapshot_schedule "
-                             f"{snapshot_schedule!r}; choose from "
-                             f"{SNAPSHOT_SCHEDULES}")
-        if snapshot_budget is not None and int(snapshot_budget) < 2:
-            raise ValueError("snapshot_budget must be at least 2")
-        if trace_cache not in TRACE_CACHES:
-            raise ValueError(f"unknown trace_cache {trace_cache!r}; "
-                             f"choose from {TRACE_CACHES}")
-        if trace_cache != DEFAULT_TRACE_CACHE and sweep != "segmented":
-            # the monolithic sweep never replays; accepting the flag there
-            # would do nothing while still forking the result-cache key
-            raise ValueError("trace_cache='off' only affects "
-                             "sweep='segmented'")
-        if plan_optimize not in PLAN_OPTIMIZES:
-            raise ValueError(f"unknown plan_optimize {plan_optimize!r}; "
-                             f"choose from {PLAN_OPTIMIZES}")
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; "
-                             f"choose from {EXECUTORS}")
-        # plan_optimize/executor configure the compiled replay plans, which
-        # only exist under the segmented sweep's "plan" trace cache; a
-        # non-default value anywhere else would be silently ignored while
-        # still forking the result-cache key
-        if plan_optimize != DEFAULT_PLAN_OPTIMIZE and (
-                sweep != "segmented" or trace_cache != "plan"):
-            raise ValueError("plan_optimize='off' requires sweep='segmented' "
-                             "and trace_cache='plan'")
-        if executor != DEFAULT_EXECUTOR and (
-                sweep != "segmented" or trace_cache != "plan"):
-            raise ValueError(f"executor={executor!r} requires "
-                             "sweep='segmented' and trace_cache='plan'")
-        # inapplicable knobs would be silently ignored by the sweep while
-        # still forking the result-cache key (the CLI repeats these checks
-        # for a friendlier argparse error); every entry point -- scrutinize,
-        # ScrutinyJob, ExperimentRunner -- inherits them from here
-        if sweep != "segmented" and (snapshot_schedule
-                                     != DEFAULT_SNAPSHOT_SCHEDULE
-                                     or snapshot_budget is not None
-                                     or spill_dir is not None):
-            raise ValueError("snapshot_schedule/snapshot_budget/spill_dir "
-                             "require sweep='segmented'")
-        if snapshot_budget is not None and snapshot_schedule != "binomial":
-            raise ValueError("snapshot_budget requires "
-                             "snapshot_schedule='binomial'")
-        if spill_dir is not None and snapshot_schedule != "spill":
-            raise ValueError("spill_dir requires snapshot_schedule='spill'")
+                 sweep: str = "monolithic") -> None:
+        validate_analysis(method, n_probes, sweep)
         self.method = method
         self.n_probes = int(n_probes)
         self.probe_scale = float(probe_scale)
         self.rng = rng
         self.steps = steps
         self.sweep = sweep
-        self.probe_batching = probe_batching
-        self.snapshot_schedule = snapshot_schedule
-        self.snapshot_budget = None if snapshot_budget is None \
-            else int(snapshot_budget)
-        self.spill_dir = spill_dir
-        self.trace_cache = trace_cache
-        self.plan_optimize = plan_optimize
-        self.executor = executor
 
     # ------------------------------------------------------------------
     # public API
@@ -492,7 +384,7 @@ class CriticalityAnalyzer:
         watch = self._watched_keys(variables)
         # all probe states are drawn up front (base state first); the draw
         # order over (probe, key) is identical to the legacy interleaved
-        # loop, so masks are unchanged for any probe_batching choice
+        # loop, so the batched sweep and its per-probe fallback agree
         states = [dict(state)]
         for probe in range(1, self.n_probes):
             states.append(self._perturb_state(state, watch, probe, rng))
@@ -500,13 +392,10 @@ class CriticalityAnalyzer:
         # one replay-plan cache per analysis: every segmented sweep of this
         # analysis (all probes, batched or per-probe) shares the compiled
         # plans, which is where trace-once/replay-many pays off
-        plan_cache = PlanCache(plan_optimize=self.plan_optimize,
-                               executor=self.executor) \
-            if (self.trace_cache == "plan"
-                and self.sweep == "segmented") else None
+        plan_cache = PlanCache() if self.sweep == "segmented" else None
 
         stacked = None
-        if self.probe_batching == "batched" and len(states) > 1:
+        if len(states) > 1:
             stacked = self._batched_probe_gradients(bench, states, watch,
                                                     plan_cache)
 
@@ -594,27 +483,15 @@ class CriticalityAnalyzer:
             if self.sweep == "segmented":
                 return probes_mod.segmented_batched_gradients(
                     bench, states, watch=list(watch), steps=self.steps,
-                    snapshot_schedule=self.snapshot_schedule,
-                    snapshot_budget=self.snapshot_budget,
-                    spill_dir=self.spill_dir,
-                    trace_cache=self.trace_cache, plan_cache=plan_cache)
+                    plan_cache=plan_cache)
             return probes_mod.batched_gradients(bench, states,
                                                 watch=list(watch),
                                                 steps=self.steps)
         except Exception as exc:  # noqa: BLE001 - any kernel may refuse to
             # broadcast over the probe axis; the per-probe path is always
-            # available and produces identical masks.  Spill-schedule
-            # failures (unwritable spill dir, corrupted spill file) all
-            # surface as CheckpointFormatError -- the schedule wraps its
-            # I/O errors -- and are *not* broadcast problems: the per-probe
-            # path would hit them too, so re-raise instead of recomputing
-            # everything just to fail again.  Any other error -- including
-            # an OSError/ENOMEM only at the stacked batch size -- falls
-            # back to the per-probe loop.
-            from repro.ckpt.format import CheckpointFormatError
-
-            if isinstance(exc, CheckpointFormatError):
-                raise
+            # available and produces identical masks.  Any error --
+            # including an OSError/ENOMEM only at the stacked batch size --
+            # falls back to the per-probe loop.
             warnings.warn(
                 f"batched probe sweep unavailable for "
                 f"{getattr(bench, 'name', bench)!r} "
@@ -635,10 +512,6 @@ class CriticalityAnalyzer:
         if self.sweep == "segmented":
             return segmented_gradients(bench, state, watch=list(watch),
                                        steps=self.steps,
-                                       snapshot_schedule=self.snapshot_schedule,
-                                       snapshot_budget=self.snapshot_budget,
-                                       spill_dir=self.spill_dir,
-                                       trace_cache=self.trace_cache,
                                        plan_cache=plan_cache)
         tape, leaves, output = bench.traced_restart(state, watch=list(watch),
                                                     steps=self.steps)
@@ -686,16 +559,9 @@ class CriticalityAnalyzer:
             # (or compiled transfer) at a time, chained across boundaries;
             # a fresh per-analysis plan cache keeps repeated analyses of
             # one analyzer honest about what each call costs
-            plan_cache = PlanCache(plan_optimize=self.plan_optimize,
-                                   executor=self.executor) \
-                if self.trace_cache == "plan" else None
             activity = activity_mod.segmented_read_masks(
                 bench, state, watch=list(watch), steps=self.steps,
-                snapshot_schedule=self.snapshot_schedule,
-                snapshot_budget=self.snapshot_budget,
-                spill_dir=self.spill_dir,
-                trace_cache=self.trace_cache,
-                plan_cache=plan_cache)
+                plan_cache=PlanCache())
             key_masks = {key: activity[key].read for key in watch}
         else:
             tape, leaves, _output = bench.traced_restart(

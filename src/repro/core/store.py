@@ -23,12 +23,11 @@ benchmark for human navigation::
 encoding of the key parameters -- content-addressed, so two stores built
 with the same package version agree on addresses and a parameter change
 (method, n_probes, version bump, ...) can never alias an old entry.  The
-sweep knobs (``sweep``, ``snapshot_schedule``/``snapshot_budget``,
-``trace_cache``, and since repro 1.7.0 ``plan_optimize``/``executor``)
-key *every* method they apply to -- since repro 1.6.0 that includes
-``method="activity"``, whose entries from earlier versions (when those
-knobs were silently ignored) are invalidated by the version field rather
-than aliased.
+key holds the result's identity only: the sweep strategy that computed it
+is not keyed, because both sweeps produce bitwise-identical masks and
+gradients (pinned for all eight ports), so a monolithic run and a
+segmented run share one entry.  Entries written before repro 1.9.0, when
+the execution knobs were keyed, are invalidated by the version field.
 
 The ``.npz`` member names are namespaced:
 
@@ -70,11 +69,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.analysis import ScrutinyResult
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE,
-                                    VariableCriticality)
+from repro.core.criticality import DEFAULT_PROBE_SCALE, VariableCriticality
 from repro.core.variables import CheckpointVariable, VariableKind
 
 __all__ = ["ResultStore", "cache_key"]
@@ -97,29 +92,19 @@ def _package_version() -> str:
 
 def cache_key(*, benchmark: str, problem_class: str, method: str,
               n_probes: int, step: int | None = None,
-              steps: int | None = None, sweep: str = "monolithic",
+              steps: int | None = None,
               probe_scale: float = DEFAULT_PROBE_SCALE,
-              probe_batching: str = "batched",
-              snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-              snapshot_budget: int | None = None,
-              trace_cache: str = DEFAULT_TRACE_CACHE,
-              plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-              executor: str = DEFAULT_EXECUTOR,
               version: str | None = None) -> str:
-    """Content address of one analysis configuration.
+    """Content address of one analysis result.
 
     ``step``/``steps`` of ``None`` mean the benchmark defaults (mid-run
     checkpoint, analyse to completion) and key as such; they are resolved
     deterministically from the other parameters, so the defaults never
-    alias an explicit value.  ``sweep``, ``probe_batching`` and
-    ``snapshot_schedule``/``snapshot_budget`` are part of the key even
-    though the alternative strategies produce identical masks: keeping the
-    entries separate lets the equivalence be *checked* from cached
-    artefacts rather than assumed.  ``probe_scale`` is keyed via its
+    alias an explicit value.  ``probe_scale`` is keyed via its
     shortest-round-trip ``repr``, so two runs with different perturbation
     magnitudes can never alias the same entry (they probe genuinely
-    different base states).  The spill scratch directory is deliberately
-    *not* keyed: it is transient storage, not analysis identity.
+    different base states).  How the result was computed -- the sweep --
+    is deliberately *not* keyed: it is not part of the result's identity.
     """
     payload = {
         "format": _FORMAT,
@@ -128,16 +113,8 @@ def cache_key(*, benchmark: str, problem_class: str, method: str,
         "method": str(method),
         "n_probes": int(n_probes),
         "probe_scale": float(probe_scale),
-        "probe_batching": str(probe_batching),
-        "snapshot_schedule": str(snapshot_schedule),
-        "snapshot_budget": None if snapshot_budget is None
-        else int(snapshot_budget),
-        "trace_cache": str(trace_cache),
-        "plan_optimize": str(plan_optimize),
-        "executor": str(executor),
         "step": None if step is None else int(step),
         "steps": None if steps is None else int(steps),
-        "sweep": str(sweep),
         "version": version if version is not None else _package_version(),
     }
     blob = json.dumps(payload, sort_keys=True).encode("ascii")
@@ -204,24 +181,12 @@ class ResultStore:
     # ------------------------------------------------------------------
     def key(self, *, benchmark: str, problem_class: str, method: str,
             n_probes: int, step: int | None = None,
-            steps: int | None = None, sweep: str = "monolithic",
-            probe_scale: float = DEFAULT_PROBE_SCALE,
-            probe_batching: str = "batched",
-            snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-            snapshot_budget: int | None = None,
-            trace_cache: str = DEFAULT_TRACE_CACHE,
-            plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-            executor: str = DEFAULT_EXECUTOR) -> str:
-        """Cache key of one analysis configuration under this store."""
+            steps: int | None = None,
+            probe_scale: float = DEFAULT_PROBE_SCALE) -> str:
+        """Cache key of one analysis result under this store."""
         return cache_key(benchmark=benchmark, problem_class=problem_class,
                          method=method, n_probes=n_probes, step=step,
-                         steps=steps, sweep=sweep, probe_scale=probe_scale,
-                         probe_batching=probe_batching,
-                         snapshot_schedule=snapshot_schedule,
-                         snapshot_budget=snapshot_budget,
-                         trace_cache=trace_cache,
-                         plan_optimize=plan_optimize,
-                         executor=executor,
+                         steps=steps, probe_scale=probe_scale,
                          version=self.version)
 
     def _paths(self, benchmark: str, key: str) -> tuple[Path, Path]:
@@ -410,37 +375,17 @@ class ResultStore:
     def fetch(self, *, benchmark: str, problem_class: str, method: str,
               n_probes: int, step: int | None = None,
               steps: int | None = None,
-              sweep: str = "monolithic",
-              probe_scale: float = DEFAULT_PROBE_SCALE,
-              probe_batching: str = "batched",
-              snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-              snapshot_budget: int | None = None,
-              trace_cache: str = DEFAULT_TRACE_CACHE,
-              plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-              executor: str = DEFAULT_EXECUTOR
+              probe_scale: float = DEFAULT_PROBE_SCALE
               ) -> ScrutinyResult | None:
-        """``load`` keyed directly by analysis parameters."""
+        """``load`` keyed directly by the result's identity."""
         key = self.key(benchmark=benchmark, problem_class=problem_class,
                        method=method, n_probes=n_probes, step=step,
-                       steps=steps, sweep=sweep, probe_scale=probe_scale,
-                       probe_batching=probe_batching,
-                       snapshot_schedule=snapshot_schedule,
-                       snapshot_budget=snapshot_budget,
-                       trace_cache=trace_cache,
-                       plan_optimize=plan_optimize,
-                       executor=executor)
+                       steps=steps, probe_scale=probe_scale)
         return self.load(benchmark, key)
 
     def put(self, result: ScrutinyResult, *, n_probes: int,
             step: int | None = None, steps: int | None = None,
-            sweep: str = "monolithic",
-            probe_scale: float = DEFAULT_PROBE_SCALE,
-            probe_batching: str = "batched",
-            snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-            snapshot_budget: int | None = None,
-            trace_cache: str = DEFAULT_TRACE_CACHE,
-            plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-            executor: str = DEFAULT_EXECUTOR) -> Path:
+            probe_scale: float = DEFAULT_PROBE_SCALE) -> Path:
         """``save`` keyed by the parameters that produced ``result``.
 
         ``step`` is the *requested* checkpoint step (``None`` for the
@@ -450,13 +395,7 @@ class ResultStore:
         key = self.key(benchmark=result.benchmark,
                        problem_class=result.problem_class,
                        method=result.method, n_probes=n_probes, step=step,
-                       steps=steps, sweep=sweep, probe_scale=probe_scale,
-                       probe_batching=probe_batching,
-                       snapshot_schedule=snapshot_schedule,
-                       snapshot_budget=snapshot_budget,
-                       trace_cache=trace_cache,
-                       plan_optimize=plan_optimize,
-                       executor=executor)
+                       steps=steps, probe_scale=probe_scale)
         self.save(key, result)
         return self._paths(result.benchmark, key)[0]
 

@@ -50,10 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.core.analysis import ScrutinyResult, scrutinize
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE)
+from repro.core.criticality import DEFAULT_PROBE_SCALE, validate_analysis
 from repro.core.store import ResultStore
 from repro.experiments.faults import (DEFAULT_FAULT_POLICY, BatchJournal,
                                       ChaosConfig, ChaosHang, FaultPolicy,
@@ -62,6 +59,7 @@ from repro.experiments.faults import (DEFAULT_FAULT_POLICY, BatchJournal,
                                       corrupt_file, failure_from_exception,
                                       pickle_roundtrip_safe)
 from repro.npb import registry
+from repro.npb.params import check_problem_class
 
 __all__ = ["ScrutinyJob", "ParallelRunner", "run_job", "job_token",
            "default_workers"]
@@ -71,13 +69,16 @@ __all__ = ["ScrutinyJob", "ParallelRunner", "run_job", "job_token",
 class ScrutinyJob:
     """One unit of analysis work; picklable and usable as a dict key.
 
-    The sweep knobs (``sweep``, ``snapshot_schedule``/``snapshot_budget``,
-    ``trace_cache``, ``plan_optimize``/``executor``) parameterise the
-    ``"ad"`` and ``"activity"`` methods
-    alike -- a segmented activity job chains read masks across boundaries
-    and replays compiled plan transfers, bitwise-identical to the
-    monolithic walk -- and all join :meth:`key_params`, so jobs differing
-    in any of them never alias in the result store.
+    The job's identity -- equality, hash and :meth:`key_params` -- is the
+    identity of its result.  ``sweep`` is how the result is computed, not
+    what it is (both sweeps produce bitwise-identical masks and gradients),
+    so jobs differing only in ``sweep`` deduplicate and share one store
+    entry.
+
+    Method, probe count, sweep and problem class are validated on
+    construction (``ValueError``).  The benchmark name is not: an unknown
+    benchmark fails inside the job, which is how the engine's fault
+    handling sees a deterministic failure.
     """
 
     benchmark: str
@@ -86,22 +87,13 @@ class ScrutinyJob:
     n_probes: int = 1
     step: int | None = None
     steps: int | None = None
-    sweep: str = "monolithic"
+    sweep: str = field(default="monolithic", compare=False)
     probe_scale: float = DEFAULT_PROBE_SCALE
-    probe_batching: str = "batched"
-    snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE
-    snapshot_budget: int | None = None
-    trace_cache: str = DEFAULT_TRACE_CACHE
-    plan_optimize: str = DEFAULT_PLAN_OPTIMIZE
-    executor: str = DEFAULT_EXECUTOR
-    #: scratch location of the "spill" schedule -- execution detail, not
-    #: analysis identity, hence absent from :meth:`key_params` and from the
-    #: job's equality/hash (jobs differing only in scratch location are the
-    #: same analysis and must deduplicate)
-    spill_dir: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "benchmark", self.benchmark.upper())
+        validate_analysis(self.method, self.n_probes, self.sweep)
+        check_problem_class(self.problem_class)
 
     def key_params(self) -> dict[str, Any]:
         """The job's identity as :class:`ResultStore` key parameters."""
@@ -112,14 +104,7 @@ class ScrutinyJob:
             "n_probes": self.n_probes,
             "step": self.step,
             "steps": self.steps,
-            "sweep": self.sweep,
             "probe_scale": self.probe_scale,
-            "probe_batching": self.probe_batching,
-            "snapshot_schedule": self.snapshot_schedule,
-            "snapshot_budget": self.snapshot_budget,
-            "trace_cache": self.trace_cache,
-            "plan_optimize": self.plan_optimize,
-            "executor": self.executor,
         }
 
 
@@ -146,14 +131,7 @@ def run_job(job: ScrutinyJob) -> ScrutinyResult:
     bench = registry.create(job.benchmark, job.problem_class)
     return scrutinize(bench, step=job.step, method=job.method,
                       n_probes=job.n_probes, steps=job.steps,
-                      sweep=job.sweep, probe_scale=job.probe_scale,
-                      probe_batching=job.probe_batching,
-                      snapshot_schedule=job.snapshot_schedule,
-                      snapshot_budget=job.snapshot_budget,
-                      spill_dir=job.spill_dir,
-                      trace_cache=job.trace_cache,
-                      plan_optimize=job.plan_optimize,
-                      executor=job.executor)
+                      sweep=job.sweep, probe_scale=job.probe_scale)
 
 
 def _guarded_run_job(job: ScrutinyJob, attempt: int,
@@ -336,14 +314,7 @@ class ParallelRunner:
             try:
                 self.store.put(result, n_probes=job.n_probes,
                                step=job.step, steps=job.steps,
-                               sweep=job.sweep,
-                               probe_scale=job.probe_scale,
-                               probe_batching=job.probe_batching,
-                               snapshot_schedule=job.snapshot_schedule,
-                               snapshot_budget=job.snapshot_budget,
-                               trace_cache=job.trace_cache,
-                               plan_optimize=job.plan_optimize,
-                               executor=job.executor)
+                               probe_scale=job.probe_scale)
                 stored = True
             except OSError:
                 # an unwritable store degrades to no persistence;

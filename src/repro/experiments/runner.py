@@ -23,16 +23,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from repro.core.analysis import ScrutinyResult, scrutinize
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE,
-                                    VariableCriticality)
+from repro.core.analysis import ScrutinyResult
+from repro.core.criticality import (DEFAULT_PROBE_SCALE, VariableCriticality,
+                                    validate_analysis)
 from repro.core.store import ResultStore
 from repro.npb import registry
+from repro.npb.params import check_problem_class, params_for
 
 from .faults import BatchJournal, ChaosConfig, FaultPolicy, parse_chaos
 from .parallel import ParallelRunner, ScrutinyJob
@@ -80,12 +76,6 @@ class ExperimentRunner:
         Number of AD probes per variable (1 = the paper's single sweep).
     step:
         Checkpoint step; ``None`` uses each benchmark's mid-run default.
-    rng:
-        Explicit probe generator.  When given, analyses run sequentially in
-        process and bypass the persistent store, because a shared stateful
-        generator is neither parallelisable nor a valid cache key;
-        ``None`` (the default) lets every analysis build its own fixed-seed
-        generator, which is deterministic, parallel-safe and cacheable.
     workers:
         Worker processes for fanning out missing analyses (1 = in process).
     cache_dir:
@@ -94,38 +84,16 @@ class ExperimentRunner:
     use_cache:
         Set ``False`` to ignore ``cache_dir`` (the CLI's ``--no-cache``).
     sweep:
-        Reverse-sweep strategy of the AD analyses: ``"monolithic"`` (one
-        tape for the whole remaining computation) or ``"segmented"``
-        (per-iteration tapes, peak memory bounded by one iteration;
-        bitwise-identical masks).  The CLI's ``--sweep``.
+        Reverse-sweep strategy of the AD and activity analyses:
+        ``"monolithic"`` (one tape for the whole remaining computation) or
+        ``"segmented"`` (per-iteration tapes with compiled plan replay,
+        peak memory bounded by one iteration; bitwise-identical masks).
+        Not part of the cache key: a result computed by either sweep
+        serves both.  The CLI's ``--sweep``.
     probe_scale:
         Relative magnitude of the probe perturbations; part of the cache
         key, so runs with different magnitudes never alias.  The CLI's
         ``--probe-scale``.
-    probe_batching:
-        ``"batched"`` (default: one trace and one sweep for all probes,
-        with automatic per-probe fallback) or ``"per-probe"`` (the legacy
-        loop).  The CLI's ``--probe-batching``.
-    snapshot_schedule, snapshot_budget, spill_dir:
-        Boundary-snapshot policy of the segmented sweep
-        (:mod:`repro.ad.schedule`): ``"all"`` (default), ``"binomial"``
-        (O(log steps) resident snapshots, optional explicit budget) or
-        ``"spill"`` (boundaries on disk under ``spill_dir``); masks stay
-        bitwise-identical.  ``snapshot_schedule``/``snapshot_budget`` join
-        the cache key; ``spill_dir`` is scratch and does not.  The CLI's
-        ``--snapshot-schedule``/``--snapshot-budget``/``--spill-dir``.
-    trace_cache:
-        ``"plan"`` (default: segmented steps compile to replay plans and
-        replay instead of re-tracing, :mod:`repro.ad.plan`) or ``"off"``
-        (re-trace every segment).  Identical masks either way; part of the
-        cache key.  The CLI's ``--trace-cache``.
-    plan_optimize, executor:
-        Plan lowering level (``"fuse"``/``"off"``, :mod:`repro.ad.passes`)
-        and plan backend (``"interp"``/``"numba"``, :mod:`repro.ad.exec`)
-        of the compiled replay plans; both require ``sweep="segmented"``
-        with ``trace_cache="plan"``, both preserve bitwise-identical
-        masks, and both join the cache key.  The CLI's
-        ``--plan-optimize``/``--executor``.
     fault_policy:
         Retry/timeout policy of the fault-tolerant engine
         (:class:`~repro.experiments.faults.FaultPolicy`); ``None`` uses
@@ -148,49 +116,33 @@ class ExperimentRunner:
         (default) injects nothing.  The CLI's ``--chaos``/
         ``--chaos-seed``.
 
-    The ``sweep``/``snapshot_*``/``trace_cache``/plan knobs drive the
-    ``"activity"`` method exactly as they drive ``"ad"`` (segmented
-    chained read masks, plan-derived replays -- bitwise-identical masks);
-    only ``"tangent"`` and ``"rule"`` ignore them.
+    Method, probe count, sweep and problem class are validated on
+    construction, and benchmark names when they are requested; a bad
+    value raises ``ValueError`` there instead of failing inside a job.
     """
 
     def __init__(self, problem_class: str = "S", method: str = "ad",
                  n_probes: int = 1, step: int | None = None,
-                 rng: np.random.Generator | None = None,
                  workers: int = 1,
                  cache_dir: str | Path | None = None,
                  use_cache: bool = True,
                  sweep: str = "monolithic",
                  probe_scale: float = DEFAULT_PROBE_SCALE,
-                 probe_batching: str = "batched",
-                 snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-                 snapshot_budget: int | None = None,
-                 spill_dir: str | None = None,
-                 trace_cache: str = DEFAULT_TRACE_CACHE,
-                 plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR,
                  fault_policy: FaultPolicy | None = None,
                  on_failure: str = "raise",
                  journal: bool = True,
                  chaos: ChaosConfig | str | None = None) -> None:
+        validate_analysis(method, n_probes, sweep)
+        check_problem_class(problem_class)
         self.problem_class = problem_class
         self.method = method
         self.n_probes = int(n_probes)
         self.step = step
-        self.rng = rng
         self.sweep = sweep
         self.probe_scale = float(probe_scale)
-        self.probe_batching = probe_batching
-        self.snapshot_schedule = snapshot_schedule
-        self.snapshot_budget = None if snapshot_budget is None \
-            else int(snapshot_budget)
-        self.spill_dir = spill_dir
-        self.trace_cache = trace_cache
-        self.plan_optimize = plan_optimize
-        self.executor = executor
         self.workers = max(1, int(workers))
         store = None
-        if cache_dir is not None and use_cache and rng is None:
+        if cache_dir is not None and use_cache:
             store = ResultStore(cache_dir)
         self.store = store
         if isinstance(chaos, str):
@@ -264,33 +216,18 @@ class ExperimentRunner:
     # computation backends
     # ------------------------------------------------------------------
     def _compute(self, names: Sequence[str]) -> dict[str, ScrutinyResult]:
-        if self.rng is not None:
-            # legacy sequential path: the caller's generator is shared
-            # (stateful) across benchmarks, so order must be preserved and
-            # neither the pool nor the store may be involved
-            return {name: scrutinize(self.benchmark(name), step=self.step,
-                                     method=self.method,
-                                     n_probes=self.n_probes, rng=self.rng,
-                                     sweep=self.sweep,
-                                     probe_scale=self.probe_scale,
-                                     probe_batching=self.probe_batching,
-                                     snapshot_schedule=self.snapshot_schedule,
-                                     snapshot_budget=self.snapshot_budget,
-                                     spill_dir=self.spill_dir,
-                                     trace_cache=self.trace_cache,
-                                     plan_optimize=self.plan_optimize,
-                                     executor=self.executor)
-                    for name in names}
+        for name in names:
+            self._check_benchmark(name)
         jobs = [ScrutinyJob(benchmark=name, problem_class=self.problem_class,
                             method=self.method, n_probes=self.n_probes,
                             step=self.step, sweep=self.sweep,
-                            probe_scale=self.probe_scale,
-                            probe_batching=self.probe_batching,
-                            snapshot_schedule=self.snapshot_schedule,
-                            snapshot_budget=self.snapshot_budget,
-                            spill_dir=self.spill_dir,
-                            trace_cache=self.trace_cache,
-                            plan_optimize=self.plan_optimize,
-                            executor=self.executor)
+                            probe_scale=self.probe_scale)
                 for name in names]
         return dict(zip(names, self.engine.run(jobs)))
+
+    def _check_benchmark(self, name: str) -> None:
+        """``ValueError`` unless ``name`` is registered at this class."""
+        try:
+            params_for(name, self.problem_class)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None

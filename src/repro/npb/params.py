@@ -21,6 +21,7 @@ __all__ = [
     "BTParams", "SPParams", "LUParams", "MGParams", "CGParams",
     "FTParams", "EPParams", "ISParams",
     "params_for",
+    "check_problem_class",
     "CLASSES",
 ]
 
@@ -308,6 +309,13 @@ _A_PARAMS = {
     "IS": ISParams(problem_class="A", total_keys=131072, max_key=4096,
                    num_buckets=1024, niter=40),
 }
+
+
+def check_problem_class(problem_class: str) -> None:
+    """Raise ``ValueError`` unless ``problem_class`` is in :data:`CLASSES`."""
+    if problem_class not in CLASSES:
+        raise ValueError(f"unknown problem class {problem_class!r}; "
+                         f"supported classes: {CLASSES}")
 
 
 def params_for(benchmark: str, problem_class: str = "S"):

@@ -1,10 +1,10 @@
-"""Tests for forward mode, activity analysis, gradient checks and seeding."""
+"""Tests for forward mode, activity analysis and gradient checks."""
 
 import numpy as np
 import pytest
 
 from repro import ad
-from repro.ad import activity, checks, forward, ops, seeding
+from repro.ad import activity, checks, forward, ops
 from repro.ad.tape import Tape
 
 
@@ -361,55 +361,3 @@ class TestChecks:
         res = checks.check_gradient(lambda x: ops.sum(x), np.ones(3))
         assert bool(res)
         assert "passed=True" in repr(res)
-
-
-class TestSeeding:
-    def test_single_probe_equals_plain_gradient_mask(self):
-        base = np.array([0.0, 1.0, 2.0, 0.0])
-        grad_fn = ad.grad(lambda x: ops.sum(x[:3] * x[:3]))
-        res = seeding.probe_nonzero_mask(grad_fn, base, n_probes=1)
-        assert res.n_probes == 1
-        assert res.nonzero.tolist() == [False, True, True, False]
-
-    def test_multi_probe_recovers_coincidental_zero(self):
-        # x[0] participates but its partner x[1] is zero at the base point,
-        # so a single probe misses it; multiple probes must catch it.
-        base = np.array([3.0, 0.0, 1.0])
-        grad_fn = ad.grad(lambda x: ops.sum(x[0] * x[1] + x[2]))
-        single = seeding.probe_nonzero_mask(grad_fn, base, n_probes=1)
-        multi = seeding.probe_nonzero_mask(grad_fn, base, n_probes=3)
-        assert not single.nonzero[0]
-        assert multi.nonzero[0]
-
-    def test_structural_zero_stays_uncritical(self):
-        base = np.arange(6.0)
-        grad_fn = ad.grad(lambda x: ops.sum(x[0:4] ** 2))
-        res = seeding.probe_nonzero_mask(grad_fn, base, n_probes=4)
-        assert not res.nonzero[4] and not res.nonzero[5]
-
-    def test_custom_perturbation(self):
-        base = np.ones(4)
-        calls = []
-
-        def perturb(state, rng):
-            calls.append(1)
-            return state + 1.0
-
-        grad_fn = ad.grad(lambda x: ops.sum(x * x))
-        seeding.probe_nonzero_mask(grad_fn, base, n_probes=3, perturb=perturb)
-        assert len(calls) == 2                    # probe 0 is unperturbed
-
-    def test_invalid_probe_count(self):
-        with pytest.raises(ValueError):
-            seeding.probe_nonzero_mask(lambda x: x, np.ones(2), n_probes=0)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            seeding.probe_nonzero_mask(lambda x: np.ones(3), np.ones(2))
-
-    def test_per_probe_counts_recorded(self):
-        grad_fn = ad.grad(lambda x: ops.sum(x * x))
-        res = seeding.probe_nonzero_mask(grad_fn, np.zeros(5), n_probes=3)
-        assert len(res.per_probe_counts) == 3
-        assert res.per_probe_counts[0] == 0       # gradient 2x = 0 at origin
-        assert res.per_probe_counts[1] == 5

@@ -193,7 +193,6 @@ class TestArenaPackingRegression:
         assert cache.arena_nbytes > 0, "no plan compiled"
         assert 0 < cache.arena_nbytes_packed <= cache.arena_nbytes
         assert stats.plan_arena_nbytes_packed == cache.arena_nbytes_packed
-        assert stats.executor_kind == "interp"
 
     @pytest.mark.parametrize("name", COARSE_PORTS)
     def test_off_mode_reports_unpacked_arena(self, name):
@@ -230,7 +229,7 @@ class TestPortParityFuseVsOff:
                             f"{name}[{key}]")
 
     @pytest.mark.parametrize("name", ("SP", "CG"))
-    def test_activity_masks_identical(self, name):
+    def test_activity_masks_identical(self, name, sweep_options):
         """Dead-slot elimination only prunes the *executable* program; the
         activity transfer walks the full instruction list, so masks cannot
         depend on the optimisation level."""
@@ -239,10 +238,10 @@ class TestPortParityFuseVsOff:
         state = bench.checkpoint_state(bench.total_steps - steps)
         results = {}
         for mode in ("fuse", "off"):
+            sweep_options(plan_cache=PlanCache(plan_optimize=mode))
             results[mode] = scrutinize(registry.create(name, "T"),
                                        state=dict(state), steps=steps,
-                                       method="activity", sweep="segmented",
-                                       plan_optimize=mode)
+                                       method="activity", sweep="segmented")
         for var, crit in results["fuse"].variables.items():
             np.testing.assert_array_equal(
                 crit.mask, results["off"].variables[var].mask, err_msg=var)

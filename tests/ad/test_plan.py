@@ -95,13 +95,15 @@ class TestPlanGradientsBitwise:
 class TestPlanMasksBitwise:
     @pytest.mark.parametrize("name", ALL_PORTS)
     @pytest.mark.parametrize("probe_batching", ["batched", "per-probe"])
-    def test_masks_identical(self, name, probe_batching):
-        bench_off = registry.create(name, "T")
-        off = scrutinize(bench_off, sweep="segmented", n_probes=2,
-                         probe_batching=probe_batching, trace_cache="off")
-        bench_on = registry.create(name, "T")
-        on = scrutinize(bench_on, sweep="segmented", n_probes=2,
-                        probe_batching=probe_batching, trace_cache="plan")
+    def test_masks_identical(self, name, probe_batching, force_per_probe,
+                             sweep_options):
+        if probe_batching == "per-probe":
+            force_per_probe()
+        on = scrutinize(registry.create(name, "T"), sweep="segmented",
+                        n_probes=2)
+        sweep_options(trace_cache="off")
+        off = scrutinize(registry.create(name, "T"), sweep="segmented",
+                         n_probes=2)
         for var, crit in off.variables.items():
             assert np.array_equal(crit.mask, on.variables[var].mask), \
                 f"{name}.{var} mask differs under the replay plan"

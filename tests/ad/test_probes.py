@@ -381,15 +381,16 @@ def test_batched_requires_probe_tracing_api():
 
 @pytest.mark.parametrize("sweep", ("monolithic", "segmented"))
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_masks_identical_batched_vs_per_probe(name, sweep):
+def test_masks_identical_batched_vs_per_probe(name, sweep, force_per_probe):
     bench = registry.create(name, "T")
     step = bench.total_steps // 2
     state = bench.checkpoint_state(step)
     kwargs = dict(method="ad", n_probes=3, sweep=sweep)
-    batched = CriticalityAnalyzer(probe_batching="batched", **kwargs) \
-        .analyze(bench, state=state, step=step)
-    per_probe = CriticalityAnalyzer(probe_batching="per-probe", **kwargs) \
-        .analyze(bench, state=state, step=step)
+    batched = CriticalityAnalyzer(**kwargs).analyze(bench, state=state,
+                                                    step=step)
+    force_per_probe()
+    per_probe = CriticalityAnalyzer(**kwargs).analyze(bench, state=state,
+                                                      step=step)
     assert list(batched) == list(per_probe)
     for var_name, crit in batched.items():
         ref = per_probe[var_name]
@@ -425,14 +426,15 @@ def test_analyzer_falls_back_without_probe_api(recwarn):
 
     bench = Minimal()
     state = {"x": np.array([1.0, 2.0, 3.0])}
-    masks = CriticalityAnalyzer(n_probes=3, probe_batching="batched") \
-        .analyze(bench, state=state, step=1)
+    masks = CriticalityAnalyzer(n_probes=3).analyze(bench, state=state,
+                                                    step=1)
     assert masks["x"].mask.tolist() == [True, True, False]
     assert not [w for w in recwarn.list
                 if issubclass(w.category, RuntimeWarning)]
 
 
-def test_analyzer_warns_and_falls_back_on_broadcast_failure():
+def test_analyzer_warns_and_falls_back_on_broadcast_failure(
+        force_per_probe):
     """A kernel that breaks the probe axis mid-trace falls back with a
     RuntimeWarning and still produces the per-probe masks."""
     from repro.npb.base import NPBBenchmark
@@ -467,9 +469,9 @@ def test_analyzer_warns_and_falls_back_on_broadcast_failure():
     bench = Hostile()
     state = bench.initial_state()
     with pytest.warns(RuntimeWarning, match="falling back"):
-        batched = CriticalityAnalyzer(n_probes=2, probe_batching="batched") \
-            .analyze(bench, state=state, step=0)
-    per_probe = CriticalityAnalyzer(n_probes=2,
-                                    probe_batching="per-probe") \
-        .analyze(bench, state=state, step=0)
+        batched = CriticalityAnalyzer(n_probes=2).analyze(bench, state=state,
+                                                          step=0)
+    force_per_probe()
+    per_probe = CriticalityAnalyzer(n_probes=2).analyze(bench, state=state,
+                                                        step=0)
     assert np.array_equal(batched["x"].mask, per_probe["x"].mask)

@@ -663,7 +663,7 @@ def test_npb_batched_gradients_bitwise_across_schedules(name, policy,
 
 
 def _policy_kwargs(policy, tmp_path):
-    """Only the knobs applicable to ``policy`` (the analyzer rejects rest)."""
+    """The sweep options of ``policy`` (only those that apply to it)."""
     if policy == "binomial":
         return {"snapshot_schedule": policy, "snapshot_budget": 2}
     if policy == "spill":
@@ -672,11 +672,12 @@ def _policy_kwargs(policy, tmp_path):
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_npb_masks_identical_across_schedules(name, tmp_path):
+def test_npb_masks_identical_across_schedules(name, tmp_path,
+                                              sweep_options):
     base = scrutinize(registry.create(name, "T"), sweep="segmented")
     for policy in ALT_SCHEDULES:
-        other = scrutinize(registry.create(name, "T"), sweep="segmented",
-                           **_policy_kwargs(policy, tmp_path))
+        sweep_options(**_policy_kwargs(policy, tmp_path))
+        other = scrutinize(registry.create(name, "T"), sweep="segmented")
         assert list(base.variables) == list(other.variables)
         for var in base.variables:
             assert np.array_equal(base.variables[var].mask,
@@ -689,12 +690,13 @@ def test_npb_masks_identical_across_schedules(name, tmp_path):
 
 
 @pytest.mark.parametrize("policy", ALT_SCHEDULES)
-def test_npb_multi_probe_batched_masks_identical(policy, tmp_path):
+def test_npb_multi_probe_batched_masks_identical(policy, tmp_path,
+                                                 sweep_options):
     base = scrutinize(registry.create("CG", "T"), n_probes=3,
-                      sweep="segmented", probe_batching="batched")
+                      sweep="segmented")
+    sweep_options(**_policy_kwargs(policy, tmp_path))
     other = scrutinize(registry.create("CG", "T"), n_probes=3,
-                       sweep="segmented", probe_batching="batched",
-                       **_policy_kwargs(policy, tmp_path))
+                       sweep="segmented")
     for var in base.variables:
         assert np.array_equal(base.variables[var].mask,
                               other.variables[var].mask)

@@ -144,10 +144,11 @@ class TestChaosCorruptionOnSpill:
 class TestMidSweepFaultThroughScrutinize:
     """The format error propagates through the full analysis stack."""
 
-    def test_scrutinize_surfaces_spill_fault(self, tmp_path, monkeypatch):
+    def test_scrutinize_surfaces_spill_fault(self, tmp_path, monkeypatch,
+                                             sweep_options):
         bench = registry.create("CG", "T")
         saboteur = _Saboteur(monkeypatch, _truncate, nth=2)
+        sweep_options(snapshot_schedule="spill", spill_dir=tmp_path)
         with pytest.raises(CheckpointFormatError):
-            scrutinize(bench, step=1, sweep="segmented",
-                       snapshot_schedule="spill", spill_dir=tmp_path)
+            scrutinize(bench, step=1, sweep="segmented")
         assert saboteur.struck and saboteur.clean_fetches >= 1

@@ -67,11 +67,24 @@ class TestAnalyzerConstruction:
             CriticalityAnalyzer(n_probes=0)
 
     def test_unknown_probe_batching_rejected(self):
-        with pytest.raises(ValueError, match="probe_batching"):
+        # probe batching is no longer a choice: the analyzer always batches
+        # and falls back per probe on its own, so the knob is refused
+        with pytest.raises(TypeError, match="probe_batching"):
             CriticalityAnalyzer(probe_batching="vectorised")
 
-    def test_probe_batching_defaults_to_batched(self):
-        assert CriticalityAnalyzer().probe_batching == "batched"
+    def test_probe_batching_defaults_to_batched(self, monkeypatch):
+        import repro.ad.probes as probes_mod
+
+        calls = []
+        real = probes_mod.batched_gradients
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(probes_mod, "batched_gradients", spy)
+        CriticalityAnalyzer(n_probes=3).analyze(registry.create("CG", "T"))
+        assert calls == [1]          # one stacked sweep for all probes
 
 
 class TestPerturbStateDtypes:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -12,6 +13,7 @@ import repro
 from repro.core import analysis
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.runner import ExperimentRunner
+from repro.npb import registry
 
 
 @pytest.fixture()
@@ -35,17 +37,21 @@ class TestCacheKey:
             dict(KEY_PARAMS, n_probes=2),
             dict(KEY_PARAMS, step=3),
             dict(KEY_PARAMS, steps=1),
-            dict(KEY_PARAMS, sweep="segmented"),
             dict(KEY_PARAMS, probe_scale=1.0e-2),
-            dict(KEY_PARAMS, probe_batching="per-probe"),
-            dict(KEY_PARAMS, snapshot_schedule="binomial"),
-            dict(KEY_PARAMS, snapshot_schedule="spill"),
-            dict(KEY_PARAMS, snapshot_budget=4),
             dict(KEY_PARAMS, version="0.0.0-other"),
         ]
         keys = [cache_key(**params) for params in variants]
         assert base not in keys
         assert len(set(keys)) == len(keys)
+
+    def test_key_hashes_exactly_the_identity_fields(self):
+        """Golden: the address is the SHA-256 of these nine fields only."""
+        payload = {"format": 1, "benchmark": "BT", "problem_class": "T",
+                   "method": "ad", "n_probes": 1, "probe_scale": 1.0e-3,
+                   "step": 3, "steps": None, "version": "9.9.9"}
+        blob = json.dumps(payload, sort_keys=True).encode("ascii")
+        assert cache_key(**KEY_PARAMS, step=3, version="9.9.9") \
+            == hashlib.sha256(blob).hexdigest()[:20]
 
     def test_probe_scale_never_aliases(self):
         # regression: runs with different perturbation magnitudes probe
@@ -342,18 +348,23 @@ class TestRunnerIntegration:
         again.result("CG")
         assert calls == []               # same scale hits its own entry
 
-    def test_probe_batching_change_invalidates(self, tmp_path, monkeypatch):
+    def test_probe_batching_change_invalidates(self, tmp_path, monkeypatch,
+                                               force_per_probe):
+        """Not any more: how probes execute is not part of the result.
+
+        Whether the analyzer stacks the probes or falls back to one sweep
+        per probe, the masks are identical, so a fallback run is served
+        from the entry the batched run wrote.
+        """
         batched, _ = self._counting_runner(tmp_path, monkeypatch,
                                            n_probes=2)
         batched.result("CG")
 
+        force_per_probe()
         looped, calls = self._counting_runner(tmp_path, monkeypatch,
-                                              n_probes=2,
-                                              probe_batching="per-probe")
+                                              n_probes=2)
         looped.result("CG")
-        assert calls == ["CG"]           # kept separate so the equivalence
-        #                                  can be checked from cached
-        #                                  artefacts rather than assumed
+        assert calls == []
 
     def test_version_change_invalidates(self, tmp_path, bt_t_result):
         v1 = ResultStore(tmp_path / "cache", version="1.0.0")
@@ -362,3 +373,38 @@ class TestRunnerIntegration:
 
         v2 = ResultStore(tmp_path / "cache", version="2.0.0")
         assert v2.fetch(**KEY_PARAMS) is None
+
+
+class TestSweepIndependence:
+    """One store serves both sweeps: the sweep is not result identity."""
+
+    PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
+
+    def test_monolithic_fill_serves_segmented_reads(self, tmp_path):
+        cache = tmp_path / "cache"
+        ExperimentRunner(problem_class="T", sweep="monolithic",
+                         cache_dir=cache).prefetch(self.PORTS)
+
+        warm = ExperimentRunner(problem_class="T", sweep="segmented",
+                                cache_dir=cache)
+        cached = warm.results(self.PORTS)
+        assert warm.store.misses == 0
+        assert warm.store.hits == len(self.PORTS)
+        assert warm.fault_stats.completed == 0     # nothing recomputed
+
+        for name in self.PORTS:
+            fresh = analysis.scrutinize(registry.create(name, "T"),
+                                        sweep="segmented")
+            got = cached[name]
+            assert list(got.variables) == list(fresh.variables)
+            for var, crit in fresh.variables.items():
+                assert np.array_equal(crit.mask, got.variables[var].mask), \
+                    f"{name}.{var} mask"
+                assert list(crit.gradients) == \
+                    list(got.variables[var].gradients)
+                for key, grad in crit.gradients.items():
+                    stored = got.variables[var].gradients[key]
+                    assert grad.dtype == stored.dtype
+                    assert grad.shape == stored.shape
+                    assert grad.tobytes() == stored.tobytes(), \
+                        f"{name}.{var}[{key}] gradient bits"

@@ -133,11 +133,3 @@ class TestRunnerFanOut:
         monkeypatch.setattr(runner.engine, "run", spying)
         runner.results(["CG", "EP", "IS"])
         assert seen == [["CG", "EP", "IS"]]  # one batch, not three
-
-    def test_explicit_rng_stays_sequential(self):
-        rng = np.random.default_rng(7)
-        runner = ExperimentRunner(problem_class="T", workers=2, rng=rng,
-                                  n_probes=2)
-        result = runner.result("CG")
-        assert result.benchmark == "CG"
-        assert runner.store is None

@@ -1,12 +1,13 @@
-"""Probe-batching plumbing: jobs, store keys, runner and CLI.
+"""Probe plumbing: jobs, store keys, runner and CLI.
 
-The batched multi-probe sweep is an execution strategy (identical masks to
-the per-probe loop), and ``probe_scale`` is a genuine analysis parameter;
-every layer between the analyzer and the user must carry both: the
-picklable job description, the persistent store key (``probe_scale`` keyed
-so different perturbation magnitudes never alias; ``probe_batching`` keyed
-so the equivalence can be checked from cached artefacts), the experiment
-runner and the ``--probe-batching`` / ``--probe-scale`` CLI flags.
+``probe_scale`` is a genuine analysis parameter and every layer between the
+analyzer and the user carries it: the picklable job description, the
+persistent store key (different perturbation magnitudes never alias), the
+experiment runner and ``--probe-scale``.  How the probes execute is not:
+since repro 1.9.0 the analyzer always stacks them into one batched sweep
+and falls back to one sweep per probe on its own (identical masks), so
+``probe_batching`` is gone from every layer; the per-probe loop stays as
+the oracle the tests below route to.
 """
 
 from __future__ import annotations
@@ -15,44 +16,47 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.analysis import scrutinize
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ParallelRunner, ScrutinyJob, run_job
 from repro.experiments.runner import ExperimentRunner
+from repro.npb import registry
+
+
+def _assert_same_masks(expected, got):
+    for name, crit in expected.variables.items():
+        np.testing.assert_array_equal(crit.mask, got.variables[name].mask)
 
 
 class TestScrutinyJobProbes:
     def test_defaults(self):
         job = ScrutinyJob("CG", "T")
-        assert job.probe_batching == "batched"
         assert job.probe_scale == pytest.approx(1.0e-3)
         params = job.key_params()
-        assert params["probe_batching"] == "batched"
+        assert "probe_batching" not in params
         assert params["probe_scale"] == pytest.approx(1.0e-3)
 
     def test_jobs_differing_only_in_probe_knobs_are_distinct(self):
         base = ScrutinyJob("CG", "T", n_probes=3)
-        looped = ScrutinyJob("CG", "T", n_probes=3,
-                             probe_batching="per-probe")
         wider = ScrutinyJob("CG", "T", n_probes=3, probe_scale=1.0e-2)
-        assert len({base, looped, wider}) == 3
+        assert len({base, wider}) == 2
+        with pytest.raises(TypeError, match="probe_batching"):
+            ScrutinyJob("CG", "T", n_probes=3, probe_batching="per-probe")
 
-    def test_run_job_batched_matches_per_probe(self):
+    def test_run_job_batched_matches_per_probe(self, force_per_probe):
         batched = run_job(ScrutinyJob("CG", "T", n_probes=3))
-        looped = run_job(ScrutinyJob("CG", "T", n_probes=3,
-                                     probe_batching="per-probe"))
-        for name, crit in batched.variables.items():
-            np.testing.assert_array_equal(crit.mask,
-                                          looped.variables[name].mask)
+        force_per_probe()
+        looped = run_job(ScrutinyJob("CG", "T", n_probes=3))
+        _assert_same_masks(batched, looped)
 
-    def test_run_job_batched_matches_per_probe_segmented(self):
+    def test_run_job_batched_matches_per_probe_segmented(self,
+                                                         force_per_probe):
         batched = run_job(ScrutinyJob("FT", "T", n_probes=2,
                                       sweep="segmented"))
+        force_per_probe()
         looped = run_job(ScrutinyJob("FT", "T", n_probes=2,
-                                     sweep="segmented",
-                                     probe_batching="per-probe"))
-        for name, crit in batched.variables.items():
-            np.testing.assert_array_equal(crit.mask,
-                                          looped.variables[name].mask)
+                                     sweep="segmented"))
+        _assert_same_masks(batched, looped)
 
 
 class TestStoreProbeKeys:
@@ -62,8 +66,9 @@ class TestStoreProbeKeys:
         base = cache_key(**self.PARAMS, version="1")
         assert base != cache_key(**self.PARAMS, probe_scale=5.0e-3,
                                  version="1")
-        assert base != cache_key(**self.PARAMS,
-                                 probe_batching="per-probe", version="1")
+        with pytest.raises(TypeError, match="probe_batching"):
+            cache_key(**self.PARAMS, probe_batching="per-probe",
+                      version="1")
 
     def test_put_fetch_roundtrip_under_probe_keys(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -72,14 +77,11 @@ class TestStoreProbeKeys:
         store.put(result, n_probes=2, probe_scale=5.0e-3)
         assert store.fetch(**self.PARAMS, probe_scale=5.0e-3) is not None
         assert store.fetch(**self.PARAMS) is None          # default scale
-        assert store.fetch(**self.PARAMS, probe_scale=5.0e-3,
-                           probe_batching="per-probe") is None
 
     def test_parallel_runner_persists_under_job_probe_knobs(self, tmp_path):
         store = ResultStore(tmp_path)
         engine = ParallelRunner(workers=1, store=store)
-        job = ScrutinyJob("CG", "T", n_probes=2, probe_scale=2.0e-3,
-                          probe_batching="per-probe")
+        job = ScrutinyJob("CG", "T", n_probes=2, probe_scale=2.0e-3)
         engine.run([job])
         assert store.fetch(**job.key_params()) is not None
         before = store.hits
@@ -88,42 +90,44 @@ class TestStoreProbeKeys:
 
 
 class TestRunnerProbes:
-    def test_runner_forwards_probe_knobs_to_jobs(self):
-        batched = ExperimentRunner(problem_class="T", n_probes=3)
+    def test_runner_forwards_probe_knobs_to_jobs(self, force_per_probe):
+        a = ExperimentRunner(problem_class="T", n_probes=3,
+                             probe_scale=2.0e-3).result("CG")
+        b = scrutinize(registry.create("CG", "T"), n_probes=3,
+                       probe_scale=2.0e-3)
+        _assert_same_masks(b, a)
+        force_per_probe()
         looped = ExperimentRunner(problem_class="T", n_probes=3,
-                                  probe_batching="per-probe")
-        a = batched.result("CG")
-        b = looped.result("CG")
-        for name, crit in a.variables.items():
-            np.testing.assert_array_equal(crit.mask,
-                                          b.variables[name].mask)
+                                  probe_scale=2.0e-3).result("CG")
+        _assert_same_masks(a, looped)
 
     def test_legacy_rng_path_accepts_probe_knobs(self):
-        runner = ExperimentRunner(problem_class="T",
-                                  rng=np.random.default_rng(3),
-                                  n_probes=2, probe_batching="batched",
-                                  probe_scale=2.0e-3)
-        assert runner.result("CG").benchmark == "CG"
+        # an explicit stateful generator is an analyzer/scrutinize argument
+        result = scrutinize(registry.create("CG", "T"),
+                            rng=np.random.default_rng(3), n_probes=2,
+                            probe_scale=2.0e-3)
+        assert result.benchmark == "CG"
 
 
 class TestCliProbes:
     def test_parser_accepts_probe_flags(self):
         args = build_parser().parse_args(
-            ["--probes", "4", "--probe-batching", "per-probe",
-             "--probe-scale", "0.01", "analyze", "CG"])
+            ["--probes", "4", "--probe-scale", "0.01", "analyze", "CG"])
         assert args.probes == 4
-        assert args.probe_batching == "per-probe"
         assert args.probe_scale == pytest.approx(0.01)
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["analyze", "CG"])
-        assert args.probe_batching == "batched"
+        assert args.probes == 1
         assert args.probe_scale == pytest.approx(1.0e-3)
+        assert not hasattr(args, "probe_batching")
 
     def test_parser_rejects_unknown_probe_batching(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["--probe-batching", "vector", "analyze", "CG"])
+        # the flag itself is gone, for every value
+        for value in ("vector", "batched", "per-probe"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["--probe-batching", value, "analyze", "CG"])
 
     def test_analyze_runs_with_batched_probes(self, capsys):
         code = main(["--class", "T", "--probes", "3", "analyze", "CG"])

@@ -1,11 +1,12 @@
-"""Snapshot-schedule plumbing: jobs, store keys, runner and CLI.
+"""Snapshot-schedule plumbing: where the schedule choice lives.
 
 The snapshot schedule is an execution strategy of the segmented sweep --
-masks are bitwise-identical across policies -- but every layer must carry
-the choice: the picklable job description, the persistent store key (so
-cached artefacts of different schedules can never alias, mirroring the
-``probe_scale`` regression of PR 3), the experiment runner and the
-``--snapshot-schedule``/``--snapshot-budget``/``--spill-dir`` CLI flags.
+masks are bitwise-identical across policies.  Since repro 1.9.0 it is no
+longer public surface above :mod:`repro.ad`: the analyzer always keeps
+every boundary (``"all"``), and jobs, store keys, the experiment runner
+and the CLI carry no schedule.  The alternatives (``"binomial"`` with its
+budget, ``"spill"`` with its scratch directory) stay on the ``repro.ad``
+sweep functions, where these tests pin them as oracles.
 """
 
 from __future__ import annotations
@@ -14,104 +15,108 @@ import numpy as np
 import pytest
 
 import repro
+import repro.ad.probes as probes_mod
+import repro.ad.segmented as segmented_mod
+from repro.ad.segmented import segmented_gradients
 from repro.cli import build_parser, main
+from repro.core.analysis import scrutinize
 from repro.core.criticality import CriticalityAnalyzer
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ParallelRunner, ScrutinyJob, run_job
 from repro.experiments.runner import ExperimentRunner
+from repro.npb import registry
+
+
+def _schedules_made(monkeypatch) -> list[str]:
+    """Record the policy of every snapshot schedule a sweep builds."""
+    made: list[str] = []
+    real = segmented_mod.make_schedule
+
+    def spy(policy, *args, **kwargs):
+        made.append(policy)
+        return real(policy, *args, **kwargs)
+
+    for module in (segmented_mod, probes_mod):
+        monkeypatch.setattr(module, "make_schedule", spy)
+    return made
+
+
+def _assert_same_masks(expected, got):
+    for name, crit in expected.variables.items():
+        np.testing.assert_array_equal(crit.mask, got.variables[name].mask)
 
 
 class TestScrutinyJobSchedule:
-    def test_schedule_defaults_to_all(self):
-        job = ScrutinyJob("CG", "T")
-        assert job.snapshot_schedule == "all"
-        assert job.snapshot_budget is None
-        assert job.key_params()["snapshot_schedule"] == "all"
-        assert job.key_params()["snapshot_budget"] is None
+    def test_schedule_defaults_to_all(self, monkeypatch):
+        made = _schedules_made(monkeypatch)
+        run_job(ScrutinyJob("CG", "T", sweep="segmented"))
+        assert made == ["all"]
+        assert not any("snapshot" in field
+                       for field in ScrutinyJob("CG", "T").key_params())
 
     def test_jobs_differing_only_in_schedule_are_distinct(self):
-        jobs = {ScrutinyJob("CG", "T", sweep="segmented"),
-                ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="binomial"),
-                ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="binomial", snapshot_budget=4),
-                ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="spill")}
-        assert len(jobs) == 4
+        """A job no longer carries a schedule to differ in."""
+        with pytest.raises(TypeError, match="snapshot_schedule"):
+            ScrutinyJob("CG", "T", sweep="segmented",
+                        snapshot_schedule="binomial")
 
     def test_spill_dir_is_not_analysis_identity(self):
-        job = ScrutinyJob("CG", "T", sweep="segmented",
-                          snapshot_schedule="spill", spill_dir="/tmp/a")
-        assert "spill_dir" not in job.key_params()
-        # ... nor job identity: same analysis in a different scratch
-        # location must deduplicate inside one batch
-        other = ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="spill", spill_dir="/tmp/b")
-        assert job == other
-        assert len({job, other}) == 1
+        assert "spill_dir" not in ScrutinyJob("CG", "T").key_params()
+        with pytest.raises(TypeError, match="spill_dir"):
+            ScrutinyJob("CG", "T", sweep="segmented", spill_dir="/tmp/a")
 
     @pytest.mark.parametrize("policy", ("binomial", "spill"))
-    def test_run_job_matches_all_schedule(self, policy, tmp_path):
+    def test_run_job_matches_all_schedule(self, policy, tmp_path,
+                                          sweep_options):
         knobs = {"snapshot_budget": 2} if policy == "binomial" \
             else {"spill_dir": str(tmp_path)}
         base = run_job(ScrutinyJob("FT", "T", sweep="segmented"))
-        other = run_job(ScrutinyJob("FT", "T", sweep="segmented",
-                                    snapshot_schedule=policy, **knobs))
-        for name, crit in base.variables.items():
-            np.testing.assert_array_equal(crit.mask,
-                                          other.variables[name].mask)
+        sweep_options(snapshot_schedule=policy, **knobs)
+        other = run_job(ScrutinyJob("FT", "T", sweep="segmented"))
+        _assert_same_masks(base, other)
         assert list(tmp_path.iterdir()) == []
 
 
 class TestStoreScheduleKey:
-    PARAMS = dict(benchmark="CG", problem_class="T", method="ad", n_probes=1,
-                  sweep="segmented")
+    PARAMS = dict(benchmark="CG", problem_class="T", method="ad", n_probes=1)
 
     def test_schedule_is_part_of_the_key(self):
-        keys = {cache_key(**self.PARAMS, version="1"),
-                cache_key(**self.PARAMS, snapshot_schedule="binomial",
-                          version="1"),
-                cache_key(**self.PARAMS, snapshot_schedule="spill",
-                          version="1")}
-        assert len(keys) == 3
+        """Not any more: every schedule computes the same result."""
+        with pytest.raises(TypeError, match="snapshot_schedule"):
+            cache_key(**self.PARAMS, snapshot_schedule="binomial",
+                      version="1")
 
     def test_budget_is_part_of_the_key(self):
-        keys = {cache_key(**self.PARAMS, snapshot_schedule="binomial",
-                          snapshot_budget=b, version="1")
-                for b in (None, 2, 3, 8)}
-        assert len(keys) == 4
+        """Not any more: the budget only trades memory for recomputation."""
+        with pytest.raises(TypeError, match="snapshot_budget"):
+            cache_key(**self.PARAMS, snapshot_budget=4, version="1")
 
-    def test_default_schedule_key_is_all(self):
-        assert cache_key(**self.PARAMS, version="1") == \
-            cache_key(**self.PARAMS, snapshot_schedule="all",
-                      snapshot_budget=None, version="1")
+    def test_default_schedule_key_is_all(self, tmp_path, sweep_options):
+        # a result computed under another schedule is the same entry
+        store = ResultStore(tmp_path)
+        sweep_options(snapshot_schedule="binomial", snapshot_budget=2)
+        ParallelRunner(workers=1, store=store).run(
+            [ScrutinyJob("CG", "T", sweep="segmented")])
+        assert store.fetch(**self.PARAMS) is not None
 
     def test_version_bumped_past_1_2_0(self):
-        # the schedule/budget fields joined the key payload in 1.3.0 (and
-        # trace_cache in 1.4.0); the version bumps guarantee no
-        # pre-schedule entry can ever be read back under a newer key
-        assert tuple(int(p) for p in repro.__version__.split(".")) >= (1, 3, 0)
+        # the 1.9.0 bump drops the schedule fields from the key payload;
+        # no entry written under an older layout is ever read back
+        assert tuple(int(p) for p in repro.__version__.split(".")) >= (1, 9, 0)
         assert cache_key(**self.PARAMS) != cache_key(**self.PARAMS,
-                                                     version="1.2.0")
+                                                     version="1.8.0")
 
     def test_put_fetch_roundtrip_under_schedule_key(self, tmp_path):
         store = ResultStore(tmp_path)
-        result = run_job(ScrutinyJob("CG", "T", sweep="segmented",
-                                     snapshot_schedule="binomial"))
-        store.put(result, n_probes=1, sweep="segmented",
-                  snapshot_schedule="binomial")
-        assert store.fetch(**self.PARAMS,
-                           snapshot_schedule="binomial") is not None
-        assert store.fetch(**self.PARAMS) is None
-        assert store.fetch(**self.PARAMS,
-                           snapshot_schedule="spill") is None
+        result = run_job(ScrutinyJob("CG", "T", sweep="segmented"))
+        store.put(result, n_probes=1)
+        assert store.fetch(**self.PARAMS) is not None
+        assert store.fetch(**{**self.PARAMS, "n_probes": 2}) is None
 
     def test_parallel_runner_persists_under_job_schedule(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         engine = ParallelRunner(workers=1, store=store)
-        job = ScrutinyJob("CG", "T", sweep="segmented",
-                          snapshot_schedule="spill",
-                          spill_dir=str(tmp_path / "scratch"))
+        job = ScrutinyJob("CG", "T", sweep="segmented")
         engine.run([job])
         assert store.fetch(**job.key_params()) is not None
         before = store.hits
@@ -121,78 +126,81 @@ class TestStoreScheduleKey:
 
 class TestAnalyzerSchedule:
     def test_analyzer_validates_schedule(self):
-        with pytest.raises(ValueError, match="snapshot_schedule"):
-            CriticalityAnalyzer(snapshot_schedule="fifo")
+        bench = registry.create("CG", "T")
+        with pytest.raises(ValueError, match="unknown snapshot schedule"):
+            segmented_gradients(bench, bench.initial_state(),
+                                snapshot_schedule="fifo")
 
     def test_analyzer_validates_budget(self):
-        with pytest.raises(ValueError, match="snapshot_budget"):
-            CriticalityAnalyzer(snapshot_schedule="binomial",
+        bench = registry.create("CG", "T")
+        with pytest.raises(ValueError, match="budget"):
+            segmented_gradients(bench, bench.initial_state(),
+                                snapshot_schedule="binomial",
                                 snapshot_budget=1)
 
     def test_analyzer_rejects_schedule_without_segmented_sweep(self):
-        # silently ignoring the knob would still fork the cache key; every
-        # entry point (scrutinize, jobs, runner) inherits this check
-        with pytest.raises(ValueError, match="require sweep='segmented'"):
-            CriticalityAnalyzer(snapshot_schedule="binomial")
-        with pytest.raises(ValueError, match="require sweep='segmented'"):
-            CriticalityAnalyzer(spill_dir="/tmp/scratch")
+        # the analyzer accepts no schedule at all, under either sweep
+        for sweep in ("monolithic", "segmented"):
+            with pytest.raises(TypeError, match="snapshot_schedule"):
+                CriticalityAnalyzer(sweep=sweep,
+                                    snapshot_schedule="binomial")
+            with pytest.raises(TypeError, match="spill_dir"):
+                CriticalityAnalyzer(sweep=sweep, spill_dir="/tmp/scratch")
 
     def test_analyzer_rejects_inapplicable_budget_and_spill_dir(self):
-        with pytest.raises(ValueError, match="snapshot_budget requires"):
-            CriticalityAnalyzer(sweep="segmented",
-                                snapshot_schedule="spill",
-                                snapshot_budget=8)
-        with pytest.raises(ValueError, match="spill_dir requires"):
-            CriticalityAnalyzer(sweep="segmented",
-                                snapshot_schedule="binomial",
-                                spill_dir="/tmp/scratch")
+        with pytest.raises(TypeError, match="snapshot_budget"):
+            CriticalityAnalyzer(sweep="segmented", snapshot_budget=8)
+        with pytest.raises(TypeError, match="snapshot_budget"):
+            scrutinize(registry.create("CG", "T"), sweep="segmented",
+                       snapshot_budget=8)
 
     def test_run_job_surfaces_inapplicable_schedule(self):
-        with pytest.raises(ValueError, match="require sweep='segmented'"):
+        with pytest.raises(TypeError, match="snapshot_schedule"):
             run_job(ScrutinyJob("CG", "T", snapshot_schedule="binomial"))
 
-    def test_analyzer_defaults(self):
-        analyzer = CriticalityAnalyzer()
-        assert analyzer.snapshot_schedule == "all"
-        assert analyzer.snapshot_budget is None
-        assert analyzer.spill_dir is None
+    def test_analyzer_defaults(self, monkeypatch):
+        made = _schedules_made(monkeypatch)
+        CriticalityAnalyzer(sweep="segmented", n_probes=2).analyze(
+            registry.create("CG", "T"))
+        # one schedule per probe of the batched sweep, all keep-everything
+        assert made and set(made) == {"all"}
 
 
 class TestRunnerSchedule:
-    def test_runner_forwards_schedule_to_jobs(self, tmp_path):
+    def test_runner_forwards_schedule_to_jobs(self, tmp_path, sweep_options):
         base = ExperimentRunner(problem_class="T",
                                 sweep="segmented").result("CG")
-        got = ExperimentRunner(problem_class="T", sweep="segmented",
-                               snapshot_schedule="spill",
-                               spill_dir=str(tmp_path)).result("CG")
-        for name, crit in base.variables.items():
-            np.testing.assert_array_equal(crit.mask,
-                                          got.variables[name].mask)
+        sweep_options(snapshot_schedule="spill", spill_dir=str(tmp_path))
+        got = ExperimentRunner(problem_class="T",
+                               sweep="segmented").result("CG")
+        _assert_same_masks(base, got)
         assert list(tmp_path.iterdir()) == []
 
-    def test_legacy_rng_path_accepts_schedule(self):
-        runner = ExperimentRunner(problem_class="T",
-                                  rng=np.random.default_rng(3),
-                                  sweep="segmented",
-                                  snapshot_schedule="binomial")
-        assert runner.result("CG").benchmark == "CG"
+    def test_legacy_rng_path_accepts_schedule(self, monkeypatch):
+        made = _schedules_made(monkeypatch)
+        result = scrutinize(registry.create("CG", "T"),
+                            rng=np.random.default_rng(3),
+                            sweep="segmented")
+        assert result.benchmark == "CG"
+        assert made == ["all"]
 
 
 class TestCliSchedule:
     def test_parser_accepts_schedule_flags(self):
-        args = build_parser().parse_args(
-            ["--sweep", "segmented", "--snapshot-schedule", "binomial",
-             "--snapshot-budget", "4", "--spill-dir", "/tmp/scratch",
-             "analyze", "CG"])
-        assert args.snapshot_schedule == "binomial"
-        assert args.snapshot_budget == 4
-        assert args.spill_dir == "/tmp/scratch"
+        """The schedule flags are gone; the sweep is the only knob."""
+        parser = build_parser()
+        for flags in (["--snapshot-schedule", "binomial"],
+                      ["--snapshot-budget", "4"],
+                      ["--spill-dir", "/tmp/scratch"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--sweep", "segmented", *flags,
+                                   "analyze", "CG"])
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["analyze", "CG"])
-        assert args.snapshot_schedule == "all"
-        assert args.snapshot_budget is None
-        assert args.spill_dir is None
+        assert not hasattr(args, "snapshot_schedule")
+        assert not hasattr(args, "snapshot_budget")
+        assert not hasattr(args, "spill_dir")
 
     def test_parser_rejects_unknown_schedule(self):
         with pytest.raises(SystemExit):
@@ -200,47 +208,37 @@ class TestCliSchedule:
                 ["--snapshot-schedule", "fifo", "analyze", "CG"])
 
     def test_schedule_flags_require_segmented_sweep(self, capsys):
-        # a non-default schedule under the monolithic sweep would silently
-        # do nothing while forking the cache key
-        for flags in (["--snapshot-schedule", "spill"],
-                      ["--snapshot-budget", "4"],
-                      ["--spill-dir", "/tmp/scratch"]):
+        for sweep in ("monolithic", "segmented"):
             with pytest.raises(SystemExit):
-                main([*flags, "analyze", "CG"])
-            assert "require --sweep segmented" in capsys.readouterr().err
-        # the explicit default is fine either way
-        assert main(["--class", "T", "--snapshot-schedule", "all",
-                     "analyze", "CG"]) == 0
-        capsys.readouterr()
+                main(["--sweep", sweep, "analyze", "CG",
+                      "--snapshot-schedule", "spill"])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_budget_lower_bound_is_a_parser_error(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--sweep", "segmented", "--snapshot-schedule", "binomial",
-                  "--snapshot-budget", "1", "analyze", "CG"])
-        assert "at least 2" in capsys.readouterr().err
+            main(["--sweep", "segmented", "analyze", "CG",
+                  "--snapshot-budget", "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_budget_and_spill_dir_require_their_schedules(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--sweep", "segmented", "--snapshot-schedule", "spill",
-                  "--snapshot-budget", "8", "analyze", "CG"])
-        assert "--snapshot-budget requires" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["--sweep", "segmented", "--snapshot-schedule", "binomial",
-                  "--spill-dir", "/tmp/scratch", "analyze", "CG"])
-        assert "--spill-dir requires" in capsys.readouterr().err
+        for flags in (["--snapshot-budget", "8"],
+                      ["--spill-dir", "/tmp/scratch"]):
+            with pytest.raises(SystemExit):
+                main(["--sweep", "segmented", "analyze", "CG", *flags])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_analyze_runs_under_binomial(self, capsys):
+    def test_analyze_runs_under_binomial(self, capsys, sweep_options):
+        sweep_options(snapshot_schedule="binomial", snapshot_budget=3)
         code = main(["--class", "T", "--sweep", "segmented",
-                     "--snapshot-schedule", "binomial",
-                     "--snapshot-budget", "3", "analyze", "CG"])
+                     "analyze", "CG"])
         assert code == 0
         out = capsys.readouterr().out
         assert "CG" in out and "uncritical" in out
 
-    def test_analyze_runs_under_spill(self, capsys, tmp_path):
+    def test_analyze_runs_under_spill(self, capsys, tmp_path, sweep_options):
+        sweep_options(snapshot_schedule="spill", spill_dir=str(tmp_path))
         code = main(["--class", "T", "--sweep", "segmented",
-                     "--snapshot-schedule", "spill",
-                     "--spill-dir", str(tmp_path), "analyze", "CG"])
+                     "analyze", "CG"])
         assert code == 0
         out = capsys.readouterr().out
         assert "CG" in out and "uncritical" in out

@@ -138,17 +138,17 @@ class TestClassAEndToEnd:
 
     @pytest.mark.parametrize("trace_cache", ["off", "plan"])
     def test_mg_class_a_segmented_activity_matches_monolithic(
-            self, trace_cache):
+            self, trace_cache, sweep_options):
         """The chained activity sweep on the stencil class A: bitwise the
         same read masks as the monolithic tape walk."""
         mono = registry.create("MG", "A")
         state = mono.checkpoint_state(mono.total_steps - 2)
         mono_result = scrutinize(mono, state=dict(state), steps=2,
                                  method="activity")
+        sweep_options(trace_cache=trace_cache)
         seg = registry.create("MG", "A")
         seg_result = scrutinize(seg, state=dict(state), steps=2,
-                                method="activity", sweep="segmented",
-                                trace_cache=trace_cache)
+                                method="activity", sweep="segmented")
         for name, crit in mono_result.variables.items():
             np.testing.assert_array_equal(
                 crit.mask, seg_result.variables[name].mask, err_msg=name)
