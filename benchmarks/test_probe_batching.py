@@ -13,12 +13,13 @@ Two regimes are pinned separately:
   overhead dominates the numpy work, which is the regime the batched sweep
   amortises -- four probes must complete within **2x** the single-probe
   wall-clock (the per-probe loop pays ~4x);
-* **array-bound** (class S rows): the 1400^2 matvecs (CG) and 2 MB
-  spectral fields (FT) make the numpy FLOPs/bandwidth dominate, and four
-  probes are four times the arithmetic no matter how they are scheduled --
-  here the batched sweep must still *beat the loop it replaces* (on CG the
-  multi-RHS GEMM reads the matrix once for all probes, ~1.4-1.9x faster
-  than the loop; on FT the win narrows to dispatch amortisation), and a 4x
+* **array-bound** (class S rows): the per-probe numpy work grows -- CG's
+  banded matvecs touch ``(2 * nonzer + 1) * NA`` entries per probe, FT's
+  spectral fields are 2 MB -- so four probes are up to four times the
+  arithmetic no matter how they are scheduled.  Here the batched sweep
+  must still *beat the loop it replaces* (on CG-S one trace and one
+  banded kernel call per matvec serve all probes, ~1.6-1.9x faster than
+  the loop; on FT the win narrows to dispatch amortisation), and a 4x
   regression cap guards against the batched path ever costing more than
   the naive loop's asymptote.
 

@@ -45,7 +45,8 @@ echo "== replay plans: plan-vs-tracer bitwise equivalence =="
 python -m pytest -q tests/ad/test_plan.py
 
 echo "== plan lowering: IR passes, fused-vs-unfused bitwise equivalence =="
-python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py
+python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py \
+    tests/ad/test_banded.py
 
 echo "== tangent sweep: mask equivalence across all ports =="
 python -m pytest -q tests/ad/test_tangent.py

@@ -459,17 +459,16 @@ def _emit_matmul_probe(spec: tuple, node: Instr) -> Callable:
     return kernel
 
 
-def _emit_matmul_multirhs(spec: tuple, node: Instr) -> Callable:
-    _, a_const = spec
-    a_t = np.swapaxes(a_const, -1, -2)
+def _emit_banded(spec: tuple, node: Instr) -> Callable:
+    _, bands, bands_t, offsets = spec
+    matvec = _ops_mod()._dia_matvec
+    offsets_t = tuple(-o for o in offsets)
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (matvec(bands_t, offsets_t, g),)
 
     def kernel(vals: list) -> tuple:
-        out = np.matmul(vals[0], a_t)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.matmul(np.asarray(g), a_const),)
-
-        return out, vjp
+        return matvec(bands, offsets, vals[0]), vjp
 
     return kernel
 
@@ -730,7 +729,7 @@ _EMITTERS: dict[str, Callable] = {
     "where": _emit_where,
     "matmul": _emit_matmul,
     "matmul_probe": _emit_matmul_probe,
-    "matmul_multirhs": _emit_matmul_multirhs,
+    "banded": _emit_banded,
     "reshape": _emit_reshape,
     "transpose": _emit_transpose,
     "swapaxes": _emit_swapaxes,
@@ -993,23 +992,24 @@ def _spec_index_update(spec: tuple, node: Instr) -> Callable | None:
     return kernel
 
 
-def _spec_matmul(spec: tuple, node: Instr, ir: PlanIR) -> Callable | None:
-    _, a_tr, b_tr, a_const, _b_const = spec
-    if a_tr or not b_tr:
+def _spec_banded(spec: tuple, node: Instr, ir: PlanIR) -> Callable | None:
+    _, bands, bands_t, offsets = spec
+    dtypes = {np.dtype(node.dtype), np.dtype(ir.instrs[node.parents[0]].dtype),
+              bands.dtype, bands_t.dtype}
+    if dtypes != {np.dtype(np.float64)}:
         return None
-    av = np.asarray(a_const)
-    b_sh = tuple(ir.instrs[node.parents[0]].shape)
-    if av.ndim != 2 or len(b_sh) != 1 or b_sh != (av.shape[1],) \
-            or np.dtype(node.dtype) != np.float64:
-        return None
-    a_t = np.swapaxes(av, -1, -2)   # transpose once at emit time (a view)
+    # the generic kernel with its padded buffers built at emit time
+    dia_kernel = _ops_mod()._dia_kernel
+    shape = tuple(node.shape)
+    forward = dia_kernel(bands, offsets, shape, np.float64)
+    backward = dia_kernel(bands_t, tuple(-o for o in offsets), shape,
+                          np.float64)
 
     def vjp(g: np.ndarray) -> tuple:
-        # same gemv as _matmul_grad_b's expand/matmul/squeeze path
-        return (np.matmul(a_t, np.asarray(g)[..., None])[..., 0],)
+        return (backward(g),)
 
     def kernel(vals: list) -> tuple:
-        return np.matmul(av, vals[0]), vjp
+        return forward(vals[0]), vjp
 
     return kernel
 
@@ -1054,8 +1054,8 @@ _SPECIALIZED: dict[str, Callable] = {
     "mean": lambda spec, node, ir: _spec_mean(spec, node),
     "getitem": lambda spec, node, ir: _spec_getitem(spec, node),
     "index_update": lambda spec, node, ir: _spec_index_update(spec, node),
-    "matmul": _spec_matmul,
     "matmul_probe": _spec_matmul_probe,
+    "banded": _spec_banded,
 }
 
 

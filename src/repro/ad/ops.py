@@ -24,6 +24,7 @@ the ``_record`` pattern below.
 from __future__ import annotations
 
 import builtins
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ __all__ = [
     "getitem", "take", "index_update", "index_add", "where", "copy",
     "astype", "detach",
     # linear algebra
-    "matmul", "dot", "outer",
+    "matmul", "dot", "outer", "banded_matvec", "dia_transpose",
     # constructors / passthrough helpers
     "zeros", "ones", "full", "zeros_like", "ones_like", "arange", "linspace",
     "asarray", "array",
@@ -1744,8 +1745,6 @@ def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
     lb = bv.ndim - 1 if _is_traced(b) else bv.ndim
     if la == 0 or lb == 0:
         raise ProbeBatchingError("matmul operands must be at least 1-D")
-    if la == 2 and lb == 1 and not _is_traced(a) and _is_traced(b):
-        return _probe_matvec_multirhs(a, av, b, bv)
     av_m = av[..., None, :] if la == 1 else av
     bv_m = bv[..., :, None] if lb == 1 else bv
     out_m = np.matmul(av_m, bv_m)
@@ -1788,30 +1787,6 @@ def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
     return _record("matmul", out, parents, vjp, spec=spec)
 
 
-def _probe_matvec_multirhs(a: Any, av: np.ndarray, b: Any,
-                           bv: np.ndarray) -> Any:
-    """Plain matrix times a batch of probe vectors as one multi-RHS GEMM.
-
-    ``A @ v`` per probe equals one GEMM with the probe vectors as rows
-    (``out[p] = (bv @ A^T)[p]``), which reads the constant matrix once for
-    *all* probes instead of once per probe -- the dominant win for
-    memory-bound matvec kernels (CG's 1400x1400 solves).  The GEMM regroups
-    each dot product's accumulation, so nonzero gradient values may differ
-    from the per-probe gemv by ~1 ulp; criticality masks are unaffected
-    because structural zeros are never touched by any arithmetic (their
-    cotangent buffers simply stay unwritten in both formulations).
-    """
-    out = np.matmul(bv, np.swapaxes(av, -1, -2))
-    parents = _traced_parents(a, b)
-
-    def vjp(g: np.ndarray) -> tuple:
-        # d out[p, i] / d bv[p, k] = av[i, k]  ->  gb = g @ av
-        return (np.matmul(np.asarray(g), av),)
-
-    spec = ("matmul_multirhs", av) if _CAPTURE.capture is not None else None
-    return _record("matmul", out, parents, vjp, spec=spec)
-
-
 def _matmul_grad_a(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     if av.ndim == 1 and bv.ndim == 1:          # vector . vector -> scalar
         return g * bv
@@ -1850,6 +1825,122 @@ def outer(a: Any, b: Any) -> Any:
     a2 = reshape(a, (-1, 1))
     b2 = reshape(b, (1, -1))
     return multiply(a2, b2)
+
+
+#: elements of the gathered ``(rows, k, n)`` product block of one banded
+#: matvec chunk (4 MB of float64): a vector or a few probes take one
+#: chunk, thousands of stacked tangent directions take many
+_DIA_CHUNK = 1 << 19
+
+
+def _dia_kernel(bands: np.ndarray, offsets: tuple, shape: tuple,
+                dtype) -> Callable[[np.ndarray], np.ndarray]:
+    """The banded matvec ``x -> y`` for operands of one ``shape``, with
+    ``y[..., i] = sum_d bands[d, i] * x[..., i + offsets[d]]``; the buffers
+    are built once.
+
+    Each leading-axis slice of ``x`` (a probe or a tangent direction) is
+    copied into a zero-padded row, so every diagonal reads a full-length
+    window of it (a column outside the matrix meets a padded zero).  The
+    ``k`` shifted windows are gathered as a fresh ``(rows, k, n)`` block,
+    multiplied by the bands and summed over ``k``: numpy reduces a
+    non-inner axis row by row from ``0.0``, so each ``y[..., i]`` is
+    accumulated in ``offsets`` order and no slice's bits depend on the
+    other slices or on how they are chunked.
+    """
+    n = shape[-1]
+    lead = math.prod(shape[:-1])
+    chunk = builtins.max(1, builtins.min(lead, _DIA_CHUNK // (len(offsets)
+                                                              * n)))
+    lo = builtins.max(0, -builtins.min(offsets))
+    hi = builtins.max(0, builtins.max(offsets))
+    padded = np.zeros((chunk, lo + n + hi), dtype=dtype)
+    inner = padded[:, lo:lo + n]
+    windows = np.ndarray((chunk, lo + hi + 1, n), padded.dtype,
+                         buffer=padded,
+                         strides=padded.strides + padded.strides[-1:])
+    index = np.array([o + lo for o in offsets])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(lead, n)
+        out = np.empty((lead, n), dtype=dtype)
+        for start in range(0, lead, chunk):
+            m = builtins.min(chunk, lead - start)
+            np.copyto(inner[:m], x[start:start + m])
+            rows = windows[:m, index]
+            np.multiply(rows, bands, out=rows)
+            np.add.reduce(rows, axis=1, out=out[start:start + m])
+        return out.reshape(shape)
+
+    return apply
+
+
+def _dia_matvec(bands: np.ndarray, offsets: tuple,
+                x: np.ndarray) -> np.ndarray:
+    """One application of :func:`_dia_kernel`."""
+    x = np.asarray(x)
+    return _dia_kernel(bands, offsets, x.shape,
+                       np.result_type(bands, x))(x)
+
+
+def dia_transpose(bands: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """Bands of ``A.T`` for the negated offsets.
+
+    With ``bands[d, i] = A[i, i + offsets[d]]`` the transpose has
+    ``A.T[i, i - offsets[d]] = A[i - offsets[d], i]``, so its band ``d`` is
+    band ``d`` of ``A`` shifted by ``offsets[d]`` (zero where the shifted
+    row leaves the matrix).
+    """
+    bands = np.asarray(bands)
+    n = bands.shape[1]
+    out = np.zeros_like(bands)
+    for d, o in enumerate(offsets):
+        lo, hi = builtins.max(0, o), builtins.min(n, n + o)
+        if lo < hi:
+            out[d, lo:hi] = bands[d, lo - o:hi - o]
+    return out
+
+
+def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
+                  bands_t: np.ndarray) -> Any:
+    """Constant banded matrix times a (traced) vector.
+
+    The matrix is stored by diagonals (DIA, row-aligned): ``bands`` has
+    shape ``(k, n)`` and ``bands[d, i] = A[i, i + offsets[d]]``; finite
+    entries whose column falls outside ``[0, n)`` are ignored.  The result is
+    ``A @ x`` with each row accumulated over the diagonals in ``offsets``
+    order.  The VJP applies ``A.T``, whose bands for the negated offsets
+    are ``bands_t = dia_transpose(bands, offsets)``, built once by the
+    caller that owns the matrix.
+
+    The kernel is batch-invariant: under a probe axis or a stacked tangent
+    every slice is computed bitwise as an unbatched call would.
+    """
+    if _is_traced(bands) or isinstance(bands, TangentArray):
+        raise TypeError("banded_matvec: the bands must be constant")
+    bands = np.asarray(bands)
+    offsets = tuple(int(o) for o in offsets)
+    if bands.ndim != 2 or bands.shape[0] != len(offsets):
+        raise ValueError(f"banded_matvec: bands of shape {bands.shape} do "
+                         f"not match {len(offsets)} offsets")
+    n = bands.shape[1]
+    shape = x.value.shape if isinstance(x, TangentArray) \
+        else logical_shape(x)
+    if shape != (n,):
+        raise ValueError(f"banded_matvec: vector of shape {shape} for an "
+                         f"order-{n} matrix")
+    if isinstance(x, TangentArray):
+        return TangentArray(_dia_matvec(bands, offsets, x.value),
+                            _dia_matvec(bands, offsets, x.tangent))
+    out = _dia_matvec(bands, offsets, value_of(x))
+    offsets_t = tuple(-o for o in offsets)
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (_dia_matvec(bands_t, offsets_t, g),)
+
+    spec = ("banded", bands, bands_t, offsets) \
+        if _CAPTURE.capture is not None else None
+    return _record("banded_matvec", out, _traced_parents(x), vjp, spec=spec)
 
 
 # ---------------------------------------------------------------------------

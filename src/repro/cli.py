@@ -261,6 +261,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
 
     if args.command == "analyze":
+        try:
+            runner.check_benchmark(args.benchmark)
+        except ValueError as exc:
+            parser.error(str(exc))
         return _run_analyze(args, runner)
 
     reports = []

@@ -50,6 +50,7 @@ treatment of loop counters, keys and bucket pointers.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -77,6 +78,7 @@ __all__ = [
     "criticality_from_gradient",
     "element_criticality",
     "validate_analysis",
+    "validate_steps",
 ]
 
 
@@ -115,6 +117,22 @@ def validate_analysis(method: str, n_probes: int, sweep: str) -> None:
                          "n_probes must be 1")
     if sweep not in SWEEPS:
         raise ValueError(f"unknown sweep {sweep!r}; choose from {SWEEPS}")
+
+
+def validate_steps(step: Any, steps: Any = None) -> None:
+    """Raise ``ValueError`` unless ``step``/``steps`` can address a run.
+
+    ``step`` (the checkpoint step) must be ``None`` or an integer >= 0 and
+    ``steps`` (the iterations analysed) ``None`` or an integer >= 1.  Whether
+    ``step`` fits a benchmark's loop is checked where the benchmark is known.
+    """
+    for name, value, low in (("step", step, 0), ("steps", steps, 1)):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < low:
+            raise ValueError(f"{name} must be an integer of at least {low}, "
+                             f"got {value!r}")
 
 
 def criticality_from_gradient(gradient: np.ndarray) -> np.ndarray:

@@ -27,7 +27,9 @@ key holds the result's identity only: the sweep strategy that computed it
 is not keyed, because both sweeps produce bitwise-identical masks and
 gradients (pinned for all eight ports), so a monolithic run and a
 segmented run share one entry.  Entries written before repro 1.9.0, when
-the execution knobs were keyed, are invalidated by the version field.
+the execution knobs were keyed, are invalidated by the version field, as
+are 1.9.0 entries, whose CG gradients differ from 1.10.0's in the last
+bits (dense versus banded matvec).
 
 The ``.npz`` member names are namespaced:
 

@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.core.analysis import ScrutinyResult, scrutinize
-from repro.core.criticality import DEFAULT_PROBE_SCALE, validate_analysis
+from repro.core.criticality import (DEFAULT_PROBE_SCALE, validate_analysis,
+                                    validate_steps)
 from repro.core.store import ResultStore
 from repro.experiments.faults import (DEFAULT_FAULT_POLICY, BatchJournal,
                                       ChaosConfig, ChaosHang, FaultPolicy,
@@ -75,10 +76,11 @@ class ScrutinyJob:
     so jobs differing only in ``sweep`` deduplicate and share one store
     entry.
 
-    Method, probe count, sweep and problem class are validated on
-    construction (``ValueError``).  The benchmark name is not: an unknown
-    benchmark fails inside the job, which is how the engine's fault
-    handling sees a deterministic failure.
+    Method, probe count, sweep, problem class, ``step`` (an integer >= 0)
+    and ``steps`` (an integer >= 1) are validated on construction
+    (``ValueError``).  The benchmark name is not: an unknown benchmark
+    fails inside the job, which is how the engine's fault handling sees a
+    deterministic failure.
     """
 
     benchmark: str
@@ -94,6 +96,11 @@ class ScrutinyJob:
         object.__setattr__(self, "benchmark", self.benchmark.upper())
         validate_analysis(self.method, self.n_probes, self.sweep)
         check_problem_class(self.problem_class)
+        validate_steps(self.step, self.steps)
+        for name in ("step", "steps"):   # numpy integers key like ints
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, int(value))
 
     def key_params(self) -> dict[str, Any]:
         """The job's identity as :class:`ResultStore` key parameters."""

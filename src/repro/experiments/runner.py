@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.analysis import ScrutinyResult
 from repro.core.criticality import (DEFAULT_PROBE_SCALE, VariableCriticality,
-                                    validate_analysis)
+                                    validate_analysis, validate_steps)
 from repro.core.store import ResultStore
 from repro.npb import registry
 from repro.npb.params import check_problem_class, params_for
@@ -116,9 +116,10 @@ class ExperimentRunner:
         (default) injects nothing.  The CLI's ``--chaos``/
         ``--chaos-seed``.
 
-    Method, probe count, sweep and problem class are validated on
-    construction, and benchmark names when they are requested; a bad
-    value raises ``ValueError`` there instead of failing inside a job.
+    Method, probe count, sweep, problem class and the type of ``step`` are
+    validated on construction, and benchmark names -- with ``step``
+    against their loop length -- when they are requested; a bad value
+    raises ``ValueError`` there instead of failing inside a job.
     """
 
     def __init__(self, problem_class: str = "S", method: str = "ad",
@@ -134,6 +135,7 @@ class ExperimentRunner:
                  chaos: ChaosConfig | str | None = None) -> None:
         validate_analysis(method, n_probes, sweep)
         check_problem_class(problem_class)
+        validate_steps(step)
         self.problem_class = problem_class
         self.method = method
         self.n_probes = int(n_probes)
@@ -217,7 +219,7 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def _compute(self, names: Sequence[str]) -> dict[str, ScrutinyResult]:
         for name in names:
-            self._check_benchmark(name)
+            self.check_benchmark(name)
         jobs = [ScrutinyJob(benchmark=name, problem_class=self.problem_class,
                             method=self.method, n_probes=self.n_probes,
                             step=self.step, sweep=self.sweep,
@@ -225,9 +227,16 @@ class ExperimentRunner:
                 for name in names]
         return dict(zip(names, self.engine.run(jobs)))
 
-    def _check_benchmark(self, name: str) -> None:
-        """``ValueError`` unless ``name`` is registered at this class."""
+    def check_benchmark(self, name: str) -> None:
+        """``ValueError`` unless ``name`` is registered at this class and
+        the runner's checkpoint ``step`` lies inside its main loop."""
         try:
             params_for(name, self.problem_class)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
+        if self.step is not None:
+            total = self.benchmark(name).total_steps
+            if self.step > total:
+                raise ValueError(f"checkpoint step {self.step} outside "
+                                 f"[0, {total}] for {name.upper()} class "
+                                 f"{self.problem_class}")

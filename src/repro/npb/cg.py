@@ -19,9 +19,12 @@ are uncritical (0.1 %).
 The class-S sparse matrix of the original is generated by ``makea`` from the
 ``randlc`` stream; here the matrix is a deterministic function of the
 problem parameters with the same structural properties (symmetric positive
-definite, ``nonzer`` off-diagonal couplings per row plus a diagonal shift),
-built once in the constructor -- it is not application state and therefore
-not a checkpoint variable, exactly as in the original.
+definite, ``nonzer`` off-diagonal couplings on each side of the diagonal plus
+a diagonal shift), built once in the constructor -- it is not application
+state and therefore not a checkpoint variable, exactly as in the original.
+Like the original's compressed rows, it is stored sparse: by diagonals, with
+every matvec (and its transpose in the reverse sweep) running through the
+:func:`repro.ad.ops.banded_matvec` primitive in ``O(nonzer * NA)``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class CG(NPBBenchmark):
         from .params import params_for
 
         super().__init__(params or params_for("CG", problem_class))
-        self._matrix = self._make_matrix()
+        self._bands, self._offsets = self._make_matrix()
+        self._bands_t = ops.dia_transpose(self._bands, self._offsets)
         self._reference: dict[str, float] | None = None
 
     # ------------------------------------------------------------------
@@ -70,29 +74,33 @@ class CG(NPBBenchmark):
     # ------------------------------------------------------------------
     # constant data
     # ------------------------------------------------------------------
-    def _make_matrix(self) -> np.ndarray:
+    def _make_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Deterministic SPD matrix with ``nonzer`` couplings per row.
 
-        Stands in for the original ``makea``: a banded-plus-random sparse
-        symmetric matrix, made strictly diagonally dominant so the embedded
-        conjugate-gradient solves converge quickly.  Stored dense because
-        class S (n = 1400) is tiny; the access pattern the criticality
-        analysis cares about -- "the first NA entries of ``x`` are read, the
-        last two never" -- is unaffected by the storage format.
+        Stands in for the original ``makea``: a symmetric band matrix with
+        ``nonzer`` random off-diagonals on each side, made strictly
+        diagonally dominant so the embedded conjugate-gradient solves
+        converge quickly.  Returned by diagonals, the layout
+        :func:`repro.ad.ops.banded_matvec` consumes: ``bands[d, i] =
+        A[i, i + offsets[d]]`` for the ``2 * nonzer + 1`` offsets
+        ``-nonzer .. nonzer``, so a matvec costs ``O(nonzer * na)`` and no
+        ``na x na`` array is ever built.  The access pattern the
+        criticality analysis cares about -- "the first NA entries of ``x``
+        are read, the last two never" -- does not depend on the storage.
         """
         n = self.params.na
         nonzer = self.params.nonzer
+        offsets = tuple(range(-nonzer, nonzer + 1))
+        bands = np.zeros((len(offsets), n), dtype=np.float64)
         rng = np.random.default_rng(19940704)
-        a = np.zeros((n, n), dtype=np.float64)
         for offset in range(1, nonzer + 1):
             coupling = 0.5 ** offset
-            idx = np.arange(n - offset)
             values = coupling * (0.5 + rng.random(n - offset))
-            a[idx, idx + offset] = values
-            a[idx + offset, idx] = values
-        row_sums = np.abs(a).sum(axis=1)
-        a[np.arange(n), np.arange(n)] = row_sums + self.params.shift
-        return a
+            # A[i, i + offset] = A[i + offset, i] = values[i]
+            bands[nonzer + offset, :n - offset] = values
+            bands[nonzer - offset, offset:] = values
+        bands[nonzer] = np.abs(bands).sum(axis=0) + self.params.shift
+        return bands, offsets
 
     # ------------------------------------------------------------------
     # state construction
@@ -106,6 +114,11 @@ class CG(NPBBenchmark):
     # ------------------------------------------------------------------
     # solver pieces
     # ------------------------------------------------------------------
+    def _matvec(self, v: Any) -> Any:
+        """``A @ v`` through the banded primitive."""
+        return ops.banded_matvec(self._bands, self._offsets, v,
+                                 self._bands_t)
+
     def _conj_grad(self, x_used: Any) -> tuple[Any, Any]:
         """Run ``cgit`` conjugate-gradient iterations on ``A z = x``.
 
@@ -114,13 +127,12 @@ class CG(NPBBenchmark):
         against :mod:`repro.ad.ops` so the whole solve is differentiable with
         respect to the right-hand side ``x_used``.
         """
-        a = self._matrix
         z = ops.zeros(self.params.na)
         r = ops.copy(x_used)
         p = ops.copy(x_used)
         rho = ops.sum(ops.square(r))
         for _ in range(self.params.cgit):
-            q = ops.matmul(a, p)
+            q = self._matvec(p)
             alpha = rho / ops.sum(p * q)
             z = z + alpha * p
             r = r - alpha * q
@@ -128,7 +140,7 @@ class CG(NPBBenchmark):
             beta = rho_new / rho
             p = r + beta * p
             rho = rho_new
-        resid = x_used - ops.matmul(a, z)
+        resid = x_used - self._matvec(z)
         rnorm = ops.sqrt(ops.sum(ops.square(resid)))
         return z, rnorm
 

@@ -118,10 +118,12 @@ class RandlcStream:
 
     The sequential recurrence ``x_{k+1} = a * x_k mod 2**46`` implies
     ``x_k = (a**k mod 2**46) * x_0 mod 2**46``.  The constructor builds the
-    table ``a**k mod 2**46`` for ``k < block`` once (a single Python loop);
-    :meth:`uniforms` then produces any block of the stream with pure NumPy
-    arithmetic, using the same 23-bit split modular product as ``randlc`` so
-    results match the sequential reference exactly.
+    table ``a**k mod 2**46`` for ``k < block`` once, by doubling:
+    ``a**(f + j) = a**j * a**f`` fills ``[f, 2f)`` from ``[0, f)`` in one
+    vectorised product.  :meth:`uniforms` then produces any block of the
+    stream with pure NumPy arithmetic.  Both use the same 23-bit split
+    modular product as ``randlc``, which is exact integer arithmetic, so
+    the table and the stream match the sequential reference bitwise.
     """
 
     def __init__(self, block: int, a: float = LCG_MULTIPLIER) -> None:
@@ -131,10 +133,13 @@ class RandlcStream:
         self.a = float(a)
         powers = np.empty(self.block, dtype=np.float64)
         powers[0] = 1.0
-        x = 1.0
-        for k in range(1, self.block):
-            _, x = randlc(x, a)
-            powers[k] = x
+        filled, a_filled = 1, self.a          # a_filled = a**filled mod 2**46
+        while filled < self.block:
+            count = min(filled, self.block - filled)
+            powers[filled:filled + count] = self._mod_mul(powers[:count],
+                                                          a_filled)
+            a_filled = float(self._mod_mul(np.array([a_filled]), a_filled)[0])
+            filled += count
         self._powers = powers
 
     @staticmethod

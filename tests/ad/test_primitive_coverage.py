@@ -102,8 +102,8 @@ _VJP_EXAMPLES = {
                (2, 2), [_A, _B.T], [(2, 3), (3, 2)]),
     "matmul_probe": (("matmul_probe", True, True, None, None, 1, 1),
                      (), [_A[0], _B[0]], [(3,), (3,)]),
-    "matmul_multirhs": (("matmul_multirhs", _B),
-                        (2, 2), [_A], [(2, 3)]),
+    "banded": (("banded", _A, ops.dia_transpose(_A, (-1, 1)), (-1, 1)),
+               (3,), [_B[0]], [(3,)]),
     "reshape": (("reshape", (3, 2), (2, 3)), (3, 2), [_A], [(2, 3)]),
     "transpose": (("transpose", (1, 0), (1, 0)), (3, 2), [_A], [(2, 3)]),
     "swapaxes": (("swapaxes", 0, 1), (3, 2), [_A], [(2, 3)]),

@@ -2,13 +2,9 @@
 
 The acceptance bar mirrors the segmented sweep's: the batched probe axis
 must reproduce the per-probe gradients *bitwise* (not just the masks) in
-both the monolithic and the segmented sweep, because the criticality
-criterion is "derivative exactly 0.0".  The one sanctioned exception is
-the multi-RHS matvec shortcut (plain matrix @ probe vectors as a single
-GEMM, exercised by CG): its regrouped accumulation may move nonzero values
-by a few ulps, so there the pin is exact-zero-pattern identity -- the mask
-criterion itself -- plus ulp-level closeness.  Masks are asserted identical
-for every port either way.
+both the monolithic and the segmented sweep, for every port, because the
+criticality criterion is "derivative exactly 0.0".  Masks are asserted
+identical for every port as well.
 """
 
 from __future__ import annotations
@@ -59,37 +55,6 @@ def _assert_bitwise(a, b, label):
     assert a.shape == b.shape, label
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), \
         f"{label}: gradients differ bitwise"
-
-
-def _assert_same_criticality(a, b, label):
-    """Identical zero pattern (the mask criterion) plus ~ulp closeness.
-
-    Used where the batched path takes the multi-RHS GEMM shortcut for
-    plain-matrix @ probe-vector products (CG's matvecs): the GEMM regroups
-    each dot product's accumulation, so nonzero values may differ from the
-    per-probe gemv by a few ulps, while structural zeros -- the criticality
-    signal -- stay exactly 0.0 in both formulations (their buffers are
-    never touched by arithmetic).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    assert a.shape == b.shape, label
-    assert np.array_equal(a == 0.0, b == 0.0), \
-        f"{label}: zero patterns (criticality masks) differ"
-    assert np.allclose(a, b, rtol=1.0e-7, atol=0.0), \
-        f"{label}: gradients differ beyond accumulation-order noise"
-
-
-#: ports whose kernels hit the multi-RHS matvec shortcut (see above);
-#: every other port's batched gradients are pinned bitwise
-MULTIRHS_PORTS = frozenset({"CG"})
-
-
-def _assert_grads_match(name, a, b, label):
-    if name in MULTIRHS_PORTS:
-        _assert_same_criticality(a, b, label)
-    else:
-        _assert_bitwise(a, b, label)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +116,7 @@ class TestStackStates:
 def _medley(x, y, mat):
     """Exercises every probe-sensitive primitive family in one function.
 
-    The traced-matrix matmul keeps the medley on the bitwise (stacked)
-    path; the multi-RHS matvec shortcut has its own dedicated test.
+    Constant-matrix matvecs (dense and banded) have their own test.
     """
     g = x[1:5] * 2.0                                # basic getitem
     h = ops.reshape(g, (2, 2))                       # reshape
@@ -275,33 +239,41 @@ def test_probe_axis_guard_rejects_axis_loss():
             ops.sum(x, axis=(-2, -1))  # explicitly reduces the probe axis
 
 
-def test_matvec_multirhs_matches_per_probe_criticality():
-    """The plain-matrix @ probe-vector shortcut: one GEMM for all probes.
+def test_constant_matvec_matches_per_probe():
+    """Plain matrix @ probe vectors, dense and banded: bitwise per probe.
 
-    Values may differ from the per-probe gemv by accumulation order only;
-    the zero pattern -- what the masks are built from -- must be identical.
+    Columns the matrix never reads are structural zeros of the gradient in
+    both formulations -- exactly the pattern the masks are built from.
     """
     rng = np.random.default_rng(3)
     A = rng.random((6, 6))
     A[:, 4:] = 0.0                  # structural zeros: columns never read
+    offsets = (-1, 0, 1)
+    bands = rng.random((3, 6))
+    bands[:, 3:] = 0.0              # empty rows 3..5: columns 4, 5 unread
+    kernels = {
+        "dense": lambda v: ops.matmul(A, v),
+        "banded": lambda v: ops.banded_matvec(
+            bands, offsets, v, ops.dia_transpose(bands, offsets)),
+    }
     vs = [rng.random(6) for _ in range(3)]
+    for label, kernel in kernels.items():
+        per = []
+        for v0 in vs:
+            with Tape() as tape:
+                v = tape.watch(v0, name="v")
+                out = ops.sum(ops.square(kernel(v)))
+            per.append(backward(tape, out, [v])[0])
 
-    per = []
-    for v0 in vs:
-        with Tape() as tape:
-            v = tape.watch(v0, name="v")
-            out = ops.sum(ops.square(ops.matmul(A, v)))
-        per.append(backward(tape, out, [v])[0])
+        with Tape() as tape, probe_axis(3):
+            v = tape.watch(np.stack(vs), name="v")
+            out = ops.sum(ops.square(kernel(v)))
+        (gv,) = backward(tape, out, [v])
 
-    with Tape() as tape, probe_axis(3):
-        v = tape.watch(np.stack(vs), name="v")
-        out = ops.sum(ops.square(ops.matmul(A, v)))
-    (gv,) = backward(tape, out, [v])
-
-    for p in range(3):
-        _assert_same_criticality(per[p], gv[p], f"matvec probe {p}")
-        assert per[p][4:].tolist() == [0.0, 0.0]     # structural zeros
-        assert gv[p][4:].tolist() == [0.0, 0.0]
+        for p in range(3):
+            _assert_bitwise(per[p], gv[p], f"{label} matvec probe {p}")
+            assert per[p][4:].tolist() == [0.0, 0.0], label
+            assert gv[p][4:].tolist() == [0.0, 0.0], label
 
 
 def test_scalar_times_array_alignment():
@@ -333,7 +305,7 @@ def test_batched_gradients_bitwise_equal_per_probe(name):
     for key in watch:
         assert stacked[key].shape == (3,) + np.shape(states[0][key])
         for p in range(3):
-            _assert_grads_match(name, per[p][key], stacked[key][p],
+            _assert_bitwise(per[p][key], stacked[key][p],
                                 f"{name}[{key}] probe {p} (monolithic)")
 
 
@@ -348,7 +320,7 @@ def test_segmented_batched_gradients_bitwise_equal_per_probe(name):
     stacked = segmented_batched_gradients(bench, states, watch=watch)
     for key in watch:
         for p in range(2):
-            _assert_grads_match(name, per[p][key], stacked[key][p],
+            _assert_bitwise(per[p][key], stacked[key][p],
                                 f"{name}[{key}] probe {p} (segmented)")
 
 
@@ -397,7 +369,7 @@ def test_masks_identical_batched_vs_per_probe(name, sweep, force_per_probe):
         assert np.array_equal(crit.mask, ref.mask), \
             f"{name}({var_name}) mask differs between probe modes ({sweep})"
         for key in crit.gradients:
-            _assert_grads_match(name, crit.gradients[key],
+            _assert_bitwise(crit.gradients[key],
                                 ref.gradients[key],
                                 f"{name}({var_name})[{key}] base gradient")
 

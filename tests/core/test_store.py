@@ -71,6 +71,18 @@ class TestCacheKey:
         assert cache_key(**KEY_PARAMS) == cache_key(
             **KEY_PARAMS, version=repro.__version__)
 
+    def test_entries_of_the_previous_version_are_not_served(self, tmp_path,
+                                                            bt_t_result):
+        # 1.10.0 moved CG's gradients in their last bits (banded matvec),
+        # so results stored by 1.9.0 must miss under the current version
+        assert repro.__version__ != "1.9.0"
+        assert cache_key(**KEY_PARAMS, version="1.9.0") \
+            != cache_key(**KEY_PARAMS)
+        ResultStore(tmp_path, version="1.9.0").put(bt_t_result, n_probes=1)
+        current = ResultStore(tmp_path)
+        assert current.fetch(**KEY_PARAMS) is None
+        assert current.misses == 1
+
     def test_benchmark_name_case_insensitive(self):
         assert cache_key(**dict(KEY_PARAMS, benchmark="bt")) \
             == cache_key(**KEY_PARAMS)

@@ -20,31 +20,59 @@ def result(bench):
     return scrutinize(bench)
 
 
-class TestMatrix:
-    def test_matrix_is_symmetric(self, bench):
-        np.testing.assert_allclose(bench._matrix, bench._matrix.T)
+def _dense(bands, offsets):
+    """Dense matrix of a row-aligned DIA band array (test oracle)."""
+    n = bands.shape[1]
+    a = np.zeros((n, n))
+    for band, offset in zip(bands, offsets):
+        for i in range(max(0, -offset), min(n, n - offset)):
+            a[i, i + offset] = band[i]
+    return a
 
-    def test_matrix_is_strictly_diagonally_dominant(self, bench):
-        a = bench._matrix
-        diag = np.abs(np.diag(a))
-        off = np.abs(a).sum(axis=1) - diag
+
+@pytest.fixture(scope="module")
+def matrix(bench):
+    return _dense(bench._bands, bench._offsets)
+
+
+class TestMatrix:
+    def test_matrix_is_symmetric(self, matrix):
+        np.testing.assert_array_equal(matrix, matrix.T)
+
+    def test_matrix_is_strictly_diagonally_dominant(self, matrix):
+        diag = np.abs(np.diag(matrix))
+        off = np.abs(matrix).sum(axis=1) - diag
         assert np.all(diag > off)
 
-    def test_matrix_is_positive_definite(self, bench):
-        eigenvalues = np.linalg.eigvalsh(bench._matrix)
+    def test_matrix_is_positive_definite(self, matrix):
+        eigenvalues = np.linalg.eigvalsh(matrix)
         assert np.all(eigenvalues > 0.0)
 
     def test_matrix_is_deterministic(self):
-        a = CG(problem_class="T")._matrix
-        b = CG(problem_class="T")._matrix
-        np.testing.assert_array_equal(a, b)
+        a, b = CG(problem_class="T"), CG(problem_class="T")
+        np.testing.assert_array_equal(a._bands, b._bands)
+        assert a._offsets == b._offsets
+
+    def test_band_layout(self, bench):
+        nonzer = bench.params.nonzer
+        assert bench._offsets == tuple(range(-nonzer, nonzer + 1))
+        assert bench._bands.shape == (2 * nonzer + 1, bench.params.na)
+
+    def test_transposed_bands_are_the_transpose(self, bench, matrix):
+        dense_t = _dense(bench._bands_t, [-o for o in bench._offsets])
+        np.testing.assert_array_equal(dense_t, matrix.T)
+
+    def test_matvec_matches_dense(self, bench, matrix):
+        x = np.random.default_rng(0).random(bench.params.na)
+        np.testing.assert_allclose(bench._matvec(x), matrix @ x,
+                                   rtol=1e-14)
 
 
 class TestSolver:
-    def test_conj_grad_solves_the_system(self, bench):
+    def test_conj_grad_solves_the_system(self, bench, matrix):
         x = bench.initial_state()["x"][: bench.params.na]
         z, rnorm = bench._conj_grad(x)
-        residual = x - bench._matrix @ np.asarray(ops.to_numpy(z))
+        residual = x - matrix @ np.asarray(ops.to_numpy(z))
         assert float(ops.to_numpy(rnorm)) == pytest.approx(
             np.linalg.norm(residual))
         assert np.linalg.norm(residual) < 1e-6 * np.linalg.norm(x)

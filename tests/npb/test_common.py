@@ -73,6 +73,16 @@ class TestVranlcAndStream:
                                common.LCG_MULTIPLIER)
         np.testing.assert_array_equal(np.concatenate([first, second]), ref)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1000, 4097, 2 ** 17])
+    def test_power_table_matches_vranlc_bitwise(self, block):
+        # the doubling construction must reproduce the sequential
+        # generator: a**k mod 2**46 scaled by 2**-46 is the k-th uniform
+        # of the stream seeded with 1
+        stream = common.RandlcStream(block=block)
+        ref, _ = common.vranlc(block - 1, 1.0, common.LCG_MULTIPLIER)
+        assert stream._powers[0] == 1.0
+        assert (common.R46 * stream._powers[1:]).tobytes() == ref.tobytes()
+
     def test_stream_rejects_oversized_request(self):
         stream = common.RandlcStream(block=8)
         with pytest.raises(ValueError):
