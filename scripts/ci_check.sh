@@ -46,7 +46,7 @@ python -m pytest -q tests/ad/test_plan.py
 
 echo "== plan lowering: IR passes, fused-vs-unfused bitwise equivalence =="
 python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py \
-    tests/ad/test_banded.py
+    tests/ad/test_banded.py tests/ad/test_ifftn.py
 
 echo "== tangent sweep: mask equivalence across all ports =="
 python -m pytest -q tests/ad/test_tangent.py

@@ -25,7 +25,7 @@ The package is organised as layered subsystems (see DESIGN.md):
 from . import ad, ckpt, core, experiments, npb, viz
 from .core import ScrutinyResult, scrutinize
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ad",

@@ -106,7 +106,7 @@ CONSUMING_OPS = frozenset({
     "mod", "negative", "absolute", "sqrt", "exp", "expm1", "log", "log1p",
     "sin", "cos", "tan", "tanh", "sign", "square", "reciprocal", "clip",
     "sum", "mean", "max", "min", "prod", "where",
-    "matmul", "banded_matvec", "stack", "concatenate",
+    "matmul", "banded_matvec", "ifftn_pair", "stack", "concatenate",
 })
 
 #: primitives that only move data around
@@ -136,7 +136,7 @@ INDEXING_OPS = frozenset({"getitem", "take"})
 SPEC_CONSUMING = frozenset({
     "ewbinary", "minmax", "unary", "negative",
     "sum", "mean", "redminmax", "prod", "where",
-    "matmul", "matmul_probe", "banded", "concat", "stack",
+    "matmul", "matmul_probe", "banded", "ifftn", "concat", "stack",
 })
 
 #: spec kinds that only move data around

@@ -473,6 +473,19 @@ def _emit_banded(spec: tuple, node: Instr) -> Callable:
     return kernel
 
 
+def _emit_ifftn(spec: tuple, node: Instr) -> Callable:
+    _, k = spec
+    fft_pair = _ops_mod()._fft_pair
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (fft_pair(np.asarray(g), k, False),)
+
+    def kernel(vals: list) -> tuple:
+        return fft_pair(vals[0], k, True), vjp
+
+    return kernel
+
+
 def _emit_reshape(spec: tuple, node: Instr) -> Callable:
     _, out_shape, in_shape = spec
 
@@ -730,6 +743,7 @@ _EMITTERS: dict[str, Callable] = {
     "matmul": _emit_matmul,
     "matmul_probe": _emit_matmul_probe,
     "banded": _emit_banded,
+    "ifftn": _emit_ifftn,
     "reshape": _emit_reshape,
     "transpose": _emit_transpose,
     "swapaxes": _emit_swapaxes,

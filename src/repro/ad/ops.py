@@ -53,6 +53,7 @@ __all__ = [
     "astype", "detach",
     # linear algebra
     "matmul", "dot", "outer", "banded_matvec", "dia_transpose",
+    "ifftn_pair",
     # constructors / passthrough helpers
     "zeros", "ones", "full", "zeros_like", "ones_like", "arange", "linspace",
     "asarray", "array",
@@ -1705,10 +1706,10 @@ def matmul(a: Any, b: Any) -> Any:
     """Matrix product following :func:`numpy.matmul` semantics.
 
     Supports 1-D and 2-D operands and batched stacks of matrices (the cases
-    exercised by the NPB kernels: DFT matrices, block solves and dot
-    products).  Under a batched probe sweep the traced operands' *logical*
-    ranks decide the vector/matrix semantics and the probe axis broadcasts
-    as a leading batch dimension.
+    exercised by the NPB kernels: transfer matrices applied along one grid
+    axis, block solves and dot products).  Under a batched probe sweep the
+    traced operands' *logical* ranks decide the vector/matrix semantics and
+    the probe axis broadcasts as a leading batch dimension.
     """
     if _any_tangent(a, b):
         return _tangent_matmul(a, b)
@@ -1941,6 +1942,76 @@ def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
     spec = ("banded", bands, bands_t, offsets) \
         if _CAPTURE.capture is not None else None
     return _record("banded_matvec", out, _traced_parents(x), vjp, spec=spec)
+
+
+#: complex elements per numpy FFT call: a batch of small grids shares one
+#: call (the per-call overhead dominates there), a large grid goes one
+#: slice at a time (its buffer then stays in cache between the copies)
+_FFT_BLOCK = 1 << 16
+
+
+def _fft_pair(z: np.ndarray, k: int, inverse: bool) -> np.ndarray:
+    """The complex DFT over the last ``k`` axes of stacked real/imaginary
+    pairs.
+
+    The pair sits on axis ``-(k + 1)``; axes in front of it (a probe or
+    tangent-direction axis) are batch axes, transformed in blocks of up to
+    :data:`_FFT_BLOCK` elements, in place in one complex buffer.  numpy
+    transforms every slice of a call independently, so each is computed
+    exactly as an unbatched call would.  ``inverse`` gives
+    ``numpy.fft.ifftn``; otherwise ``fftn(.) / N`` with ``N`` the grid
+    size, the adjoint of ``ifftn``.
+    """
+    z = np.asarray(z)
+    grid = z.shape[z.ndim - k:]
+    size = math.prod(grid)
+    pairs = z.reshape((-1, 2) + grid)
+    step = builtins.max(1, _FFT_BLOCK // size)
+    field = np.empty((builtins.min(step, len(pairs)),) + grid,
+                     dtype=np.result_type(z.dtype, np.complex64))
+    out = np.empty(pairs.shape, dtype=field.real.dtype)
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    axes = tuple(range(1, k + 1))
+    for start in range(0, len(pairs), step):
+        block = pairs[start:start + step]
+        buf = field[:len(block)]
+        buf.real = block[:, 0]
+        buf.imag = block[:, 1]
+        transform(buf, axes=axes, out=buf)
+        out[start:start + step, 0] = buf.real
+        out[start:start + step, 1] = buf.imag
+    if not inverse:
+        out /= size
+    return out.reshape(z.shape)
+
+
+def ifftn_pair(z: Any) -> Any:
+    """Inverse DFT over every logical axis after axis 0 of a complex field.
+
+    The field is carried as a stacked pair: ``z[0]`` is the real part and
+    ``z[1]`` the imaginary part of a complex array of shape ``z.shape[1:]``;
+    the result is ``numpy.fft.ifftn`` of it in the same layout.  The map is
+    linear, so the VJP needs no forward operand: it applies the adjoint,
+    ``fftn(g[0] + 1j * g[1]) / N`` with ``N`` the grid size.  Under a probe
+    axis or a stacked tangent every slice is transformed bitwise as an
+    unbatched call would.
+    """
+    shape = z.value.shape if isinstance(z, TangentArray) \
+        else logical_shape(z)
+    if len(shape) < 2 or shape[0] != 2:
+        raise ValueError(f"ifftn_pair: expected a (2, *grid) real/imaginary "
+                         f"pair, got shape {shape}")
+    k = len(shape) - 1
+    if isinstance(z, TangentArray):
+        return TangentArray(_fft_pair(z.value, k, True),
+                            _fft_pair(z.tangent, k, True))
+    out = _fft_pair(np.asarray(value_of(z)), k, True)
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (_fft_pair(np.asarray(g), k, False),)
+
+    spec = ("ifftn", k) if _CAPTURE.capture is not None else None
+    return _record("ifftn_pair", out, _traced_parents(z), vjp, spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ gradients (pinned for all eight ports), so a monolithic run and a
 segmented run share one entry.  Entries written before repro 1.9.0, when
 the execution knobs were keyed, are invalidated by the version field, as
 are 1.9.0 entries, whose CG gradients differ from 1.10.0's in the last
-bits (dense versus banded matvec).
+bits (dense versus banded matvec), and 1.10.0 entries, whose FT and MG
+gradients differ from 1.11.0's in the last bits (DFT matrices versus an
+FFT; a copying versus a strided axis matmul).
 
 The ``.npz`` member names are namespaced:
 

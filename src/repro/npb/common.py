@@ -10,6 +10,8 @@ ports rely on:
 * root-mean-square norms in the style of the BT/SP/LU ``error_norm`` and
   ``rhs_norm`` routines, written against :mod:`repro.ad.ops` so they are
   differentiable when handed traced arrays;
+* :func:`matmul_along_axis`, the differentiable transfer-matrix product
+  along one grid axis that MG and LU share;
 * a small :class:`VerificationResult` record mirroring the pass/fail
   verification output every NPB benchmark prints.
 
@@ -20,6 +22,7 @@ matters because EP's verification sums are defined by this exact stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -30,7 +33,7 @@ from repro.ad import ops
 __all__ = [
     "R23", "R46", "T23", "T46", "DEFAULT_SEED", "LCG_MULTIPLIER",
     "randlc", "vranlc", "ipow46", "RandlcStream",
-    "rms_norm", "weighted_abs_sum",
+    "rms_norm", "weighted_abs_sum", "matmul_along_axis",
     "VerificationResult", "relative_error", "within_epsilon",
 ]
 
@@ -197,6 +200,26 @@ def rms_norm(field: Any, n_points: Sequence[int]):
 def weighted_abs_sum(field: Any, weights: Any):
     """Differentiable ``sum(|field| * weights)`` helper for scalar outputs."""
     return ops.sum(ops.absolute(field) * weights)
+
+
+def matmul_along_axis(matrix: np.ndarray, field: Any, axis: int) -> Any:
+    """Apply a constant ``(m, n)`` matrix along one logical axis of a field.
+
+    ``out[..., i, ...] = sum_j matrix[i, j] * field[..., j, ...]``: the
+    axis of length ``n`` becomes one of length ``m``.  The field is viewed
+    as ``(pre, n, post)`` (a reshape, no copy) and multiplied by one
+    broadcast matmul; on the last axis the view is ``(pre, n)`` and the
+    product is the single GEMM ``(pre, n) @ matrix.T``.
+    """
+    shape = tuple(ops.logical_shape(field))
+    n = shape[axis]
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    if axis == len(shape) - 1:
+        mixed = ops.matmul(ops.reshape(field, (pre, n)), matrix.T)
+    else:
+        mixed = ops.matmul(matrix, ops.reshape(field, (pre, n, post)))
+    return ops.reshape(mixed, shape[:axis] + (matrix.shape[0],)
+                       + shape[axis + 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.ad import ops
 from repro.core.variables import CheckpointVariable, VariableKind
 
 from .base import NPBBenchmark, concrete_state
-from .common import VerificationResult
+from .common import VerificationResult, matmul_along_axis
 from .params import LUParams, params_for
 from .pde_common import (PADDING_FILL, exact_field, forcing_field,
                          initial_field, laplacian_interior)
@@ -186,21 +186,9 @@ class LU(NPBBenchmark):
         # the composition is a dense positive coupling, so every consumed
         # element -- boundary corners included -- reaches the interior update.
         for axis in range(3):
-            d = self._apply_along_axis(self._lower, d, axis=axis)
-            d = self._apply_along_axis(self._upper, d, axis=axis)
+            d = matmul_along_axis(self._lower, d, axis)
+            d = matmul_along_axis(self._upper, d, axis)
         return d
-
-    def _apply_along_axis(self, matrix: np.ndarray, field: Any,
-                          axis: int) -> Any:
-        """Apply a (gp, gp) coupling matrix along one spatial axis of a
-        (gp, gp, gp, ncomp) field."""
-        gp = self.params.grid_points
-        ncomp = self.params.ncomp
-        moved = ops.moveaxis(field, axis, 0)
-        flat = ops.reshape(moved, (gp, gp * gp * ncomp))
-        mixed = ops.matmul(matrix, flat)
-        restored = ops.reshape(mixed, (gp, gp, gp, ncomp))
-        return ops.moveaxis(restored, 0, axis)
 
     def _energy_flux(self, u: Any) -> Any:
         """Directional energy-flux differences reading ``u[..., 4]`` on the

@@ -54,7 +54,7 @@ from repro.ad import ops
 from repro.core.variables import CheckpointVariable, VariableKind
 
 from .base import NPBBenchmark, concrete_state
-from .common import VerificationResult
+from .common import VerificationResult, matmul_along_axis
 
 __all__ = ["MG"]
 
@@ -214,19 +214,9 @@ class MG(NPBBenchmark):
 
     def _axis_map(self, matrix: np.ndarray, field: Any) -> Any:
         """Apply ``matrix`` along every axis of a cubic 3-D field."""
-        out = field
         for axis in range(3):
-            moved = ops.moveaxis(out, axis, 0)
-            n_in = matrix.shape[1]
-            # logical_shape strips the probe axis of a batched sweep, so the
-            # reshape targets below stay in logical coordinates
-            rest_shape = tuple(ops.logical_shape(moved)[1:])
-            rest = int(np.prod(rest_shape))
-            flat = ops.reshape(moved, (n_in, rest))
-            mixed = ops.matmul(matrix, flat)
-            new_shape = (matrix.shape[0],) + rest_shape
-            out = ops.moveaxis(ops.reshape(mixed, new_shape), 0, axis)
-        return out
+            field = matmul_along_axis(matrix, field, axis)
+        return field
 
     # ------------------------------------------------------------------
     # main loop

@@ -199,8 +199,9 @@ class TestMatmul:
 
 
 class TestDFTViaMatmul:
-    """The FT kernel computes DFTs with explicit cosine/sine matrices; make
-    sure gradients through that pattern are exact."""
+    """A DFT written as explicit cosine/sine matrix products: gradients
+    through matmul obey Parseval exactly, and padding the product never
+    reads gets a zero gradient (FT itself uses ``ops.ifftn_pair``)."""
 
     @staticmethod
     def dft_matrices(n):

@@ -73,15 +73,18 @@ class TestCacheKey:
 
     def test_entries_of_the_previous_version_are_not_served(self, tmp_path,
                                                             bt_t_result):
-        # 1.10.0 moved CG's gradients in their last bits (banded matvec),
-        # so results stored by 1.9.0 must miss under the current version
-        assert repro.__version__ != "1.9.0"
-        assert cache_key(**KEY_PARAMS, version="1.9.0") \
-            != cache_key(**KEY_PARAMS)
-        ResultStore(tmp_path, version="1.9.0").put(bt_t_result, n_probes=1)
-        current = ResultStore(tmp_path)
-        assert current.fetch(**KEY_PARAMS) is None
-        assert current.misses == 1
+        # 1.10.0 moved CG's gradients in their last bits (banded matvec) and
+        # 1.11.0 moved FT's (FFT) and MG's (strided axis matmul), so results
+        # stored by either earlier version must miss under the current one
+        for old in ("1.9.0", "1.10.0"):
+            assert repro.__version__ != old
+            assert cache_key(**KEY_PARAMS, version=old) \
+                != cache_key(**KEY_PARAMS)
+            ResultStore(tmp_path / old, version=old).put(bt_t_result,
+                                                         n_probes=1)
+            current = ResultStore(tmp_path / old)
+            assert current.fetch(**KEY_PARAMS) is None
+            assert current.misses == 1
 
     def test_benchmark_name_case_insensitive(self):
         assert cache_key(**dict(KEY_PARAMS, benchmark="bt")) \

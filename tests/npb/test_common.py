@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ad import ops
+from repro.ad.probes import probe_axis
+from repro.ad.reverse import backward
+from repro.ad.tape import Tape
 from repro.npb import common
 
 
@@ -125,6 +129,52 @@ class TestNorms:
         field = np.array([-1.0, 2.0, -3.0])
         weights = np.array([1.0, 0.5, 2.0])
         assert common.weighted_abs_sum(field, weights) == pytest.approx(8.0)
+
+
+class TestMatmulAlongAxis:
+    SHAPE = (4, 5, 3)
+
+    @staticmethod
+    def _oracle(matrix, field, axis):
+        return np.moveaxis(np.tensordot(matrix, field, axes=(1, axis)),
+                           0, axis)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_matches_tensordot_with_a_rectangular_matrix(self, axis):
+        rng = np.random.default_rng(axis)
+        field = rng.random(self.SHAPE)
+        matrix = rng.random((7, self.SHAPE[axis]))
+        got = common.matmul_along_axis(matrix, field, axis)
+        np.testing.assert_allclose(got, self._oracle(matrix, field, axis),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_gradient_and_probe_batch(self, axis):
+        rng = np.random.default_rng(10 + axis)
+        matrix = rng.random((2, self.SHAPE[axis]))
+        weights = rng.random(self.SHAPE[:axis] + (2,)
+                             + self.SHAPE[axis + 1:])
+        fields = [rng.random(self.SHAPE) for _ in range(3)]
+
+        def f(x):
+            return ops.sum(common.matmul_along_axis(matrix, x, axis)
+                           * weights)
+
+        per = []
+        for field in fields:
+            with Tape() as tape:
+                x = tape.watch(field, name="x")
+                out = f(x)
+            per.append(backward(tape, out, [x])[0])
+        # d sum(w * M.x) / dx is M^T applied to w along the axis
+        expected = self._oracle(matrix.T, weights, axis)
+        np.testing.assert_allclose(per[0], expected, rtol=1e-14)
+        with Tape() as tape, probe_axis(3):
+            x = tape.watch(np.stack(fields), name="x")
+            out = f(x)
+        (batched,) = backward(tape, out, [x])
+        for p in range(3):
+            assert batched[p].tobytes() == per[p].tobytes()
 
 
 class TestVerificationResult:
