@@ -224,6 +224,7 @@ def scrutinize(bench, step: int | None = None,
     if step is None:
         step = bench.total_steps // 2
     if state is None:
+        analyzer.check_span(bench, step)
         state = bench.checkpoint_state(step)
         analysis_step = step
     else:

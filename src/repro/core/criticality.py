@@ -295,6 +295,7 @@ class CriticalityAnalyzer:
                  steps: int | None = None,
                  sweep: str = "monolithic") -> None:
         validate_analysis(method, n_probes, sweep)
+        validate_steps(None, steps)
         self.method = method
         self.n_probes = int(n_probes)
         self.probe_scale = float(probe_scale)
@@ -313,11 +314,15 @@ class CriticalityAnalyzer:
         state is then produced by running the benchmark that far) must be
         provided; ``step`` defaults to the middle of the main loop.
 
-        Returns a dict keyed by variable name, in Table I order.
+        Returns a dict keyed by variable name, in Table I order.  Raises
+        ``ValueError``, before any forward run, when the checkpoint step plus
+        ``steps`` overruns the benchmark's main loop.
         """
+        if state is None and step is None:
+            step = bench.total_steps // 2
+        self.check_span(bench, step if step is not None
+                        else self._state_step(bench, state))
         if state is None:
-            if step is None:
-                step = bench.total_steps // 2
             state = bench.checkpoint_state(step)
         variables = list(bench.checkpoint_variables())
 
@@ -349,6 +354,19 @@ class CriticalityAnalyzer:
 
         # preserve Table I ordering
         return {v.name: results[v.name] for v in variables}
+
+    def check_span(self, bench, step: int) -> None:
+        """Raise ``ValueError`` if ``steps`` from ``step`` overrun the loop.
+
+        A negative ``step`` (unknown, see :meth:`_state_step`) is not
+        checked.
+        """
+        if self.steps is not None and step >= 0 \
+                and step + self.steps > bench.total_steps:
+            raise ValueError(
+                f"steps={self.steps} from step {step} overruns "
+                f"{getattr(bench, 'name', type(bench).__name__)}'s "
+                f"{bench.total_steps} main-loop iterations")
 
     def _analysis_rng(self, bench, state: Mapping[str, Any],
                       step: int | None) -> np.random.Generator:

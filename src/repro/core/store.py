@@ -31,7 +31,8 @@ the execution knobs were keyed, are invalidated by the version field, as
 are 1.9.0 entries, whose CG gradients differ from 1.10.0's in the last
 bits (dense versus banded matvec), and 1.10.0 entries, whose FT and MG
 gradients differ from 1.11.0's in the last bits (DFT matrices versus an
-FFT; a copying versus a strided axis matmul).
+FFT; a copying versus a strided axis matmul), and 1.11.0 entries, whose EP
+checkpoint states differ from 1.12.0's (EP now seeds from NPB's EP seed).
 
 The ``.npz`` member names are namespaced:
 

@@ -5,8 +5,10 @@ ports rely on:
 
 * the NPB linear congruential pseudo-random number generator ``randlc``
   (x_{k+1} = a * x_k mod 2**46) including the exact double-double arithmetic
-  of the reference implementation, a vectorised ``vranlc`` and the
-  ``ipow46`` jump-ahead used by EP to seed independent batches;
+  of the reference implementation, the sequential ``vranlc`` and the
+  ``ipow46`` jump-ahead, which stay as the reference the exact-integer
+  :class:`RandlcStream` and :func:`jump_ahead` are tested against;
+* the seeds: :data:`DEFAULT_SEED` of CG, FT and IS and :data:`EP_SEED`;
 * root-mean-square norms in the style of the BT/SP/LU ``error_norm`` and
   ``rhs_norm`` routines, written against :mod:`repro.ad.ops` so they are
   differentiable when handed traced arrays;
@@ -17,7 +19,8 @@ ports rely on:
 
 The generator follows the reference semantics bit-for-bit (it is exercised
 against the published first values of the sequence in the test-suite), which
-matters because EP's verification sums are defined by this exact stream.
+matters because EP's verification sums are defined by this exact stream:
+EP checks them against NPB's published values.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 from repro.ad import ops
 
 __all__ = [
-    "R23", "R46", "T23", "T46", "DEFAULT_SEED", "LCG_MULTIPLIER",
-    "randlc", "vranlc", "ipow46", "RandlcStream",
+    "R23", "R46", "T23", "T46", "DEFAULT_SEED", "EP_SEED", "LCG_MULTIPLIER",
+    "randlc", "vranlc", "ipow46", "jump_ahead", "RandlcStream",
     "rms_norm", "weighted_abs_sum", "matmul_along_axis",
     "VerificationResult", "relative_error", "within_epsilon",
 ]
@@ -44,11 +47,17 @@ R46 = R23 * R23
 T23 = 2.0 ** 23
 T46 = T23 * T23
 
-#: default seed used across the suite (``seed = 314159265``)
+#: NPB's seed of CG, FT and IS (``seed = 314159265``)
 DEFAULT_SEED = 314159265.0
+
+#: NPB's seed of EP (``S = 271828183``)
+EP_SEED = 271828183.0
 
 #: multiplier ``a = 5**13`` of the NPB generator
 LCG_MULTIPLIER = 1220703125.0
+
+# 2**46 - 1: the low 46 bits, i.e. reduction mod 2**46 of an integer state
+_MASK46 = (1 << 46) - 1
 
 
 def randlc(x: float, a: float) -> tuple[float, float]:
@@ -94,9 +103,9 @@ def vranlc(n: int, x: float, a: float) -> tuple[np.ndarray, float]:
 def ipow46(a: float, exponent: int) -> float:
     """Compute ``a ** exponent mod 2**46`` with the NPB square-and-multiply.
 
-    Used to jump the generator ahead by ``exponent`` steps in O(log n)
-    ``randlc`` calls; EP seeds every batch this way so batches can be
-    generated independently (and, here, vectorised).
+    Jumps the generator ahead by ``exponent`` steps in O(log n) ``randlc``
+    calls, the way NPB's EP seeds every batch; here it is the reference the
+    exact-integer :func:`jump_ahead` is tested against.
     """
     result = 1.0
     if exponent == 0:
@@ -116,17 +125,27 @@ def ipow46(a: float, exponent: int) -> float:
     return r
 
 
+def jump_ahead(x: float, offset: int, a: float = LCG_MULTIPLIER) -> float:
+    """Generator state ``offset`` steps after ``x``: ``a**offset * x mod 2**46``.
+
+    Exact integer arithmetic (Python's three-argument ``pow``); it equals
+    ``randlc(x, ipow46(a, offset))[1]``, the reference jump-ahead.
+    """
+    return float(pow(int(a), offset, 1 << 46) * int(x) & _MASK46)
+
+
 class RandlcStream:
     """Vectorised NPB random stream with jump-ahead.
 
     The sequential recurrence ``x_{k+1} = a * x_k mod 2**46`` implies
     ``x_k = (a**k mod 2**46) * x_0 mod 2**46``.  The constructor builds the
-    table ``a**k mod 2**46`` for ``k < block`` once, by doubling:
-    ``a**(f + j) = a**j * a**f`` fills ``[f, 2f)`` from ``[0, f)`` in one
-    vectorised product.  :meth:`uniforms` then produces any block of the
-    stream with pure NumPy arithmetic.  Both use the same 23-bit split
-    modular product as ``randlc``, which is exact integer arithmetic, so
-    the table and the stream match the sequential reference bitwise.
+    table ``a**k mod 2**46`` for ``k < block`` once, in ``uint64``, by
+    doubling: ``a**(f + j) = a**j * a**f`` fills ``[f, 2f)`` from
+    ``[0, f)`` in one vectorised product.  :meth:`uniforms` then produces
+    any block of the stream with one more product.  Both products are exact:
+    a ``uint64`` product wraps modulo ``2**64``, and since ``2**46`` divides
+    ``2**64`` its low 46 bits are the true product's, so the table and the
+    stream match the sequential ``randlc`` reference bitwise.
     """
 
     def __init__(self, block: int, a: float = LCG_MULTIPLIER) -> None:
@@ -134,31 +153,17 @@ class RandlcStream:
             raise ValueError("block size must be positive")
         self.block = int(block)
         self.a = float(a)
-        powers = np.empty(self.block, dtype=np.float64)
-        powers[0] = 1.0
-        filled, a_filled = 1, self.a          # a_filled = a**filled mod 2**46
+        powers = np.empty(self.block, dtype=np.uint64)
+        powers[0] = 1
+        filled, a_filled = 1, int(a)          # a_filled = a**filled mod 2**46
         while filled < self.block:
             count = min(filled, self.block - filled)
-            powers[filled:filled + count] = self._mod_mul(powers[:count],
-                                                          a_filled)
-            a_filled = float(self._mod_mul(np.array([a_filled]), a_filled)[0])
+            chunk = powers[filled:filled + count]
+            np.multiply(powers[:count], np.uint64(a_filled), out=chunk)
+            chunk &= _MASK46
+            a_filled = a_filled * a_filled & _MASK46
             filled += count
         self._powers = powers
-
-    @staticmethod
-    def _mod_mul(a: np.ndarray, x: float) -> np.ndarray:
-        """Vectorised ``a * x mod 2**46`` with the reference bit splitting."""
-        a = np.asarray(a, dtype=np.float64)
-        a1 = np.floor(R23 * a)
-        a2 = a - T23 * a1
-        x1 = float(int(R23 * x))
-        x2 = x - T23 * x1
-        t1 = a1 * x2 + a2 * x1
-        t2 = np.floor(R23 * t1)
-        z = t1 - T23 * t2
-        t3 = T23 * z + a2 * x2
-        t4 = np.floor(R46 * t3)
-        return t3 - T46 * t4
 
     def uniforms(self, seed_state: float, n: int | None = None) -> tuple[np.ndarray, float]:
         """Return ``n`` uniforms starting from ``seed_state``.
@@ -172,9 +177,10 @@ class RandlcStream:
         if n > self.block:
             raise ValueError(f"requested {n} numbers from a stream with "
                              f"block size {self.block}")
-        # x_k = a^k * seed mod 2**46 for k = 1..n
-        states = self._mod_mul(self._powers[:n], self._mod_mul(
-            np.array([self.a]), seed_state)[0])
+        # x_k = a^(k-1) * (a * seed) mod 2**46 for k = 1..n
+        first = int(self.a) * int(seed_state) & _MASK46
+        states = self._powers[:n] * np.uint64(first)
+        states &= _MASK46
         new_state = float(states[-1]) if n > 0 else seed_state
         return R46 * states, new_state
 

@@ -7,10 +7,11 @@ Checkpoint variables (paper Table I, class S)::
     int    k
 
 Every main-loop iteration draws a batch of ``2**nk`` pairs of uniform
-deviates from the NPB ``randlc`` stream (each batch seeded independently via
-the ``ipow46`` jump-ahead, which is what makes the benchmark embarrassingly
-parallel), converts accepted pairs to independent Gaussian deviates with the
-Marsaglia polar method, and accumulates
+deviates from the NPB ``randlc`` stream seeded with NPB's EP seed
+``271828183`` (each batch seeded independently by jumping the generator
+ahead, which is what makes the benchmark embarrassingly parallel), converts
+accepted pairs to independent Gaussian deviates with the Marsaglia polar
+method, and accumulates
 
 * ``sx`` / ``sy`` -- the sums of the Gaussian deviates in X and Y,
 * ``q[l]``       -- the count of pairs whose largest coordinate magnitude
@@ -24,7 +25,11 @@ cover the full 8-benchmark suite.
 
 The uniform stream is the exact NPB generator (:mod:`repro.npb.common`), so
 batches are bit-reproducible and restarting from a checkpoint continues the
-identical stream.
+identical stream.  Class S is NPB's class S, so :meth:`EP.verify` checks the
+final ``sx`` and ``sy`` against NPB's published values with NPB's criterion
+(relative error at most ``1e-8``) and the accepted-pair count against NPB's
+class-S run.  Classes T and A have no published values; they are verified
+against a reference run of this port.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from repro.ad import ops
 from repro.core.variables import CheckpointVariable, VariableKind
 
 from .base import NPBBenchmark, concrete_state
-from .common import (DEFAULT_SEED, LCG_MULTIPLIER, RandlcStream,
-                     VerificationResult, ipow46, randlc)
+from .common import (EP_SEED, RandlcStream, VerificationResult,
+                     jump_ahead, relative_error)
 
 __all__ = ["EP"]
 
@@ -98,16 +103,11 @@ class EP(NPBBenchmark):
     def _batch_seed(self, batch: int) -> float:
         """Generator state immediately before batch ``batch`` (0-based).
 
-        Batch ``b`` starts after ``b * 2 * 2**nk`` draws; the jump-ahead
-        computes ``a ** offset mod 2**46`` and multiplies it onto the seed,
+        Batch ``b`` starts ``b * 2 * 2**nk`` draws after :data:`EP_SEED`;
+        the jump-ahead multiplies ``a ** offset mod 2**46`` onto the seed,
         exactly as the original does per parallel chunk.
         """
-        offset = batch * self._batch_draws
-        if offset == 0:
-            return DEFAULT_SEED
-        t = ipow46(LCG_MULTIPLIER, offset)
-        _, state = randlc(DEFAULT_SEED, t)
-        return state
+        return jump_ahead(EP_SEED, batch * self._batch_draws)
 
     def _batch_sums(self, batch: int) -> tuple[float, float, np.ndarray]:
         """Gaussian sums and annulus counts contributed by one batch."""
@@ -115,8 +115,9 @@ class EP(NPBBenchmark):
         x = 2.0 * uniforms[0::2] - 1.0
         y = 2.0 * uniforms[1::2] - 1.0
         t = x * x + y * y
-        accept = (t <= 1.0) & (t > 0.0)
-        xa, ya, ta = x[accept], y[accept], t[accept]
+        # one index array gathered three times beats three boolean masks
+        accept = np.flatnonzero((t <= 1.0) & (t > 0.0))
+        xa, ya, ta = x.take(accept), y.take(accept), t.take(accept)
         factor = np.sqrt(-2.0 * np.log(ta) / ta)
         gx = xa * factor
         gy = ya * factor
@@ -148,7 +149,12 @@ class EP(NPBBenchmark):
         return (state["sx"] + state["sy"]
                 + 1.0e-3 * ops.sum(state["q"] * weights))
 
-    def _reference_values(self) -> dict[str, Any]:
+    def _reference_values(self) -> tuple[dict[str, float], str]:
+        """Values ``verify`` compares against, and where they come from."""
+        p = self.params
+        published = {"sx": p.sx_verify, "sy": p.sy_verify, "gc": p.gc_verify}
+        if all(np.isfinite(v) for v in published.values()):
+            return published, "NPB published values"
         if self._reference is None:
             final = concrete_state(self.run(self.initial_state(),
                                             self.total_steps))
@@ -157,19 +163,16 @@ class EP(NPBBenchmark):
                 "sy": float(final["sy"]),
                 "gc": float(np.sum(final["q"])),
             }
-        return self._reference
+        return self._reference, "reference run"
 
     def verify(self, state: Mapping[str, Any]) -> VerificationResult:
-        reference = self._reference_values()
+        reference, source = self._reference_values()
         final = concrete_state(state)
         got = {"sx": float(final["sx"]), "sy": float(final["sy"]),
                "gc": float(np.sum(final["q"]))}
-        details: dict[str, float] = {}
-        passed = True
-        for key, ref in reference.items():
-            denom = abs(ref) if ref != 0.0 else 1.0
-            rel = abs(got[key] - ref) / denom
-            details[key] = float(rel)
-            if not np.isfinite(rel) or rel > self.epsilon:
-                passed = False
-        return VerificationResult(self.name, passed, self.epsilon, details)
+        details = {key: relative_error(got[key], ref)
+                   for key, ref in reference.items()}
+        passed = all(np.isfinite(rel) and rel <= self.epsilon
+                     for rel in details.values())
+        return VerificationResult(self.name, passed, self.epsilon, details,
+                                  notes=source)

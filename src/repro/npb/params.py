@@ -215,9 +215,12 @@ class EPParams:
     nk: int = 16
     #: number of annuli counted in ``q``
     nq: int = 10
-    #: reference sums for class S verification
+    #: NPB's published class-S sums; NaN where NPB publishes none, and
+    #: verification then compares against a reference run instead
     sx_verify: float = -3.247834652034740e3
     sy_verify: float = -6.958407078382297e3
+    #: accepted-pair count ``sum(q)`` of NPB's class-S run
+    gc_verify: float = 13176389.0
 
     @property
     def n_batches(self) -> int:
@@ -266,7 +269,8 @@ _T_PARAMS = {
                    cgit=10, zeta_verify=float("nan")),
     "FT": FTParams(problem_class="T", nx=8, ny=8, nz_pad=9, nz=8, niter=3),
     "EP": EPParams(problem_class="T", m=12, nk=8,
-                   sx_verify=float("nan"), sy_verify=float("nan")),
+                   sx_verify=float("nan"), sy_verify=float("nan"),
+                   gc_verify=float("nan")),
     "IS": ISParams(problem_class="T", total_keys=2048, max_key=256,
                    num_buckets=64, niter=4),
 }
@@ -305,7 +309,8 @@ _A_PARAMS = {
     # volume and the iteration count -- both are the long-main-loop regime
     # the segmented sweep's snapshot schedules are about
     "EP": EPParams(problem_class="A", m=19, nk=10,
-                   sx_verify=float("nan"), sy_verify=float("nan")),
+                   sx_verify=float("nan"), sy_verify=float("nan"),
+                   gc_verify=float("nan")),
     "IS": ISParams(problem_class="A", total_keys=131072, max_key=4096,
                    num_buckets=1024, niter=40),
 }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
+from repro.core.analysis import scrutinize
 from repro.core.criticality import (CriticalityAnalyzer, VariableCriticality,
                                     criticality_from_gradient,
                                     element_criticality)
@@ -65,6 +66,33 @@ class TestAnalyzerConstruction:
     def test_bad_probe_count_rejected(self):
         with pytest.raises(ValueError):
             CriticalityAnalyzer(n_probes=0)
+
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, True])
+    def test_bad_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            CriticalityAnalyzer(steps=steps)
+
+    def test_steps_past_the_main_loop_rejected_before_any_forward_run(
+            self, monkeypatch):
+        bench = registry.create("EP", "T")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward run started")
+
+        monkeypatch.setattr(bench, "run", no_forward)
+        analyzer = CriticalityAnalyzer(steps=bench.total_steps - 1)
+        with pytest.raises(ValueError, match="overruns"):
+            analyzer.analyze(bench, step=2)
+        with pytest.raises(ValueError, match="overruns"):
+            scrutinize(bench, step=2, steps=10 ** 6)
+
+    def test_steps_past_the_loop_rejected_for_an_explicit_state(self):
+        bench = registry.create("EP", "T")
+        state = bench.checkpoint_state(bench.total_steps - 1)
+        with pytest.raises(ValueError, match="overruns"):
+            CriticalityAnalyzer(steps=2).analyze(bench, state=state)
+        # exactly the remaining iterations is fine
+        CriticalityAnalyzer(steps=1).analyze(bench, state=state)
 
     def test_unknown_probe_batching_rejected(self):
         # probe batching is no longer a choice: the analyzer always batches

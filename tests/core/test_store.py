@@ -73,10 +73,11 @@ class TestCacheKey:
 
     def test_entries_of_the_previous_version_are_not_served(self, tmp_path,
                                                             bt_t_result):
-        # 1.10.0 moved CG's gradients in their last bits (banded matvec) and
-        # 1.11.0 moved FT's (FFT) and MG's (strided axis matmul), so results
-        # stored by either earlier version must miss under the current one
-        for old in ("1.9.0", "1.10.0"):
+        # 1.10.0 moved CG's gradients in their last bits (banded matvec),
+        # 1.11.0 moved FT's (FFT) and MG's (strided axis matmul) and 1.12.0
+        # moved EP's values (NPB's EP seed), so results stored by any
+        # earlier version must miss under the current one
+        for old in ("1.9.0", "1.10.0", "1.11.0"):
             assert repro.__version__ != old
             assert cache_key(**KEY_PARAMS, version=old) \
                 != cache_key(**KEY_PARAMS)

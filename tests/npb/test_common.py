@@ -97,6 +97,42 @@ class TestVranlcAndStream:
             common.RandlcStream(block=0)
 
 
+class TestExactIntegerStream:
+    """The ``uint64`` stream and jump-ahead against the ``randlc`` loop."""
+
+    SEEDS = [1.0, float(2 ** 46 - 1), common.DEFAULT_SEED, common.EP_SEED]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_matches_randlc_loop_bitwise(self, seed):
+        stream = common.RandlcStream(block=257)
+        got, got_state = stream.uniforms(seed)
+        x = seed
+        expected = np.empty(257)
+        for i in range(257):
+            expected[i], x = common.randlc(x, common.LCG_MULTIPLIER)
+        assert got.tobytes() == expected.tobytes()
+        assert got_state == x
+
+    def test_draws_inside_a_2_17_block_match_sequential_chain(self):
+        block = 2 ** 17
+        stream = common.RandlcStream(block=block)
+        got, got_state = stream.uniforms(common.EP_SEED)
+        offsets = {1, 2, 3, 1000, 4097, 65536, 65537, 99999, block}
+        x = common.EP_SEED
+        for k in range(1, block + 1):
+            u, x = common.randlc(x, common.LCG_MULTIPLIER)
+            if k in offsets:
+                assert got[k - 1] == u, k
+        assert got_state == x
+
+    @pytest.mark.parametrize("offset", [0, 1, 2 ** 17, 255 * 2 ** 17])
+    @pytest.mark.parametrize("seed", [common.DEFAULT_SEED, common.EP_SEED])
+    def test_jump_ahead_matches_ipow46_and_randlc(self, seed, offset):
+        t = common.ipow46(common.LCG_MULTIPLIER, offset)
+        _, expected = common.randlc(seed, t)
+        assert common.jump_ahead(seed, offset) == expected
+
+
 class TestIpow46:
     def test_zero_exponent_is_identity(self):
         assert common.ipow46(common.LCG_MULTIPLIER, 0) == 1.0

@@ -16,21 +16,32 @@ def ep():
 
 
 @pytest.fixture(scope="module")
+def ep_s():
+    return EP(problem_class="S")
+
+
+@pytest.fixture(scope="module")
+def ep_s_final(ep_s):
+    return ep_s.run_full()
+
+
+@pytest.fixture(scope="module")
 def is_bench():
     return IS(problem_class="T")
 
 
 class TestEPBatches:
     def test_batch_seed_zero_is_default_seed(self, ep):
-        from repro.npb.common import DEFAULT_SEED
+        # EP seeds from NPB's EP seed, not the CG/FT/IS default seed
+        from repro.npb.common import EP_SEED
 
-        assert ep._batch_seed(0) == DEFAULT_SEED
+        assert ep._batch_seed(0) == EP_SEED
 
     def test_batch_seeds_match_sequential_stream(self, ep):
         # batch k's seed equals the state after k * batch_draws draws
-        from repro.npb.common import DEFAULT_SEED, LCG_MULTIPLIER, randlc
+        from repro.npb.common import EP_SEED, LCG_MULTIPLIER, randlc
 
-        x = DEFAULT_SEED
+        x = EP_SEED
         for _ in range(ep._batch_draws):
             _, x = randlc(x, LCG_MULTIPLIER)
         assert ep._batch_seed(1) == x
@@ -75,10 +86,44 @@ class TestEPDynamics:
         final["sx"] = float(final["sx"]) * 1.01
         assert not ep.verify(final).passed
 
+    def test_verification_without_published_values_uses_a_reference_run(
+            self, ep):
+        assert ep.verify(ep.run_full()).notes == "reference run"
+
     def test_all_elements_critical(self, ep):
         result = scrutinize(ep, step=ep.total_steps // 2)
         for crit in result.variables.values():
             assert crit.n_uncritical == 0
+
+
+class TestEPAgainstNPB:
+    """Class S is NPB's class S: its published values are the oracle."""
+
+    def test_class_s_reproduces_npb_published_values(self, ep_s, ep_s_final):
+        p = ep_s.params
+        assert float(ep_s_final["sx"]) == pytest.approx(p.sx_verify,
+                                                        rel=1e-8)
+        assert float(ep_s_final["sy"]) == pytest.approx(p.sy_verify,
+                                                        rel=1e-8)
+        assert p.sx_verify == -3.247834652034740e3
+        assert p.sy_verify == -6.958407078382297e3
+        assert float(np.sum(ep_s_final["q"])) == 13176389
+
+    def test_class_s_verifies_against_published_values(self, ep_s,
+                                                       ep_s_final):
+        result = ep_s.verify(ep_s_final)
+        assert result.passed
+        assert result.notes == "NPB published values"
+        # the published values are the oracle: no reference run was made
+        assert ep_s._reference is None
+
+    def test_class_s_rejects_a_1e7_relative_change_to_sy(self, ep_s,
+                                                         ep_s_final):
+        final = dict(ep_s_final)
+        final["sy"] = float(final["sy"]) * (1.0 + 1.0e-7)
+        result = ep_s.verify(final)
+        assert not result.passed
+        assert result.details["sy"] > ep_s.epsilon
 
 
 class TestISRanking:
