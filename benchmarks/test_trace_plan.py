@@ -2,13 +2,12 @@
 
 For each measured port the steady-state segmented sweep is timed with the
 replay-plan cache warm (``trace_cache="plan"`` with a shared
-:class:`~repro.ad.plan.PlanCache`, the state every probe loop, binomial
-refill and repeated analysis runs in) and with the cache disabled
+:class:`~repro.ad.plan.PlanCache`, the state every probe loop and
+repeated analysis runs in) and with the cache disabled
 (``trace_cache="off"``, the pre-plan tracer).  Gradients are asserted
 bitwise-identical, wall-clock and allocation counts are recorded, and the
 plan hit/miss + arena telemetry is read back out of
-:class:`~repro.ad.segmented.SweepStats`.  A second table measures the spill
-schedule's async-vs-sync per-segment write latency.
+:class:`~repro.ad.segmented.SweepStats`.
 
 The pytest entry pins the PR's acceptance criterion -- the plan is at
 least 1.5x faster on the recording-bound class-T CG and FT sweeps -- and
@@ -21,15 +20,12 @@ baseline consumed by ``scripts/ci_check.sh``::
 from __future__ import annotations
 
 import json
-import tempfile
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.ad.plan import PlanCache
-from repro.ad.schedule import SpillSnapshots, snapshot_state
 from repro.ad.segmented import SweepStats, segmented_gradients
 from repro.npb import registry
 
@@ -46,9 +42,6 @@ MEASURED = (("BT", "T"), ("SP", "T"), ("MG", "T"), ("CG", "T"),
 
 #: the recording-bound ports the acceptance criterion pins at >= 1.5x
 PINNED_SPEEDUP = {("CG", "T"): 1.5, ("FT", "T"): 1.5}
-
-#: spill async-vs-sync latency measurement configurations
-SPILL_MEASURED = (("CG", "S"), ("FT", "T"))
 
 
 def _sweep_allocations(bench, state, **kwargs) -> int:
@@ -118,43 +111,6 @@ def measure_plan(name: str, problem_class: str, repeats: int = 5) -> dict:
     }
 
 
-def measure_spill_async(name: str, problem_class: str,
-                        repeats: int = 3) -> dict:
-    """Forward-pass segment latency with async vs sync spill writes."""
-    bench = registry.create(name, problem_class)
-    state = bench.checkpoint_state(0)
-    steps = bench.total_steps
-
-    def forward(async_writes: bool) -> float:
-        best = None
-        for _ in range(repeats):
-            with tempfile.TemporaryDirectory(prefix="bench-plan-") as tmp:
-                sched = SpillSnapshots(steps, directory=tmp, bench=bench,
-                                       async_writes=async_writes)
-                current = snapshot_state(state)
-                t0 = time.perf_counter()
-                sched.record(0, current)
-                for t in range(1, steps + 1):
-                    current = bench.run(current, 1)
-                    sched.record(t, current)
-                sched.flush()
-                dt = time.perf_counter() - t0
-                sched.close()
-            best = dt if best is None else min(best, dt)
-        return best
-
-    t_sync = forward(False)
-    t_async = forward(True)
-    return {
-        "benchmark": name,
-        "problem_class": problem_class,
-        "steps": steps,
-        "sync_forward_seconds": round(t_sync, 5),
-        "async_forward_seconds": round(t_async, 5),
-        "async_speedup": round(t_sync / t_async, 3),
-    }
-
-
 @pytest.mark.paper
 @pytest.mark.parametrize("name,problem_class", MEASURED,
                          ids=[f"{n}-{c}" for n, c in MEASURED])
@@ -181,26 +137,12 @@ def test_plan_speedup(benchmark, name, problem_class):
             row
 
 
-@pytest.mark.paper
-@pytest.mark.parametrize("name,problem_class", SPILL_MEASURED,
-                         ids=[f"{n}-{c}" for n, c in SPILL_MEASURED])
-def test_spill_async_latency(benchmark, name, problem_class):
-    """async spill writes never slow the forward pass down materially."""
-    row = benchmark.pedantic(
-        lambda: measure_spill_async(name, problem_class),
-        iterations=1, rounds=1)
-    benchmark.extra_info.update(row)
-    # the worker thread must at worst break even (generous margin: the
-    # class-T states are tiny, so there is little I/O to hide)
-    assert row["async_speedup"] > 0.5, row
-
-
 def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="measure plan-on vs plan-off segmented sweeps and "
-                    "spill async-vs-sync latency; emit a JSON baseline")
+        description="measure plan-on vs plan-off segmented sweeps; "
+                    "emit a JSON baseline")
     parser.add_argument("--json", default="BENCH_plan.json",
                         help="output path of the JSON baseline")
     args = parser.parse_args(argv)
@@ -217,17 +159,8 @@ def main(argv=None) -> int:
               f"hits={row['stats']['plan_hits']}, "
               f"arena={row['stats']['plan_arena_nbytes']} B)")
 
-    spill_rows = []
-    for name, problem_class in SPILL_MEASURED:
-        row = measure_spill_async(name, problem_class)
-        spill_rows.append(row)
-        print(f"spill {name}-{problem_class}: "
-              f"sync={row['sync_forward_seconds']}s "
-              f"async={row['async_forward_seconds']}s "
-              f"-> {row['async_speedup']}x")
-
     with open(args.json, "w", encoding="ascii") as fh:
-        json.dump({"plan": rows, "spill_async": spill_rows}, fh, indent=1)
+        json.dump({"plan": rows}, fh, indent=1)
     print(f"wrote {args.json}")
     return 0
 

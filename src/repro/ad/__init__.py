@@ -13,10 +13,8 @@ ports of the NPB benchmarks:
 * :mod:`repro.ad.segmented` -- iteration-granular (checkpointed) reverse
   sweep: one main-loop iteration's tape at a time, peak memory O(1
   iteration) instead of O(remaining steps).
-* :mod:`repro.ad.schedule` -- pluggable boundary-snapshot schedules for the
-  segmented sweeps: keep-all, revolve-style binomial (O(log steps) resident
-  snapshots plus recomputation) and on-disk spill through the
-  :mod:`repro.ckpt` writer/reader.
+* :mod:`repro.ad.schedule` -- the segmented sweeps' boundary-snapshot
+  store, which keeps a copy of every iteration boundary in memory.
 * :mod:`repro.ad.probes` -- batched multi-probe sweeps: the base state and
   all perturbed probe states stacked along a leading probe axis, one traced
   forward and one reverse sweep yielding every probe's gradients at once
@@ -55,8 +53,7 @@ from .probes import (ProbeBatchingError, batched_gradients, probe_axis,
                      segmented_batched_gradients)
 from .reverse import (backward, backward_from_seeds, grad, gradient,
                       value_and_grad)
-from .schedule import (SNAPSHOT_SCHEDULES, BinomialSnapshots,
-                       SnapshotSchedule, SpillSnapshots, make_schedule)
+from .schedule import SnapshotSchedule, make_schedule
 from .segmented import SweepStats, segmented_gradients
 from .tangent import tangent_gradients
 from .tape import Tape, no_tape
@@ -77,10 +74,7 @@ __all__ = [
     "value_and_grad",
     "segmented_gradients",
     "SweepStats",
-    "SNAPSHOT_SCHEDULES",
     "SnapshotSchedule",
-    "BinomialSnapshots",
-    "SpillSnapshots",
     "make_schedule",
     "schedule",
     "batched_gradients",

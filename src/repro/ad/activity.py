@@ -64,7 +64,7 @@ The analysis runs in three modes that produce **bitwise-identical** masks:
   (an identity pass-through in the next-state dict), so folding the next
   boundary's masks into the pass-through entries of the current segment
   reproduces the monolithic result exactly, with O(1-iteration) tape
-  memory and every snapshot schedule of :mod:`repro.ad.schedule`;
+  memory;
 * **plan-replayed** -- a :class:`repro.ad.plan.CompiledPlan` records op
   identity, operand roles and index expressions as plain data, so each
   segment's read/movement transfer is derived **once** from the plan
@@ -75,7 +75,6 @@ The analysis runs in three modes that produce **bitwise-identical** masks:
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -500,9 +499,6 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
                          watch: Sequence[str] | None = None,
                          steps: int | None = None,
                          stats=None,
-                         snapshot_schedule: str | None = None,
-                         snapshot_budget: int | None = None,
-                         spill_dir: str | Path | None = None,
                          trace_cache: str | None = None,
                          plan_cache=None,
                          plan_optimize: str | None = None
@@ -513,15 +509,14 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     :func:`read_masks` pair with bitwise-identical results: traces (or
     plan-replays) one iteration per segment and composes the per-segment
     masks across boundaries via :func:`chain_step_masks`, so peak tape
-    memory is O(1 iteration) and the sweep inherits every snapshot schedule
-    and the trace-once/replay-many plan cache of the gradient path.
+    memory is O(1 iteration) and the sweep shares the boundary snapshot
+    store and the trace-once/replay-many plan cache of the gradient path.
 
     Parameters mirror :func:`repro.ad.segmented.segmented_gradients`
-    (``snapshot_schedule``/``snapshot_budget``/``spill_dir`` select the
-    boundary retention policy, ``trace_cache="plan"`` replays compiled
-    transfers, ``plan_cache`` shares plans across analyses,
-    ``plan_optimize`` configures how a freshly created cache lowers its
-    plans -- ignored when ``plan_cache`` is supplied);
+    (``trace_cache="plan"`` replays compiled transfers, ``plan_cache``
+    shares plans across analyses, ``plan_optimize`` configures how a
+    freshly created cache lowers its plans -- ignored when ``plan_cache``
+    is supplied);
     ``stats`` additionally collects the activity telemetry fields of
     :class:`~repro.ad.segmented.SweepStats`.
 
@@ -533,12 +528,9 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     """
     from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE,
                        TRACE_CACHES, PlanCache)
-    from .schedule import DEFAULT_SNAPSHOT_SCHEDULE, make_schedule, \
-        snapshot_state
-    from .segmented import _default_steps, float_state_keys
+    from .schedule import make_schedule, snapshot_state
+    from .segmented import _check_steps, float_state_keys
 
-    if snapshot_schedule is None:
-        snapshot_schedule = DEFAULT_SNAPSHOT_SCHEDULE
     if trace_cache is None:
         trace_cache = DEFAULT_TRACE_CACHE
     if plan_optimize is None:
@@ -561,10 +553,7 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
         if key not in state:
             raise KeyError(f"cannot watch unknown state entry {key!r}")
 
-    if steps is None:
-        steps = _default_steps(bench, state)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    steps = _check_steps(bench, state, steps)
     if trace_cache not in TRACE_CACHES:
         raise ValueError(f"unknown trace_cache {trace_cache!r}; "
                          f"choose from {TRACE_CACHES}")
@@ -583,12 +572,9 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     advance = planner.advance if planner is not None \
         else (lambda s: bench.run(s, 1))
 
-    schedule = make_schedule(snapshot_schedule, steps=steps,
-                             advance=advance,
-                             budget=snapshot_budget, spill_dir=spill_dir,
-                             bench=bench)
+    schedule = make_schedule(steps)
     try:
-        # -- forward pass: schedule-owned snapshots at every boundary ------
+        # -- forward pass: a snapshot at every boundary ---------------------
         current = snapshot_state(state)
         schedule.record(0, current)
         for t in range(1, steps + 1):

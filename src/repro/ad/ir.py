@@ -2,8 +2,8 @@
 
 The middle layer of the capture -> IR -> passes -> executor pipeline
 (:mod:`repro.ad.plan` captures, :mod:`repro.ad.passes` optimises,
-:mod:`repro.ad.exec` runs).  A :class:`PlanIR` is a *typed, validated,
-serialisable* description of one captured program: a flat list of
+:mod:`repro.ad.exec` runs).  A :class:`PlanIR` is a *typed, validated*
+description of one captured program: a flat list of
 :class:`Instr` in topological (slot) order plus the program-level wiring
 (leaf slots, seed slots, output slot, next-state assembly rules).
 
@@ -14,11 +14,7 @@ tuples -- is what allows the downstream layers to stay honest:
   executing anything;
 * the activity transfer (:mod:`repro.ad.activity`) derives read/move masks
   from the same instruction list the executor runs, so the two can never
-  drift apart;
-* a plan can be round-tripped through :func:`to_payload` /
-  :func:`from_payload` (dict-of-JSON-plus-tagged-arrays), which pins the
-  "serialisable" claim in the tests and opens the door to cross-process
-  plan shipping later.
+  drift apart.
 
 Slot numbering is **identical** to the captured tape's node numbering and
 is never renumbered by any pass: the monolithic activity walk and the
@@ -29,13 +25,8 @@ reference stays stable.
 
 from __future__ import annotations
 
-import base64
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
-
 __all__ = ["Instr", "PlanIR", "lower_program", "validate_ir",
-           "to_payload", "from_payload", "IRValidationError"]
+           "IRValidationError"]
 
 
 class IRValidationError(ValueError):
@@ -194,110 +185,3 @@ def validate_ir(ir: PlanIR) -> None:
             raise IRValidationError(
                 f"seed slot {slot} of chain key {key!r} out of range")
 
-
-# ---------------------------------------------------------------------------
-# serialisation
-# ---------------------------------------------------------------------------
-#
-# Spec payloads hold python scalars, tuples, slices, strings, None and
-# (rarely) ndarrays / numpy scalars.  Everything is encoded into a tagged
-# JSON-compatible tree; ndarrays go through base64 of the raw bytes, which
-# keeps the round trip bitwise (-0.0 and NaN payloads survive).
-
-def _encode(obj: Any) -> Any:
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        # NaN/inf are not valid JSON scalars; tag every float so the
-        # decoder can rebuild non-finite and signed-zero values bitwise
-        return {"__t": "f", "v": np.float64(obj).tobytes().hex()}
-    if isinstance(obj, np.ndarray):
-        return {"__t": "nd", "dtype": obj.dtype.str,
-                "shape": list(obj.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(obj).tobytes()).decode("ascii")}
-    if isinstance(obj, np.generic):
-        return {"__t": "ns", "dtype": obj.dtype.str,
-                "data": base64.b64encode(obj.tobytes()).decode("ascii")}
-    if isinstance(obj, tuple):
-        return {"__t": "t", "v": [_encode(x) for x in obj]}
-    if isinstance(obj, list):
-        return {"__t": "l", "v": [_encode(x) for x in obj]}
-    if isinstance(obj, slice):
-        return {"__t": "sl", "v": [_encode(obj.start), _encode(obj.stop),
-                                   _encode(obj.step)]}
-    if isinstance(obj, dict):
-        return {"__t": "d", "v": [[_encode(k), _encode(v)]
-                                  for k, v in obj.items()]}
-    if obj is Ellipsis:
-        # getitem specs use ``...`` for trailing-axis selections
-        return {"__t": "e"}
-    raise TypeError(f"cannot serialise spec payload of type {type(obj)!r}")
-
-
-def _decode(obj: Any) -> Any:
-    if not isinstance(obj, dict):
-        return obj
-    tag = obj["__t"]
-    if tag == "f":
-        return float(np.frombuffer(bytes.fromhex(obj["v"]),
-                                   dtype=np.float64)[0])
-    if tag == "nd":
-        arr = np.frombuffer(base64.b64decode(obj["data"]),
-                            dtype=np.dtype(obj["dtype"]))
-        return arr.reshape(tuple(obj["shape"])).copy()
-    if tag == "ns":
-        return np.frombuffer(base64.b64decode(obj["data"]),
-                             dtype=np.dtype(obj["dtype"]))[0]
-    if tag == "t":
-        return tuple(_decode(x) for x in obj["v"])
-    if tag == "l":
-        return [_decode(x) for x in obj["v"]]
-    if tag == "sl":
-        return slice(*(_decode(x) for x in obj["v"]))
-    if tag == "d":
-        return {_decode(k): _decode(v) for k, v in obj["v"]}
-    if tag == "e":
-        return Ellipsis
-    raise ValueError(f"unknown payload tag {tag!r}")
-
-
-def to_payload(ir: PlanIR) -> dict:
-    """JSON-compatible dict encoding of ``ir`` (bitwise round trip)."""
-    return {
-        "version": 1,
-        "kind": ir.kind,
-        "n_probes": ir.n_probes,
-        "watch": list(ir.watch),
-        "leaf_slots": list(ir.leaf_slots),
-        "out_slot": ir.out_slot,
-        "seed_slots": [[key, slot] for key, slot in ir.seed_slots.items()],
-        "concrete": None if ir.concrete is None
-        else [_encode(tuple(rule)) for rule in ir.concrete],
-        "instrs": [{"kind": instr.kind,
-                    "parents": list(instr.parents),
-                    "spec": _encode(instr.spec),
-                    "shape": list(instr.shape),
-                    "dtype": instr.dtype}
-                   for instr in ir.instrs],
-    }
-
-
-def from_payload(payload: Mapping[str, Any]) -> PlanIR:
-    """Rebuild a validated :class:`PlanIR` from :func:`to_payload` output."""
-    if payload.get("version") != 1:
-        raise ValueError(f"unknown plan IR payload version "
-                         f"{payload.get('version')!r}")
-    instrs = [Instr(slot, rec["kind"], tuple(rec["parents"]),
-                    _decode(rec["spec"]), tuple(rec["shape"]), rec["dtype"])
-              for slot, rec in enumerate(payload["instrs"])]
-    concrete = payload["concrete"]
-    if concrete is not None:
-        concrete = [tuple(_decode(rule)) for rule in concrete]
-    ir = PlanIR(payload["kind"], payload["n_probes"],
-                tuple(payload["watch"]), tuple(payload["leaf_slots"]),
-                instrs, payload["out_slot"],
-                {key: slot for key, slot in payload["seed_slots"]},
-                concrete)
-    validate_ir(ir)
-    return ir

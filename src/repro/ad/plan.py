@@ -1,11 +1,11 @@
 """Trace-once / replay-many: compiled tape plans for the segmented sweep.
 
 Profiling of the segmented reverse sweep showed the analysis is *recording-
-bound* on small and medium problem classes: every segment, every binomial-
-schedule forward refill and every probe re-runs the Python tracer over an
-identical operation structure, rebuilding :class:`~repro.ad.tape.Node`
-objects, re-creating every VJP closure and re-walking the benchmark's
-Python kernel code.  This module removes that redundancy with the classic
+bound* on small and medium problem classes: every segment, every forward
+step and every probe re-runs the Python tracer over an identical operation
+structure, rebuilding :class:`~repro.ad.tape.Node` objects, re-creating
+every VJP closure and re-walking the benchmark's Python kernel code.  This
+module removes that redundancy with the classic
 trace-specialisation idea (the same observation behind Griewank & Walther's
 treatment of repeated forward steps in *revolve*): record the tape **once**
 per (benchmark, problem class, step structure), lower it to a *compiled
@@ -38,7 +38,7 @@ How a plan is built
      cache refines to per-counter-value plans keyed by the exact non-float
      state (the *fine* tier -- FT's per-``kt`` evolution factor, EP's
      per-batch sums); those plans replay across probe loops, repeated
-     analyses and binomial refills that revisit the same iteration.
+     analyses and later sweeps that revisit the same iteration.
 
 3. **Lowering.**  Each captured node is compiled to a *kernel*: a closure
    over the spec's constants that maps parent slot values to the node's
@@ -60,10 +60,10 @@ ownership, so a replayed segment chains bit for bit like a traced one.
 
 *Concrete replay* runs the kernels on plain values without building VJPs
 and assembles the next state dict from the plan's output map; it stands in
-for ``bench.run(state, 1)`` in the sweep's forward pass and in the binomial
-schedule's refills.  It is only enabled when every chained entry is float64
-(so the leaf cast is the identity) and every untraced output entry is
-either capture-stable or a scalar integer increment (``it -> it + 1``).
+for ``bench.run(state, 1)`` in the sweep's forward pass.  It is only
+enabled when every chained entry is float64 (so the leaf cast is the
+identity) and every untraced output entry is either capture-stable or a
+scalar integer increment (``it -> it + 1``).
 
 Safety
 ------
@@ -116,10 +116,10 @@ DEFAULT_TRACE_CACHE = "plan"
 _MAX_PENDING_CAPTURES = 64
 
 #: compiled fine-tier plans retained per cache entry; each plan owns a
-#: state-sized arena, so an unbounded map would quietly reintroduce the
-#: O(steps x state) residency the snapshot schedules exist to avoid
-#: (LRU eviction, counted in ``PlanCache.fine_evictions``; evicted
-#: iterations simply re-trace and re-learn)
+#: state-sized arena, so an unbounded map would add an O(steps x state)
+#: residency on top of the boundary snapshots (LRU eviction, counted in
+#: ``PlanCache.fine_evictions``; evicted iterations simply re-trace and
+#: re-learn)
 _MAX_FINE_PLANS = 64
 
 
@@ -1004,10 +1004,9 @@ class Planner:
         Never captures (there is no tape to harvest from a concrete run);
         a cold cache simply runs the benchmark until the reverse walk's
         captures compile a plan, after which the remaining forward work --
-        later sweeps' forward passes and the binomial schedule's refills --
-        replays.  Entries with nothing replayable skip the signature
-        hashing entirely, so a rejected benchmark's forward loop pays
-        only the coarse shape check.
+        later sweeps' forward passes -- replays.  Entries with nothing
+        replayable skip the signature hashing entirely, so a rejected
+        benchmark's forward loop pays only the coarse shape check.
         """
         entry = self.cache._entries.get(self._key(state))
         if entry is None or entry.rejected:

@@ -43,16 +43,14 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .plan import DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache
 from .reverse import backward, backward_from_seeds
-from .schedule import (DEFAULT_SNAPSHOT_SCHEDULE, make_schedule,
-                       snapshot_state)
-from .segmented import (SweepStats, _default_steps, cast_gradient,
+from .schedule import make_schedule, snapshot_state
+from .segmented import (SweepStats, _check_steps, cast_gradient,
                         float_state_keys, gradient_dtype)
 from .tensor import ADArray, value_of
 
@@ -200,10 +198,6 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
                                 watch: Sequence[str] | None = None,
                                 steps: int | None = None,
                                 stats: SweepStats | None = None,
-                                snapshot_schedule: str =
-                                DEFAULT_SNAPSHOT_SCHEDULE,
-                                snapshot_budget: int | None = None,
-                                spill_dir: str | Path | None = None,
                                 trace_cache: str = DEFAULT_TRACE_CACHE,
                                 plan_cache: PlanCache | None = None
                                 ) -> dict[str, np.ndarray]:
@@ -216,13 +210,9 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
     tape memory stays bounded by one iteration's (batched) tape no matter
     how many probes are carried.
 
-    Boundary snapshots are held by one :mod:`repro.ad.schedule` instance per
-    probe: ``snapshot_schedule="all"`` keeps every boundary,
-    ``"binomial"``/``snapshot_budget`` keeps O(log steps) per probe and
-    recomputes the rest, ``"spill"``/``spill_dir`` round-trips the
-    boundaries through the :mod:`repro.ckpt` writer/reader -- all with
-    bitwise-identical gradients (scratch directories are removed on return
-    and on exception).
+    Boundary snapshots are held by one
+    :class:`~repro.ad.schedule.SnapshotSchedule` per probe, which keeps
+    every boundary.
 
     Returns a dict mapping each watched key to its stacked gradient array of
     shape ``(len(states),) + entry_shape`` in the entry's declared floating
@@ -255,10 +245,7 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
         if key not in base:
             raise KeyError(f"cannot watch unknown state entry {key!r}")
 
-    if steps is None:
-        steps = _default_steps(bench, base)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    steps = _check_steps(bench, base, steps)
     n_probes = len(states)
 
     # chain every float entry, not just the requested keys (a dependence may
@@ -279,17 +266,10 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
         advance = cache.planner(bench, "step", chain).advance
 
     # one schedule per probe: the per-probe boundary states are what the
-    # schedules store/recompute/spill; stacking happens on fetch.  Built
-    # inside the try so a failure partway through construction (e.g. a
-    # spill mkdtemp error) still cleans up the schedules already created.
-    schedules: list = []
+    # schedules store; stacking happens on fetch
+    schedules = [make_schedule(steps) for _ in states]
     try:
-        for _ in states:
-            schedules.append(make_schedule(snapshot_schedule, steps=steps,
-                                           advance=advance,
-                                           budget=snapshot_budget,
-                                           spill_dir=spill_dir, bench=bench))
-        # -- forward pass: concrete per-probe runs, schedule-owned ---------
+        # -- forward pass: concrete per-probe runs, stored ----------------
         # snapshots (real copies, so an in-place-mutating ``run`` cannot
         # corrupt earlier boundaries).  The concrete forward is recording-
         # free numpy; the batching win is in the traced segments below,

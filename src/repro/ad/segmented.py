@@ -19,14 +19,10 @@ iteration granularity (Griewank's *revolve* idea, at its simplest schedule):
    before tracing the previous iteration.
 
 Peak tape memory is therefore O(1 iteration) instead of O(remaining steps).
-The boundary snapshots themselves are held by a pluggable
-:mod:`repro.ad.schedule`: ``snapshot_schedule="all"`` (the default) keeps
-every boundary in memory (O(steps x state) -- for the NPB kernels the state
-is orders of magnitude smaller than one iteration's tape),
-``"binomial"`` keeps O(log steps) snapshots and recomputes the rest forward
-from the nearest kept boundary (revolve-style), and ``"spill"`` writes the
-boundaries through the :mod:`repro.ckpt` writer/reader to a scratch
-directory so only one snapshot is ever resident.
+The boundary snapshots themselves are held by a
+:class:`repro.ad.schedule.SnapshotSchedule`, which keeps every boundary in
+memory (O(steps x state) -- for the NPB kernels the state is orders of
+magnitude smaller than one iteration's tape).
 
 Bitwise equivalence
 -------------------
@@ -55,8 +51,8 @@ concretely, exactly as in the monolithic trace.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -64,8 +60,7 @@ import numpy as np
 from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE, TRACE_CACHES,
                    PlanCache)
 from .reverse import backward, backward_from_seeds
-from .schedule import (DEFAULT_SNAPSHOT_SCHEDULE, SnapshotSchedule,
-                       make_schedule, snapshot_state)
+from .schedule import SnapshotSchedule, make_schedule, snapshot_state
 from .tape import Tape
 from .tensor import ADArray, value_of
 
@@ -95,16 +90,10 @@ class SweepStats:
     #: per-segment node counts, in observation order (output segment first
     #: for a segmented sweep)
     segment_nodes: list[int] = field(default_factory=list)
-    #: snapshot-schedule policy of the observed sweep ("" = none observed)
-    snapshot_policy: str = ""
     #: largest number of simultaneously resident boundary snapshots
     peak_snapshots: int = 0
     #: largest resident boundary-snapshot payload of the sweep (bytes)
     peak_snapshot_nbytes: int = 0
-    #: forward iterations re-run to rebuild dropped boundaries (binomial)
-    recomputed_steps: int = 0
-    #: bytes written to the spill scratch directory (spill)
-    spilled_nbytes: int = 0
     #: trace-cache policy of the observed sweep ("" = none observed)
     trace_cache: str = ""
     #: traced segments served by a compiled replay plan (no tracer run)
@@ -198,27 +187,17 @@ class SweepStats:
                                          cache.eliminated_slots)
 
     def observe_schedule(self, *schedules: SnapshotSchedule) -> None:
-        """Fold one sweep's snapshot-schedule telemetry in.
+        """Fold one sweep's snapshot-store telemetry in.
 
         The batched probe sweep keeps one schedule per probe and their
-        *kept* snapshots are resident simultaneously, so per-schedule peaks
-        *add* before being folded into this collector's running maximum.
-        For the binomial schedule this sum is a conservative upper bound:
-        the per-probe replay working copies are created sequentially (one
-        probe's fetch completes before the next begins), so up to
-        ``n_probes - 1`` transient working copies counted here never
-        actually coexist.
+        snapshots are resident simultaneously, so per-schedule peaks *add*
+        before being folded into this collector's running maximum.
         """
-        if not schedules:
-            return
-        self.snapshot_policy = schedules[0].policy
         self.peak_snapshots = max(
             self.peak_snapshots, sum(s.peak_snapshots for s in schedules))
         self.peak_snapshot_nbytes = max(
             self.peak_snapshot_nbytes,
             sum(s.peak_snapshot_nbytes for s in schedules))
-        self.recomputed_steps += sum(s.recomputed_steps for s in schedules)
-        self.spilled_nbytes += sum(s.spilled_nbytes for s in schedules)
 
     def observe_tangent(self, n_directions: int, peak_nbytes: int) -> None:
         """Record one forward (tangent) pass of a JVP sweep.
@@ -294,13 +273,34 @@ def _default_steps(bench, state: Mapping[str, Any]) -> int:
     return 1
 
 
+def _check_steps(bench, state: Mapping[str, Any], steps: Any) -> int:
+    """The iterations a sweep analyses, checked before any forward run.
+
+    ``None`` derives them from the state's step counter.  An explicit
+    ``steps`` must be an integer >= 0 and, for a benchmark that knows its
+    remaining iterations (``_default_remaining_steps``), must not overrun
+    the main loop: a restart from ``state`` never runs more iterations.
+    """
+    if steps is None:
+        return _default_steps(bench, state)
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
+            or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, "
+                         f"got {steps!r}")
+    if callable(getattr(bench, "_default_remaining_steps", None)):
+        remaining = _default_steps(bench, state)
+        if steps > remaining:
+            raise ValueError(
+                f"steps={steps} overruns the main loop of "
+                f"{getattr(bench, 'name', bench)!r}: {remaining} "
+                f"iterations remain from this state")
+    return int(steps)
+
+
 def segmented_gradients(bench, state: Mapping[str, Any],
                         watch: Sequence[str] | None = None,
                         steps: int | None = None,
                         stats: SweepStats | None = None,
-                        snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-                        snapshot_budget: int | None = None,
-                        spill_dir: str | Path | None = None,
                         trace_cache: str = DEFAULT_TRACE_CACHE,
                         plan_cache: PlanCache | None = None,
                         plan_optimize: str | None = None
@@ -329,27 +329,15 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         unwatched auxiliaries are never severed.
     steps:
         Remaining iterations to analyse; ``None`` derives them from the
-        state's step counter (the monolithic default).
+        state's step counter (the monolithic default).  An integer that
+        overruns the main loop raises ``ValueError``.
     stats:
         Optional :class:`SweepStats` collector observing every segment tape
-        (and the snapshot schedule's telemetry).
-    snapshot_schedule:
-        Boundary-snapshot retention policy (:mod:`repro.ad.schedule`):
-        ``"all"`` (default, O(steps) resident snapshots), ``"binomial"``
-        (O(log steps) resident, recompute the rest) or ``"spill"``
-        (O(1) resident, boundaries on disk).  All three produce
-        bitwise-identical gradients.
-    snapshot_budget:
-        In-memory snapshot budget of the ``"binomial"`` schedule (``None``
-        = ~log2(steps)); ignored by the other policies.
-    spill_dir:
-        Parent directory for the ``"spill"`` schedule's scratch directory
-        (``None`` = system temp dir); the scratch directory is private to
-        this sweep and removed on return *and* on exception.
+        (and the snapshot store's telemetry).
     trace_cache:
         ``"plan"`` (default) records each step structure once, compiles it
         to a replay plan (:mod:`repro.ad.plan`) and replays the plan for
-        further segments, forward refills and later sweeps --
+        further segments, forward steps and later sweeps --
         bitwise-identical gradients, no repeated tracing; ``"off"`` traces
         every segment afresh (the pre-plan behaviour).
     plan_cache:
@@ -388,10 +376,7 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         if key not in state:
             raise KeyError(f"cannot watch unknown state entry {key!r}")
 
-    if steps is None:
-        steps = _default_steps(bench, state)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    steps = _check_steps(bench, state, steps)
     if trace_cache not in TRACE_CACHES:
         raise ValueError(f"unknown trace_cache {trace_cache!r}; "
                          f"choose from {TRACE_CACHES}")
@@ -411,12 +396,9 @@ def segmented_gradients(bench, state: Mapping[str, Any],
     advance = planner.advance if planner is not None \
         else (lambda s: bench.run(s, 1))
 
-    schedule = make_schedule(snapshot_schedule, steps=steps,
-                             advance=advance,
-                             budget=snapshot_budget, spill_dir=spill_dir,
-                             bench=bench)
+    schedule = make_schedule(steps)
     try:
-        # -- forward pass: schedule-owned snapshots at every boundary ------
+        # -- forward pass: a snapshot at every boundary ---------------------
         # ``record`` copies every array entry, so a benchmark whose ``run``
         # mutates arrays in place cannot corrupt earlier boundaries through
         # aliasing; the initial copy also shields the caller's state.

@@ -9,7 +9,7 @@ loop is executed on :class:`~repro.ad.dual.TangentArray` state, which pushes
 a *stacked tangent axis* -- one slice per direction -- forward through the
 primitive library.  Peak memory is a single (value, tangent) state,
 independent of how many loop iterations are differentiated through; no
-segmentation, snapshot schedule or replay plan is involved.
+segmentation, boundary snapshot or replay plan is involved.
 
 Cost model versus the reverse sweeps: one forward pass carries up to
 ``max_directions`` directions at ``O(n_directions)`` state memory, and the
@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .dual import TangentArray
-from .segmented import (SweepStats, _default_steps, cast_gradient,
+from .segmented import (SweepStats, _check_steps, cast_gradient,
                         float_state_keys, gradient_dtype)
 from .tensor import value_of
 
@@ -80,7 +80,8 @@ def tangent_gradients(bench, state: Mapping[str, Any],
         variable).
     steps:
         Remaining iterations to analyse; ``None`` derives them from the
-        state's step counter (the monolithic default).
+        state's step counter (the monolithic default).  An integer that
+        overruns the main loop raises ``ValueError``.
     stats:
         Optional :class:`SweepStats` collector; each forward pass reports
         its direction count and peak resident state payload through
@@ -115,10 +116,7 @@ def tangent_gradients(bench, state: Mapping[str, Any],
         if key not in state:
             raise KeyError(f"cannot watch unknown state entry {key!r}")
 
-    if steps is None:
-        steps = _default_steps(bench, state)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    steps = _check_steps(bench, state, steps)
 
     # Watched primals get the Tape.watch cast (float64 working precision,
     # fresh copy) so every data-dependent branch and tie mask sees exactly

@@ -66,8 +66,8 @@ class LoadedCheckpoint:
         """Main-loop step the checkpoint was taken at."""
         return self.header.step
 
-    def materialize(self, base_state: Mapping[str, Any] | None = None,
-                    exact_scalars: bool = False) -> dict[str, Any]:
+    def materialize(self, base_state: Mapping[str, Any] | None = None
+                    ) -> dict[str, Any]:
         """Reconstruct a state dict.
 
         Parameters
@@ -76,20 +76,15 @@ class LoadedCheckpoint:
             Required for pruned checkpoints: supplies the array shells whose
             uncritical slots keep their (irrelevant) values.  Ignored for
             full checkpoints.
-        exact_scalars:
-            By default 0-d non-integer records come back as
-            ``numpy.float64`` (convenient, but it coerces bools and narrows
-            wider floats).  ``True`` returns them as numpy scalars of their
-            *declared* dtype with the exact stored bits -- what bit-fidelity
-            consumers such as the AD spill schedule need.  Integer records
-            come back as ``int`` either way.
+
+        0-d records come back as Python ``int`` (integer records) or
+        ``numpy.float64`` (everything else).
         """
         state: dict[str, Any] = {}
         for rec in self.header.records:
             data = self.arrays[rec.key]
             if not rec.pruned:
-                state[rec.key] = self._restore_scalar(rec, data,
-                                                      exact=exact_scalars)
+                state[rec.key] = self._restore_scalar(rec, data)
                 continue
             if base_state is None or rec.key not in base_state:
                 raise ValueError(
@@ -105,14 +100,12 @@ class LoadedCheckpoint:
         return state
 
     @staticmethod
-    def _restore_scalar(rec, data: np.ndarray, exact: bool = False):
+    def _restore_scalar(rec, data: np.ndarray):
         """Unwrap 0-d records to Python scalars (loop counters etc.)."""
         if rec.shape == ():
             value = data.reshape(())[()]
             if np.issubdtype(rec.numpy_dtype, np.integer):
                 return int(value)
-            if exact:
-                return value
             return np.float64(value)
         return data.reshape(rec.shape)
 

@@ -276,10 +276,9 @@ class CriticalityAnalyzer:
         one iteration's tape at a time, peak memory bounded by a single
         iteration, bitwise-identical masks).  Ignored by the "tangent" and
         "rule" methods.  The only execution choice: the segmented sweep
-        always keeps every boundary snapshot (the ``"all"`` schedule) and
-        replays compiled plans from one
-        :class:`~repro.ad.plan.PlanCache` per :meth:`analyze` call,
-        lowered with the full ``"fuse"`` pass pipeline.
+        always keeps every boundary snapshot and replays compiled plans
+        from one :class:`~repro.ad.plan.PlanCache` per :meth:`analyze`
+        call, lowered with the full ``"fuse"`` pass pipeline.
 
     Multi-probe AD analyses always stack the probe states along a leading
     probe axis and run one traced forward plus one reverse sweep

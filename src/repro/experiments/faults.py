@@ -150,7 +150,7 @@ class JobFailure:
                 f"{self.exception_type}: {self.message} "
                 f"(traceback {self.traceback_digest or 'n/a'})")
 
-    def to_payload(self) -> dict[str, Any]:
+    def to_record(self) -> dict[str, Any]:
         return {"benchmark": self.benchmark, "job_token": self.job_token,
                 "kind": self.kind, "exception_type": self.exception_type,
                 "message": self.message,
@@ -158,14 +158,14 @@ class JobFailure:
                 "attempts": self.attempts}
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "JobFailure":
-        return cls(benchmark=str(payload["benchmark"]),
-                   job_token=str(payload["job_token"]),
-                   kind=str(payload["kind"]),
-                   exception_type=str(payload["exception_type"]),
-                   message=str(payload["message"]),
-                   traceback_digest=str(payload["traceback_digest"]),
-                   attempts=int(payload["attempts"]))
+    def from_record(cls, record: Mapping[str, Any]) -> "JobFailure":
+        return cls(benchmark=str(record["benchmark"]),
+                   job_token=str(record["job_token"]),
+                   kind=str(record["kind"]),
+                   exception_type=str(record["exception_type"]),
+                   message=str(record["message"]),
+                   traceback_digest=str(record["traceback_digest"]),
+                   attempts=int(record["attempts"]))
 
 
 def failure_from_exception(*, benchmark: str, job_token: str,
@@ -462,7 +462,7 @@ class BatchJournal:
         if record is None or record.get("status") != "poisoned":
             return None
         try:
-            return JobFailure.from_payload(record["failure"])
+            return JobFailure.from_record(record["failure"])
         except (KeyError, TypeError, ValueError):
             return None
 
@@ -486,4 +486,4 @@ class BatchJournal:
     def mark_poisoned(self, failure: JobFailure) -> None:
         self._append({"token": failure.job_token,
                       "benchmark": failure.benchmark, "status": "poisoned",
-                      "failure": failure.to_payload()})
+                      "failure": failure.to_record()})

@@ -307,7 +307,7 @@ _A_PARAMS = {
     # class A doubles the class-S batch count (smaller batches keep the
     # per-iteration cost test-friendly), IS quadruples the ranked key
     # volume and the iteration count -- both are the long-main-loop regime
-    # the segmented sweep's snapshot schedules are about
+    # where the segmented sweep holds many boundary snapshots
     "EP": EPParams(problem_class="A", m=19, nk=10,
                    sx_verify=float("nan"), sy_verify=float("nan"),
                    gc_verify=float("nan")),

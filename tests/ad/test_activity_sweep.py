@@ -3,7 +3,7 @@
 The chained activity sweep (:func:`repro.ad.activity.segmented_read_masks`)
 and the plan-derived replay may only ever be *performance* transformations:
 the read and moved masks must equal the monolithic tape walk bit for bit,
-for every NPB port, under every snapshot schedule and trace-cache policy.
+for every NPB port, under both trace-cache policies.
 These tests pin that, plus the properties that make the chaining correct:
 role-sensitive indexed writes, movement chains crossing a segment boundary
 (the documented under-approximation must not start resolving), identity
@@ -23,7 +23,6 @@ from repro.ad.tape import Tape
 from repro.npb import registry
 
 ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
-SCHEDULES = ("all", "binomial", "spill")
 
 
 def _monolithic_masks(bench, state, watch):
@@ -39,35 +38,30 @@ def _assert_masks_equal(expected, got, label):
 
 
 # ---------------------------------------------------------------------------
-# monolithic vs segmented, all ports, all schedules, both trace caches
+# monolithic vs segmented, all ports, both trace caches
 # ---------------------------------------------------------------------------
 
 class TestSegmentedActivityBitwise:
     @pytest.mark.parametrize("name", ALL_PORTS)
-    def test_masks_identical_all_schedules(self, name, tmp_path):
+    def test_masks_identical_both_trace_caches(self, name):
         bench = registry.create(name, "T")
         state = bench.checkpoint_state(max(bench.total_steps - 3, 0))
         watch = bench.default_watch_keys()
         mono, _ = _monolithic_masks(bench, state, watch)
-        for schedule in SCHEDULES:
-            for trace_cache in ("off", "plan"):
-                stats = SweepStats()
-                seg = act.segmented_read_masks(
-                    bench, state, watch=list(watch),
-                    snapshot_schedule=schedule,
-                    spill_dir=str(tmp_path) if schedule == "spill" else None,
-                    trace_cache=trace_cache, stats=stats)
-                for key in watch:
-                    _assert_masks_equal(
-                        mono[key], seg[key],
-                        f"{name}[{key}] {schedule}/{trace_cache}")
-                assert stats.activity_segments > 0
-                assert stats.snapshot_policy == schedule
-                assert stats.trace_cache == trace_cache
-                if trace_cache == "off":
-                    assert stats.activity_plan_replays == 0
-                    assert stats.activity_retraces \
-                        == stats.activity_segments
+        for trace_cache in ("off", "plan"):
+            stats = SweepStats()
+            seg = act.segmented_read_masks(
+                bench, state, watch=list(watch),
+                trace_cache=trace_cache, stats=stats)
+            for key in watch:
+                _assert_masks_equal(mono[key], seg[key],
+                                    f"{name}[{key}] {trace_cache}")
+            assert stats.activity_segments > 0
+            assert stats.peak_snapshots == stats.activity_segments
+            assert stats.trace_cache == trace_cache
+            if trace_cache == "off":
+                assert stats.activity_plan_replays == 0
+                assert stats.activity_retraces == stats.activity_segments
 
     def test_explicit_steps_match_monolithic_restart(self):
         bench = registry.create("CG", "T")

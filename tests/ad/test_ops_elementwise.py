@@ -1,25 +1,16 @@
-"""Unit tests for elementwise primitives and their VJPs."""
+"""Unit tests for elementwise primitives and their VJPs.
+
+Every entry of the shared rule tables (``ops.EW_BINARY_RULES``,
+``ops.UNARY_RULES``, ``ops.MINMAX_RULES``) is checked against central
+finite differences (:func:`repro.ad.checks.finite_difference_grad`), so a
+new entry is covered the moment it is added.
+"""
 
 import numpy as np
 import pytest
 
 from repro import ad
-from repro.ad import ops
-
-
-def numeric_grad(fun, x, eps=1e-6):
-    """Dense central finite-difference gradient helper for small inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        xp, xm = flat.copy(), flat.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        gf[i] = (fun(xp.reshape(x.shape)) - fun(xm.reshape(x.shape))) / (2 * eps)
-    return g
-
+from repro.ad import checks, ops
 
 X = np.linspace(0.3, 2.1, 12).reshape(3, 4)
 Y = np.linspace(1.1, 3.0, 12).reshape(3, 4)
@@ -36,24 +27,6 @@ class TestBinaryOps:
     ])
     def test_values_match_numpy(self, op, ref):
         assert np.allclose(op(X, Y), ref(X, Y))
-
-    @pytest.mark.parametrize("op", [
-        ops.add, ops.subtract, ops.multiply, ops.divide,
-    ])
-    def test_gradient_wrt_first_arg(self, op):
-        f = lambda x: ops.sum(op(x, Y))
-        g = ad.grad(f)(X)
-        assert np.allclose(g, numeric_grad(lambda x: float(np.sum(
-            op(x, Y))), X), atol=1e-5)
-
-    @pytest.mark.parametrize("op", [
-        ops.add, ops.subtract, ops.multiply, ops.divide,
-    ])
-    def test_gradient_wrt_second_arg(self, op):
-        f = lambda y: ops.sum(op(X, y))
-        g = ad.grad(f)(Y)
-        assert np.allclose(g, numeric_grad(lambda y: float(np.sum(
-            op(X, y))), Y), atol=1e-5)
 
     def test_power_constant_exponent(self):
         f = lambda x: ops.sum(ops.power(x, 3.0))
@@ -114,17 +87,6 @@ class TestUnaryOps:
     def test_values_match_numpy(self, op, ref):
         assert np.allclose(op(X), ref(X))
 
-    @pytest.mark.parametrize("op", [
-        ops.negative, ops.absolute, ops.sqrt, ops.exp, ops.expm1, ops.log,
-        ops.log1p, ops.sin, ops.cos, ops.tan, ops.tanh, ops.square,
-        ops.reciprocal,
-    ])
-    def test_gradients_match_finite_differences(self, op):
-        f = lambda x: ops.sum(op(x))
-        g = ad.grad(f)(X)
-        ref = numeric_grad(lambda x: float(np.sum(op(x))), X)
-        assert np.allclose(g, ref, atol=1e-5, rtol=1e-4)
-
     def test_sign_gradient_is_zero(self):
         g = ad.grad(lambda x: ops.sum(ops.sign(x)))(X)
         assert np.all(g == 0.0)
@@ -138,6 +100,95 @@ class TestUnaryOps:
         x = np.array([-1.5, -0.1, 2.0])
         g = ad.grad(lambda v: ops.sum(ops.absolute(v)))(x)
         assert np.allclose(g, [-1.0, -1.0, 1.0])
+
+
+#: ``(low, high, signed)`` input ranges keeping each unary rule inside its
+#: domain and away from kinks and poles; entries without one draw from
+#: [0.5, 2)
+UNARY_DOMAINS = {
+    "absolute": (0.2, 1.5, True),
+    "exp": (-1.0, 1.0, False),
+    "expm1": (-1.0, 1.0, False),
+    "log1p": (-0.5, 1.5, False),
+    "sin": (-2.0, 2.0, False),
+    "cos": (-2.0, 2.0, False),
+    "tan": (-1.2, 1.2, False),
+    "tanh": (-2.0, 2.0, False),
+    "sign": (0.2, 1.5, True),
+    "square": (-2.0, 2.0, False),
+    "reciprocal": (0.3, 2.0, True),
+}
+
+FLOAT_DTYPES = (np.float64, np.float32)
+
+#: operand shapes of the binary checks: equal shapes and one broadcast pair
+BINARY_SHAPES = (((3, 4), (3, 4)), ((3, 4), (4,)))
+
+
+def _draw(rng, shape, dtype, low=0.5, high=2.0, signed=False):
+    x = rng.uniform(low, high, shape)
+    if signed:
+        x *= rng.choice([-1.0, 1.0], shape)
+    return x.astype(dtype)
+
+
+def _assert_matches_fd(fun, x):
+    """Reverse-mode gradient of ``sum(fun(x))`` against central FD."""
+    g = ad.grad(lambda v: ops.sum(fun(v)))(x)
+    fd = checks.finite_difference_grad(
+        lambda v: float(np.sum(fun(v))), x)
+    np.testing.assert_allclose(np.asarray(g, dtype=np.float64), fd,
+                               rtol=1e-5, atol=1e-7)
+
+
+#: every table-driven binary primitive (maximum/minimum carry a tie mask
+#: instead of a cotangent rule, but take the same operands)
+BINARY_RULES = sorted(ops.EW_BINARY_RULES) + sorted(ops.MINMAX_RULES)
+
+
+class TestRuleTablesAgainstFiniteDifferences:
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    @pytest.mark.parametrize("shapes", BINARY_SHAPES,
+                             ids=("same", "broadcast"))
+    @pytest.mark.parametrize("argnum", (0, 1))
+    @pytest.mark.parametrize("name", BINARY_RULES)
+    def test_binary_rule(self, name, argnum, shapes, dtype):
+        rng = np.random.default_rng(7)
+        a, b = (_draw(rng, shape, dtype) for shape in shapes)
+        # no pair near a tie, so no finite-difference stencil straddles
+        # the maximum/minimum kink
+        assert np.min(np.abs(np.subtract(a, b))) > 1e-3
+        op = getattr(ops, name)
+        if argnum == 0:
+            _assert_matches_fd(lambda x: op(x, b), a)
+        else:
+            _assert_matches_fd(lambda y: op(a, y), b)
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    @pytest.mark.parametrize("name", sorted(ops.UNARY_RULES))
+    def test_unary_rule(self, name, dtype):
+        rng = np.random.default_rng(3)
+        x = _draw(rng, (3, 4), dtype, *UNARY_DOMAINS.get(name, ()))
+        _assert_matches_fd(getattr(ops, name), x)
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_negative(self, dtype):
+        # ``negative`` has its own recorder outside the unary table
+        rng = np.random.default_rng(5)
+        _assert_matches_fd(ops.negative, _draw(rng, (3, 4), dtype))
+
+    @pytest.mark.parametrize("name", sorted(ops.MINMAX_RULES))
+    def test_exact_tie_routes_to_first_operand(self, name):
+        # the documented routing: at an exact tie the whole cotangent goes
+        # to the first operand, none to the second
+        a = np.array([1.0, 5.0, 2.0])
+        b = np.array([3.0, 4.0, 2.0])
+        ga, gb = ad.grad(lambda x, y: ops.sum(getattr(ops, name)(x, y)),
+                         argnums=(0, 1))(a, b)
+        a_wins = getattr(np, name)(a, b) == a
+        np.testing.assert_array_equal(ga, a_wins.astype(np.float64))
+        np.testing.assert_array_equal(gb, (~a_wins).astype(np.float64))
+        assert ga[2] == 1.0 and gb[2] == 0.0
 
 
 class TestNonDifferentiableHelpers:

@@ -5,9 +5,8 @@ The pass pipeline -- elementwise/unary chain fusion, dead-slot
 elimination, liveness-driven arena packing -- may only ever be a
 *performance* transformation: a fused replay must produce the exact bits
 the unfused interpreter produces, forward and reverse, for arbitrary
-chain programs.  These tests pin that with randomized chains, pin the
-packing invariant (packed arena never exceeds the unpacked arena), and
-pin the IR's serialisation round-trip.
+chain programs.  These tests pin that with randomized chains and pin the
+packing invariant (packed arena never exceeds the unpacked arena).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
-from repro.ad.ir import from_payload, to_payload, validate_ir
 from repro.ad.plan import PlanCache
 from repro.ad.segmented import SweepStats, segmented_gradients
 from repro.core.analysis import scrutinize
@@ -245,51 +243,3 @@ class TestPortParityFuseVsOff:
         for var, crit in results["fuse"].variables.items():
             np.testing.assert_array_equal(
                 crit.mask, results["off"].variables[var].mask, err_msg=var)
-
-
-# ---------------------------------------------------------------------------
-# IR serialisation round-trip
-# ---------------------------------------------------------------------------
-
-class TestIRRoundTrip:
-    @pytest.mark.parametrize("name", COARSE_PORTS)
-    def test_payload_round_trip_preserves_the_program(self, name):
-        bench = registry.create(name, "T")
-        steps = min(3, bench.total_steps)
-        state = bench.checkpoint_state(bench.total_steps - steps)
-        cache = PlanCache()
-        for _ in range(2):
-            segmented_gradients(bench, state, steps=steps, plan_cache=cache)
-        plans = [entry.coarse_plan for entry in cache._entries.values()
-                 if entry.coarse_plan is not None]
-        assert plans, "no plan compiled"
-        for plan in plans:
-            ir = plan.ir
-            back = from_payload(to_payload(ir))
-            validate_ir(back)
-            assert back.kind == ir.kind
-            assert back.watch == ir.watch
-            assert back.leaf_slots == ir.leaf_slots
-            assert back.out_slot == ir.out_slot
-            assert back.seed_slots == ir.seed_slots
-            assert len(back.instrs) == len(ir.instrs)
-            for a, b in zip(ir.instrs, back.instrs):
-                assert a.slot == b.slot and a.kind == b.kind
-                assert a.parents == b.parents
-                assert a.shape == b.shape and a.dtype == b.dtype
-                assert _specs_equal(a.spec, b.spec), \
-                    f"{name}: spec mismatch at slot {a.slot}"
-
-
-def _specs_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(
-            _specs_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, np.ndarray):
-        return (a.dtype == b.dtype and a.shape == b.shape
-                and np.array_equal(a, b))
-    if isinstance(a, float):
-        return np.float64(a).tobytes() == np.float64(b).tobytes()
-    return a == b

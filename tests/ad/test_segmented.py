@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
+from repro.ad.activity import segmented_read_masks
+from repro.ad.probes import segmented_batched_gradients
 from repro.ad.reverse import backward, backward_from_seeds
 from repro.ad.segmented import (SweepStats, float_state_keys,
                                 segmented_gradients)
+from repro.ad.tangent import tangent_gradients
 from repro.ad.tape import Tape
 from repro.core.analysis import scrutinize
 from repro.npb import registry
@@ -93,6 +96,83 @@ def test_segmented_rejects_negative_steps_and_unknown_watch():
         segmented_gradients(bench, state, steps=-1)
     with pytest.raises(KeyError, match="unknown state entry"):
         segmented_gradients(bench, state, watch=["nope"])
+
+
+def _sweep(kind, bench, state, steps):
+    """Run one of the four ``repro.ad`` sweeps over ``steps`` iterations."""
+    if kind == "segmented":
+        return segmented_gradients(bench, state, steps=steps)
+    if kind == "batched":
+        return segmented_batched_gradients(bench, [state], steps=steps)
+    if kind == "activity":
+        return segmented_read_masks(bench, state, steps=steps)
+    return tangent_gradients(bench, state, steps=steps)
+
+
+SWEEP_KINDS = ("segmented", "batched", "activity", "tangent")
+
+
+class TestStepsCheck:
+    """Every sweep rejects a ``steps`` it cannot honour before running."""
+
+    @staticmethod
+    def _no_forward(bench, monkeypatch):
+        def run(*args, **kwargs):  # pragma: no cover - must not be hit
+            raise AssertionError("a forward step ran before the check")
+
+        monkeypatch.setattr(bench, "run", run)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_overrunning_the_main_loop_is_rejected(self, kind, monkeypatch):
+        bench = registry.create("CG", "T")
+        state = bench.initial_state()     # 4 iterations remain
+        mid = bench.checkpoint_state(1)   # 3 iterations remain
+        self._no_forward(bench, monkeypatch)
+        with pytest.raises(ValueError, match="overruns the main loop"):
+            _sweep(kind, bench, state, 7)
+        with pytest.raises(ValueError, match="overruns the main loop"):
+            _sweep(kind, bench, mid, 4)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("steps", (2.5, True, "2", -1))
+    def test_non_integer_steps_are_rejected(self, kind, steps, monkeypatch):
+        bench = registry.create("CG", "T")
+        state = bench.initial_state()
+        self._no_forward(bench, monkeypatch)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            _sweep(kind, bench, state, steps)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_every_remaining_iteration_is_accepted(self, kind):
+        bench = registry.create("CG", "T")
+        state = bench.checkpoint_state(1)
+        full = _sweep(kind, bench, state, np.int64(3))
+        default = _sweep(kind, bench, state, None)
+        for key in default:
+            got, want = full[key], default[key]
+            if kind == "activity":
+                got, want = got.read, want.read
+            _assert_bitwise_equal(want, got, f"CG[{key}] {kind}")
+
+    def test_bench_without_a_loop_length_takes_any_steps(self):
+        # a benchmark that cannot say how many iterations remain gets only
+        # the integer check
+        class NoLoopLength:
+            def __init__(self, bench):
+                self._bench = bench
+
+            def __getattr__(self, name):
+                if name == "_default_remaining_steps":
+                    raise AttributeError(name)
+                return getattr(self._bench, name)
+
+        bench = registry.create("CG", "T")
+        state = bench.initial_state()
+        grads = segmented_gradients(NoLoopLength(bench), state,
+                                    watch=["x"], steps=5)
+        assert grads["x"].shape == np.shape(state["x"])
+        with pytest.raises(ValueError, match="non-negative integer"):
+            segmented_gradients(NoLoopLength(bench), state, steps=2.5)
 
 
 def test_segmented_requires_per_iteration_api():

@@ -70,9 +70,9 @@ def force_per_probe(monkeypatch):
 def sweep_options(monkeypatch):
     """Install extra :mod:`repro.ad` sweep options under the analyzer.
 
-    The analyzer fixes how the segmented sweep runs (every boundary
-    snapshot kept, plan replay, fused plans); the alternatives live on
-    the ``repro.ad`` sweep functions as test oracles.  Calling the returned
+    The analyzer fixes how the segmented sweep runs (plan replay, fused
+    plans); the alternatives live on the ``repro.ad`` sweep functions as
+    test oracles.  Calling the returned
     function -- e.g. ``sweep_options(trace_cache="off", plan_cache=None)``
     -- makes every later analysis in the test call those functions with
     the given options overriding the analyzer's own (until the next call),

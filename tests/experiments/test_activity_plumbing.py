@@ -6,8 +6,8 @@ These are the regression tests: the segmented (chained, plan-replayed)
 path actually runs, with identical masks, and unsupported arguments raise
 instead of silently degrading.  Since repro 1.9.0 the sweep is the only
 execution choice above :mod:`repro.ad` and is not part of the result's
-identity; the snapshot-schedule and trace-cache alternatives stay on
-:func:`repro.ad.activity.segmented_read_masks` as oracles.
+identity; the trace-cache alternative stays on
+:func:`repro.ad.activity.segmented_read_masks` as an oracle.
 """
 
 from __future__ import annotations
@@ -96,10 +96,13 @@ class TestAnalyzerHonoursSweepKnobs:
 class TestActivityJobsAndStoreKeys:
     def test_segmented_activity_job_roundtrip(self, sweep_options):
         mono = run_job(ScrutinyJob("CG", "T", method="activity"))
-        sweep_options(snapshot_schedule="binomial")
-        seg = run_job(ScrutinyJob("CG", "T", method="activity",
-                                  sweep="segmented"))
-        _assert_same_masks(mono, seg, "CG")
+        planned = run_job(ScrutinyJob("CG", "T", method="activity",
+                                      sweep="segmented"))
+        sweep_options(trace_cache="off")
+        traced = run_job(ScrutinyJob("CG", "T", method="activity",
+                                     sweep="segmented"))
+        _assert_same_masks(mono, planned, "CG planned")
+        _assert_same_masks(mono, traced, "CG traced")
 
     def test_activity_sweep_keys_never_alias(self):
         """Activity keys still never alias the AD keys; the two sweeps of

@@ -80,7 +80,7 @@ class TestJobFailure:
 
     def test_payload_roundtrip(self):
         failure = self._failure()
-        assert JobFailure.from_payload(failure.to_payload()) == failure
+        assert JobFailure.from_record(failure.to_record()) == failure
 
     def test_describe_names_the_essentials(self):
         text = self._failure().describe()

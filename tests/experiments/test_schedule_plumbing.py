@@ -1,12 +1,11 @@
-"""Snapshot-schedule plumbing: where the schedule choice lives.
+"""Snapshot-schedule plumbing: there is no schedule choice.
 
-The snapshot schedule is an execution strategy of the segmented sweep --
-masks are bitwise-identical across policies.  Since repro 1.9.0 it is no
-longer public surface above :mod:`repro.ad`: the analyzer always keeps
-every boundary (``"all"``), and jobs, store keys, the experiment runner
-and the CLI carry no schedule.  The alternatives (``"binomial"`` with its
-budget, ``"spill"`` with its scratch directory) stay on the ``repro.ad``
-sweep functions, where these tests pin them as oracles.
+The segmented sweeps keep every boundary snapshot.  Since repro 1.9.0 no
+schedule is public surface above :mod:`repro.ad` -- jobs, store keys, the
+experiment runner and the CLI carry none -- and the ``repro.ad`` sweep
+functions take no schedule, budget or spill directory either.  These tests
+pin that absence and that every segmented analysis builds keep-all
+stores.
 """
 
 from __future__ import annotations
@@ -15,42 +14,39 @@ import numpy as np
 import pytest
 
 import repro
+import repro.ad.activity as activity_mod
 import repro.ad.probes as probes_mod
 import repro.ad.segmented as segmented_mod
+from repro.ad.probes import segmented_batched_gradients
+from repro.ad.schedule import SnapshotSchedule
 from repro.ad.segmented import segmented_gradients
 from repro.cli import build_parser, main
 from repro.core.analysis import scrutinize
 from repro.core.criticality import CriticalityAnalyzer
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ParallelRunner, ScrutinyJob, run_job
-from repro.experiments.runner import ExperimentRunner
 from repro.npb import registry
 
 
-def _schedules_made(monkeypatch) -> list[str]:
-    """Record the policy of every snapshot schedule a sweep builds."""
-    made: list[str] = []
+def _schedules_made(monkeypatch) -> list[SnapshotSchedule]:
+    """Record every snapshot store a sweep builds."""
+    made: list[SnapshotSchedule] = []
     real = segmented_mod.make_schedule
 
-    def spy(policy, *args, **kwargs):
-        made.append(policy)
-        return real(policy, *args, **kwargs)
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
 
     for module in (segmented_mod, probes_mod):
         monkeypatch.setattr(module, "make_schedule", spy)
     return made
 
 
-def _assert_same_masks(expected, got):
-    for name, crit in expected.variables.items():
-        np.testing.assert_array_equal(crit.mask, got.variables[name].mask)
-
-
 class TestScrutinyJobSchedule:
     def test_schedule_defaults_to_all(self, monkeypatch):
         made = _schedules_made(monkeypatch)
         run_job(ScrutinyJob("CG", "T", sweep="segmented"))
-        assert made == ["all"]
+        assert len(made) == 1 and type(made[0]) is SnapshotSchedule
         assert not any("snapshot" in field
                        for field in ScrutinyJob("CG", "T").key_params())
 
@@ -65,18 +61,6 @@ class TestScrutinyJobSchedule:
         with pytest.raises(TypeError, match="spill_dir"):
             ScrutinyJob("CG", "T", sweep="segmented", spill_dir="/tmp/a")
 
-    @pytest.mark.parametrize("policy", ("binomial", "spill"))
-    def test_run_job_matches_all_schedule(self, policy, tmp_path,
-                                          sweep_options):
-        knobs = {"snapshot_budget": 2} if policy == "binomial" \
-            else {"spill_dir": str(tmp_path)}
-        base = run_job(ScrutinyJob("FT", "T", sweep="segmented"))
-        sweep_options(snapshot_schedule=policy, **knobs)
-        other = run_job(ScrutinyJob("FT", "T", sweep="segmented"))
-        _assert_same_masks(base, other)
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestStoreScheduleKey:
     PARAMS = dict(benchmark="CG", problem_class="T", method="ad", n_probes=1)
 
@@ -90,14 +74,6 @@ class TestStoreScheduleKey:
         """Not any more: the budget only trades memory for recomputation."""
         with pytest.raises(TypeError, match="snapshot_budget"):
             cache_key(**self.PARAMS, snapshot_budget=4, version="1")
-
-    def test_default_schedule_key_is_all(self, tmp_path, sweep_options):
-        # a result computed under another schedule is the same entry
-        store = ResultStore(tmp_path)
-        sweep_options(snapshot_schedule="binomial", snapshot_budget=2)
-        ParallelRunner(workers=1, store=store).run(
-            [ScrutinyJob("CG", "T", sweep="segmented")])
-        assert store.fetch(**self.PARAMS) is not None
 
     def test_version_bumped_past_1_2_0(self):
         # the 1.9.0 bump drops the schedule fields from the key payload;
@@ -125,18 +101,17 @@ class TestStoreScheduleKey:
 
 
 class TestAnalyzerSchedule:
-    def test_analyzer_validates_schedule(self):
+    @pytest.mark.parametrize("option", ("snapshot_schedule",
+                                        "snapshot_budget", "spill_dir"))
+    def test_sweep_functions_take_no_schedule(self, option):
         bench = registry.create("CG", "T")
-        with pytest.raises(ValueError, match="unknown snapshot schedule"):
-            segmented_gradients(bench, bench.initial_state(),
-                                snapshot_schedule="fifo")
-
-    def test_analyzer_validates_budget(self):
-        bench = registry.create("CG", "T")
-        with pytest.raises(ValueError, match="budget"):
-            segmented_gradients(bench, bench.initial_state(),
-                                snapshot_schedule="binomial",
-                                snapshot_budget=1)
+        state = bench.initial_state()
+        for sweep in (segmented_gradients,
+                      activity_mod.segmented_read_masks):
+            with pytest.raises(TypeError, match=option):
+                sweep(bench, state, **{option: None})
+        with pytest.raises(TypeError, match=option):
+            segmented_batched_gradients(bench, [state], **{option: None})
 
     def test_analyzer_rejects_schedule_without_segmented_sweep(self):
         # the analyzer accepts no schedule at all, under either sweep
@@ -162,27 +137,19 @@ class TestAnalyzerSchedule:
         made = _schedules_made(monkeypatch)
         CriticalityAnalyzer(sweep="segmented", n_probes=2).analyze(
             registry.create("CG", "T"))
-        # one schedule per probe of the batched sweep, all keep-everything
-        assert made and set(made) == {"all"}
+        # one keep-everything store per probe of the batched sweep
+        assert len(made) == 2
+        assert all(type(sched) is SnapshotSchedule for sched in made)
 
 
 class TestRunnerSchedule:
-    def test_runner_forwards_schedule_to_jobs(self, tmp_path, sweep_options):
-        base = ExperimentRunner(problem_class="T",
-                                sweep="segmented").result("CG")
-        sweep_options(snapshot_schedule="spill", spill_dir=str(tmp_path))
-        got = ExperimentRunner(problem_class="T",
-                               sweep="segmented").result("CG")
-        _assert_same_masks(base, got)
-        assert list(tmp_path.iterdir()) == []
-
     def test_legacy_rng_path_accepts_schedule(self, monkeypatch):
         made = _schedules_made(monkeypatch)
         result = scrutinize(registry.create("CG", "T"),
                             rng=np.random.default_rng(3),
                             sweep="segmented")
         assert result.benchmark == "CG"
-        assert made == ["all"]
+        assert len(made) == 1
 
 
 class TestCliSchedule:
@@ -226,20 +193,3 @@ class TestCliSchedule:
             with pytest.raises(SystemExit):
                 main(["--sweep", "segmented", "analyze", "CG", *flags])
             assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_analyze_runs_under_binomial(self, capsys, sweep_options):
-        sweep_options(snapshot_schedule="binomial", snapshot_budget=3)
-        code = main(["--class", "T", "--sweep", "segmented",
-                     "analyze", "CG"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "CG" in out and "uncritical" in out
-
-    def test_analyze_runs_under_spill(self, capsys, tmp_path, sweep_options):
-        sweep_options(snapshot_schedule="spill", spill_dir=str(tmp_path))
-        code = main(["--class", "T", "--sweep", "segmented",
-                     "analyze", "CG"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "CG" in out and "uncritical" in out
-        assert list(tmp_path.iterdir()) == []

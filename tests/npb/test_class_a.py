@@ -56,8 +56,8 @@ class TestClassARegistration:
         assert a.niter > t.niter
 
     def test_class_a_simple_ports_have_longer_loops(self):
-        # EP and IS scale by main-loop length (the snapshot-schedule
-        # regime), not by array size
+        # EP and IS scale by main-loop length (many boundary snapshots),
+        # not by array size
         assert params_for("EP", "A").n_batches > params_for("EP", "S").n_batches
         assert params_for("IS", "A").niter > params_for("IS", "S").niter
         assert params_for("IS", "A").total_keys \
