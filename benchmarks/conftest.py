@@ -39,6 +39,30 @@ def interleaved_seconds(thunks: Sequence[Callable[[], object]],
     return best
 
 
+def paired_samples(thunks: Sequence[Callable[[], object]],
+                   rounds: int) -> list[list[float]]:
+    """Wall-clock of every thunk in each of ``rounds`` back-to-back rounds.
+
+    ``samples[r][i]`` is thunk ``i``'s time in round ``r``; the order
+    within a round reverses every other round, so neither thunk always
+    runs first.  A ratio of two thunks taken *within* each round, and its
+    median over the rounds, cancels load that lasts longer than one
+    round, which two separate best-of minima taken in different rounds
+    do not.
+    """
+    samples = []
+    for r in range(rounds):
+        order = range(len(thunks)) if r % 2 == 0 \
+            else reversed(range(len(thunks)))
+        times = [0.0] * len(thunks)
+        for i in order:
+            t0 = time.perf_counter()
+            thunks[i]()
+            times[i] = time.perf_counter() - t0
+        samples.append(times)
+    return samples
+
+
 def pytest_configure(config):
     # The harness prints every regenerated table/figure so the run log reads
     # like the paper's evaluation section; -s is not required because the

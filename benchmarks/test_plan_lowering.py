@@ -12,6 +12,10 @@ capture -> IR -> passes -> executor pipeline:
 * ``unfused``  -- ``plan_optimize="off"`` (the faithful pre-lowering
   replay: generic emitters, no passes).
 
+Both modes are timed back to back in each of 41 rounds; the speedup is
+the median over the rounds of the unfused/fused time ratio, so load that
+outlasts a round slows both modes of the round alike and cancels.
+
 Gradients are asserted bitwise-identical across both modes and
 against the uncached tracer, and the liveness-packed arena footprint is
 asserted strictly smaller than the unpacked one on every measured port.
@@ -27,6 +31,7 @@ standalone to emit the ``BENCH_lowering.json`` perf baseline consumed by
 from __future__ import annotations
 
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -36,9 +41,9 @@ from repro.ad.segmented import segmented_gradients
 from repro.npb import registry
 
 try:
-    from benchmarks.conftest import interleaved_seconds
+    from benchmarks.conftest import paired_samples
 except ImportError:  # run as a script from inside benchmarks/
-    from conftest import interleaved_seconds
+    from conftest import paired_samples
 
 #: the coarse class-T ports: their step plans compile within one sweep,
 #: so the steady state of every probe loop is pure warm replay
@@ -76,8 +81,8 @@ def _warm_step_plan(bench, state, plan_optimize: str):
     return cache, plans[0], grads
 
 
-def measure_lowering(name: str, problem_class: str, repeats: int = 30,
-                     rounds: int = 9) -> dict:
+def measure_lowering(name: str, problem_class: str, repeats: int = 10,
+                     rounds: int = 41) -> dict:
     """Warm-replay wall-clock per mode, bitwise parity, arena telemetry."""
     bench = registry.create(name, problem_class)
     state = bench.checkpoint_state(0)
@@ -105,8 +110,12 @@ def measure_lowering(name: str, problem_class: str, repeats: int = 30,
         return lambda: [plan.replay_step(state, cotangents)
                         for _ in range(repeats)]
 
-    best = dict(zip(plans, interleaved_seconds(
-        [replays(plan) for plan in plans.values()], rounds)))
+    samples = [dict(zip(plans, times)) for times in paired_samples(
+        [replays(plan) for plan in plans.values()], rounds)]
+    best = {mode: min(s[mode] for s in samples) for mode in plans}
+    # the speedup is the median of the per-round unfused/fused ratios:
+    # both modes of one round share the machine's load of that moment
+    speedup = statistics.median(s["unfused"] / s["fused"] for s in samples)
 
     fused = caches["fused"]
     row = {
@@ -114,7 +123,7 @@ def measure_lowering(name: str, problem_class: str, repeats: int = 30,
         "problem_class": problem_class,
         "replay_us": {mode: round(best[mode] * 1e6 / repeats, 2)
                       for mode in MODES},
-        "speedup_fused": round(best["unfused"] / best["fused"], 3),
+        "speedup_fused": round(speedup, 3),
         "fused_ops": fused.fused_ops,
         "eliminated_slots": fused.eliminated_slots,
         "arena_nbytes": fused.arena_nbytes,

@@ -21,8 +21,8 @@ iteration granularity (Griewank's *revolve* idea, at its simplest schedule):
 Peak tape memory is therefore O(1 iteration) instead of O(remaining steps).
 The boundary snapshots themselves are held by a
 :class:`repro.ad.schedule.SnapshotSchedule`, which keeps every boundary in
-memory (O(steps x state) -- for the NPB kernels the state is orders of
-magnitude smaller than one iteration's tape).
+memory (O(steps x state) -- for the NPB kernels one state is smaller
+than one iteration's tape).
 
 Bitwise equivalence
 -------------------

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+import pytest
+
 from repro.ad import ops
+from repro.ad.probes import segmented_batched_gradients
 from repro.ad.reverse import backward
 from repro.ad.schedule import (SnapshotSchedule, make_schedule,
                                snapshot_state, state_nbytes)
@@ -23,6 +26,14 @@ from repro.ad.segmented import (SweepStats, gradient_dtype,
                                 segmented_gradients)
 from repro.ad.tape import Tape
 from repro.ad.tensor import value_of
+from repro.npb import registry
+
+ALL_BENCHMARKS = registry.available_benchmarks()
+
+#: the ports with floating point checkpoint variables (IS is all-integer,
+#: so the gradient sweeps have nothing to trace for it)
+FLOAT_BENCHMARKS = [name for name in ALL_BENCHMARKS
+                    if registry.create(name, "T").default_watch_keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +321,73 @@ class TestScheduleTelemetry:
         stats.observe_schedule(a, b)
         assert stats.peak_snapshots == 2
         assert stats.peak_snapshot_nbytes == 4 * 8 + 8 * 8
+
+
+# ---------------------------------------------------------------------------
+# NPB acceptance: every boundary kept, nothing else resident or mutated
+# ---------------------------------------------------------------------------
+
+def _mid_state(name):
+    bench = registry.create(name, "T")
+    return bench, bench.checkpoint_state(bench.total_steps // 2)
+
+
+def _boundary_nbytes(bench, state):
+    """Payload of every boundary ``state .. end of loop``, run forward."""
+    sizes = [state_nbytes(state)]
+    for _ in range(bench._default_remaining_steps(state)):
+        state = bench.run(state, 1)
+        sizes.append(state_nbytes(state))
+    return sizes
+
+
+def _assert_state_unchanged(before, after, label):
+    assert list(before) == list(after), label
+    for key, want in before.items():
+        got = np.asarray(value_of(after[key]))
+        want = np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape, \
+            f"{label}[{key}]"
+        assert got.tobytes() == want.tobytes(), f"{label}[{key}] mutated"
+
+
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_npb_snapshot_peak_is_every_boundary(name):
+    bench, state = _mid_state(name)
+    sizes = _boundary_nbytes(bench, state)
+    stats = SweepStats()
+    segmented_gradients(bench, state, stats=stats)
+    assert stats.peak_snapshots == len(sizes)
+    assert stats.peak_snapshot_nbytes == sum(sizes)
+
+
+@pytest.mark.parametrize("name", FLOAT_BENCHMARKS)
+def test_npb_batched_snapshot_peak_adds_per_probe(name):
+    # one store per probe, all resident together
+    bench, state = _mid_state(name)
+    sizes = _boundary_nbytes(bench, state)
+    stats = SweepStats()
+    segmented_batched_gradients(bench, [state, dict(state)], stats=stats)
+    assert stats.peak_snapshots == 2 * len(sizes)
+    assert stats.peak_snapshot_nbytes == 2 * sum(sizes)
+
+
+@pytest.mark.parametrize("name", FLOAT_BENCHMARKS)
+def test_npb_boundary_snapshot_is_smaller_than_an_iteration_tape(name):
+    # the premise of keeping every boundary: one snapshot costs less
+    # than the one-iteration tape the segmented sweep holds anyway
+    bench, state = _mid_state(name)
+    stats = SweepStats()
+    segmented_gradients(bench, state, stats=stats)
+    assert 0 < state_nbytes(state) < stats.peak_nbytes
+
+
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_npb_sweeps_leave_the_caller_state_intact(name):
+    bench, state = _mid_state(name)
+    before = snapshot_state(state)
+    segmented_gradients(bench, state)
+    _assert_state_unchanged(before, state, f"{name} segmented")
+    if bench.default_watch_keys():
+        segmented_batched_gradients(bench, [state])
+        _assert_state_unchanged(before, state, f"{name} batched")

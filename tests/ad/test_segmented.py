@@ -133,6 +133,28 @@ class TestStepsCheck:
         with pytest.raises(ValueError, match="overruns the main loop"):
             _sweep(kind, bench, mid, 4)
 
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_every_port_knows_its_remaining_steps(self, name):
+        # the overrun check trusts this count: a checkpoint after k
+        # iterations leaves exactly total_steps - k of the main loop
+        bench = registry.create(name, "T")
+        total = bench.total_steps
+        for k in (0, 1, total // 2, total):
+            state = bench.checkpoint_state(k)
+            assert bench._default_remaining_steps(state) == total - k, \
+                f"{name}: checkpoint after {k} of {total} iterations"
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_every_port_rejects_one_step_too_many(self, name, kind,
+                                                  monkeypatch):
+        bench = registry.create(name, "T")
+        k = bench.total_steps // 2
+        state = bench.checkpoint_state(k)
+        self._no_forward(bench, monkeypatch)
+        with pytest.raises(ValueError, match="overruns the main loop"):
+            _sweep(kind, bench, state, bench.total_steps - k + 1)
+
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     @pytest.mark.parametrize("steps", (2.5, True, "2", -1))
     def test_non_integer_steps_are_rejected(self, kind, steps, monkeypatch):
