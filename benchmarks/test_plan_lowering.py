@@ -74,10 +74,9 @@ def _warm_step_plan(bench, state, plan_optimize: str):
     cache = PlanCache(plan_optimize=plan_optimize)
     for _ in range(3):   # capture, compile, warm replay
         grads = segmented_gradients(bench, state, plan_cache=cache)
-    plans = [entry.coarse_plan for entry in cache._entries.values()
-             if entry.coarse_plan is not None
-             and entry.coarse_plan.kind == "step"]
-    assert plans, f"{bench.name}: no coarse step plan compiled"
+    plans = [entry.plan for entry in cache._entries.values()
+             if entry.plan is not None]
+    assert plans, f"{bench.name}: no step plan compiled"
     return cache, plans[0], grads
 
 

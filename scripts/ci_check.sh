@@ -90,6 +90,11 @@ echo "== correctness: class-S restart verification, default engine =="
 # restart with its critical elements corrupted) must fail; exit 0 iff so
 python -m repro.cli verify >/dev/null
 
+echo "== correctness: negative control on the ports whose control crashes =="
+# garbage critical elements crash FT's and IS's replay; the control must
+# still report a failed verification (exit 0) instead of raising
+python -m repro.cli --class T verify --benchmarks FT IS >/dev/null
+
 echo "== benchmark harness self-tests =="
 python -m pytest perfbench/tests -q
 

@@ -66,11 +66,11 @@ The analysis runs in three modes that produce **bitwise-identical** masks:
   reproduces the monolithic result exactly, with O(1-iteration) tape
   memory;
 * **plan-replayed** -- a :class:`repro.ad.plan.CompiledPlan` records op
-  identity, operand roles and index expressions as plain data, so each
-  segment's read/movement transfer is derived **once** from the plan
-  structure (:func:`plan_transfer`) and replayed on later analyses with no
-  tracing at all, falling back to fresh tracing on plan rejects exactly
-  like the gradient path.
+  identity, operand roles and index expressions as plain data, so a step's
+  read/movement transfer is derived **once** from the plan structure
+  (:func:`plan_transfer`) and replayed for the sweep's other segments with
+  no tracing at all, falling back to fresh tracing exactly like the
+  gradient path (the output segment is always traced).
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ __all__ = [
     "chain_step_masks",
     "plan_transfer",
     "replay_step_masks",
-    "replay_output_masks",
     "segmented_read_masks",
 ]
 
@@ -458,13 +457,12 @@ def plan_transfer(plan) -> PlanActivityTransfer:
                 read[key][...] = True
 
     passes: dict[str, str] = {}
-    if ir.kind == "step":
-        for out_key in ir.watch:
-            slot = ir.seed_slots.get(out_key)
-            if slot is not None:
-                in_key = owner.get(slot)
-                if in_key is not None:
-                    passes[out_key] = in_key
+    for out_key in ir.watch:
+        slot = ir.seed_slots.get(out_key)
+        if slot is not None:
+            in_key = owner.get(slot)
+            if in_key is not None:
+                passes[out_key] = in_key
 
     transfer = PlanActivityTransfer(read, moved, passes)
     plan._activity_transfer = transfer
@@ -483,14 +481,6 @@ def replay_step_masks(plan, prev: Mapping[str, "ActivityResult"]
         masks[in_key].read |= inherited.read
         masks[in_key].moved |= inherited.moved
     return masks
-
-
-def replay_output_masks(plan) -> dict[str, "ActivityResult"]:
-    """Apply an output plan's transfer (the chain's seed: nothing to fold)."""
-    transfer = plan_transfer(plan)
-    return {key: ActivityResult(key, transfer.read[key].copy(),
-                                transfer.moved[key].copy())
-            for key in plan.watch}
 
 
 # -- the segmented driver ---------------------------------------------------
@@ -514,7 +504,7 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
 
     Parameters mirror :func:`repro.ad.segmented.segmented_gradients`
     (``trace_cache="plan"`` replays compiled transfers, ``plan_cache``
-    shares plans across analyses, ``plan_optimize`` configures how a
+    shares plans across sweeps, ``plan_optimize`` configures how a
     freshly created cache lowers its plans -- ignored when ``plan_cache``
     is supplied);
     ``stats`` additionally collects the activity telemetry fields of
@@ -562,15 +552,12 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     # pass-through may run via an unwatched auxiliary (see segmented's docs)
     chain = float_state_keys(state)
 
-    planner = out_planner = cache = plan_base = None
+    planner = cache = plan_base = None
     if trace_cache == "plan":
         cache = plan_cache if plan_cache is not None \
             else PlanCache(plan_optimize=plan_optimize)
         plan_base = cache.counters()
-        planner = cache.planner(bench, "step", chain)
-        out_planner = cache.planner(bench, "output", chain)
-    advance = planner.advance if planner is not None \
-        else (lambda s: bench.run(s, 1))
+        planner = cache.planner(bench, chain)
 
     schedule = make_schedule(steps)
     try:
@@ -578,21 +565,18 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
         current = snapshot_state(state)
         schedule.record(0, current)
         for t in range(1, steps + 1):
-            current = advance(current)
+            current = bench.run(current, 1)
             schedule.record(t, current)
         del current
 
-        # -- output segment: the chain's seed ------------------------------
+        # -- output segment: the chain's seed, traced once ----------------
         last = schedule.fetch(steps)
-        if out_planner is not None:
-            masks = out_planner.output_activity(last, stats=stats)
-        else:
-            tape, leaves, _out = bench.traced_output(last, watch=chain)
-            if stats is not None:
-                stats.observe(tape)
-                stats.activity_retraces += 1
-            masks = masks_from_tape(tape, leaves, chain)
-            del tape, leaves
+        tape, leaves, _out = bench.traced_output(last, watch=chain)
+        if stats is not None:
+            stats.observe(tape)
+            stats.activity_retraces += 1
+        masks = masks_from_tape(tape, leaves, chain)
+        del tape, leaves
         if stats is not None:
             stats.activity_segments += 1
         del last

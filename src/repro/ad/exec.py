@@ -19,9 +19,9 @@ unfused interpreter produces.
 
 Bitwise discipline for ``out=`` buffers: a preallocated buffer is only used
 when the captured output dtype equals the ufunc's natural result dtype (no
-cast is inserted), and never for a slot whose value escapes the plan
-(concrete next-state slots), so arena reuse cannot corrupt caller-visible
-state.
+cast is inserted).  Slot values never leave the plan -- a replay hands out
+cotangents only, always copied off the arena -- so arena reuse cannot
+corrupt caller-visible state.
 """
 
 from __future__ import annotations
@@ -1381,7 +1381,7 @@ def build_ops(ir: PlanIR, layout
         for s in group:
             if s in layout.buffer_of:
                 out_bufs[s] = pools[layout.buffer_of[s]]
-            elif s not in layout.no_out_buffer:
+            else:
                 gi = ir.instrs[s]
                 out_bufs[s] = np.empty(gi.shape, dtype=np.dtype(gi.dtype))
         kernel, parents = _build_fused_kernel(ir, group, out_bufs)

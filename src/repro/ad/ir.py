@@ -3,9 +3,9 @@
 The middle layer of the capture -> IR -> passes -> executor pipeline
 (:mod:`repro.ad.plan` captures, :mod:`repro.ad.passes` optimises,
 :mod:`repro.ad.exec` runs).  A :class:`PlanIR` is a *typed, validated*
-description of one captured program: a flat list of
+description of one captured step: a flat list of
 :class:`Instr` in topological (slot) order plus the program-level wiring
-(leaf slots, seed slots, output slot, next-state assembly rules).
+(leaf slots and the slots that seed the chained cotangents).
 
 Keeping the IR as plain data -- no closures, no numpy scalars hidden in
 tuples -- is what allows the downstream layers to stay honest:
@@ -69,12 +69,10 @@ class Instr:
 
 
 class PlanIR:
-    """One lowered program: typed instructions plus program wiring.
+    """One lowered step program: typed instructions plus program wiring.
 
     Attributes
     ----------
-    kind:
-        ``"step"`` or ``"output"`` (which replay entry points apply).
     n_probes:
         Probe-batch count of the captured trace (``None`` = unbatched).
     watch:
@@ -84,31 +82,20 @@ class PlanIR:
     instrs:
         All instructions in slot order, **including** leaves and dead
         slots; ``instrs[i].slot == i`` always holds.
-    out_slot:
-        Traced scalar output slot (output kind; ``None`` = untraced).
     seed_slots:
-        Chain key -> producing slot (step kind; ``None`` = untraced entry).
-    concrete:
-        Next-state assembly rules of the concrete replay (``None`` =
-        concrete replay unsafe), verbatim from ``plan._concrete_rules``.
+        Chain key -> producing slot (``None`` = untraced next-state entry).
     """
 
-    __slots__ = ("kind", "n_probes", "watch", "leaf_slots", "instrs",
-                 "out_slot", "seed_slots", "concrete")
+    __slots__ = ("n_probes", "watch", "leaf_slots", "instrs", "seed_slots")
 
-    def __init__(self, kind: str, n_probes: int | None,
-                 watch: tuple[str, ...], leaf_slots: tuple[int, ...],
-                 instrs: list[Instr], out_slot: int | None,
-                 seed_slots: dict[str, int | None],
-                 concrete: list[tuple] | None) -> None:
-        self.kind = kind
+    def __init__(self, n_probes: int | None, watch: tuple[str, ...],
+                 leaf_slots: tuple[int, ...], instrs: list[Instr],
+                 seed_slots: dict[str, int | None]) -> None:
         self.n_probes = n_probes
         self.watch = watch
         self.leaf_slots = leaf_slots
         self.instrs = instrs
-        self.out_slot = out_slot
         self.seed_slots = seed_slots
-        self.concrete = concrete
 
     @property
     def n_slots(self) -> int:
@@ -124,19 +111,17 @@ class PlanIR:
         return uses
 
 
-def lower_program(program, concrete: list[tuple] | None) -> PlanIR:
+def lower_program(program) -> PlanIR:
     """Lower one agreed :class:`~repro.ad.plan.CaptureProgram` to IR."""
     instrs = [Instr(slot, node.spec[0], node.parents, node.spec,
                     node.shape, node.dtype)
               for slot, node in enumerate(program.nodes)]
     seed_slots: dict[str, int | None] = {}
-    if program.kind == "step":
-        for key in program.watch:
-            tag, payload = program.out_entries.get(key, ("const", None))
-            seed_slots[key] = payload if tag == "slot" else None
-    ir = PlanIR(program.kind, program.n_probes, tuple(program.watch),
-                tuple(program.leaf_slots), instrs, program.out_slot,
-                seed_slots, concrete)
+    for key in program.watch:
+        tag, payload = program.out_entries.get(key, ("const", None))
+        seed_slots[key] = payload if tag == "slot" else None
+    ir = PlanIR(program.n_probes, tuple(program.watch),
+                tuple(program.leaf_slots), instrs, seed_slots)
     validate_ir(ir)
     return ir
 
@@ -149,8 +134,6 @@ def validate_ir(ir: PlanIR) -> None:
     free from density), leaf integrity, and in-range program wiring.
     """
     n = ir.n_slots
-    if ir.kind not in ("step", "output"):
-        raise IRValidationError(f"unknown program kind {ir.kind!r}")
     if len(ir.watch) != len(ir.leaf_slots):
         raise IRValidationError(
             f"{len(ir.watch)} watch keys but {len(ir.leaf_slots)} leaf slots")
@@ -178,8 +161,6 @@ def validate_ir(ir: PlanIR) -> None:
     for slot in ir.leaf_slots:
         if not 0 <= slot < n:
             raise IRValidationError(f"leaf slot {slot} out of range")
-    if ir.out_slot is not None and not 0 <= ir.out_slot < n:
-        raise IRValidationError(f"out slot {ir.out_slot} out of range")
     for key, slot in ir.seed_slots.items():
         if slot is not None and not 0 <= slot < n:
             raise IRValidationError(

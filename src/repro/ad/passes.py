@@ -7,14 +7,13 @@ elementwise/unary instructions fuse into single kernels, and how slot
 lifetimes pack into a smaller arena.  The passes are pure analyses: they
 never reorder or rewrite instructions (slot numbering is sacred, see
 :mod:`repro.ad.ir`), so the executor's program remains bit-for-bit the
-captured program and every derived analysis (activity transfer, concrete
-replay) keeps working off the full instruction list.
+captured program and the derived activity transfer keeps working off the
+full instruction list.
 
 Passes (``plan_optimize="fuse"``, the default):
 
 **Dead-slot elimination.**  An instruction is live when it is an ancestor
-of a gradient root (the traced output, a chained seed slot) or of a value
-the plan hands out (a concrete next-state slot, a watched leaf).  Dead
+of a gradient root (a chained seed slot) or of a watched leaf.  Dead
 instructions are simply not executed; they receive and contribute no
 gradients in the reverse sweep (they are not ancestors of any seed), so
 dropping them cannot change a single bit of any gradient or mask.
@@ -22,8 +21,8 @@ dropping them cannot change a single bit of any gradient or mask.
 **Elementwise/unary chain fusion.**  A maximal run of consecutive *live*
 fusable instructions (``ewbinary`` / ``minmax`` / ``unary`` /
 ``negative``) where each interior member is consumed exactly once -- by
-the next member -- and is not protected (not a leaf, seed, output or
-concrete slot) collapses into one generated kernel.  Bitwise safety is
+the next member -- and is not protected (not a leaf or seed slot)
+collapses into one generated kernel.  Bitwise safety is
 positional: because the members occupy consecutive live slots, the unfused
 reverse sweep evaluates exactly the group's VJPs between the last and
 first member with no interloper, so the fused VJP can replicate its
@@ -123,9 +122,6 @@ class PlanLayout:
         Fused-output slot -> shared-pool id, for outputs whose lifetimes
         the packing pass proved disjoint (same shape and dtype); the
         executor allocates one buffer per pool.
-    no_out_buffer:
-        Group slots that must never write through a preallocated buffer
-        (their value escapes the plan via concrete replay).
     optimized:
         True when the pass pipeline ran (``plan_optimize="fuse"``); the
         executor may then swap singleton kernels for statically
@@ -133,19 +129,17 @@ class PlanLayout:
     """
 
     __slots__ = ("live", "groups", "fused_ops", "eliminated_slots",
-                 "nbytes_packed", "buffer_of", "no_out_buffer", "optimized")
+                 "nbytes_packed", "buffer_of", "optimized")
 
     def __init__(self, live: list[bool], groups: list[list[int]],
                  fused_ops: int, eliminated_slots: int, nbytes_packed: int,
-                 buffer_of: dict[int, Any], no_out_buffer: set[int],
-                 optimized: bool = False) -> None:
+                 buffer_of: dict[int, Any], optimized: bool = False) -> None:
         self.live = live
         self.groups = groups
         self.fused_ops = fused_ops
         self.eliminated_slots = eliminated_slots
         self.nbytes_packed = nbytes_packed
         self.buffer_of = buffer_of
-        self.no_out_buffer = no_out_buffer
         self.optimized = optimized
 
 
@@ -154,26 +148,17 @@ def _size8(instr) -> int:
     return int(np.prod(instr.shape, dtype=np.int64)) * 8
 
 
-def _protected_slots(ir: PlanIR) -> tuple[set[int], set[int]]:
-    """(protected, concrete-slot targets) of ``ir``.
+def _protected_slots(ir: PlanIR) -> set[int]:
+    """Gradient roots and escape points of ``ir``: leaves and seed slots.
 
-    Protected slots are gradient roots or value escape points: watched
-    leaves, chained seed slots, the traced output, and every slot a
-    concrete next-state rule hands out.  They must stay materialised in
-    the arena and may never be fused away as interiors.
+    They must stay materialised in the arena and may never be fused away
+    as interiors.
     """
-    concrete_targets: set[int] = set()
-    if ir.concrete is not None:
-        for rule in ir.concrete:
-            if rule[1] == "slot":
-                concrete_targets.add(rule[2])
-    protected = set(ir.leaf_slots) | concrete_targets
-    if ir.out_slot is not None:
-        protected.add(ir.out_slot)
+    protected = set(ir.leaf_slots)
     for slot in ir.seed_slots.values():
         if slot is not None:
             protected.add(slot)
-    return protected, concrete_targets
+    return protected
 
 
 def _liveness(ir: PlanIR, roots: set[int]) -> list[bool]:
@@ -342,10 +327,9 @@ def optimize_ir(ir: PlanIR, optimize: str = DEFAULT_PLAN_OPTIMIZE
     if optimize == "off":
         return PlanLayout(live=[True] * n, groups=[], fused_ops=0,
                           eliminated_slots=0, nbytes_packed=unpacked,
-                          buffer_of={}, no_out_buffer=set(range(n)),
-                          optimized=False)
+                          buffer_of={}, optimized=False)
 
-    protected, concrete_targets = _protected_slots(ir)
+    protected = _protected_slots(ir)
     live = _liveness(ir, protected)
     eliminated = sum(1 for instr in ir.instrs
                      if not live[instr.slot] and instr.kind != "leaf")
@@ -357,6 +341,4 @@ def optimize_ir(ir: PlanIR, optimize: str = DEFAULT_PLAN_OPTIMIZE
                       fused_ops=sum(len(g) for g in groups),
                       eliminated_slots=eliminated,
                       nbytes_packed=min(nbytes_packed, unpacked),
-                      buffer_of=buffer_of,
-                      no_out_buffer=set(concrete_targets),
-                      optimized=True)
+                      buffer_of=buffer_of, optimized=True)

@@ -1,69 +1,63 @@
-"""Trace-once / replay-many: compiled tape plans for the segmented sweep.
+"""Trace-once / replay-many: compiled step plans for the segmented sweep.
 
 Profiling of the segmented reverse sweep showed the analysis is *recording-
-bound* on small and medium problem classes: every segment, every forward
-step and every probe re-runs the Python tracer over an identical operation
-structure, rebuilding :class:`~repro.ad.tape.Node` objects, re-creating
-every VJP closure and re-walking the benchmark's Python kernel code.  This
-module removes that redundancy with the classic
-trace-specialisation idea (the same observation behind Griewank & Walther's
-treatment of repeated forward steps in *revolve*): record the tape **once**
-per (benchmark, problem class, step structure), lower it to a *compiled
-replay plan*, and execute that plan -- a flat program of kernel calls with
-preassigned buffer slots backed by a reusable arena -- instead of tracing.
+bound* on small and medium problem classes: every segment and every probe
+re-runs the Python tracer over an identical operation structure, rebuilding
+:class:`~repro.ad.tape.Node` objects, re-creating every VJP closure and
+re-walking the benchmark's Python kernel code.  This module removes that
+redundancy with the classic trace-specialisation idea: record one
+main-loop step **once**, lower it to a *compiled replay plan*, and execute
+that plan -- a flat program of kernel calls with preassigned buffer slots
+backed by a reusable arena -- for the sweep's other segments instead of
+tracing them.
+
+A sweep visits every boundary exactly once, so the only plan it can replay
+is one shared by all of its steps.  The output segment (traced once per
+sweep) and the concrete forward pass (``bench.run``) are never planned.
 
 How a plan is built
 -------------------
 
-1. **Capture.**  While a normal ``traced_step`` / ``traced_output`` runs,
-   every primitive in :mod:`repro.ad.ops` deposits a *spec* -- its name, its
-   constant operands, and every shape/axis/index decision it made (all
-   post probe-axis adjustment, so batched probe traces capture their final
+1. **Capture.**  While a normal ``traced_step`` runs, every primitive in
+   :mod:`repro.ad.ops` deposits a *spec* -- its name, its constant
+   operands, and every shape/axis/index decision it made (all post
+   probe-axis adjustment, so batched probe traces capture their final
    geometry) -- keyed by the node it recorded.  The capture costs a few
    percent on top of the trace it piggy-backs on and is only active while a
    plan is being learned.
 
 2. **Validation.**  A captured program alone proves nothing: constants may
-   depend on untraced state (EP's per-batch Gaussian sums), the op sequence
-   may diverge between iterations (the LU-style first-iteration setup), or
-   a primitive may have no replay kernel at all.  A plan is therefore only
-   compiled from **two captures that agree** -- op for op, slot for slot,
-   constant for constant (bitwise):
+   depend on untraced state (EP's per-batch seed, FT's per-``kt``
+   evolution factor), the op sequence may diverge between iterations, or a
+   primitive may have no replay kernel at all.  The cache therefore takes
+   the first two captures at boundaries whose non-float state differs
+   (:func:`fine_signature`) and compares them op for op, slot for slot,
+   constant for constant (bitwise).  If they agree, the step structure is
+   counter-independent and one compiled plan serves every later boundary
+   of the sweep (CG, LU, MG, BT, SP).  If they disagree, no plan could
+   ever replay, so the entry stops capturing and keeps no capture; every
+   segment is traced as with ``trace_cache="off"``.
 
-   * two captures taken at *different* integer-state values (consecutive
-     loop boundaries) that agree prove the structure is counter-independent;
-     the compiled plan then serves **every** boundary of the sweep (the
-     *coarse* tier -- CG, LU, MG, BT, SP);
-   * when the captures disagree, the structure is counter-dependent and the
-     cache refines to per-counter-value plans keyed by the exact non-float
-     state (the *fine* tier -- FT's per-``kt`` evolution factor, EP's
-     per-batch sums); those plans replay across probe loops, repeated
-     analyses and later sweeps that revisit the same iteration.
-
-3. **Lowering.**  Each captured node is compiled to a *kernel*: a closure
-   over the spec's constants that maps parent slot values to the node's
-   value and a fresh VJP.  Kernels execute the **same numpy expressions**
-   the ops layer executes (shared rule tables for the elementwise and unary
-   primitives, mirrored code elsewhere), so replayed gradients are
-   bitwise-identical to traced ones -- pinned for all eight NPB ports by
-   ``tests/ad/test_plan.py``.
+3. **Lowering.**  The agreed capture is lowered to the typed IR
+   (:mod:`repro.ad.ir`), optimised (:mod:`repro.ad.passes`) and turned into
+   kernels (:mod:`repro.ad.exec`): closures over the spec's constants that
+   map parent slot values to the node's value and a fresh VJP.  Kernels
+   execute the **same numpy expressions** the ops layer executes (shared
+   rule tables for the elementwise and unary primitives, mirrored code
+   elsewhere), so replayed gradients are bitwise-identical to traced ones
+   -- pinned for all eight NPB ports by ``tests/ad/test_plan.py``.
 
 Replaying a plan
 ----------------
 
-*Traced replay* feeds the watched state entries into preallocated float64
-leaf buffers (the same cast :meth:`~repro.ad.tape.Tape.watch` performs),
-runs the kernel program over the slot arena, then runs the plan's own
-reverse sweep -- an exact mirror of :func:`repro.ad.reverse.backward` /
-``backward_from_seeds`` including cotangent accumulation order and buffer
-ownership, so a replayed segment chains bit for bit like a traced one.
-
-*Concrete replay* runs the kernels on plain values without building VJPs
-and assembles the next state dict from the plan's output map; it stands in
-for ``bench.run(state, 1)`` in the sweep's forward pass.  It is only
-enabled when every chained entry is float64 (so the leaf cast is the
-identity) and every untraced output entry is either capture-stable or a
-scalar integer increment (``it -> it + 1``).
+A replay feeds the watched state entries into preallocated float64 leaf
+buffers (the same cast :meth:`~repro.ad.tape.Tape.watch` performs), runs
+the kernel program over the slot arena, then runs the plan's own reverse
+sweep -- an exact mirror of :func:`repro.ad.reverse.backward_from_seeds`
+including cotangent accumulation order and buffer ownership, so a replayed
+segment chains bit for bit like a traced one.  The activity sweep replays
+the same plan through its precomputed read/move transfer
+(:func:`repro.ad.activity.replay_step_masks`).
 
 Safety
 ------
@@ -111,16 +105,6 @@ TRACE_CACHES = ("plan", "off")
 
 #: the policy used when none is requested
 DEFAULT_TRACE_CACHE = "plan"
-
-#: captures retained per cache entry while learning fine-tier plans
-_MAX_PENDING_CAPTURES = 64
-
-#: compiled fine-tier plans retained per cache entry; each plan owns a
-#: state-sized arena, so an unbounded map would add an O(steps x state)
-#: residency on top of the boundary snapshots (LRU eviction, counted in
-#: ``PlanCache.fine_evictions``; evicted iterations simply re-trace and
-#: re-learn)
-_MAX_FINE_PLANS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +166,11 @@ def fine_signature(state: Mapping[str, Any]) -> tuple:
     """Value fingerprint of every *non-float* state entry.
 
     Non-float entries are the only state a traced step can bake into its
-    captured constants (float entries are always traced leaves), so they
-    are what distinguishes one iteration's structure from another's: FT's
-    ``kt`` selects the evolution factor, IS's key array steers its integer
-    pipeline.  Scalars key by value, arrays by content digest.
+    captured constants (float entries are always traced leaves), so two
+    captures only prove a structure counter-independent when their fine
+    signatures differ: FT's ``kt`` selects the evolution factor, IS's key
+    array steers its integer pipeline.  Scalars key by value, arrays by
+    content digest.
     """
     parts: list[tuple] = []
     for key in sorted(state):
@@ -227,36 +212,27 @@ class _NodeRec:
 
 
 class CaptureProgram:
-    """The raw harvest of one instrumented trace (pre-compilation)."""
+    """The raw harvest of one instrumented step trace (pre-compilation)."""
 
-    __slots__ = ("kind", "n_probes", "watch", "leaf_slots", "nodes",
-                 "out_entries", "out_slot", "scalar_ints", "float64_chain",
+    __slots__ = ("n_probes", "watch", "leaf_slots", "nodes", "out_entries",
                  "supported", "reason")
 
     def __init__(self) -> None:
-        self.kind = ""
         self.n_probes: int | None = None
         self.watch: tuple[str, ...] = ()
         self.leaf_slots: tuple[int, ...] = ()
         self.nodes: list[_NodeRec] = []
-        #: step kind: next-state entry -> ("slot", i) | ("const", value)
+        #: next-state entry -> ("slot", i) | ("const", value)
         self.out_entries: dict[str, tuple] = {}
-        #: output kind: slot of the traced scalar output (None = untraced)
-        self.out_slot: int | None = None
-        #: untraced scalar-integer input values (for increment rules)
-        self.scalar_ints: dict[str, int] = {}
-        self.float64_chain = True
         self.supported = True
         self.reason = ""
 
 
-def _build_program(kind: str, sink: _CaptureSink, tape, leaves,
-                   watch: Sequence[str], state: Mapping[str, Any],
-                   next_state: Mapping[str, Any] | None, output: Any,
+def _build_program(sink: _CaptureSink, tape, leaves, watch: Sequence[str],
+                   next_state: Mapping[str, Any],
                    n_probes: int | None) -> CaptureProgram:
     """Assemble a :class:`CaptureProgram` from one instrumented trace."""
     prog = CaptureProgram()
-    prog.kind = kind
     prog.n_probes = n_probes
     prog.watch = tuple(watch)
     prog.supported = sink.ok
@@ -276,28 +252,12 @@ def _build_program(kind: str, sink: _CaptureSink, tape, leaves,
                                    tuple(node.shape), np.dtype(node.dtype).str,
                                    spec or ("leaf",)))
 
-    for key in prog.watch:
-        if np.asarray(value_of(state[key])).dtype != np.float64:
-            prog.float64_chain = False
-    for key, val in state.items():
-        arr = np.asarray(value_of(val))
-        if arr.ndim == 0 and not np.issubdtype(arr.dtype, np.floating):
-            try:
-                prog.scalar_ints[key] = int(arr)
-            except (TypeError, ValueError):  # pragma: no cover - exotic 0-d
-                pass
-
-    if kind == "step":
-        assert next_state is not None
-        for key, val in next_state.items():
-            if isinstance(val, ADArray) and val.node is not None:
-                prog.out_entries[key] = ("slot", val.node.index)
-            else:
-                prog.out_entries[key] = ("const", value_of(val)
-                                         if isinstance(val, ADArray) else val)
-    else:
-        if isinstance(output, ADArray) and output.node is not None:
-            prog.out_slot = output.node.index
+    for key, val in next_state.items():
+        if isinstance(val, ADArray) and val.node is not None:
+            prog.out_entries[key] = ("slot", val.node.index)
+        else:
+            prog.out_entries[key] = ("const", value_of(val)
+                                     if isinstance(val, ADArray) else val)
     return prog
 
 
@@ -351,10 +311,9 @@ def programs_equal(p1: CaptureProgram, p2: CaptureProgram) -> bool:
     Constants must agree *bitwise* -- a constant that drifted between two
     boundaries is untraced state leaking into the program, exactly what a
     replay would get wrong.  Untraced next-state constants are exempt: they
-    never feed a chained cotangent (concrete replay re-validates them
-    separately via :func:`_concrete_rules`).
+    never feed a chained cotangent.
     """
-    if (p1.kind != p2.kind or p1.n_probes != p2.n_probes
+    if (p1.n_probes != p2.n_probes
             or p1.watch != p2.watch or p1.leaf_slots != p2.leaf_slots
             or len(p1.nodes) != len(p2.nodes)
             or not p1.supported or not p2.supported):
@@ -365,56 +324,15 @@ def programs_equal(p1: CaptureProgram, p2: CaptureProgram) -> bool:
             return False
         if not _const_equal(n1.spec, n2.spec):
             return False
-    if p1.kind == "step":
-        if p1.out_entries.keys() != p2.out_entries.keys():
+    if p1.out_entries.keys() != p2.out_entries.keys():
+        return False
+    for key, (tag1, payload1) in p1.out_entries.items():
+        tag2, payload2 = p2.out_entries[key]
+        if tag1 != tag2:
             return False
-        for key, (tag1, payload1) in p1.out_entries.items():
-            tag2, payload2 = p2.out_entries[key]
-            if tag1 != tag2:
-                return False
-            if tag1 == "slot" and payload1 != payload2:
-                return False
-    else:
-        if p1.out_slot != p2.out_slot:
+        if tag1 == "slot" and payload1 != payload2:
             return False
     return True
-
-
-def _concrete_rules(p1: CaptureProgram,
-                    p2: CaptureProgram) -> list[tuple] | None:
-    """Next-state assembly rules, or ``None`` when concrete replay is unsafe.
-
-    Every entry must be a slot, a capture-stable constant, or a scalar
-    integer moving by the same delta in both captures (the loop counter).
-    The chained leaves must be float64, so the plan's float64 leaf cast is
-    the identity and the replayed forward matches ``bench.run`` bitwise.
-    """
-    if p1.kind != "step" or not (p1.float64_chain and p2.float64_chain):
-        return None
-    rules: list[tuple] = []
-    for key, (tag, payload) in p1.out_entries.items():
-        if tag == "slot":
-            rules.append((key, "slot", payload))
-            continue
-        other = p2.out_entries[key][1]
-        if _const_equal(payload, other):
-            rules.append((key, "const", payload))
-            continue
-        v1 = np.asarray(value_of(payload))
-        v2 = np.asarray(value_of(other))
-        if (v1.ndim == 0 and v2.ndim == 0
-                and np.issubdtype(v1.dtype, np.integer)
-                and key in p1.scalar_ints and key in p2.scalar_ints):
-            delta1 = int(v1) - p1.scalar_ints[key]
-            delta2 = int(v2) - p2.scalar_ints[key]
-            if delta1 == delta2:
-                rules.append((key, "incr", delta1,
-                              isinstance(payload, int)
-                              and not isinstance(payload, bool),
-                              v1.dtype.str))
-                continue
-        return None
-    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +354,20 @@ class CompiledPlan:
     """
 
     def __init__(self, program: CaptureProgram,
-                 concrete: list[tuple] | None,
                  optimize: str = DEFAULT_PLAN_OPTIMIZE) -> None:
-        self.kind = program.kind
         self.watch = program.watch
         #: the typed, validated lowering of the captured program; derived
         #: analyses (the activity transfer of :mod:`repro.ad.activity`)
         #: walk ``ir.instrs`` instead of a tape
-        self.ir = lower_program(program, concrete)
+        self.ir = lower_program(program)
         self.n_slots = self.ir.n_slots
         self._shapes = [instr.shape for instr in self.ir.instrs]
         self._parents = [instr.parents for instr in self.ir.instrs]
         #: lazily derived activity transfer (see activity.plan_transfer)
         self._activity_transfer = None
         self._leaf_slots = self.ir.leaf_slots
-        self._out_slot = self.ir.out_slot
         #: chain key -> producing slot (``None`` = untraced next-state entry)
         self._seed_slots = dict(self.ir.seed_slots)
-        self._concrete = concrete
         #: gradient-buffer footprint estimate, same meter as ``Tape.nbytes``
         self.nbytes_estimate = sum(
             int(np.prod(shape, dtype=np.int64)) * 8 for shape in self._shapes)
@@ -494,29 +408,15 @@ class CompiledPlan:
             for slot in set(self._seed_slots.values())
             if slot is not None and slot not in leaf_set}
 
-    @property
-    def concrete_ok(self) -> bool:
-        """True when the plan can stand in for ``bench.run(state, 1)``."""
-        return self._concrete is not None
-
     # -- forward execution ----------------------------------------------
-    def _forward(self, state: Mapping[str, Any], build_vjps: bool) -> None:
+    def _forward(self, state: Mapping[str, Any]) -> None:
         values, vjps = self._values, self._vjps
         for key, slot in zip(self.watch, self._leaf_slots):
-            if build_vjps:
-                buf = self._leaf_bufs[slot]
-                np.copyto(buf, np.asarray(value_of(state[key])))
-                values[slot] = buf
-            else:
-                # concrete replay hands slot values out as the next state,
-                # so leaves must not alias the reusable arena buffers
-                values[slot] = np.asarray(value_of(state[key]),
-                                          dtype=np.float64)
+            buf = self._leaf_bufs[slot]
+            np.copyto(buf, np.asarray(value_of(state[key])))
+            values[slot] = buf
         for slot, parents, kernel in self._ops:
-            out, vjp = kernel([values[p] for p in parents])
-            values[slot] = out
-            if build_vjps:
-                vjps[slot] = vjp
+            values[slot], vjps[slot] = kernel([values[p] for p in parents])
 
     # -- reverse execution (mirrors repro.ad.reverse bit for bit) --------
     def _sweep(self, grads: list, owned: bytearray, start: int) -> None:
@@ -559,12 +459,12 @@ class CompiledPlan:
                 self._shapes[slot])
         return out
 
-    # -- public replay entry points --------------------------------------
+    # -- public replay entry point ----------------------------------------
     def replay_step(self, state: Mapping[str, Any],
                     cotangents: Mapping[str, np.ndarray]
                     ) -> dict[str, np.ndarray]:
         """One segment's chained cotangents, without tracing."""
-        self._forward(state, build_vjps=True)
+        self._forward(state)
         grads: list = [None] * self.n_slots
         owned = bytearray(self.n_slots)
         start = -1
@@ -596,38 +496,6 @@ class CompiledPlan:
         self._sweep(grads, owned, start)
         return self._collect(grads, owned)
 
-    def replay_output(self, state: Mapping[str, Any]
-                      ) -> dict[str, np.ndarray] | None:
-        """The output segment's cotangents (``None`` = untraced output)."""
-        if self._out_slot is None:
-            return None
-        self._forward(state, build_vjps=True)
-        grads: list = [None] * self.n_slots
-        owned = bytearray(self.n_slots)
-        slot = self._out_slot
-        grads[slot] = np.ones(self._shapes[slot], dtype=np.float64)
-        owned[slot] = 1
-        self._sweep(grads, owned, slot)
-        return self._collect(grads, owned)
-
-    def replay_concrete(self, state: Mapping[str, Any]) -> dict[str, Any]:
-        """One concrete forward step (stands in for ``bench.run(state, 1)``)."""
-        assert self._concrete is not None
-        self._forward(state, build_vjps=False)
-        values = self._values
-        next_state: dict[str, Any] = {}
-        for rule in self._concrete:
-            key, tag = rule[0], rule[1]
-            if tag == "slot":
-                next_state[key] = values[rule[2]]
-            elif tag == "const":
-                next_state[key] = rule[2]
-            else:  # incr
-                _key, _tag, delta, py_int, dtype_str = rule
-                advanced = int(value_of(state[key])) + delta
-                next_state[key] = advanced if py_int \
-                    else np.dtype(dtype_str).type(advanced)
-        return next_state
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +503,17 @@ class CompiledPlan:
 # ---------------------------------------------------------------------------
 
 class _Entry:
-    """Learning state of one (kind, probes, watch, coarse-signature) key."""
+    """Learning state of one (probes, watch, coarse-signature) key."""
 
-    __slots__ = ("coarse_plan", "fine_plans", "captures", "coarse_rejected",
-                 "rejected", "reason")
+    __slots__ = ("plan", "pending", "learning", "reason")
 
     def __init__(self) -> None:
-        self.coarse_plan: CompiledPlan | None = None
-        self.fine_plans: dict[tuple, CompiledPlan] = {}
-        self.captures: dict[tuple, CaptureProgram] = {}
-        self.coarse_rejected = False
-        self.rejected = False
+        self.plan: CompiledPlan | None = None
+        #: the first capture and its fine signature, held until a capture
+        #: at a different boundary decides the entry
+        self.pending: tuple[tuple, CaptureProgram] | None = None
+        #: False once the entry has a plan or has given up on one
+        self.learning = True
         self.reason = ""
 
 
@@ -662,13 +530,13 @@ class _capture_scope:
 
 
 class PlanCache:
-    """Compiled replay plans of one analysis, with hit/miss telemetry.
+    """Compiled step plans of one analysis, with hit/miss telemetry.
 
     One cache serves one benchmark instance (the analyzer builds a fresh
     cache per :meth:`~repro.core.criticality.CriticalityAnalyzer.analyze`
     call and shares it across that analysis' sweeps and probes); keys are
-    (kind, probe count, watch list, structural signature), so step, output
-    and probe-batched plans never collide.
+    (probe count, watch list, structural signature), so plain and
+    probe-batched plans never collide.
     """
 
     def __init__(self, plan_optimize: str = DEFAULT_PLAN_OPTIMIZE) -> None:
@@ -677,18 +545,14 @@ class PlanCache:
                              f"choose from {PLAN_OPTIMIZES}")
         self._plan_optimize = plan_optimize
         self._entries: dict[tuple, _Entry] = {}
-        #: replayed traced segments
+        #: replayed step segments
         self.hits = 0
-        #: traced segments that had to run the tracer (capture or fallback)
+        #: step segments that had to run the tracer (capture or fallback)
         self.misses = 0
-        #: plans compiled (coarse + fine)
+        #: plans compiled
         self.compiles = 0
-        #: entries poisoned (unsupported op, nondeterminism, replay error)
+        #: entries poisoned (unsupported op, compile or replay error)
         self.rejects = 0
-        #: concrete forward steps served by a plan instead of ``bench.run``
-        self.forward_replays = 0
-        #: fine-tier plans evicted by the LRU bound (_MAX_FINE_PLANS)
-        self.fine_evictions = 0
         #: largest slot count of any compiled plan's arena
         self.arena_slots = 0
         #: largest gradient-buffer footprint estimate of any compiled plan
@@ -700,17 +564,15 @@ class PlanCache:
         #: most dead instructions eliminated from any compiled plan
         self.eliminated_slots = 0
 
-    def planner(self, bench, kind: str, watch: Sequence[str],
+    def planner(self, bench, watch: Sequence[str],
                 n_probes: int | None = None) -> "Planner":
         """A :class:`Planner` bound to this cache for one sweep flavour."""
-        return Planner(self, bench, kind, tuple(watch), n_probes)
+        return Planner(self, bench, tuple(watch), n_probes)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the additive telemetry counters (for delta folds)."""
         return {"hits": self.hits, "misses": self.misses,
-                "compiles": self.compiles, "rejects": self.rejects,
-                "forward_replays": self.forward_replays,
-                "fine_evictions": self.fine_evictions}
+                "compiles": self.compiles, "rejects": self.rejects}
 
     def _entry(self, key: tuple) -> _Entry:
         entry = self._entries.get(key)
@@ -719,15 +581,20 @@ class PlanCache:
             self._entries[key] = entry
         return entry
 
-    def _compiled(self, entry: _Entry, program: CaptureProgram,
-                  other: CaptureProgram) -> CompiledPlan | None:
+    def _reject(self, entry: _Entry, reason: str) -> None:
+        entry.plan = None
+        entry.pending = None
+        entry.learning = False
+        entry.reason = reason
+        self.rejects += 1
+
+    def _compiled(self, entry: _Entry,
+                  program: CaptureProgram) -> CompiledPlan | None:
         try:
-            plan = CompiledPlan(program, _concrete_rules(program, other),
-                                optimize=self._plan_optimize)
+            plan = CompiledPlan(program, optimize=self._plan_optimize)
         except Exception as exc:  # noqa: BLE001 - compile must never fail a run
-            entry.rejected = True
-            entry.reason = f"compile failed: {type(exc).__name__}: {exc}"
-            self.rejects += 1
+            self._reject(entry,
+                         f"compile failed: {type(exc).__name__}: {exc}")
             return None
         self.compiles += 1
         self.arena_slots = max(self.arena_slots, plan.n_slots)
@@ -739,116 +606,85 @@ class PlanCache:
                                     plan.eliminated_slots)
         return plan
 
-    def learn(self, key: tuple, fine: tuple,
+    def learn(self, entry: _Entry, fine: tuple,
               program: CaptureProgram) -> None:
         """Fold one fresh capture into the entry's learning state."""
-        entry = self._entry(key)
-        if entry.rejected:
-            return
         if not program.supported:
-            entry.rejected = True
-            entry.reason = program.reason
-            self.rejects += 1
+            self._reject(entry, program.reason)
             return
-        if not entry.coarse_rejected and entry.captures:
-            for fs, prev in entry.captures.items():
-                if fs == fine:
-                    continue
-                if programs_equal(prev, program):
-                    entry.coarse_plan = self._compiled(entry, program, prev)
-                    entry.captures.clear()
-                else:
-                    # counter-dependent structure: refine to per-value plans
-                    entry.coarse_rejected = True
-                break
-        if entry.coarse_plan is not None or entry.rejected:
+        if entry.pending is None:
+            entry.pending = (fine, program)
             return
-        prev = entry.captures.get(fine)
-        if prev is not None:
-            if programs_equal(prev, program):
-                plan = self._compiled(entry, program, prev)
-                if plan is not None:
-                    # LRU bound: replay hits refresh a plan's recency
-                    # (_lookup / advance move it to the dict's end), so the
-                    # front is always the least recently used plan
-                    while len(entry.fine_plans) >= _MAX_FINE_PLANS:
-                        entry.fine_plans.pop(next(iter(entry.fine_plans)))
-                        self.fine_evictions += 1
-                    entry.fine_plans[fine] = plan
-                    del entry.captures[fine]
-            else:
-                # same non-float state, different structure: the trace
-                # depends on something no signature can see -- give up
-                entry.rejected = True
-                entry.reason = "structure varies at a fixed fine signature"
-                self.rejects += 1
-        elif len(entry.captures) < _MAX_PENDING_CAPTURES:
-            entry.captures[fine] = program
+        first_fine, first = entry.pending
+        if first_fine == fine:
+            return   # the same boundary again: wait for a different one
+        entry.pending = None
+        entry.learning = False
+        if programs_equal(first, program):
+            entry.plan = self._compiled(entry, program)
+        else:
+            # counter-dependent structure: a sweep sees each boundary once,
+            # so no plan could replay -- trace every segment (not a reject)
+            entry.reason = "step structure depends on the non-float state"
 
 
 class Planner:
     """Capture-or-replay driver for one sweep flavour of one benchmark."""
 
-    def __init__(self, cache: PlanCache, bench, kind: str,
-                 watch: tuple[str, ...], n_probes: int | None) -> None:
+    def __init__(self, cache: PlanCache, bench, watch: tuple[str, ...],
+                 n_probes: int | None) -> None:
         self.cache = cache
         self.bench = bench
-        self.kind = kind
         self.watch = watch
         self.n_probes = n_probes
 
-    # -- cache addressing -------------------------------------------------
-    def _key(self, state: Mapping[str, Any]) -> tuple:
-        return (self.kind, self.n_probes, self.watch,
-                coarse_signature(state, _structure_token(self.bench, state)))
+    def _entry(self, state: Mapping[str, Any]) -> _Entry:
+        return self.cache._entry(
+            (self.n_probes, self.watch,
+             coarse_signature(state, _structure_token(self.bench, state))))
 
-    def _lookup(self, state: Mapping[str, Any]
-                ) -> tuple[tuple, _Entry, tuple | None, CompiledPlan | None]:
-        key = self._key(state)
-        entry = self.cache._entry(key)
-        if entry.coarse_plan is not None:
-            return key, entry, None, entry.coarse_plan
-        fine = fine_signature(state)
-        plan = entry.fine_plans.get(fine)
-        if plan is not None:
-            # refresh LRU recency: re-insert at the dict's end
-            entry.fine_plans[fine] = entry.fine_plans.pop(fine)
-        return key, entry, fine, plan
-
-    def _poison(self, key: tuple, entry: _Entry, exc: Exception) -> None:
-        entry.rejected = True
-        entry.coarse_plan = None
-        entry.fine_plans.clear()
-        entry.captures.clear()
-        entry.reason = f"replay failed: {type(exc).__name__}: {exc}"
-        self.cache.rejects += 1
-        warnings.warn(
-            f"replay plan for {getattr(self.bench, 'name', self.bench)!r} "
-            f"failed ({entry.reason}); falling back to fresh tracing",
-            RuntimeWarning, stacklevel=3)
-
-    # -- tracing (the capture/fallback path) ------------------------------
-    def _trace(self, state: Mapping[str, Any], capture: bool):
-        sink = None
-        if capture:
-            scope = _capture_scope()
-            with scope as sink:
-                traced = self._call_tracer(state)
-        else:
-            traced = self._call_tracer(state)
-        return traced, sink
+    def _replay(self, entry: _Entry, replay: Callable[[CompiledPlan], Any],
+                stats) -> Any:
+        """``replay(plan)`` on a hit; ``None`` on a miss or replay error."""
+        plan = entry.plan
+        if plan is None:
+            return None
+        try:
+            result = replay(plan)
+        except Exception as exc:  # noqa: BLE001 - fall back, never fail
+            self.cache._reject(
+                entry, f"replay failed: {type(exc).__name__}: {exc}")
+            warnings.warn(
+                f"replay plan for {getattr(self.bench, 'name', self.bench)!r}"
+                f" failed ({entry.reason}); falling back to fresh tracing",
+                RuntimeWarning, stacklevel=3)
+            return None
+        self.cache.hits += 1
+        if stats is not None:
+            stats.observe_plan_segment(plan.n_slots, plan.nbytes_estimate)
+        return result
 
     def _call_tracer(self, state: Mapping[str, Any]):
         watch = list(self.watch)
-        if self.kind == "step":
-            if self.n_probes is None:
-                return self.bench.traced_step(state, watch=watch)
-            return self.bench.traced_step_probes(state, self.n_probes,
-                                                 watch=watch)
         if self.n_probes is None:
-            return self.bench.traced_output(state, watch=watch)
-        return self.bench.traced_output_probes(state, self.n_probes,
-                                               watch=watch)
+            return self.bench.traced_step(state, watch=watch)
+        return self.bench.traced_step_probes(state, self.n_probes,
+                                             watch=watch)
+
+    def _trace(self, entry: _Entry, state: Mapping[str, Any], stats):
+        """Trace one step, capturing it while the entry still learns."""
+        self.cache.misses += 1
+        if entry.learning:
+            with _capture_scope() as sink:
+                tape, leaves, next_state = self._call_tracer(state)
+            program = _build_program(sink, tape, leaves, self.watch,
+                                     next_state, self.n_probes)
+            self.cache.learn(entry, fine_signature(state), program)
+        else:
+            tape, leaves, next_state = self._call_tracer(state)
+        if stats is not None:
+            stats.observe(tape)
+        return tape, leaves, next_state
 
     # -- sweep entry points ------------------------------------------------
     def step_cotangents(self, state: Mapping[str, Any],
@@ -857,22 +693,12 @@ class Planner:
         """Chained cotangents of one segment: replay when compiled."""
         from .reverse import backward_from_seeds
 
-        key, entry, fine, plan = self._lookup(state)
-        if plan is not None:
-            try:
-                result = plan.replay_step(state, cotangents)
-                self.cache.hits += 1
-                if stats is not None:
-                    stats.observe_plan_segment(plan.n_slots,
-                                               plan.nbytes_estimate)
-                return result
-            except Exception as exc:  # noqa: BLE001 - fall back, never fail
-                self._poison(key, entry, exc)
-        self.cache.misses += 1
-        capture = not entry.rejected
-        (tape, leaves, next_state), sink = self._trace(state, capture)
-        if stats is not None:
-            stats.observe(tape)
+        entry = self._entry(state)
+        result = self._replay(
+            entry, lambda plan: plan.replay_step(state, cotangents), stats)
+        if result is not None:
+            return result
+        tape, leaves, next_state = self._trace(entry, state, stats)
         seeds: list[tuple[ADArray, np.ndarray]] = []
         for chain_key in self.watch:
             produced = next_state.get(chain_key)
@@ -880,49 +706,7 @@ class Planner:
                 seeds.append((produced, cotangents[chain_key]))
         grads = backward_from_seeds(tape, seeds,
                                     [leaves[k] for k in self.watch])
-        if capture:
-            # ``fine`` is always resolved here: _lookup leaves it None only
-            # when a coarse plan exists, and that path either returned or
-            # poisoned the entry (which disables capture)
-            program = _build_program("step", sink, tape, leaves, self.watch,
-                                     state, next_state, None, self.n_probes)
-            self.cache.learn(key, fine, program)
         return dict(zip(self.watch, grads))
-
-    def output_cotangents(self, state: Mapping[str, Any],
-                          stats=None) -> dict[str, np.ndarray] | None:
-        """The output segment's cotangents (``None`` = untraced output)."""
-        from .reverse import backward
-
-        key, entry, fine, plan = self._lookup(state)
-        if plan is not None:
-            try:
-                result = plan.replay_output(state)
-                self.cache.hits += 1
-                if stats is not None:
-                    stats.observe_plan_segment(plan.n_slots,
-                                               plan.nbytes_estimate)
-                return result
-            except Exception as exc:  # noqa: BLE001 - fall back, never fail
-                self._poison(key, entry, exc)
-        self.cache.misses += 1
-        capture = not entry.rejected
-        (tape, leaves, out), sink = self._trace(state, capture)
-        if stats is not None:
-            stats.observe(tape)
-        if isinstance(out, ADArray) and out.node is not None:
-            grads = backward(tape, out, [leaves[k] for k in self.watch],
-                             strict=False)
-            cotangents = dict(zip(self.watch, grads))
-        else:
-            cotangents = None
-        if capture:
-            # see step_cotangents: ``fine`` is always resolved on this path
-            program = _build_program("output", sink, tape, leaves,
-                                     self.watch, state, None, out,
-                                     self.n_probes)
-            self.cache.learn(key, fine, program)
-        return cotangents
 
     def step_activity(self, state: Mapping[str, Any],
                       masks: Mapping[str, Any],
@@ -934,93 +718,21 @@ class Planner:
         reads or moves, so a plan hit applies the precomputed transfer
         (:func:`repro.ad.activity.replay_step_masks`) without running the
         tracer at all.  Misses trace one iteration, chain through the tape
-        and feed the capture tier exactly like the gradient path, so
-        activity and gradient sweeps share one plan per step structure.
+        and feed the capture exactly like the gradient path, so activity
+        and gradient sweeps share one plan per step structure.
         """
         from . import activity as activity_mod
 
-        key, entry, fine, plan = self._lookup(state)
-        if plan is not None:
-            try:
-                result = activity_mod.replay_step_masks(plan, masks)
-                self.cache.hits += 1
-                if stats is not None:
-                    stats.observe_plan_segment(plan.n_slots,
-                                               plan.nbytes_estimate)
-                    stats.activity_plan_replays += 1
-                return result
-            except Exception as exc:  # noqa: BLE001 - fall back, never fail
-                self._poison(key, entry, exc)
-        self.cache.misses += 1
-        capture = not entry.rejected
-        (tape, leaves, next_state), sink = self._trace(state, capture)
+        entry = self._entry(state)
+        result = self._replay(
+            entry, lambda plan: activity_mod.replay_step_masks(plan, masks),
+            stats)
+        if result is not None:
+            if stats is not None:
+                stats.activity_plan_replays += 1
+            return result
+        tape, leaves, next_state = self._trace(entry, state, stats)
         if stats is not None:
-            stats.observe(tape)
             stats.activity_retraces += 1
-        result = activity_mod.chain_step_masks(tape, leaves, next_state,
-                                               self.watch, masks)
-        if capture:
-            # see step_cotangents: ``fine`` is always resolved on this path
-            program = _build_program("step", sink, tape, leaves, self.watch,
-                                     state, next_state, None, self.n_probes)
-            self.cache.learn(key, fine, program)
-        return result
-
-    def output_activity(self, state: Mapping[str, Any],
-                        stats=None) -> dict[str, Any]:
-        """The output segment's read/moved masks (seed of the chain)."""
-        from . import activity as activity_mod
-
-        key, entry, fine, plan = self._lookup(state)
-        if plan is not None:
-            try:
-                result = activity_mod.replay_output_masks(plan)
-                self.cache.hits += 1
-                if stats is not None:
-                    stats.observe_plan_segment(plan.n_slots,
-                                               plan.nbytes_estimate)
-                    stats.activity_plan_replays += 1
-                return result
-            except Exception as exc:  # noqa: BLE001 - fall back, never fail
-                self._poison(key, entry, exc)
-        self.cache.misses += 1
-        capture = not entry.rejected
-        (tape, leaves, out), sink = self._trace(state, capture)
-        if stats is not None:
-            stats.observe(tape)
-            stats.activity_retraces += 1
-        result = activity_mod.masks_from_tape(tape, leaves, self.watch)
-        if capture:
-            # see step_cotangents: ``fine`` is always resolved on this path
-            program = _build_program("output", sink, tape, leaves,
-                                     self.watch, state, None, out,
-                                     self.n_probes)
-            self.cache.learn(key, fine, program)
-        return result
-
-    def advance(self, state: Mapping[str, Any]) -> dict[str, Any]:
-        """One concrete forward step: through the plan when it can.
-
-        Never captures (there is no tape to harvest from a concrete run);
-        a cold cache simply runs the benchmark until the reverse walk's
-        captures compile a plan, after which the remaining forward work --
-        later sweeps' forward passes -- replays.  Entries with nothing
-        replayable skip the signature hashing entirely, so a rejected
-        benchmark's forward loop pays only the coarse shape check.
-        """
-        entry = self.cache._entries.get(self._key(state))
-        if entry is None or entry.rejected:
-            return self.bench.run(state, 1)
-        plan = entry.coarse_plan
-        if plan is None:
-            if not entry.fine_plans:
-                return self.bench.run(state, 1)
-            fine = fine_signature(state)
-            plan = entry.fine_plans.get(fine)
-            if plan is not None:
-                # refresh LRU recency (see _lookup)
-                entry.fine_plans[fine] = entry.fine_plans.pop(fine)
-        if plan is not None and plan.concrete_ok:
-            self.cache.forward_replays += 1
-            return plan.replay_concrete(state)
-        return self.bench.run(state, 1)
+        return activity_mod.chain_step_masks(tape, leaves, next_state,
+                                             self.watch, masks)

@@ -218,12 +218,11 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
     shape ``(len(states),) + entry_shape`` in the entry's declared floating
     dtype.
 
-    ``trace_cache="plan"`` (the default) captures the batched step/output
-    structure once, compiles it to a replay plan (:mod:`repro.ad.plan`) and
-    replays further segments without tracing; the per-probe concrete
-    forward runs additionally replay through the *plain* step plan when a
-    shared ``plan_cache`` already holds one.  Gradients are
-    bitwise-identical either way.
+    ``trace_cache="plan"`` (the default) compiles the batched step to a
+    replay plan (:mod:`repro.ad.plan`) once two step traces agree and
+    replays further segments without tracing; the forward runs and the
+    output segment are never planned.  Gradients are bitwise-identical
+    either way.
     """
     states = [{key: value_of(val) for key, val in state.items()}
               for state in states]
@@ -252,18 +251,11 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
     # flow through an unwatched auxiliary -- see repro.ad.segmented)
     chain = float_state_keys(base)
 
-    planner = out_planner = cache = plan_base = None
-    advance = lambda s: bench.run(s, 1)  # noqa: E731 - rebound below
+    planner = cache = plan_base = None
     if trace_cache == "plan":
         cache = plan_cache if plan_cache is not None else PlanCache()
         plan_base = cache.counters()
-        planner = cache.planner(bench, "step", chain, n_probes=n_probes)
-        out_planner = cache.planner(bench, "output", chain,
-                                    n_probes=n_probes)
-        # the batched traces cannot serve the per-probe concrete forward,
-        # but a *plain* step plan from the same shared cache (a per-probe
-        # sweep, an earlier analysis) can
-        advance = cache.planner(bench, "step", chain).advance
+        planner = cache.planner(bench, chain, n_probes=n_probes)
 
     # one schedule per probe: the per-probe boundary states are what the
     # schedules store; stacking happens on fetch
@@ -279,7 +271,7 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
             current = snapshot_state(probe_state)
             schedule.record(0, current)
             for t in range(1, steps + 1):
-                current = advance(current)
+                current = bench.run(current, 1)
                 schedule.record(t, current)
             del current
 
@@ -294,20 +286,17 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
 
         # -- output segment ------------------------------------------------
         last = stacked_boundary(steps)
-        if out_planner is not None:
-            cotangents = out_planner.output_cotangents(last, stats=stats)
+        tape, leaves, out = bench.traced_output_probes(last, n_probes,
+                                                       watch=chain)
+        if stats is not None:
+            stats.observe(tape)
+        if isinstance(out, ADArray) and out.node is not None:
+            grads = backward(tape, out, [leaves[key] for key in chain],
+                             strict=False)
+            cotangents = dict(zip(chain, grads))
         else:
-            tape, leaves, out = bench.traced_output_probes(last, n_probes,
-                                                           watch=chain)
-            if stats is not None:
-                stats.observe(tape)
-            if isinstance(out, ADArray) and out.node is not None:
-                grads = backward(tape, out, [leaves[key] for key in chain],
-                                 strict=False)
-                cotangents = dict(zip(chain, grads))
-            else:
-                cotangents = None
-            del tape, leaves, out
+            cotangents = None
+        del tape, leaves, out
         if cotangents is None:
             cotangents = {key: np.zeros(np.shape(last[key]),
                                         dtype=gradient_dtype(base[key]))

@@ -96,18 +96,14 @@ class SweepStats:
     peak_snapshot_nbytes: int = 0
     #: trace-cache policy of the observed sweep ("" = none observed)
     trace_cache: str = ""
-    #: traced segments served by a compiled replay plan (no tracer run)
+    #: step segments served by a compiled replay plan (no tracer run)
     plan_hits: int = 0
-    #: traced segments that ran the tracer (plan capture or fallback)
+    #: step segments that ran the tracer (plan capture or fallback)
     plan_misses: int = 0
     #: replay plans compiled from matching captures
     plan_compiles: int = 0
-    #: plan-cache entries rejected (unsupported op, divergence, error)
+    #: plan-cache entries rejected (unsupported op, compile/replay error)
     plan_rejects: int = 0
-    #: concrete forward steps replayed instead of running the benchmark
-    plan_forward_replays: int = 0
-    #: fine-tier plans evicted by the cache's LRU bound
-    plan_fine_evictions: int = 0
     #: largest slot count of any compiled plan's reusable arena
     plan_arena_slots: int = 0
     #: largest gradient-buffer footprint estimate of any plan arena (bytes)
@@ -172,10 +168,6 @@ class SweepStats:
         self.plan_misses += counts["misses"] - base.get("misses", 0)
         self.plan_compiles += counts["compiles"] - base.get("compiles", 0)
         self.plan_rejects += counts["rejects"] - base.get("rejects", 0)
-        self.plan_forward_replays += (counts["forward_replays"]
-                                      - base.get("forward_replays", 0))
-        self.plan_fine_evictions += (counts["fine_evictions"]
-                                     - base.get("fine_evictions", 0))
         self.plan_arena_slots = max(self.plan_arena_slots,
                                     cache.arena_slots)
         self.plan_arena_nbytes = max(self.plan_arena_nbytes,
@@ -335,16 +327,18 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         Optional :class:`SweepStats` collector observing every segment tape
         (and the snapshot store's telemetry).
     trace_cache:
-        ``"plan"`` (default) records each step structure once, compiles it
-        to a replay plan (:mod:`repro.ad.plan`) and replays the plan for
-        further segments, forward steps and later sweeps --
-        bitwise-identical gradients, no repeated tracing; ``"off"`` traces
-        every segment afresh (the pre-plan behaviour).
+        ``"plan"`` (default) compiles the step to a replay plan
+        (:mod:`repro.ad.plan`) once two step traces agree and replays it
+        for the remaining segments -- bitwise-identical gradients; a step
+        whose structure depends on the loop counter (FT, EP) is traced
+        every time.  ``"off"`` traces every segment afresh.  The forward
+        pass and the output segment always run the benchmark and the
+        tracer.
     plan_cache:
         Optional :class:`~repro.ad.plan.PlanCache` shared across sweeps
         (the criticality analyzer shares one per analysis, so per-probe
-        sweeps and repeated analyses replay each other's plans); ``None``
-        uses a private cache for this sweep.
+        sweeps replay each other's plans); ``None`` uses a private cache
+        for this sweep.
     plan_optimize:
         IR optimisation policy of a freshly created plan cache
         (:data:`repro.ad.passes.PLAN_OPTIMIZES`): ``"fuse"`` (default)
@@ -384,17 +378,14 @@ def segmented_gradients(bench, state: Mapping[str, Any],
     # chain every float entry, not just the requested keys (see module docs)
     chain = float_state_keys(state)
 
-    planner = out_planner = cache = plan_base = None
+    planner = cache = plan_base = None
     if trace_cache == "plan":
         cache = plan_cache if plan_cache is not None \
             else PlanCache(
                 plan_optimize=plan_optimize if plan_optimize is not None
                 else DEFAULT_PLAN_OPTIMIZE)
         plan_base = cache.counters()
-        planner = cache.planner(bench, "step", chain)
-        out_planner = cache.planner(bench, "output", chain)
-    advance = planner.advance if planner is not None \
-        else (lambda s: bench.run(s, 1))
+        planner = cache.planner(bench, chain)
 
     schedule = make_schedule(steps)
     try:
@@ -402,30 +393,25 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         # ``record`` copies every array entry, so a benchmark whose ``run``
         # mutates arrays in place cannot corrupt earlier boundaries through
         # aliasing; the initial copy also shields the caller's state.
-        # With a warm plan cache the advance itself is a concrete plan
-        # replay instead of a benchmark run.
         current = snapshot_state(state)
         schedule.record(0, current)
         for t in range(1, steps + 1):
-            current = advance(current)
+            current = bench.run(current, 1)
             schedule.record(t, current)
         del current
 
         # -- output segment: trace and sweep only the final reduction -----
         last = schedule.fetch(steps)
-        if out_planner is not None:
-            cotangents = out_planner.output_cotangents(last, stats=stats)
+        tape, leaves, out = bench.traced_output(last, watch=chain)
+        if stats is not None:
+            stats.observe(tape)
+        if isinstance(out, ADArray) and out.node is not None:
+            grads = backward(tape, out, [leaves[key] for key in chain],
+                             strict=False)
+            cotangents = dict(zip(chain, grads))
         else:
-            tape, leaves, out = bench.traced_output(last, watch=chain)
-            if stats is not None:
-                stats.observe(tape)
-            if isinstance(out, ADArray) and out.node is not None:
-                grads = backward(tape, out, [leaves[key] for key in chain],
-                                 strict=False)
-                cotangents = dict(zip(chain, grads))
-            else:
-                cotangents = None
-            del tape, leaves, out
+            cotangents = None
+        del tape, leaves, out
         if cotangents is None:
             # the output never touched a watched input (the monolithic
             # strict=False case): every gradient is exactly zero

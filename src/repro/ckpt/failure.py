@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.criticality import VariableCriticality
 from repro.npb.base import concrete_state
+from repro.npb.common import VerificationResult
 
 from .manager import CheckpointManager, run_with_checkpoints
 from .restart import RestartOutcome, restore_state
@@ -151,7 +152,12 @@ def run_failure_scenario(bench, directory: str | Path,
     state: the named element class (``"critical"`` for the paper's negative
     control) is re-corrupted *after* the restore, so the restart proceeds
     without those values.  The verification is then expected to fail, which
-    is exactly the evidence that those elements were critical.
+    is exactly the evidence that those elements were critical.  Garbage in
+    those elements may also crash the replay or the verification itself
+    (FT indexing with a garbage step counter, IS binning negative keys);
+    with ``unrecovered`` set, such an exception counts as a failed
+    verification whose notes name it.  Without ``unrecovered`` exceptions
+    propagate.
     """
     directory = Path(directory)
     if fail_at_step is None:
@@ -189,8 +195,16 @@ def run_failure_scenario(bench, directory: str | Path,
     # replaying from a deliberately corrupted state may legitimately blow up
     # (that is what the negative control demonstrates); keep it quiet
     with np.errstate(all="ignore"):
-        final_state = bench.run(state, remaining)
-        verification = bench.verify(final_state)
+        try:
+            final_state = bench.run(state, remaining)
+            verification = bench.verify(final_state)
+        except Exception as exc:
+            if unrecovered is None:
+                raise
+            final_state = state
+            verification = VerificationResult(
+                bench.name, False, getattr(bench, "epsilon", float("nan")),
+                notes=f"restart raised {type(exc).__name__}: {exc}")
     outcome = RestartOutcome(
         benchmark=bench.name,
         mode=latest.mode,

@@ -186,7 +186,6 @@ def scrutinize(bench, step: int | None = None,
                state: Mapping[str, Any] | None = None,
                method: str = "ad", n_probes: int = 1,
                steps: int | None = None,
-               rng: np.random.Generator | None = None,
                sweep: str = "monolithic",
                probe_scale: float = DEFAULT_PROBE_SCALE) -> ScrutinyResult:
     """Run the full element-level analysis of one benchmark.
@@ -203,7 +202,7 @@ def scrutinize(bench, step: int | None = None,
         benchmarks -- see the property tests).
     state:
         Explicit checkpoint state; overrides ``step`` when given.
-    method, n_probes, steps, rng, sweep, probe_scale:
+    method, n_probes, steps, sweep, probe_scale:
         Forwarded to :class:`~repro.core.criticality.CriticalityAnalyzer`;
         ``sweep="segmented"`` bounds the AD tape memory to one main-loop
         iteration and replays compiled step plans (bitwise-identical
@@ -213,7 +212,7 @@ def scrutinize(bench, step: int | None = None,
     """
     # built first: a bad argument fails before the forward run
     analyzer = CriticalityAnalyzer(method=method, n_probes=n_probes,
-                                   steps=steps, rng=rng, sweep=sweep,
+                                   steps=steps, sweep=sweep,
                                    probe_scale=probe_scale)
     # ``analysis_step`` feeds the analyzer's per-analysis probe-rng
     # derivation: for an explicit state with no explicit step it stays

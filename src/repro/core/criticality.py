@@ -34,7 +34,7 @@ provided:
     ablation experiments compare the AD method against.  Honours the same
     sweep machinery as ``"ad"``: ``sweep="segmented"`` chains per-iteration
     read masks across boundaries (O(1-iteration) tape memory) and replays
-    the analysis from compiled plan structure with no tracing at all --
+    step segments from compiled plan structure without tracing them --
     bitwise-identical to the monolithic tape walk.  Value-independent, so
     ``n_probes`` must stay 1 (probing cannot change a read set).
 
@@ -94,7 +94,7 @@ SWEEPS = ("monolithic", "segmented")
 #: exactly the entries it should
 DEFAULT_PROBE_SCALE = 1.0e-3
 
-#: base seed of the per-analysis probe generators (and the legacy default)
+#: base seed of the per-analysis probe generators
 _PROBE_SEED = 20241117
 
 
@@ -255,15 +255,11 @@ class CriticalityAnalyzer:
         floating-point state to separate structural zeros from coincidental
         ones.  Ignored by the other methods.
     probe_scale:
-        Relative magnitude of the probe perturbations.
-    rng:
-        Explicit generator used *statefully* for probe perturbations (legacy
-        behaviour: the caller owns the stream, so reuse across analyses is
-        order-dependent).  ``None`` (the default) derives a fresh,
-        deterministic generator per :meth:`analyze` call from the benchmark
-        name, problem class and checkpoint step, so a reused sequential
-        analyzer is guaranteed to produce exactly what a fresh analyzer (the
-        parallel engine's fresh-per-job path) produces.
+        Relative magnitude of the probe perturbations.  The perturbations
+        come from a fresh, deterministic generator per :meth:`analyze` call,
+        seeded from the benchmark name, problem class and checkpoint step,
+        so a reused sequential analyzer produces exactly what a fresh
+        analyzer (the parallel engine's fresh-per-job path) produces.
     steps:
         Number of remaining main-loop iterations to analyse; ``None`` means
         every iteration left until the benchmark completes (the paper's
@@ -290,7 +286,6 @@ class CriticalityAnalyzer:
 
     def __init__(self, method: str = "ad", n_probes: int = 1,
                  probe_scale: float = DEFAULT_PROBE_SCALE,
-                 rng: np.random.Generator | None = None,
                  steps: int | None = None,
                  sweep: str = "monolithic") -> None:
         validate_analysis(method, n_probes, sweep)
@@ -298,7 +293,6 @@ class CriticalityAnalyzer:
         self.method = method
         self.n_probes = int(n_probes)
         self.probe_scale = float(probe_scale)
-        self.rng = rng
         self.steps = steps
         self.sweep = sweep
 
@@ -342,13 +336,11 @@ class CriticalityAnalyzer:
             elif self.method == "activity":
                 results.update(self._activity_masks(bench, state, ad_vars))
             elif self.method == "tangent":
-                rng = self.rng if self.rng is not None \
-                    else self._analysis_rng(bench, state, step)
+                rng = self._analysis_rng(bench, state, step)
                 results.update(self._tangent_masks(bench, state, ad_vars,
                                                    rng))
             else:
-                rng = self.rng if self.rng is not None \
-                    else self._analysis_rng(bench, state, step)
+                rng = self._analysis_rng(bench, state, step)
                 results.update(self._ad_masks(bench, state, ad_vars, rng))
 
         # preserve Table I ordering

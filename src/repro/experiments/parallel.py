@@ -29,7 +29,7 @@ what makes a killed batch resumable: the re-invoked run serves finished
 jobs from the store and re-executes none of them.
 
 Determinism: every job builds its own fixed-seed probe generator inside
-:func:`~repro.core.analysis.scrutinize` (``rng=None``), so the masks are
+:func:`~repro.core.analysis.scrutinize`, so the masks are
 bitwise-identical no matter how jobs are distributed over workers, how
 often they were retried or which pool incarnation finally ran them -- the
 parallel-equivalence and chaos tests pin this down.

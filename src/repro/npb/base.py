@@ -274,10 +274,11 @@ class NPBBenchmark:
         """Discriminator for state-dependent traced structure (plan cache).
 
         The replay-plan cache (:mod:`repro.ad.plan`) keys compiled step
-        plans by state *shape* and, when needed, by the exact non-float
-        state values; a benchmark whose traced op sequence additionally
-        depends on something neither tier can see -- a branch on a traced
-        float's value, a mode flag stored outside the state dict -- must
+        plans by state *shape* and compiles one only when two steps at
+        different non-float state values trace identically; a benchmark
+        whose traced op sequence depends on something neither check can
+        see -- a branch on a traced float's value, a mode flag stored
+        outside the state dict -- must
         return the discriminating value here so structurally different
         steps never share a plan.  ``None`` (the default, correct for all
         NPB ports) adds nothing to the key.

@@ -109,15 +109,21 @@ class TestPlanReplayedActivity:
             for key in watch:
                 _assert_masks_equal(mono[key], got[key], f"{name}[{key}]")
             runs.append(stats)
-        # by the third analysis every segment replays a compiled transfer
         warm = runs[-1]
-        assert warm.activity_retraces == 0, \
-            f"{name}: warm activity sweep still traced"
-        assert warm.activity_plan_replays == warm.activity_segments
+        if name in ("FT", "EP"):
+            # counter-dependent steps are never planned: all segments trace
+            assert warm.activity_plan_replays == 0
+            assert warm.activity_retraces == warm.activity_segments
+        else:
+            # every step segment replays the compiled transfer; only the
+            # output segment (never planned) traces
+            assert warm.activity_retraces == 1, \
+                f"{name}: warm activity sweep still traced a step"
+            assert warm.activity_plan_replays == warm.activity_segments - 1
         assert cache.rejects == 0
 
     def test_activity_and_gradient_sweeps_share_plans(self):
-        # the cache key depends only on (kind, probes, watch, structure),
+        # the cache key depends only on (probes, watch, structure),
         # so plans compiled by the gradient walk serve the activity walk
         from repro.ad.segmented import segmented_gradients
 
@@ -130,7 +136,7 @@ class TestPlanReplayedActivity:
         stats = SweepStats()
         act.segmented_read_masks(bench, state, trace_cache="plan",
                                  plan_cache=cache, stats=stats)
-        assert stats.activity_retraces == 0
+        assert stats.activity_retraces == 1   # the output segment
         assert cache.compiles == compiles_before
 
     def test_plan_transfer_is_derived_once_per_plan(self):
@@ -140,12 +146,9 @@ class TestPlanReplayedActivity:
         for _ in range(3):
             act.segmented_read_masks(bench, state, trace_cache="plan",
                                      plan_cache=cache)
-        transfers = [
-            plan._activity_transfer
-            for entry in cache._entries.values()
-            for plan in ([entry.coarse_plan] if entry.coarse_plan is not None
-                         else list(entry.fine_plans.values()))
-        ]
+        transfers = [entry.plan._activity_transfer
+                     for entry in cache._entries.values()
+                     if entry.plan is not None]
         derived = [t for t in transfers if t is not None]
         assert derived, "no plan ever derived an activity transfer"
         # replays must not mutate the cached transfer masks

@@ -4,9 +4,11 @@ The trace-once/replay-many engine may only ever be a *performance*
 transformation: a replayed segment must produce the exact bits a freshly
 traced segment produces, for every NPB port, in the plain and the
 probe-batched segmented sweeps, warm or cold.  These tests pin that, plus
-the safety properties: structure divergence falls back to fresh tracing,
-unsupported primitives reject the plan instead of corrupting it, and the
-reusable arena never aliases anything handed back to the caller.
+the learning rule (one plan from two agreeing step captures; a
+counter-dependent step stops learning and keeps nothing) and the safety
+properties: unsupported primitives reject the plan instead of corrupting
+it, and the reusable arena never aliases anything handed back to the
+caller.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
 #: ports with at least one float checkpoint entry (IS is integer-only and
 #: its AD sweep is the empty program)
 FLOAT_PORTS = tuple(p for p in ALL_PORTS if p != "IS")
+
+#: ports whose step structure is counter-independent: one plan per sweep
+COARSE_PORTS = ("BT", "SP", "MG", "CG", "LU")
+
+#: ports whose step bakes the loop counter into its constants (FT's
+#: per-``kt`` evolution factor, EP's per-batch seed): never planned
+COUNTER_DEPENDENT_PORTS = ("FT", "EP")
 
 
 def _assert_bitwise(expected, got, label):
@@ -53,7 +62,7 @@ class TestPlanGradientsBitwise:
             for key in reference:
                 _assert_bitwise(reference[key], got[key],
                                 f"{name}[{key}] sweep {sweep}")
-        if name not in ("IS",):
+        if name in COARSE_PORTS:
             assert cache.hits > 0, "warm sweeps never replayed"
         assert cache.rejects == 0
 
@@ -84,7 +93,8 @@ class TestPlanGradientsBitwise:
             for key in watch:
                 _assert_bitwise(reference[key], got[key],
                                 f"{name}[{key}] batched sweep {sweep}")
-        assert cache.hits > 0
+        if name in COARSE_PORTS:
+            assert cache.hits > 0
         assert cache.rejects == 0
 
 
@@ -113,21 +123,28 @@ class TestPlanMasksBitwise:
 
 
 # ---------------------------------------------------------------------------
-# cache tiers and telemetry
+# learning rule and telemetry
 # ---------------------------------------------------------------------------
 
-class TestPlanCacheTiers:
-    def test_counter_independent_port_compiles_coarse(self):
+def _pending(cache):
+    """Captures the cache still holds (awaiting a second boundary)."""
+    return [e.pending for e in cache._entries.values()
+            if e.pending is not None]
+
+
+class TestPlanLearning:
+    def test_counter_independent_port_compiles_one_plan(self):
         # CG's step structure does not depend on the loop counter: two
-        # captures at different counters agree and every later segment of
-        # the same sweep replays
+        # captures at different counters agree, one plan compiles, and
+        # every later segment of the same sweep replays
         bench = registry.create("CG", "T")
         state = bench.checkpoint_state(0)
         cache = PlanCache()
         stats = SweepStats()
         segmented_gradients(bench, state, stats=stats, plan_cache=cache)
-        assert cache.compiles >= 1
-        assert stats.plan_hits >= bench.total_steps - 2
+        assert cache.compiles == 1
+        assert not _pending(cache)
+        assert stats.plan_hits == bench.total_steps - 2
         assert stats.trace_cache == "plan"
         assert stats.plan_arena_slots > 0
         assert stats.plan_arena_nbytes > 0
@@ -138,47 +155,36 @@ class TestPlanCacheTiers:
         assert stats.n_segments == off.n_segments
         assert stats.segment_nodes == off.segment_nodes
 
-    def test_counter_dependent_port_refines_to_fine_tier(self):
-        # FT bakes the per-iteration evolution factor into its constants:
-        # the coarse captures disagree, per-counter plans compile instead,
-        # and the second sweep replays them
-        bench = registry.create("FT", "T")
-        state = bench.checkpoint_state(0)
-        cache = PlanCache()
-        segmented_gradients(bench, state, plan_cache=cache)
-        first_hits = cache.hits
-        segmented_gradients(bench, state, plan_cache=cache)
-        segmented_gradients(bench, state, plan_cache=cache)
-        assert first_hits == 0
-        assert cache.compiles >= bench.total_steps
-        assert cache.hits >= bench.total_steps
-        assert cache.rejects == 0
-
-    def test_forward_pass_replays_on_warm_cache(self):
+    def test_output_segment_bypasses_the_cache(self):
+        # only step segments look the cache up: every one is a hit or a
+        # miss, and the traced output segment is neither
         bench = registry.create("CG", "T")
         state = bench.checkpoint_state(0)
         cache = PlanCache()
         segmented_gradients(bench, state, plan_cache=cache)
-        before = cache.forward_replays
-        segmented_gradients(bench, state, plan_cache=cache)
-        assert cache.forward_replays > before
+        assert cache.hits + cache.misses == bench.total_steps
+        assert cache.misses == 2
+        assert {key[0] for key in cache._entries} == {None}
 
-    def test_concrete_replay_matches_bench_run_bitwise(self):
-        bench = registry.create("CG", "T")
-        state = bench.checkpoint_state(0)
-        cache = PlanCache()
-        segmented_gradients(bench, state, plan_cache=cache)  # learn plans
-        planner = cache.planner(bench, "step", bench.default_watch_keys())
-        expected = bench.run(state, 1)
-        got = planner.advance(dict(state))
-        assert cache.forward_replays >= 1
-        assert set(expected) == set(got)
-        for key in expected:
-            ev, gv = np.asarray(expected[key]), np.asarray(got[key])
-            assert ev.dtype == gv.dtype, key
-            assert np.array_equal(ev, gv), key
-        # integer counters keep their Python type through the increment rule
-        assert type(expected["it"]) is type(got["it"])
+    def test_counters_are_the_additive_four(self):
+        assert set(PlanCache().counters()) == {"hits", "misses",
+                                                "compiles", "rejects"}
+
+    @pytest.mark.parametrize("name", ("CG", "FT"))
+    def test_fine_signature_hashed_only_while_learning(self, name,
+                                                       monkeypatch):
+        # the "different boundary" test runs for the two captures only;
+        # once an entry has a plan or has stopped learning it is skipped
+        from repro.ad import plan as plan_mod
+
+        calls = []
+        real = plan_mod.fine_signature
+        monkeypatch.setattr(plan_mod, "fine_signature",
+                            lambda state: calls.append(1) or real(state))
+        bench = registry.create(name, "T")
+        segmented_gradients(bench, bench.checkpoint_state(0),
+                            plan_cache=PlanCache())
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +271,13 @@ class TestStructureDivergenceFallback:
         for _ in range(3):
             got = segmented_gradients(bench, state, plan_cache=cache)
             _assert_bitwise(reference["x"], got["x"], "parity")
-        # the two coarse captures (even/odd counters) disagreed, so no
-        # counter-blind plan may exist; the per-counter fine tier replays
-        # on the later sweeps instead
-        entries = [e for key, e in cache._entries.items()
-                   if key[0] == "step"]
-        assert entries and all(e.coarse_plan is None for e in entries)
-        assert cache.hits > 0
+        # the two captures (even/odd counters) disagreed, so no plan may
+        # exist and every later segment traces
+        entries = list(cache._entries.values())
+        assert entries and all(e.plan is None for e in entries)
+        assert not any(e.learning for e in entries)
+        assert cache.hits == 0
+        assert cache.rejects == 0
 
     def test_unsupported_primitive_rejects_plan(self):
         bench = _UnsupportedOpBench()
@@ -301,7 +307,7 @@ class TestStructureDivergenceFallback:
         assert coarse_signature(a) == coarse_signature(b)
         assert fine_signature(a) != fine_signature(b)
 
-    def test_float32_state_replays_bitwise_without_concrete_forward(self):
+    def test_float32_state_replays_bitwise(self):
         class _F32Bench(_ParityBench):
             name = "F32"
 
@@ -323,9 +329,6 @@ class TestStructureDivergenceFallback:
             assert np.array_equal(
                 np.asarray(reference["x"]).view(np.uint32),
                 np.asarray(got["x"]).view(np.uint32))
-        # the float64 leaf cast is not the identity for float32 chains, so
-        # the concrete forward must keep running the benchmark
-        assert cache.forward_replays == 0
         assert cache.hits > 0
 
 
@@ -359,69 +362,30 @@ class TestArenaIsolation:
         for key in reference:
             _assert_bitwise(reference[key], again[key], f"poisoned[{key}]")
 
-    def test_concrete_replay_next_state_survives_arena_reuse(self):
-        bench = registry.create("CG", "T")
-        state = bench.checkpoint_state(0)
-        cache = PlanCache()
-        segmented_gradients(bench, state, plan_cache=cache)  # learn
-        planner = cache.planner(bench, "step", bench.default_watch_keys())
-        one = planner.advance(dict(state))
-        frozen = np.array(one["x"], copy=True)
-        planner.advance(dict(one))
-        # replaying again must not mutate the state handed out earlier
-        _assert_bitwise(frozen, one["x"], "concrete next state")
-
 
 # ---------------------------------------------------------------------------
-# fine-tier LRU bound
+# counter-dependent steps: no plan, no capture held, tracer bits
 # ---------------------------------------------------------------------------
 
-class TestFinePlanLRUBound:
-    """The fine tier (per-fine-signature plans for counter-dependent
-    structures) is LRU-bounded so a long-lived analyzer can never grow
-    memory without bound; evictions are counted and surfaced through
-    :class:`SweepStats`, and an evicted plan simply recompiles on the next
-    agreeing pair of visits -- gradients stay bitwise-identical."""
+class TestCounterDependentSteps:
+    """FT, EP and the parity bench bake the loop counter into their step:
+    the first two captures disagree, so the entry stops learning without
+    compiling or keeping anything, and every segment traces."""
 
-    def test_fine_plans_bounded_and_evictions_counted(self, monkeypatch):
-        from repro.ad import plan as plan_mod
-
-        monkeypatch.setattr(plan_mod, "_MAX_FINE_PLANS", 2)
-        bench = _ParityBench(steps=6)
-        state = bench.initial_state()
+    @pytest.mark.parametrize("name", COUNTER_DEPENDENT_PORTS + ("PARITY",))
+    def test_no_plan_no_capture_bitwise(self, name):
+        bench = _ParityBench() if name == "PARITY" \
+            else registry.create(name, "T")
+        state = bench.initial_state() if name == "PARITY" \
+            else bench.checkpoint_state(0)
         reference = segmented_gradients(bench, state, trace_cache="off")
-
         cache = PlanCache()
-        stats = SweepStats()
-        for sweep in range(4):
-            got = segmented_gradients(bench, state, plan_cache=cache,
-                                      stats=stats)
+        for sweep in range(2):
+            got = segmented_gradients(bench, state, plan_cache=cache)
             for key in reference:
                 _assert_bitwise(reference[key], got[key],
-                                f"lru[{key}] sweep {sweep}")
-        # six distinct step signatures through a two-slot cache must evict
-        assert cache.fine_evictions > 0
-        assert stats.plan_fine_evictions == cache.fine_evictions
-        assert "fine_evictions" in cache.counters()
-        for entry in cache._entries.values():
-            assert len(entry.fine_plans) <= 2
-
-    def test_unbounded_run_records_no_evictions(self):
-        bench = _ParityBench(steps=4)
-        state = bench.initial_state()
-        cache = PlanCache()
-        for _ in range(3):
-            segmented_gradients(bench, state, plan_cache=cache)
-        assert cache.fine_evictions == 0
-
-    def test_replay_refreshes_lru_recency(self, monkeypatch):
-        from repro.ad import plan as plan_mod
-
-        monkeypatch.setattr(plan_mod, "_MAX_FINE_PLANS", 2)
-        bench = _ParityBench(steps=2)
-        state = bench.initial_state()
-        cache = PlanCache()
-        for _ in range(3):   # capture, compile, replay both step plans
-            segmented_gradients(bench, state, plan_cache=cache)
-        assert cache.fine_evictions == 0   # both plans fit and stay hot
-        assert cache.hits > 0
+                                f"{name}[{key}] sweep {sweep}")
+            assert not _pending(cache), "a capture outlived the sweep"
+        assert cache.compiles == 0
+        assert cache.hits == 0
+        assert cache.rejects == 0

@@ -113,6 +113,78 @@ class TestFailureScenario:
         assert scenario.verification_passed
 
 
+ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
+
+
+@pytest.fixture(scope="module")
+def port_results():
+    """Class-T scrutiny result per port, computed on first use."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = scrutinize(registry.create(name, "T"))
+        return cache[name]
+
+    return get
+
+
+def _scenario(tmp_path, port_results, name, **kwargs):
+    bench = registry.create(name, "T")
+    return run_failure_scenario(
+        bench, tmp_path / name.lower(), port_results(name).variables,
+        interval=max(bench.total_steps // 4, 1), mode="pruned",
+        corrupt="uncritical", **kwargs)
+
+
+class TestNegativeControlAllPorts:
+    """The negative control must report a failed verification on every
+    port: garbage in the critical elements may crash the replay itself
+    (FT's step counter indexing past its sums, IS binning negative keys),
+    and that is a failed verification, not an error of the harness."""
+
+    @pytest.mark.parametrize("name", ALL_PORTS)
+    def test_control_fails_without_raising(self, tmp_path, port_results,
+                                           name):
+        result = _scenario(tmp_path, port_results, name,
+                           unrecovered="critical")
+        assert not result.verification_passed
+        assert "FAILED" in result.summary()
+
+    @pytest.mark.parametrize("name", ALL_PORTS)
+    def test_plain_scenario_passes(self, tmp_path, port_results, name):
+        assert _scenario(tmp_path, port_results, name).verification_passed
+
+    @pytest.mark.parametrize("name,error", (("FT", "IndexError"),
+                                            ("IS", "ValueError")))
+    def test_crashing_replay_is_named_in_the_notes(self, tmp_path,
+                                                   port_results, name,
+                                                   error):
+        result = _scenario(tmp_path, port_results, name,
+                           unrecovered="critical")
+        assert f"restart raised {error}" in result.outcome.verification.notes
+
+    def test_without_unrecovered_exceptions_propagate(self, tmp_path,
+                                                      monkeypatch):
+        bench = registry.create("CG", "T")
+        variables = scrutinize(bench).variables
+
+        def boom(state):
+            raise ZeroDivisionError("verification exploded")
+
+        monkeypatch.setattr(bench, "verify", boom)
+        with pytest.raises(ZeroDivisionError, match="exploded"):
+            run_failure_scenario(bench, tmp_path / "cg", variables,
+                                 interval=1, corrupt="uncritical")
+        result = run_failure_scenario(bench, tmp_path / "cg_control",
+                                      variables, interval=1,
+                                      corrupt="uncritical",
+                                      unrecovered="critical")
+        assert not result.verification_passed
+        assert "ZeroDivisionError: verification exploded" \
+            in result.outcome.verification.notes
+
+
 class TestStorageMeasurement:
     def test_measured_sizes_are_consistent(self, tmp_path, bench, analysis):
         comparison = measure_checkpoint_storage(bench, analysis, tmp_path)

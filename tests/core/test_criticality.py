@@ -306,14 +306,6 @@ class TestPerAnalysisProbeGenerator:
             np.testing.assert_array_equal(a_then_b[1][name].mask,
                                           b_second[name].mask)
 
-    def test_explicit_generator_keeps_legacy_stateful_behaviour(self):
-        bench = registry.create("CG", "T")
-        rng = np.random.default_rng(7)
-        analyzer = CriticalityAnalyzer("ad", n_probes=2, rng=rng)
-        result = analyzer.analyze(bench, step=1)
-        assert analyzer.rng is rng           # caller still owns the stream
-        assert result["x"].mask.shape == (bench.params.x_len,)
-
 
 class TestSweepOption:
     def test_unknown_sweep_rejected(self):

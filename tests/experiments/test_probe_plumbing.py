@@ -101,10 +101,8 @@ class TestRunnerProbes:
                                   probe_scale=2.0e-3).result("CG")
         _assert_same_masks(a, looped)
 
-    def test_legacy_rng_path_accepts_probe_knobs(self):
-        # an explicit stateful generator is an analyzer/scrutinize argument
-        result = scrutinize(registry.create("CG", "T"),
-                            rng=np.random.default_rng(3), n_probes=2,
+    def test_scrutinize_accepts_probe_knobs(self):
+        result = scrutinize(registry.create("CG", "T"), n_probes=2,
                             probe_scale=2.0e-3)
         assert result.benchmark == "CG"
 

@@ -10,7 +10,6 @@ stores.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro
@@ -143,11 +142,9 @@ class TestAnalyzerSchedule:
 
 
 class TestRunnerSchedule:
-    def test_legacy_rng_path_accepts_schedule(self, monkeypatch):
+    def test_scrutinize_builds_one_schedule(self, monkeypatch):
         made = _schedules_made(monkeypatch)
-        result = scrutinize(registry.create("CG", "T"),
-                            rng=np.random.default_rng(3),
-                            sweep="segmented")
+        result = scrutinize(registry.create("CG", "T"), sweep="segmented")
         assert result.benchmark == "CG"
         assert len(made) == 1
 

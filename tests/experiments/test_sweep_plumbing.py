@@ -103,14 +103,6 @@ class TestRunnerSweep:
         mono = ExperimentRunner(problem_class="T").result("CG")
         _assert_same_analysis(mono, result)
 
-    def test_legacy_rng_path_accepts_sweep(self):
-        # an explicit stateful generator is an analyzer/scrutinize argument
-        # (the experiment runner always derives its own)
-        rng = np.random.default_rng(3)
-        result = scrutinize(registry.create("CG", "T"), rng=rng,
-                            n_probes=2, sweep="segmented")
-        assert result.benchmark == "CG"
-
 
 class TestCliSweep:
     def test_parser_accepts_sweep_flag(self):
