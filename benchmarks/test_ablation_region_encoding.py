@@ -1,8 +1,10 @@
 """Ablation -- auxiliary-file encodings and checkpoint I/O cost.
 
-Compares the (start, stop) region records the paper describes against a raw
-bitmap of the criticality mask, and measures the encode/decode and
-pruned-write/restore costs on the paper's largest variable (FT's ``y``).
+Compares the strided (start, length, stride, count) region records -- the
+paper's start/end records, generalised to arithmetic progressions of runs --
+against a raw bitmap of the criticality mask, and measures the
+encode/decode and pruned-write/restore costs on the paper's largest
+variable (FT's ``y``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import pytest
 
 from repro.ckpt.reader import read_checkpoint
 from repro.ckpt.writer import write_pruned_checkpoint
-from repro.core.regions import aux_record_nbytes, decode_regions, encode_mask
+from repro.core.regions import (aux_record_nbytes, decode_records,
+                                encode_records)
 from repro.experiments import ablation
 
 
@@ -23,13 +26,18 @@ def test_ablation_region_records_vs_bitmap(benchmark, runner_s):
         iterations=1, rounds=1)
     print("\n" + report.text)
     rows = report.data["rows"]
-    # the region records never cost more than the payload they save back;
-    # FT's per-row padding is the break-even worst case (one run per row)
-    for (bench_name, var_name), entry in rows.items():
-        assert entry["region_bytes"] <= entry["payload_saved"], \
-            f"{bench_name}({var_name}) region overhead exceeds savings"
+    # the records cost less than the payload they save back everywhere but
+    # CG's x (2 elements, 16 bytes), which the writer's break-even rule
+    # stores whole
+    too_costly = {var for var, entry in rows.items()
+                  if entry["region_bytes"] >= entry["payload_saved"]}
+    assert too_costly == {("CG", "x")}
+    crit = runner_s.result("CG").variables["x"]
+    assert aux_record_nbytes(crit.mask, crit.variable.element_nbytes) == 0
+    # FT's per-row padding plane is one progression: a single record
+    assert rows[("FT", "y")]["n_records"] == 1
     assert rows[("FT", "y")]["region_bytes"] \
-        == rows[("FT", "y")]["payload_saved"]
+        < rows[("FT", "y")]["payload_saved"]
     # MG's striped residual stays cheap: ~1k runs, < 20 KiB of records
     assert rows[("MG", "r")]["region_bytes"] < 20 * 1024
 
@@ -39,8 +47,7 @@ def test_region_encode_decode_cost_mg_r(benchmark, runner_s):
     mask = runner_s.result("MG").variables["r"].mask
 
     def roundtrip():
-        regions = encode_mask(mask)
-        return decode_regions(regions, mask.size)
+        return decode_records(encode_records(mask), mask.size)
 
     decoded = benchmark(roundtrip)
     np.testing.assert_array_equal(decoded, mask.reshape(-1))
@@ -67,27 +74,26 @@ def test_pruned_checkpoint_roundtrip_cost_ft(benchmark, runner_s, tmp_path):
 
 
 def test_aux_overhead_never_exceeds_the_savings(runner_s, benchmark):
-    """Per benchmark, the auxiliary records never cost more than the bytes
-    pruning saves, and with 4-byte offsets (enough for every class-S
-    variable) the suite-wide overhead drops below 10% of the savings."""
+    """Per benchmark, the region records the writer stores never cost more
+    than the bytes pruning saves, and suite-wide they stay below 5% of the
+    savings."""
 
     def per_benchmark_totals():
         totals = {}
         for name in ("BT", "SP", "MG", "CG", "LU", "FT"):
-            overhead8 = overhead4 = saved = 0
+            overhead = saved = 0
             for crit in runner_s.result(name).variables.values():
-                if crit.n_uncritical == 0:
-                    continue
-                regions = crit.regions()
-                overhead8 += aux_record_nbytes(regions, offset_nbytes=8)
-                overhead4 += aux_record_nbytes(regions, offset_nbytes=4)
-                saved += crit.full_nbytes - crit.critical_nbytes
-            totals[name] = (overhead8, overhead4, saved)
+                records = aux_record_nbytes(crit.mask,
+                                            crit.variable.element_nbytes)
+                if records:
+                    overhead += records
+                    saved += crit.full_nbytes - crit.critical_nbytes
+            totals[name] = (overhead, saved)
         return totals
 
     totals = benchmark(per_benchmark_totals)
-    for name, (overhead8, overhead4, saved) in totals.items():
-        assert overhead8 <= saved, f"{name}: aux records exceed savings"
-    total4 = sum(o4 for _, o4, _ in totals.values())
-    total_saved = sum(s for *_, s in totals.values())
-    assert total4 < 0.2 * total_saved
+    for name, (overhead, saved) in totals.items():
+        assert overhead <= saved, f"{name}: aux records exceed savings"
+    total = sum(overhead for overhead, _ in totals.values())
+    total_saved = sum(saved for _, saved in totals.values())
+    assert total < 0.05 * total_saved

@@ -2,7 +2,8 @@
 
 Writes conventional *full* checkpoints and *pruned* checkpoints that store
 only the critical elements identified by the analysis, with the critical
-regions recorded in a small auxiliary file; restores either kind; manages
+regions recorded as strided records in a small auxiliary file (none when
+nothing is worth pruning); restores either kind; manages
 versioned checkpoint directories; and provides the failure-injection harness
 the restart-correctness experiments (Section IV-C) are built on.
 

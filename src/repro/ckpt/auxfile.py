@@ -4,17 +4,23 @@ The paper (Section III-B): *"We save the location of critical elements in an
 auxiliary file ... The auxiliary file only records the start and end
 locations of the region of continuous critical elements."*
 
-This module serialises exactly that: for every pruned state key, the sorted
-list of half-open ``[start, stop)`` runs of critical elements over the
-flattened array.  Layout::
+This module stores a strict generalisation of those start/end records: every
+record is ``(start, length, stride, count)`` -- ``count`` runs of ``length``
+critical elements whose starts are ``stride`` apart over the flattened
+array -- so a regular pattern such as a padding plane in every row is one
+record, and a plain start/end run is a record with ``count == 1`` (see
+:func:`repro.core.regions.encode_records`).  Records are kept per *region
+list*, one per pruned variable; the ``_re``/``_im`` keys of a dcomplex pair
+share their variable's list.  A checkpoint that prunes nothing has no
+auxiliary file.  Layout::
 
     +-----------------+---------------------+-------------+---------------+
-    | magic (8 bytes) | header length (u64) | JSON header | int64 pairs   |
+    | magic (8 bytes) | header length (u64) | JSON header | int64 records |
     +-----------------+---------------------+-------------+---------------+
 
-The header maps each key to the number of its runs; the payload is the
-concatenation of all runs as little-endian ``int64`` (start, stop) pairs in
-header order.
+The header gives each list's name and record count; the payload is the
+concatenation of all lists' records as little-endian ``int64`` quadruples
+in header order.
 """
 
 from __future__ import annotations
@@ -22,78 +28,121 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.core.regions import (Region, regions_from_array, regions_to_array,
-                                validate_regions)
+from repro.core.regions import decode_records
 
-from .format import CheckpointFormatError
+from .format import CheckpointFormatError, CheckpointHeader
 
 __all__ = [
     "AUX_MAGIC",
+    "encode_aux",
     "write_aux_file",
     "read_aux_file",
-    "aux_payload_nbytes",
+    "read_masks",
 ]
 
 
-#: file magic of auxiliary region files
-AUX_MAGIC = b"RPAUX001"
+#: file magic of auxiliary region files (002: strided records per variable)
+AUX_MAGIC = b"RPAUX002"
 
 _LENGTH_STRUCT = struct.Struct("<Q")
 
 
-def aux_payload_nbytes(regions_by_key: Mapping[str, Sequence[Region]]) -> int:
-    """Payload bytes of the (start, stop) records (16 bytes per run)."""
-    return 16 * sum(len(regions) for regions in regions_by_key.values())
+def encode_aux(records_by_name: Mapping[str, np.ndarray]) -> bytes:
+    """The bytes of the auxiliary file holding ``records_by_name``."""
+    arrays = {name: np.asarray(records, dtype="<i8").reshape(-1, 4)
+              for name, records in records_by_name.items()}
+    header = {"lists": [{"name": name, "n_records": len(records)}
+                        for name, records in arrays.items()]}
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return b"".join([AUX_MAGIC, _LENGTH_STRUCT.pack(len(header_bytes)),
+                     header_bytes,
+                     *(records.tobytes() for records in arrays.values())])
 
 
 def write_aux_file(path: str | Path,
-                   regions_by_key: Mapping[str, Sequence[Region]]) -> int:
+                   records_by_name: Mapping[str, np.ndarray]) -> int:
     """Write the auxiliary file and return its total byte size."""
     path = Path(path)
-    keys = list(regions_by_key)
-    header = {
-        "keys": [{"key": key, "n_regions": len(regions_by_key[key])}
-                 for key in keys],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(AUX_MAGIC)
-        fh.write(_LENGTH_STRUCT.pack(len(header_bytes)))
-        fh.write(header_bytes)
-        for key in keys:
-            regions = list(regions_by_key[key])
-            validate_regions(regions)
-            fh.write(regions_to_array(regions).astype("<i8").tobytes())
+    path.write_bytes(encode_aux(records_by_name))
     return path.stat().st_size
 
 
-def read_aux_file(path: str | Path) -> dict[str, list[Region]]:
-    """Read an auxiliary file back into per-key region lists."""
+def read_aux_file(path: str | Path) -> dict[str, np.ndarray]:
+    """Read an auxiliary file back into ``(n, 4)`` record arrays per list.
+
+    The records are not checked against any array here; see
+    :func:`read_masks`.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(AUX_MAGIC))
-        if magic != AUX_MAGIC:
-            raise CheckpointFormatError(
-                f"{path} is not an auxiliary region file (bad magic "
-                f"{magic!r})")
-        (header_len,) = _LENGTH_STRUCT.unpack(fh.read(_LENGTH_STRUCT.size))
-        header_bytes = fh.read(header_len)
-        if len(header_bytes) != header_len:
-            raise CheckpointFormatError(f"{path} is truncated in the header")
-        header = json.loads(header_bytes)
-        out: dict[str, list[Region]] = {}
-        for entry in header["keys"]:
-            key = str(entry["key"])
-            count = int(entry["n_regions"])
-            blob = fh.read(16 * count)
-            if len(blob) != 16 * count:
+    data = path.read_bytes()
+    magic = data[:len(AUX_MAGIC)]
+    if magic != AUX_MAGIC:
+        raise CheckpointFormatError(
+            f"{path} is not an auxiliary region file of this format (magic "
+            f"{magic!r}, expected {AUX_MAGIC!r})")
+    cursor = len(AUX_MAGIC) + _LENGTH_STRUCT.size
+    if len(data) < cursor:
+        raise CheckpointFormatError(f"{path} is truncated in the header")
+    (header_len,) = _LENGTH_STRUCT.unpack(data[len(AUX_MAGIC):cursor])
+    header_bytes = data[cursor:cursor + header_len]
+    if len(header_bytes) != header_len:
+        raise CheckpointFormatError(f"{path} is truncated in the header")
+    try:
+        lists = json.loads(header_bytes)["lists"]
+        counts = [int(entry["n_records"]) for entry in lists]
+        if min(counts, default=0) < 0:
+            raise ValueError("negative record count")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointFormatError(
+            f"{path} has a malformed header: {exc}") from None
+    payload = data[cursor + header_len:]
+    if len(payload) < 32 * sum(counts):
+        raise CheckpointFormatError(f"{path} is truncated in the records")
+    flat = np.frombuffer(payload, dtype="<i8", count=4 * sum(counts))
+    pieces = np.split(flat.reshape(-1, 4), np.cumsum(counts)[:-1])
+    return {str(entry["name"]): records.astype(np.int64)
+            for entry, records in zip(lists, pieces)}
+
+
+def read_masks(aux_path: Path, header: CheckpointHeader
+               ) -> dict[str, np.ndarray]:
+    """Flat critical-element masks of every region list the pruned records
+    of ``header`` use, decoded from the auxiliary file at ``aux_path``.
+
+    Raises :class:`CheckpointFormatError`, naming the file and the list,
+    when a list is missing, its records are invalid for the record's array
+    (negative, empty, unsorted, overlapping, out of range or with a stride
+    shorter than the run) or they cover a different number of elements
+    than the record stores.
+    """
+    lists = read_aux_file(aux_path)
+    masks: dict[str, np.ndarray] = {}
+    for rec in header.records:
+        if not rec.pruned:
+            continue
+        name = rec.region_list
+        if name not in masks:
+            if name not in lists:
                 raise CheckpointFormatError(
-                    f"{path} is truncated in the regions of {key!r}")
-            pairs = np.frombuffer(blob, dtype="<i8").reshape(count, 2)
-            out[key] = regions_from_array(pairs)
-    return out
+                    f"auxiliary file {aux_path} has no region list {name!r} "
+                    f"for pruned record {rec.key!r}")
+            try:
+                masks[name] = decode_records(lists[name], rec.n_elements)
+            except ValueError as exc:
+                raise CheckpointFormatError(
+                    f"auxiliary file {aux_path}, region list {name!r}: "
+                    f"{exc}") from None
+        mask = masks[name]
+        n_covered = int(np.count_nonzero(mask))
+        if mask.size != rec.n_elements or n_covered != rec.n_stored:
+            raise CheckpointFormatError(
+                f"auxiliary file {aux_path}, region list {name!r}: the "
+                f"records cover {n_covered} of {mask.size} elements but "
+                f"record {rec.key!r} stores {rec.n_stored} of "
+                f"{rec.n_elements}")
+    return masks

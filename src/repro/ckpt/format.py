@@ -10,9 +10,11 @@ The JSON header carries the benchmark metadata (name, problem class, step,
 full/pruned mode) and one :class:`RecordSpec` per state-dict entry: its key,
 dtype, logical shape, whether it was pruned and where its payload bytes live
 in the file.  Payloads are raw little-endian array bytes -- the full C-order
-array for full records, or the concatenation of the critical runs for pruned
-records (whose run boundaries live in the auxiliary file, see
-:mod:`repro.ckpt.auxfile`).
+array for full records, or the critical elements in C order for pruned
+records.  Where those elements sit is the paper's start/end region list,
+generalised to strided ``(start, length, stride, count)`` records and kept
+in the auxiliary file (see :mod:`repro.ckpt.auxfile`); a pruned record names
+its list, and the two keys of a dcomplex pair name the same one.
 
 The format is deliberately simple: everything needed to reason about storage
 (Table III) is a byte count of this file plus the auxiliary file.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -35,6 +37,7 @@ __all__ = [
     "RecordSpec",
     "CheckpointHeader",
     "write_container",
+    "container_nbytes",
     "read_container",
     "read_header",
 ]
@@ -43,8 +46,9 @@ __all__ = [
 #: file magic of checkpoint containers
 MAGIC = b"RPCKPT01"
 
-#: bumped whenever the header schema changes
-FORMAT_VERSION = 1
+#: bumped whenever the header schema changes (2: strided region records
+#: shared per variable)
+FORMAT_VERSION = 2
 
 _LENGTH_STRUCT = struct.Struct("<Q")
 
@@ -64,10 +68,12 @@ class RecordSpec:
     offset: int
     nbytes: int
     n_stored: int
+    #: auxiliary region list of a pruned record (``None``: named ``key``)
+    regions: str | None = None
 
     def to_json(self) -> dict[str, Any]:
         """JSON-serialisable form."""
-        return {
+        data = {
             "key": self.key,
             "dtype": self.dtype,
             "shape": list(self.shape),
@@ -76,6 +82,9 @@ class RecordSpec:
             "nbytes": self.nbytes,
             "n_stored": self.n_stored,
         }
+        if self.regions is not None:
+            data["regions"] = self.regions
+        return data
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "RecordSpec":
@@ -84,7 +93,13 @@ class RecordSpec:
                    shape=tuple(int(s) for s in data["shape"]),
                    pruned=bool(data["pruned"]), offset=int(data["offset"]),
                    nbytes=int(data["nbytes"]),
-                   n_stored=int(data["n_stored"]))
+                   n_stored=int(data["n_stored"]),
+                   regions=data.get("regions"))
+
+    @property
+    def region_list(self) -> str:
+        """Name of the auxiliary region list a pruned record uses."""
+        return self.key if self.regions is None else self.regions
 
     @property
     def numpy_dtype(self) -> np.dtype:
@@ -152,38 +167,44 @@ class CheckpointHeader:
         )
 
 
-def write_container(path: str | Path, header: CheckpointHeader,
-                    payloads: Mapping[str, bytes]) -> int:
-    """Write a checkpoint container and return its total byte size.
-
-    ``payloads`` maps state keys to raw bytes; record offsets in ``header``
-    are (re)computed here so callers only need to fill in sizes-agnostic
-    metadata.
-    """
-    path = Path(path)
-    ordered = list(header.records)
-    missing = [rec.key for rec in ordered if rec.key not in payloads]
+def _prefix(header: CheckpointHeader, payloads: Mapping[str, Any]) -> bytes:
+    """Magic, length and JSON header, with record offsets and sizes
+    (re)computed from ``payloads``."""
+    missing = [rec.key for rec in header.records if rec.key not in payloads]
     if missing:
         raise ValueError(f"payloads missing for records: {missing}")
-
-    # recompute offsets relative to the start of the payload section
     cursor = 0
     fixed_records: list[RecordSpec] = []
-    for rec in ordered:
-        blob = payloads[rec.key]
-        fixed_records.append(RecordSpec(rec.key, rec.dtype, rec.shape,
-                                        rec.pruned, cursor, len(blob),
-                                        rec.n_stored))
-        cursor += len(blob)
+    for rec in header.records:
+        size = memoryview(payloads[rec.key]).nbytes
+        fixed_records.append(replace(rec, offset=cursor, nbytes=size))
+        cursor += size
     header.records = fixed_records
-
     header_bytes = json.dumps(header.to_json(), sort_keys=True).encode("utf-8")
+    return MAGIC + _LENGTH_STRUCT.pack(len(header_bytes)) + header_bytes
+
+
+def container_nbytes(header: CheckpointHeader,
+                     payloads: Mapping[str, Any]) -> int:
+    """Size :func:`write_container` would give the file, without writing."""
+    return len(_prefix(header, payloads)) \
+        + sum(memoryview(payloads[rec.key]).nbytes for rec in header.records)
+
+
+def write_container(path: str | Path, header: CheckpointHeader,
+                    payloads: Mapping[str, Any]) -> int:
+    """Write a checkpoint container and return its total byte size.
+
+    ``payloads`` maps state keys to raw bytes or C-contiguous arrays
+    (written without a copy); record offsets in ``header`` are (re)computed
+    here so callers only need to fill in sizes-agnostic metadata.
+    """
+    path = Path(path)
+    prefix = _prefix(header, payloads)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_LENGTH_STRUCT.pack(len(header_bytes)))
-        fh.write(header_bytes)
-        for rec in fixed_records:
+        fh.write(prefix)
+        for rec in header.records:
             fh.write(payloads[rec.key])
     return path.stat().st_size
 
@@ -200,7 +221,10 @@ def read_header(path: str | Path) -> tuple[CheckpointHeader, int]:
         header_bytes = fh.read(header_len)
         if len(header_bytes) != header_len:
             raise CheckpointFormatError(f"{path} is truncated in the header")
-        header = CheckpointHeader.from_json(json.loads(header_bytes))
+        try:
+            header = CheckpointHeader.from_json(json.loads(header_bytes))
+        except CheckpointFormatError as exc:
+            raise CheckpointFormatError(f"{path}: {exc}") from None
         payload_start = len(MAGIC) + _LENGTH_STRUCT.size + header_len
     return header, payload_start
 
@@ -219,11 +243,15 @@ def read_container(path: str | Path
     with open(path, "rb") as fh:
         for rec in header.records:
             fh.seek(payload_start + rec.offset)
-            blob = fh.read(rec.nbytes)
-            if len(blob) != rec.nbytes:
+            blob = bytearray(rec.nbytes)
+            if fh.readinto(blob) != rec.nbytes:
                 raise CheckpointFormatError(
                     f"{path} is truncated in record {rec.key!r}")
-            flat = np.frombuffer(blob, dtype=rec.numpy_dtype).copy()
+            flat = np.frombuffer(blob, dtype=rec.numpy_dtype)
+            if flat.size != rec.n_stored:
+                raise CheckpointFormatError(
+                    f"{path}: record {rec.key!r} holds {flat.size} values "
+                    f"but its header says {rec.n_stored}")
             if rec.pruned:
                 arrays[rec.key] = flat
             else:

@@ -10,7 +10,8 @@ and *combined*:
   previously checkpointed state;
 * :func:`write_incremental_checkpoint` -- store only the changed elements
   (optionally intersected with the critical elements of a criticality
-  analysis), with the runs recorded in the usual auxiliary file;
+  analysis), with their regions recorded in the usual auxiliary file (one
+  list per state key; an entry whose delta would not pay is stored whole);
 * :func:`apply_incremental` / :func:`restore_chain` -- rebuild the state by
   replaying a base checkpoint plus its chain of deltas.
 
@@ -29,14 +30,15 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.criticality import VariableCriticality
-from repro.core.regions import Region, encode_mask
+from repro.core.regions import prune_records
 
-from .auxfile import read_aux_file, write_aux_file
 from .format import (CheckpointFormatError, CheckpointHeader, RecordSpec,
-                     read_container, write_container)
-from .reader import read_checkpoint
+                     read_container)
+from .reader import read_checkpoint, read_region_masks, restore_verbatim
 from .restart import restore_state
-from .writer import WrittenCheckpoint, _as_array, _header_meta, gather_regions
+from .writer import (WrittenCheckpoint, _as_array, _header_meta,
+                     default_aux_path, pruned_record, verbatim_record,
+                     write_with_aux)
 
 __all__ = [
     "changed_mask",
@@ -95,8 +97,7 @@ def write_incremental_checkpoint(
         ``previous``'s step counter when the benchmark exposes one).
     """
     path = Path(path)
-    aux_path = Path(aux_path) if aux_path is not None \
-        else path.with_name(path.name + ".aux")
+    aux_path = default_aux_path(path, aux_path)
     meta = _header_meta(bench, state, step)
     if base_step is None:
         base_step = _header_meta(bench, previous, None)["step"]
@@ -108,39 +109,31 @@ def write_incremental_checkpoint(
                 key_masks[key] = crit.mask
 
     records: list[RecordSpec] = []
-    payloads: dict[str, bytes] = {}
-    regions_by_key: dict[str, list[Region]] = {}
+    payloads: dict[str, np.ndarray] = {}
+    lists: dict[str, np.ndarray] = {}
     for key, value in state.items():
         arr = _as_array(value)
         if key not in previous:
             raise KeyError(f"previous state is missing entry {key!r}")
-        if arr.shape == ():
-            # scalars (loop counters) are tiny: always store them verbatim
-            records.append(RecordSpec(key=key, dtype=arr.dtype.str,
-                                      shape=(), pruned=False, offset=0,
-                                      nbytes=arr.nbytes, n_stored=1))
-            payloads[key] = arr.tobytes()
-            continue
         delta = changed_mask(previous, state, key)
         mask = key_masks.get(key)
         if mask is not None:
             delta = delta & mask.reshape(delta.shape)
-        regions = encode_mask(delta)
-        values = gather_regions(arr, regions)
-        regions_by_key[key] = regions
-        records.append(RecordSpec(key=key, dtype=arr.dtype.str,
-                                  shape=tuple(arr.shape), pruned=True,
-                                  offset=0, nbytes=values.nbytes,
-                                  n_stored=int(values.size)))
-        payloads[key] = values.tobytes()
+        # scalars (loop counters) are tiny: always store them verbatim
+        runs = None if arr.shape == () \
+            else prune_records(delta, arr.itemsize)
+        if runs is None:
+            records.append(verbatim_record(key, arr))
+            payloads[key] = arr
+            continue
+        values = arr.reshape(-1)[delta.reshape(-1)]
+        lists[key] = runs
+        records.append(pruned_record(key, arr, values))
+        payloads[key] = values
 
     header = CheckpointHeader(mode="incremental", records=records, **meta)
-    header.extra["aux_file"] = aux_path.name
     header.extra["base_step"] = int(base_step)
-    nbytes = write_container(path, header, payloads)
-    aux_nbytes = write_aux_file(aux_path, regions_by_key)
-    return WrittenCheckpoint(path, "incremental", meta["step"], nbytes,
-                             aux_path, aux_nbytes)
+    return write_with_aux(path, aux_path, header, payloads, lists)
 
 
 @dataclass
@@ -149,7 +142,7 @@ class IncrementalDelta:
 
     header: CheckpointHeader
     arrays: dict[str, np.ndarray]
-    regions: dict[str, list[Region]]
+    masks: dict[str, np.ndarray]
     path: Path
 
     @property
@@ -173,10 +166,8 @@ def read_incremental_checkpoint(path: str | Path,
         raise CheckpointFormatError(
             f"{path} is a {header.mode!r} checkpoint, not an incremental "
             f"delta")
-    resolved_aux = Path(aux_path) if aux_path is not None \
-        else path.with_name(header.extra.get("aux_file", path.name + ".aux"))
-    regions = read_aux_file(resolved_aux)
-    return IncrementalDelta(header=header, arrays=arrays, regions=regions,
+    _, masks = read_region_masks(path, header, aux_path)
+    return IncrementalDelta(header=header, arrays=arrays, masks=masks,
                             path=path)
 
 
@@ -191,10 +182,8 @@ def apply_incremental(state: Mapping[str, Any],
             out[key] = value
     for rec in delta.header.records:
         if not rec.pruned:
-            flat = delta.arrays[rec.key]
-            value = flat.reshape(())[()]
-            out[rec.key] = int(value) if np.issubdtype(
-                rec.numpy_dtype, np.integer) else np.float64(value)
+            out[rec.key] = restore_verbatim(
+                rec, delta.arrays[rec.key])
             continue
         if rec.key not in out:
             raise KeyError(f"state has no entry {rec.key!r} to apply the "
@@ -205,18 +194,10 @@ def apply_incremental(state: Mapping[str, Any],
                 f"delta record {rec.key!r} has shape {tuple(rec.shape)} but "
                 f"the state entry has shape {current_shape}; the delta was "
                 f"written against a different problem configuration")
-        target = np.asarray(out[rec.key]).reshape(-1)
-        values = delta.arrays[rec.key]
-        cursor = 0
-        for region in delta.regions.get(rec.key, []):
-            count = len(region)
-            target[region.start:region.stop] = values[cursor:cursor + count]
-            cursor += count
-        if cursor != values.size:
-            raise CheckpointFormatError(
-                f"delta record {rec.key!r} holds {values.size} values but "
-                f"its regions cover {cursor}")
-        out[rec.key] = target.reshape(rec.shape)
+        target = np.ascontiguousarray(out[rec.key])
+        target.reshape(-1)[delta.masks[rec.region_list]] = \
+            delta.arrays[rec.key]
+        out[rec.key] = target
     return out
 
 

@@ -4,10 +4,11 @@ A mixed-precision checkpoint is a pruned checkpoint whose stored elements
 are additionally down-converted according to a
 :class:`~repro.core.impact.PrecisionPlan`: high-impact elements keep full
 double precision, low-impact elements are stored as single or half
-precision, and uncritical elements are dropped entirely.  Every variable
-contributes one payload record per storable tier; the per-tier critical
-regions go to the same auxiliary file format the pruned checkpoints use,
-under the key ``"<state key>@<tier>"``.
+precision, and uncritical elements are dropped entirely.  Every state key
+contributes one payload record per storable tier, ``"<state key>@<tier>"``;
+the tier's regions go to the same auxiliary file format the pruned
+checkpoints use, one list per variable and tier (``"<variable>@<tier>"``,
+shared by the two keys of a dcomplex pair).
 
 Restoring casts every tier back to the state's working precision, so the
 restart path of the rest of the library is unchanged.
@@ -23,12 +24,14 @@ import numpy as np
 
 from repro.core.impact import (TIER_DOUBLE, TIER_DTYPES, TIER_HALF,
                                TIER_SINGLE, PrecisionPlan)
-from repro.core.regions import Region, encode_mask
+from repro.core.regions import encode_records
 
-from .auxfile import read_aux_file, write_aux_file
 from .format import (CheckpointFormatError, CheckpointHeader, RecordSpec,
-                     read_container, write_container)
-from .writer import WrittenCheckpoint, _as_array, _header_meta, gather_regions
+                     read_container)
+from .reader import read_region_masks, restore_verbatim
+from .writer import (WrittenCheckpoint, _as_array, _header_meta,
+                     default_aux_path, pruned_record, verbatim_record,
+                     write_with_aux)
 
 __all__ = [
     "STORABLE_TIERS",
@@ -60,8 +63,7 @@ def write_mixed_precision_checkpoint(
     writer does for fully critical variables.
     """
     path = Path(path)
-    aux_path = Path(aux_path) if aux_path is not None \
-        else path.with_name(path.name + ".aux")
+    aux_path = default_aux_path(path, aux_path)
     meta = _header_meta(bench, state, step)
 
     key_plans: dict[str, PrecisionPlan] = {}
@@ -75,45 +77,36 @@ def write_mixed_precision_checkpoint(
             key_plans[key] = plan
 
     records: list[RecordSpec] = []
-    payloads: dict[str, bytes] = {}
-    regions_by_key: dict[str, list[Region]] = {}
+    payloads: dict[str, np.ndarray] = {}
+    lists: dict[str, np.ndarray] = {}
 
     for key, value in state.items():
         arr = _as_array(value)
         plan = key_plans.get(key)
         if plan is None:
-            records.append(RecordSpec(key=key, dtype=arr.dtype.str,
-                                      shape=tuple(arr.shape), pruned=False,
-                                      offset=0, nbytes=arr.nbytes,
-                                      n_stored=int(arr.size)))
-            payloads[key] = arr.tobytes()
+            records.append(verbatim_record(key, arr))
+            payloads[key] = arr
             continue
         if plan.tiers.shape != arr.shape:
             raise ValueError(
                 f"precision plan shape {plan.tiers.shape} does not match "
                 f"state entry {key!r} of shape {arr.shape}")
         for tier in STORABLE_TIERS:
-            mask = plan.tier_mask(tier)
+            mask = plan.tier_mask(tier).reshape(-1)
             if not mask.any():
                 continue
-            regions = encode_mask(mask)
-            values = gather_regions(arr, regions).astype(TIER_DTYPES[tier])
+            list_name = tier_key(plan.variable.name, tier)
+            if list_name not in lists:
+                lists[list_name] = encode_records(mask)
+            values = arr.reshape(-1)[mask].astype(TIER_DTYPES[tier])
             record_name = tier_key(key, tier)
-            regions_by_key[record_name] = regions
-            records.append(RecordSpec(key=record_name,
-                                      dtype=values.dtype.str,
-                                      shape=tuple(arr.shape), pruned=True,
-                                      offset=0, nbytes=values.nbytes,
-                                      n_stored=int(values.size)))
-            payloads[record_name] = values.tobytes()
+            records.append(pruned_record(record_name, arr, values,
+                                         list_name))
+            payloads[record_name] = values
 
     header = CheckpointHeader(mode="mixed", records=records, **meta)
-    header.extra["aux_file"] = aux_path.name
     header.extra["planned_keys"] = sorted(key_plans)
-    nbytes = write_container(path, header, payloads)
-    aux_nbytes = write_aux_file(aux_path, regions_by_key)
-    return WrittenCheckpoint(path, "mixed", meta["step"], nbytes, aux_path,
-                             aux_nbytes)
+    return write_with_aux(path, aux_path, header, payloads, lists)
 
 
 @dataclass
@@ -122,9 +115,9 @@ class MixedPrecisionCheckpoint:
 
     header: CheckpointHeader
     arrays: dict[str, np.ndarray]
-    regions: dict[str, list[Region]]
+    masks: dict[str, np.ndarray]
     path: Path
-    aux_path: Path
+    aux_path: Path | None
 
     @property
     def step(self) -> int:
@@ -138,44 +131,25 @@ class MixedPrecisionCheckpoint:
         elements keep the base values (they are uncritical by construction).
         """
         state: dict[str, Any] = {}
-        seen_planned: set[str] = set()
-        for rec in self.header.records:
-            if not rec.pruned:
-                flat = self.arrays[rec.key]
-                if rec.shape == ():
-                    value = flat.reshape(())[()]
-                    state[rec.key] = int(value) if np.issubdtype(
-                        rec.numpy_dtype, np.integer) else np.float64(value)
-                else:
-                    state[rec.key] = flat.reshape(rec.shape)
-                continue
-            key, _, tier_str = rec.key.rpartition("@")
+        for key in self.header.extra.get("planned_keys", []):
             if key not in base_state:
                 raise ValueError(
-                    f"materialising mixed-precision record {rec.key!r} "
-                    f"needs a base state providing {key!r}")
-            if key not in seen_planned:
-                base = np.array(np.asarray(base_state[key],
-                                           dtype=np.float64), copy=True)
-                if tuple(base.shape) != rec.shape:
-                    raise ValueError(
-                        f"base state entry {key!r} has shape {base.shape}, "
-                        f"checkpoint expects {rec.shape}")
-                state[key] = base
-                seen_planned.add(key)
-            target = state[key]
-            flat = target.reshape(-1)
-            values = self.arrays[rec.key].astype(np.float64)
-            cursor = 0
-            for region in self.regions[rec.key]:
-                count = len(region)
-                flat[region.start:region.stop] = values[cursor:cursor + count]
-                cursor += count
-            if cursor != values.size:
-                raise CheckpointFormatError(
-                    f"record {rec.key!r} holds {values.size} values but its "
-                    f"regions cover {cursor}")
-            del tier_str
+                    f"materialising mixed-precision checkpoint needs a base "
+                    f"state providing {key!r}")
+            state[key] = np.array(base_state[key], dtype=np.float64,
+                                  order="C")
+        for rec in self.header.records:
+            if not rec.pruned:
+                state[rec.key] = restore_verbatim(
+                    rec, self.arrays[rec.key])
+                continue
+            target = state[rec.key.rpartition("@")[0]]
+            if target.shape != rec.shape:
+                raise ValueError(
+                    f"base state entry for {rec.key!r} has shape "
+                    f"{target.shape}, checkpoint expects {rec.shape}")
+            target.reshape(-1)[self.masks[rec.region_list]] = \
+                self.arrays[rec.key]
         return state
 
 
@@ -189,15 +163,7 @@ def read_mixed_precision_checkpoint(path: str | Path,
         raise CheckpointFormatError(
             f"{path} is a {header.mode!r} checkpoint, not a mixed-precision "
             f"one; use repro.ckpt.read_checkpoint")
-    resolved_aux = Path(aux_path) if aux_path is not None \
-        else path.with_name(header.extra.get("aux_file", path.name + ".aux"))
-    regions = read_aux_file(resolved_aux)
-    missing = [rec.key for rec in header.records
-               if rec.pruned and rec.key not in regions]
-    if missing:
-        raise CheckpointFormatError(
-            f"auxiliary file {resolved_aux} is missing regions for "
-            f"records: {missing}")
+    resolved_aux, masks = read_region_masks(path, header, aux_path)
     return MixedPrecisionCheckpoint(header=header, arrays=arrays,
-                                    regions=regions, path=path,
+                                    masks=masks, path=path,
                                     aux_path=resolved_aux)

@@ -16,29 +16,23 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.regions import Region
+from .auxfile import read_masks
+from .format import (CheckpointFormatError, CheckpointHeader, RecordSpec,
+                     read_container)
 
-from .auxfile import read_aux_file
-from .format import CheckpointFormatError, CheckpointHeader, read_container
-
-__all__ = ["LoadedCheckpoint", "read_checkpoint", "scatter_regions"]
+__all__ = ["LoadedCheckpoint", "read_checkpoint", "read_region_masks",
+           "restore_verbatim"]
 
 
-def scatter_regions(target: np.ndarray, regions: list[Region],
-                    values: np.ndarray) -> np.ndarray:
-    """Scatter packed critical values back into a (flattened) array copy."""
-    out = np.array(target, copy=True)
-    flat = out.reshape(-1)
-    cursor = 0
-    for region in regions:
-        count = len(region)
-        flat[region.start:region.stop] = values[cursor:cursor + count]
-        cursor += count
-    if cursor != values.size:
-        raise CheckpointFormatError(
-            f"pruned record holds {values.size} values but the auxiliary "
-            f"regions cover {cursor} elements")
-    return out
+def restore_verbatim(rec: RecordSpec, data: np.ndarray):
+    """A record stored whole, in its shape; 0-d records come back as Python
+    ``int`` (integer records) or ``numpy.float64`` (loop counters etc.)."""
+    if rec.shape == ():
+        value = data.reshape(())[()]
+        if np.issubdtype(rec.numpy_dtype, np.integer):
+            return int(value)
+        return np.float64(value)
+    return data.reshape(rec.shape)
 
 
 @dataclass
@@ -46,13 +40,14 @@ class LoadedCheckpoint:
     """A checkpoint read from disk, before materialisation.
 
     ``arrays`` holds, per state key, either the full array (unpruned
-    records) or the packed critical values (pruned records, whose regions
-    are in ``regions``).
+    records) or the packed critical values (pruned records).  ``masks``
+    holds the flat critical-element mask of each region list the pruned
+    records name (:attr:`RecordSpec.region_list`).
     """
 
     header: CheckpointHeader
     arrays: dict[str, np.ndarray]
-    regions: dict[str, list[Region]]
+    masks: dict[str, np.ndarray]
     path: Path
     aux_path: Path | None
 
@@ -84,7 +79,7 @@ class LoadedCheckpoint:
         for rec in self.header.records:
             data = self.arrays[rec.key]
             if not rec.pruned:
-                state[rec.key] = self._restore_scalar(rec, data)
+                state[rec.key] = restore_verbatim(rec, data)
                 continue
             if base_state is None or rec.key not in base_state:
                 raise ValueError(
@@ -95,43 +90,37 @@ class LoadedCheckpoint:
                 raise ValueError(
                     f"base state entry {rec.key!r} has shape {base.shape}, "
                     f"checkpoint expects {rec.shape}")
-            restored = scatter_regions(base, self.regions[rec.key], data)
-            state[rec.key] = restored.reshape(rec.shape)
+            restored = np.array(base, order="C")
+            restored.reshape(-1)[self.masks[rec.region_list]] = data
+            state[rec.key] = restored
         return state
 
-    @staticmethod
-    def _restore_scalar(rec, data: np.ndarray):
-        """Unwrap 0-d records to Python scalars (loop counters etc.)."""
-        if rec.shape == ():
-            value = data.reshape(())[()]
-            if np.issubdtype(rec.numpy_dtype, np.integer):
-                return int(value)
-            return np.float64(value)
-        return data.reshape(rec.shape)
+def read_region_masks(path: Path, header: CheckpointHeader,
+                      aux_path: str | Path | None = None
+                      ) -> tuple[Path | None, dict[str, np.ndarray]]:
+    """The auxiliary file of the checkpoint at ``path`` and the masks of its
+    region lists, or ``(None, {})`` when no record is pruned.
+
+    The file is ``aux_path`` when given, else the one the header names; bad
+    region records raise :class:`CheckpointFormatError`.
+    """
+    if not any(rec.pruned for rec in header.records):
+        return None, {}
+    if aux_path is None:
+        aux_name = header.extra.get("aux_file")
+        if aux_name is None:
+            raise CheckpointFormatError(
+                f"{path} has pruned records but names no auxiliary file")
+        aux_path = path.with_name(aux_name)
+    return Path(aux_path), read_masks(Path(aux_path), header)
 
 
 def read_checkpoint(path: str | Path,
                     aux_path: str | Path | None = None) -> LoadedCheckpoint:
-    """Read a checkpoint (and, for pruned ones, its auxiliary file)."""
+    """Read a checkpoint and, when it has pruned records, its auxiliary
+    file; bad region records raise :class:`CheckpointFormatError`."""
     path = Path(path)
     header, arrays = read_container(path)
-    regions: dict[str, list[Region]] = {}
-    resolved_aux: Path | None = None
-    if header.mode == "pruned":
-        if aux_path is None:
-            aux_name = header.extra.get("aux_file")
-            if aux_name is None:
-                raise CheckpointFormatError(
-                    f"{path} is pruned but names no auxiliary file")
-            resolved_aux = path.with_name(aux_name)
-        else:
-            resolved_aux = Path(aux_path)
-        regions = read_aux_file(resolved_aux)
-        missing = [rec.key for rec in header.records
-                   if rec.pruned and rec.key not in regions]
-        if missing:
-            raise CheckpointFormatError(
-                f"auxiliary file {resolved_aux} is missing regions for "
-                f"pruned records: {missing}")
-    return LoadedCheckpoint(header=header, arrays=arrays, regions=regions,
-                            path=path, aux_path=resolved_aux)
+    aux_path, masks = read_region_masks(path, header, aux_path)
+    return LoadedCheckpoint(header=header, arrays=arrays, masks=masks,
+                            path=path, aux_path=aux_path)

@@ -120,7 +120,9 @@ class ScrutinyResult:
 
     @property
     def aux_nbytes(self) -> int:
-        """Bytes of the auxiliary region records of the pruned variables."""
+        """Bytes a pruned checkpoint stores beyond the critical elements:
+        the region records of the pruned variables, plus the uncritical
+        elements of variables stored whole because pruning would not pay."""
         total = 0
         for crit in self.variables.values():
             if crit.n_uncritical:
@@ -129,7 +131,8 @@ class ScrutinyResult:
 
     @property
     def pruned_total_nbytes(self) -> int:
-        """Pruned checkpoint plus its auxiliary file (total on-disk cost)."""
+        """Element data plus region records a pruned checkpoint and its
+        auxiliary file store (headers excluded)."""
         return self.pruned_nbytes + self.aux_nbytes
 
     @property

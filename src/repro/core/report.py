@@ -8,7 +8,8 @@ of the paper:
 * Table III -- checkpoint storage before/after eliminating uncritical
   elements (:func:`storage_rows`), using the same accounting as the
   homemade checkpoint library: a pruned checkpoint stores the critical
-  elements' bytes plus the auxiliary file's (start, stop) records.
+  elements' bytes plus the auxiliary file's region records, or a variable
+  whole when pruning it would not pay (:func:`pruned_variable_nbytes`).
 
 Formatting helpers render the rows as fixed-width text tables so the
 experiment drivers, the CLI and the benchmark harness all print the same
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.criticality import VariableCriticality
-from repro.core.regions import aux_record_nbytes
+from repro.core.regions import RECORD_NBYTES, prune_records
 from repro.core.variables import VariableKind
 
 __all__ = [
@@ -64,9 +65,11 @@ class StorageRow:
     """One row of the paper's Table III.
 
     ``original_nbytes`` / ``optimized_nbytes`` are checkpoint-*file* bytes
-    (element data), matching the paper's accounting; the auxiliary region
-    file the pruned checkpoint needs for restart is reported separately in
-    ``aux_nbytes`` because the paper stores it as a separate small file.
+    (element data), matching the paper's accounting.  What the pruned
+    checkpoint stores beyond the critical elements is reported separately
+    in ``aux_nbytes``: the region records the paper keeps in a separate
+    small file, plus the uncritical elements of variables stored whole
+    because pruning them would not pay.
     """
 
     benchmark: str
@@ -88,7 +91,8 @@ class StorageRow:
 
     @property
     def net_saved_fraction(self) -> float:
-        """Saved fraction when the auxiliary file is charged as overhead."""
+        """Saved fraction of what the pruned writer stores: records and
+        break-even fallbacks charged."""
         if self.original_nbytes == 0:
             return 0.0
         return (self.saved_nbytes - self.aux_nbytes) / self.original_nbytes
@@ -135,23 +139,27 @@ def uncritical_rows(results: Mapping[str, Mapping[str, VariableCriticality]],
     return rows
 
 
-def pruned_variable_nbytes(crit: VariableCriticality,
-                           offset_nbytes: int = 8) -> int:
-    """Pruned storage of one variable: critical elements + region records."""
-    return crit.critical_nbytes + aux_record_nbytes(crit.regions(),
-                                                    offset_nbytes)
+def pruned_variable_nbytes(crit: VariableCriticality) -> int:
+    """Bytes a pruned checkpoint stores for one variable: its critical
+    elements plus their region records, or the whole variable when that is
+    no larger (the writer's break-even rule,
+    :func:`repro.core.regions.prune_records`)."""
+    records = prune_records(crit.mask, crit.variable.element_nbytes)
+    if records is None:
+        return crit.full_nbytes
+    return crit.critical_nbytes + RECORD_NBYTES * len(records)
 
 
-def storage_rows(results: Mapping[str, Mapping[str, VariableCriticality]],
-                 offset_nbytes: int = 8) -> list[StorageRow]:
+def storage_rows(results: Mapping[str, Mapping[str, VariableCriticality]]
+                 ) -> list[StorageRow]:
     """Table III rows: full vs. pruned checkpoint bytes per benchmark.
 
-    Every checkpoint variable contributes: floating-point variables are
-    pruned to their critical regions, integer / rule-critical variables are
-    stored in full (they are fully critical), exactly as the homemade
-    checkpoint library writes them.  The checkpoint-file bytes exclude the
-    auxiliary region file (the paper stores it separately); its size is
-    reported in :attr:`StorageRow.aux_nbytes`.
+    Every checkpoint variable contributes: floating-point variables count
+    their critical elements, integer / rule-critical variables are counted
+    in full (they are fully critical).  That element count is the Table III
+    figure compared with the paper.  What the homemade checkpoint library
+    writes on top -- region records, and whole variables where pruning
+    would not pay -- is reported in :attr:`StorageRow.aux_nbytes`.
     """
     rows: list[StorageRow] = []
     for bench_name, variables in results.items():
@@ -164,7 +172,7 @@ def storage_rows(results: Mapping[str, Mapping[str, VariableCriticality]],
                 optimized += crit.full_nbytes
             else:
                 optimized += crit.critical_nbytes
-                aux += aux_record_nbytes(crit.regions(), offset_nbytes)
+                aux += pruned_variable_nbytes(crit) - crit.critical_nbytes
         rows.append(StorageRow(bench_name, original, optimized, aux))
     return rows
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.ckpt import auxfile, format as fmt
-from repro.core.regions import Region
 
 
 def _sample_header() -> fmt.CheckpointHeader:
@@ -95,21 +94,27 @@ class TestContainerRoundtrip:
 
 class TestAuxFile:
     def test_roundtrip(self, tmp_path):
-        regions = {"u": [Region(0, 10), Region(20, 25)],
-                   "r": [Region(5, 6)]}
+        lists = {"u": np.array([[0, 10, 10, 1], [20, 5, 8, 3]]),
+                 "r": np.array([[5, 1, 1, 1]])}
         path = tmp_path / "a.aux"
-        nbytes = auxfile.write_aux_file(path, regions)
+        nbytes = auxfile.write_aux_file(path, lists)
         assert nbytes == path.stat().st_size
-        assert auxfile.read_aux_file(path) == regions
+        read = auxfile.read_aux_file(path)
+        assert list(read) == ["u", "r"]
+        for name, records in lists.items():
+            np.testing.assert_array_equal(read[name], records)
 
     def test_empty_region_lists(self, tmp_path):
         path = tmp_path / "empty.aux"
-        auxfile.write_aux_file(path, {"u": []})
-        assert auxfile.read_aux_file(path) == {"u": []}
+        auxfile.write_aux_file(path, {"u": np.zeros((0, 4), dtype=np.int64)})
+        assert auxfile.read_aux_file(path)["u"].shape == (0, 4)
 
-    def test_payload_nbytes(self):
-        regions = {"u": [Region(0, 1), Region(2, 3)], "r": [Region(0, 5)]}
-        assert auxfile.aux_payload_nbytes(regions) == 48
+    def test_records_cost_32_bytes_each(self, tmp_path):
+        one = auxfile.encode_aux({"u": np.array([[0, 1, 1, 1]])})
+        three = auxfile.encode_aux({"u": np.array([[0, 1, 2, 1],
+                                                   [4, 1, 2, 1],
+                                                   [9, 1, 1, 1]])})
+        assert len(three) - len(one) == 2 * 32
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.aux"
@@ -117,14 +122,9 @@ class TestAuxFile:
         with pytest.raises(fmt.CheckpointFormatError, match="magic"):
             auxfile.read_aux_file(path)
 
-    def test_invalid_regions_rejected_at_write(self, tmp_path):
-        with pytest.raises(ValueError):
-            auxfile.write_aux_file(tmp_path / "bad.aux",
-                                   {"u": [Region(5, 10), Region(0, 6)]})
-
-    def test_truncated_regions_rejected(self, tmp_path):
+    def test_truncated_records_rejected(self, tmp_path):
         path = tmp_path / "t.aux"
-        auxfile.write_aux_file(path, {"u": [Region(0, 10)]})
+        auxfile.write_aux_file(path, {"u": np.array([[0, 10, 10, 1]])})
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(fmt.CheckpointFormatError, match="truncated"):

@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt.reader import read_checkpoint, scatter_regions
-from repro.ckpt.writer import (gather_regions, write_full_checkpoint,
-                               write_pruned_checkpoint)
+from repro.ckpt.reader import read_checkpoint
+from repro.ckpt.writer import write_full_checkpoint, write_pruned_checkpoint
 from repro.core.criticality import VariableCriticality
-from repro.core.regions import Region, encode_mask
 from repro.core.variables import CheckpointVariable, VariableKind
 
 
@@ -33,52 +31,30 @@ def bench():
 @pytest.fixture()
 def state(rng):
     return {
-        "v": rng.random((4, 5)),
-        "y_re": rng.random(6),
-        "y_im": rng.random(6),
+        "v": rng.random((10, 16)),
+        "y_re": rng.random(40),
+        "y_im": rng.random(40),
         "it": 3,
     }
 
 
 @pytest.fixture()
 def criticality(state):
-    v_mask = np.ones((4, 5), dtype=bool)
-    v_mask[:, 4] = False
-    y_mask = np.array([True, True, False, True, False, False])
+    # every row's last six columns (one strided record) and a tail of y
+    # (two records): both save more than their records and headers cost
+    v_mask = np.ones((10, 16), dtype=bool)
+    v_mask[:, 10:] = False
+    y_mask = np.array([True] * 3 + [False] + [True] * 2 + [False] * 34)
     return {
-        "v": VariableCriticality(CheckpointVariable("v", (4, 5)), v_mask),
+        "v": VariableCriticality(CheckpointVariable("v", (10, 16)), v_mask),
         "y": VariableCriticality(
-            CheckpointVariable("y", (6,), VariableKind.COMPLEX_PAIR), y_mask),
+            CheckpointVariable("y", (40,), VariableKind.COMPLEX_PAIR),
+            y_mask),
         "it": VariableCriticality(
             CheckpointVariable("it", (), VariableKind.INTEGER,
                                dtype=np.int64, critical_by_rule=True),
             np.ones((), dtype=bool), method="rule"),
     }
-
-
-class TestGatherScatter:
-    def test_gather_concatenates_runs(self):
-        arr = np.arange(10.0)
-        runs = [Region(0, 3), Region(7, 9)]
-        np.testing.assert_array_equal(gather_regions(arr, runs),
-                                      [0, 1, 2, 7, 8])
-
-    def test_gather_empty_regions(self):
-        assert gather_regions(np.arange(5.0), []).size == 0
-
-    def test_scatter_inverts_gather(self, rng):
-        arr = rng.random(20)
-        mask = rng.random(20) > 0.4
-        runs = encode_mask(mask)
-        packed = gather_regions(arr, runs)
-        base = np.zeros(20)
-        restored = scatter_regions(base, runs, packed)
-        np.testing.assert_array_equal(restored[mask], arr[mask])
-        np.testing.assert_array_equal(restored[~mask], 0.0)
-
-    def test_scatter_rejects_wrong_value_count(self):
-        with pytest.raises(Exception, match="regions cover"):
-            scatter_regions(np.zeros(5), [Region(0, 2)], np.zeros(3))
 
 
 class TestFullCheckpoint:
@@ -134,8 +110,8 @@ class TestPrunedCheckpoint:
         written = write_pruned_checkpoint(tmp_path / "p.ckpt", bench, state,
                                           criticality)
         loaded = read_checkpoint(written.path)
-        base = {"v": rng.random((4, 5)), "y_re": rng.random(6),
-                "y_im": rng.random(6), "it": 0}
+        base = {"v": rng.random((10, 16)), "y_re": rng.random(40),
+                "y_im": rng.random(40), "it": 0}
         restored = loaded.materialize(base)
         v_mask = criticality["v"].mask
         y_mask = criticality["y"].mask
@@ -164,8 +140,8 @@ class TestPrunedCheckpoint:
         written = write_pruned_checkpoint(tmp_path / "p.ckpt", bench, state,
                                           criticality)
         loaded = read_checkpoint(written.path)
-        bad_base = {"v": np.zeros((5, 4)), "y_re": np.zeros(6),
-                    "y_im": np.zeros(6), "it": 0}
+        bad_base = {"v": np.zeros((16, 10)), "y_re": np.zeros(40),
+                    "y_im": np.zeros(40), "it": 0}
         with pytest.raises(ValueError, match="shape"):
             loaded.materialize(bad_base)
 
@@ -190,4 +166,4 @@ class TestPrunedCheckpoint:
                                           criticality, aux_path=aux)
         assert written.aux_path == aux
         loaded = read_checkpoint(written.path, aux_path=aux)
-        assert "v" in loaded.regions
+        assert "v" in loaded.masks

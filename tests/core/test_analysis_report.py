@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import ScrutinyResult, scrutinize
+from repro.core.regions import encode_records
 from repro.core.report import (StorageRow, UncriticalRow, format_bytes,
                                format_table, pruned_variable_nbytes,
                                storage_rows, uncritical_rows)
@@ -114,7 +115,7 @@ class TestStorageRows:
     def test_pruned_variable_nbytes_includes_region_records(self, bt_t_result):
         crit = bt_t_result.variables["u"]
         assert pruned_variable_nbytes(crit) \
-            == crit.critical_nbytes + 16 * len(crit.regions())
+            == crit.critical_nbytes + 32 * len(encode_records(crit.mask))
 
 
 class TestFormatting:

@@ -96,17 +96,61 @@ class TestRegionAlgebra:
     def test_invert_of_full_coverage_is_empty(self):
         assert reg.invert_regions([Region(0, 5)], 5) == []
 
-    def test_array_roundtrip(self):
-        runs = [Region(0, 3), Region(7, 9)]
-        array = reg.regions_to_array(runs)
-        assert array.shape == (2, 2)
-        assert reg.regions_from_array(array) == runs
+    def test_aux_record_nbytes_counts_32_bytes_per_record(self):
+        mask = np.zeros((4, 10), dtype=bool)
+        mask[:, :6] = True            # four equal runs: one record
+        assert reg.aux_record_nbytes(mask, 8) == 32
 
-    def test_empty_array_roundtrip(self):
-        array = reg.regions_to_array([])
-        assert array.shape == (0, 2)
-        assert reg.regions_from_array(array) == []
+    def test_aux_record_nbytes_is_zero_when_pruning_does_not_pay(self):
+        mask = np.ones(10, dtype=bool)
+        mask[3] = False               # saves 8 bytes, a record costs 32
+        assert reg.aux_record_nbytes(mask, 8) == 0
+        assert reg.aux_record_nbytes(np.ones(10, dtype=bool), 8) == 0
 
-    def test_aux_record_nbytes(self):
-        assert reg.aux_record_nbytes([Region(0, 1), Region(2, 3)]) == 32
-        assert reg.aux_record_nbytes([], offset_nbytes=4) == 0
+
+class TestRecords:
+    def test_a_progression_of_equal_runs_is_one_record(self):
+        mask = np.zeros((64, 65), dtype=bool)
+        mask[:, :64] = True
+        np.testing.assert_array_equal(reg.encode_records(mask),
+                                      [[0, 64, 65, 64]])
+
+    def test_runs_group_greedily_from_the_left(self):
+        mask = np.zeros(40, dtype=bool)
+        for start in (10, 20, 30):
+            mask[start:start + 2] = True
+        mask[33] = True
+        np.testing.assert_array_equal(reg.encode_records(mask),
+                                      [[10, 2, 10, 3], [33, 1, 1, 1]])
+
+    def test_empty_and_full_masks(self):
+        assert reg.encode_records(np.zeros(5, dtype=bool)).shape == (0, 4)
+        np.testing.assert_array_equal(
+            reg.encode_records(np.ones(5, dtype=bool)), [[0, 5, 5, 1]])
+        assert not reg.decode_records(np.zeros((0, 4)), 5).any()
+
+    def test_decode_expands_every_run(self):
+        np.testing.assert_array_equal(
+            reg.decode_records([[1, 2, 4, 2], [9, 1, 1, 1]], 10),
+            [0, 1, 1, 0, 0, 1, 1, 0, 0, 1])
+
+    @pytest.mark.parametrize("records, reason", [
+        ([[3, 1, 1, 1], [0, 1, 1, 1]], "unsorted"),
+        ([[0, 3, 3, 1], [2, 1, 1, 1]], "overlap"),
+        ([[8, 3, 3, 1]], "past the array"),
+        ([[0, 1, 1, 20]], "past the array"),
+        ([[0, -1, 1, 1]], "negative"),
+        ([[0, 0, 1, 1]], "no element"),
+        ([[0, 3, 2, 2]], "stride"),
+    ])
+    def test_decode_rejects_invalid_records(self, records, reason):
+        with pytest.raises(ValueError, match=reason):
+            reg.decode_records(records, 10)
+
+    def test_prune_records_breaks_even_on_the_whole_variable(self):
+        mask = np.ones(8, dtype=bool)
+        mask[4:] = False              # 4 uncritical elements, one record
+        assert reg.prune_records(mask, 8) is None        # 32 B vs 32 B
+        np.testing.assert_array_equal(reg.prune_records(mask, 16),
+                                      [[0, 4, 4, 1]])     # 32 B vs 64 B
+        assert reg.prune_records(np.ones(8, dtype=bool), 16) is None

@@ -47,9 +47,10 @@ def test_invert_covers_the_complement(mask):
 
 @given(mask=masks)
 @settings(max_examples=100, deadline=None)
-def test_array_serialisation_roundtrip(mask):
-    runs = reg.encode_mask(mask)
-    assert reg.regions_from_array(reg.regions_to_array(runs)) == runs
+def test_records_decode_to_the_runs(mask):
+    np.testing.assert_array_equal(
+        reg.decode_records(reg.encode_records(mask), mask.size),
+        reg.decode_regions(reg.encode_mask(mask), mask.size))
 
 
 @given(mask=npst.arrays(dtype=np.bool_,

@@ -90,5 +90,6 @@ class TestAblation:
         assert ("BT", "u") in rows
         assert ("CG", "x") in rows
         for entry in rows.values():
-            assert entry["region_bytes"] == 16 * entry["n_regions"]
+            assert entry["region_bytes"] == 32 * entry["n_records"]
+            assert entry["n_records"] <= entry["n_runs"]
             assert entry["payload_saved"] > 0
