@@ -89,6 +89,12 @@ echo "== CLI smoke: plan-replayed segmented activity analysis =="
 python -m repro.cli --class T --method activity --sweep segmented \
     analyze CG >/dev/null
 
+echo "== verification values: recorded table matches fresh full runs =="
+# every port's verify compares against repro.npb.reference; a kernel change
+# that moves a recorded value must regenerate the table
+python -m repro.npb.reference --check
+python -m pytest -q tests/npb/test_reference_values.py
+
 echo "== correctness: class-S restart verification, default engine =="
 # every port's pruned restart must verify and the negative control (a
 # restart with its critical elements corrupted) must fail; exit 0 iff so

@@ -19,6 +19,12 @@ elements that are of very low impact") implemented end to end:
    quartile in half precision, next two quartiles in single) that ignores
    the tolerance -- it saves more bytes but breaks the strictest
    verifications, which is exactly why the tolerance-driven planner exists.
+
+Every size is what a checkpoint takes on disk: the file plus, for a
+pruned one, its auxiliary region file (a mixed-precision checkpoint keeps
+its tier maps in the file and has none), against the full checkpoint file.
+Both writers fall back to the full checkpoint when they would not save
+bytes, so no saving is negative.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from pathlib import Path
 from repro.ad import ops
 from repro.ckpt.precision import (read_mixed_precision_checkpoint,
                                   write_mixed_precision_checkpoint)
-from repro.ckpt.writer import write_pruned_checkpoint
+from repro.ckpt.writer import write_full_checkpoint, write_pruned_checkpoint
 from repro.core.impact import (estimate_roundoff_impact, plan_precision,
                                plan_precision_for_budget)
 from repro.core.report import format_bytes, format_table
@@ -111,6 +117,9 @@ def run(runner: ExperimentRunner | None = None,
                                          result.state)
         all_verified &= verified
 
+        full = write_full_checkpoint(
+            workdir / f"{name.lower()}_full.ckpt", bench, result.state,
+            step=result.step)
         pruned = write_pruned_checkpoint(
             workdir / f"{name.lower()}_pruned.ckpt", bench, result.state,
             result.variables, step=result.step)
@@ -122,7 +131,7 @@ def run(runner: ExperimentRunner | None = None,
             aggressive = write_mixed_precision_checkpoint(
                 workdir / f"{name.lower()}_aggressive.ckpt", bench,
                 result.state, aggressive_plans, step=result.step)
-            aggressive_nbytes = aggressive.nbytes
+            aggressive_nbytes = aggressive.total_nbytes
             aggressive_verified = _restart_verification(bench,
                                                         aggressive.path)
 
@@ -137,19 +146,19 @@ def run(runner: ExperimentRunner | None = None,
             "trials": trials,
             "roundoff_bound": bound,
             "verified": verified,
-            "full_nbytes": result.full_nbytes,
-            "pruned_nbytes": pruned.nbytes,
-            "mixed_nbytes": mixed.nbytes,
+            "full_nbytes": full.nbytes,
+            "pruned_nbytes": pruned.total_nbytes,
+            "mixed_nbytes": mixed.total_nbytes,
             "tier_counts": tier_counts,
             "aggressive_nbytes": aggressive_nbytes,
             "aggressive_verified": aggressive_verified,
         }
         rows.append((
             name,
-            format_bytes(result.full_nbytes),
-            format_bytes(pruned.nbytes),
-            format_bytes(mixed.nbytes),
-            f"{100 * (1 - mixed.nbytes / max(result.full_nbytes, 1)):.1f}%",
+            format_bytes(full.nbytes),
+            format_bytes(pruned.total_nbytes),
+            format_bytes(mixed.total_nbytes),
+            f"{100 * (1 - mixed.total_nbytes / full.nbytes):.1f}%",
             f"PASSED ({trials} trial{'s' if trials > 1 else ''})"
             if verified else "FAILED",
             "-" if aggressive_nbytes is None

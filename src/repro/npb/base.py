@@ -16,7 +16,11 @@ rest of the reproduction consumes:
   the function whose derivative with respect to every checkpoint-variable
   element the paper computes;
 * the benchmark's own verification phase (:meth:`verify`), which the
-  restart-correctness experiments of Section IV-C rely on.
+  restart-correctness experiments of Section IV-C rely on: like NPB, it
+  compares the quantities a port derives from its final state
+  (:meth:`verification_quantities`) against values recorded per problem
+  class (:mod:`repro.npb.reference`), so verifying never reruns the
+  benchmark.
 
 State is always carried in a plain ``dict`` mapping variable component names
 to arrays/scalars, so checkpoint files, failure injection and AD tracing all
@@ -27,13 +31,15 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.ad.schedule import snapshot_state
 from repro.ad.tape import Tape
 from repro.ad.tensor import ADArray, value_of
 from repro.core.variables import (CheckpointVariable, VariableKind,
                                   validate_state)
 
-from .common import VerificationResult
+from .common import VerificationResult, relative_error
 
 __all__ = ["NPBBenchmark", "concrete_state", "copy_state"]
 
@@ -64,6 +70,9 @@ class NPBBenchmark:
 
     #: short benchmark name, overridden by subclasses ("BT", "MG", ...)
     name: str = "base"
+    #: ``details`` label of a verification quantity, where it differs from
+    #: the quantity's name
+    detail_labels: Mapping[str, str] = {}
 
     def __init__(self, params) -> None:
         self.params = params
@@ -93,9 +102,42 @@ class NPBBenchmark:
         """Scalar verification output (differentiable for traced states)."""
         raise NotImplementedError
 
-    def verify(self, state: Mapping[str, Any]) -> VerificationResult:
-        """Benchmark verification phase on a concrete final state."""
+    def verification_quantities(self, final: Mapping[str, Any]
+                                ) -> dict[str, Any]:
+        """The quantities :meth:`verify` checks, from a concrete final state.
+
+        Each is a float or an array (complex where the benchmark compares
+        complex values); :mod:`repro.npb.reference` records them per
+        problem class.
+        """
         raise NotImplementedError
+
+    def verify(self, state: Mapping[str, Any]) -> VerificationResult:
+        """Benchmark verification phase on a final state.
+
+        Every element of every quantity must lie within :attr:`epsilon`
+        relative error of its recorded value (for a complex element,
+        relative to the magnitude of the complex value).  Raises
+        ``ValueError`` when no values are recorded for this port's
+        parameters.
+        """
+        from .reference import recorded_values
+
+        reference, notes = recorded_values(self)
+        got = self.verification_quantities(concrete_state(state))
+        details: dict[str, float] = {}
+        for key, ref in reference.items():
+            label = self.detail_labels.get(key, key)
+            rel = relative_error(got[key], ref)
+            if rel.ndim == 0:
+                details[label] = float(rel)
+            else:
+                details.update((f"{label}[{m}]", float(r))
+                               for m, r in enumerate(rel))
+        passed = all(np.isfinite(rel) and rel <= self.epsilon
+                     for rel in details.values())
+        return VerificationResult(self.name, passed, self.epsilon, details,
+                                  notes=notes)
 
     # ------------------------------------------------------------------
     # main-loop drivers provided by the base class

@@ -36,8 +36,7 @@ import numpy as np
 from repro.ad import ops
 from repro.core.variables import CheckpointVariable, VariableKind
 
-from .base import NPBBenchmark, concrete_state
-from .common import VerificationResult
+from .base import NPBBenchmark
 
 __all__ = ["CG"]
 
@@ -55,7 +54,6 @@ class CG(NPBBenchmark):
         super().__init__(params or params_for("CG", problem_class))
         self._bands, self._offsets = self._make_matrix()
         self._bands_t = ops.dia_transpose(self._bands, self._offsets)
-        self._reference: dict[str, float] | None = None
 
     # ------------------------------------------------------------------
     # Table I
@@ -171,22 +169,6 @@ class CG(NPBBenchmark):
         z, rnorm = self._conj_grad(x_used)
         return self._zeta(x_used, z) + 1.0e-6 * rnorm
 
-    def _reference_values(self) -> dict[str, float]:
-        if self._reference is None:
-            final = concrete_state(self.run(self.initial_state(),
-                                            self.total_steps))
-            self._reference = {
-                "zeta": float(ops.to_numpy(self.output(final))),
-            }
-        return self._reference
-
-    def verify(self, state: Mapping[str, Any]) -> VerificationResult:
-        reference = self._reference_values()
-        final = concrete_state(state)
-        zeta = float(ops.to_numpy(self.output(final)))
-        ref = reference["zeta"]
-        denom = abs(ref) if ref != 0.0 else 1.0
-        rel = abs(zeta - ref) / denom
-        passed = bool(np.isfinite(rel) and rel <= self.epsilon)
-        return VerificationResult(self.name, passed, self.epsilon,
-                                  {"zeta": float(rel)})
+    def verification_quantities(self, final: Mapping[str, Any]
+                                ) -> dict[str, Any]:
+        return {"zeta": float(ops.to_numpy(self.output(final)))}

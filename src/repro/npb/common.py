@@ -232,16 +232,21 @@ def matmul_along_axis(matrix: np.ndarray, field: Any, axis: int) -> Any:
 # verification records
 # ---------------------------------------------------------------------------
 
-def relative_error(value: float, reference: float) -> float:
-    """NPB-style relative error ``|(value - reference) / reference|``."""
-    if reference == 0.0:
-        return abs(value)
-    return abs((value - reference) / reference)
+def relative_error(value: Any, reference: Any) -> np.ndarray:
+    """NPB-style relative error ``|value - reference| / |reference|``.
+
+    Elementwise over arrays (complex ones included, where ``|.|`` is the
+    complex magnitude); a zero reference element gives ``|value|``.
+    """
+    reference = np.asarray(reference)
+    scale = np.abs(reference)
+    return np.abs(np.asarray(value) - reference) / np.where(scale == 0.0,
+                                                             1.0, scale)
 
 
 def within_epsilon(value: float, reference: float, epsilon: float) -> bool:
     """True when ``value`` matches ``reference`` within relative ``epsilon``."""
-    return relative_error(value, reference) <= epsilon
+    return bool(relative_error(value, reference) <= epsilon)
 
 
 @dataclass

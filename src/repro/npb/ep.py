@@ -29,7 +29,8 @@ identical stream.  Class S is NPB's class S, so :meth:`EP.verify` checks the
 final ``sx`` and ``sy`` against NPB's published values with NPB's criterion
 (relative error at most ``1e-8``) and the accepted-pair count against NPB's
 class-S run.  Classes T and A have no published values; they are verified
-against a reference run of this port.
+against the values recorded from this port's own full runs (see
+:mod:`repro.npb.reference`).
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ import numpy as np
 from repro.ad import ops
 from repro.core.variables import CheckpointVariable, VariableKind
 
-from .base import NPBBenchmark, concrete_state
-from .common import (EP_SEED, RandlcStream, VerificationResult,
-                     jump_ahead, relative_error)
+from .base import NPBBenchmark
+from .common import EP_SEED, RandlcStream, jump_ahead
 
 __all__ = ["EP"]
 
@@ -62,7 +62,6 @@ class EP(NPBBenchmark):
         #: uniforms drawn per batch (two per candidate pair)
         self._batch_draws = 2 * (2 ** self.params.nk)
         self._stream = RandlcStream(self._batch_draws)
-        self._reference: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # Table I
@@ -149,30 +148,8 @@ class EP(NPBBenchmark):
         return (state["sx"] + state["sy"]
                 + 1.0e-3 * ops.sum(state["q"] * weights))
 
-    def _reference_values(self) -> tuple[dict[str, float], str]:
-        """Values ``verify`` compares against, and where they come from."""
-        p = self.params
-        published = {"sx": p.sx_verify, "sy": p.sy_verify, "gc": p.gc_verify}
-        if all(np.isfinite(v) for v in published.values()):
-            return published, "NPB published values"
-        if self._reference is None:
-            final = concrete_state(self.run(self.initial_state(),
-                                            self.total_steps))
-            self._reference = {
-                "sx": float(final["sx"]),
-                "sy": float(final["sy"]),
-                "gc": float(np.sum(final["q"])),
-            }
-        return self._reference, "reference run"
-
-    def verify(self, state: Mapping[str, Any]) -> VerificationResult:
-        reference, source = self._reference_values()
-        final = concrete_state(state)
-        got = {"sx": float(final["sx"]), "sy": float(final["sy"]),
-               "gc": float(np.sum(final["q"]))}
-        details = {key: relative_error(got[key], ref)
-                   for key, ref in reference.items()}
-        passed = all(np.isfinite(rel) and rel <= self.epsilon
-                     for rel in details.values())
-        return VerificationResult(self.name, passed, self.epsilon, details,
-                                  notes=source)
+    def verification_quantities(self, final: Mapping[str, Any]
+                                ) -> dict[str, Any]:
+        """The Gaussian sums and the accepted-pair count ``gc``."""
+        return {"sx": float(final["sx"]), "sy": float(final["sy"]),
+                "gc": float(np.sum(final["q"]))}

@@ -168,8 +168,6 @@ class CGParams:
     cgit: int = 25
     #: eigenvalue shift used by the benchmark
     shift: float = 10.0
-    #: reference zeta for class S (used by the verification phase)
-    zeta_verify: float = 8.5971775078648
 
 
 @dataclass(frozen=True)
@@ -215,12 +213,6 @@ class EPParams:
     nk: int = 16
     #: number of annuli counted in ``q``
     nq: int = 10
-    #: NPB's published class-S sums; NaN where NPB publishes none, and
-    #: verification then compares against a reference run instead
-    sx_verify: float = -3.247834652034740e3
-    sy_verify: float = -6.958407078382297e3
-    #: accepted-pair count ``sum(q)`` of NPB's class-S run
-    gc_verify: float = 13176389.0
 
     @property
     def n_batches(self) -> int:
@@ -266,11 +258,9 @@ _T_PARAMS = {
                    niter=8),
     "MG": MGParams(problem_class="T", nx=8, levels=3, nr=1400, niter=2),
     "CG": CGParams(problem_class="T", na=60, x_len=62, nonzer=4, niter=4,
-                   cgit=10, zeta_verify=float("nan")),
+                   cgit=10),
     "FT": FTParams(problem_class="T", nx=8, ny=8, nz_pad=9, nz=8, niter=3),
-    "EP": EPParams(problem_class="T", m=12, nk=8,
-                   sx_verify=float("nan"), sy_verify=float("nan"),
-                   gc_verify=float("nan")),
+    "EP": EPParams(problem_class="T", m=12, nk=8),
     "IS": ISParams(problem_class="T", total_keys=2048, max_key=256,
                    num_buckets=64, niter=4),
 }
@@ -285,8 +275,7 @@ _T_PARAMS = {
 # structural findings: CG's two trailing slack slots, FT's padding plane.)
 _A_PARAMS = {
     "CG": CGParams(problem_class="A", na=2800, x_len=2802, nonzer=9,
-                   niter=30, cgit=25, shift=20.0,
-                   zeta_verify=float("nan")),
+                   niter=30, cgit=25, shift=20.0),
     "FT": FTParams(problem_class="A", nx=96, ny=96, nz_pad=65, nz=64,
                    niter=10),
     # MG is the first stencil port with a class A: a 16**3 finest grid over
@@ -308,9 +297,7 @@ _A_PARAMS = {
     # per-iteration cost test-friendly), IS quadruples the ranked key
     # volume and the iteration count -- both are the long-main-loop regime
     # where the segmented sweep holds many boundary snapshots
-    "EP": EPParams(problem_class="A", m=19, nk=10,
-                   sx_verify=float("nan"), sy_verify=float("nan"),
-                   gc_verify=float("nan")),
+    "EP": EPParams(problem_class="A", m=19, nk=10),
     "IS": ISParams(problem_class="A", total_keys=131072, max_key=4096,
                    num_buckets=1024, niter=40),
 }

@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt.format import CheckpointFormatError
-from repro.ckpt.precision import (read_mixed_precision_checkpoint, tier_key,
+from repro.ckpt.format import (CheckpointFormatError, CheckpointHeader,
+                               write_container)
+from repro.ckpt.precision import (map_key, pack_tiers,
+                                  read_mixed_precision_checkpoint, tier_key,
+                                  unpack_tiers,
                                   write_mixed_precision_checkpoint)
+from repro.ckpt.writer import verbatim_record, write_full_checkpoint
 from repro.core.analysis import scrutinize
 from repro.core.impact import (TIER_DOUBLE, TIER_DROP, TIER_HALF,
                                TIER_SINGLE, PrecisionPlan, plan_precision,
@@ -31,21 +35,37 @@ def bench():
     return DummyBench()
 
 
+#: elements per tier block of ``v``: large enough that the tiers save
+#: more than the container header of the extra records costs
+BLOCK = 256
+N = 4 * BLOCK
+
+
 @pytest.fixture()
 def state(rng):
-    return {"v": 100.0 * rng.random(16) + 1.0, "it": 2}
+    return {"v": 100.0 * rng.random(N) + 1.0, "it": 2}
 
 
 @pytest.fixture()
 def plans():
-    tiers = np.array([TIER_DROP] * 4 + [TIER_HALF] * 4 + [TIER_SINGLE] * 4
-                     + [TIER_DOUBLE] * 4, dtype=np.int8)
-    return {"v": PrecisionPlan(CheckpointVariable("v", (16,)), tiers)}
+    tiers = np.repeat(np.array([TIER_DROP, TIER_HALF, TIER_SINGLE,
+                                TIER_DOUBLE], dtype=np.int8), BLOCK)
+    return {"v": PrecisionPlan(CheckpointVariable("v", (N,)), tiers)}
 
 
 class TestTierKey:
     def test_format(self):
         assert tier_key("y_re", TIER_HALF) == "y_re@1"
+        assert map_key("y") == "y@map"
+
+
+class TestTierMap:
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 1001])
+    def test_pack_round_trips_at_two_bits_per_element(self, rng, size):
+        tiers = rng.integers(0, 4, size=size).astype(np.int8)
+        packed = pack_tiers(tiers)
+        assert packed.dtype == np.uint8 and packed.size == -(-size // 4)
+        np.testing.assert_array_equal(unpack_tiers(packed, size), tiers)
 
 
 class TestWriteRead:
@@ -55,18 +75,20 @@ class TestWriteRead:
             tmp_path / "m.ckpt", bench, state, plans)
         assert written.mode == "mixed"
         loaded = read_mixed_precision_checkpoint(written.path)
-        base = {"v": np.zeros(16), "it": 0}
+        base = {"v": np.zeros(N), "it": 0}
         restored = loaded.materialize(base)
-        v = restored["v"]
+        v, ref = restored["v"], state["v"]
+        half, single, double = (slice(k * BLOCK, (k + 1) * BLOCK)
+                                for k in (1, 2, 3))
         # dropped elements keep the base value
-        np.testing.assert_array_equal(v[:4], 0.0)
+        np.testing.assert_array_equal(v[:BLOCK], 0.0)
         # half precision: correct to ~3 decimal digits, not exact
-        np.testing.assert_allclose(v[4:8], state["v"][4:8], rtol=1e-3)
-        assert not np.array_equal(v[4:8], state["v"][4:8])
+        np.testing.assert_allclose(v[half], ref[half], rtol=1e-3)
+        assert not np.array_equal(v[half], ref[half])
         # single precision: correct to ~7 digits
-        np.testing.assert_allclose(v[8:12], state["v"][8:12], rtol=1e-6)
+        np.testing.assert_allclose(v[single], ref[single], rtol=1e-6)
         # double precision: exact
-        np.testing.assert_array_equal(v[12:], state["v"][12:])
+        np.testing.assert_array_equal(v[double], ref[double])
         # unplanned integer record restored exactly
         assert restored["it"] == 2
 
@@ -74,19 +96,25 @@ class TestWriteRead:
                                                 plans):
         written = write_mixed_precision_checkpoint(
             tmp_path / "m.ckpt", bench, state, plans)
-        # payload: 4*2 + 4*4 + 4*8 = 56 bytes vs 128 for the full array
-        assert written.nbytes < 128 + 1024  # container header allowance
+        full = write_full_checkpoint(tmp_path / "f.ckpt", bench, state)
+        assert written.nbytes < full.nbytes
+        # the tier map lives in the file: no auxiliary file
+        assert written.aux_path is None and written.aux_nbytes == 0
+        assert not (tmp_path / "m.ckpt.aux").exists()
         loaded = read_mixed_precision_checkpoint(written.path)
         stored = sum(rec.nbytes for rec in loaded.header.records
                      if rec.pruned)
-        assert stored == 56
+        assert stored == BLOCK * (2 + 4 + 8)
+        assert loaded.header.record(map_key("v")).nbytes == N // 4
 
     def test_all_double_lossless_plan_stores_verbatim(self, tmp_path, bench,
                                                       state):
-        plans = {"v": PrecisionPlan(CheckpointVariable("v", (16,)),
-                                    np.full(16, TIER_DOUBLE, dtype=np.int8))}
+        plans = {"v": PrecisionPlan(CheckpointVariable("v", (N,)),
+                                    np.full(N, TIER_DOUBLE, dtype=np.int8))}
         written = write_mixed_precision_checkpoint(
             tmp_path / "m.ckpt", bench, state, plans)
+        # nothing saved: the full checkpoint is written
+        assert written.mode == "full"
         loaded = read_mixed_precision_checkpoint(written.path)
         assert not loaded.header.record("v").pruned
         restored = loaded.materialize({})
@@ -100,12 +128,50 @@ class TestWriteRead:
             write_mixed_precision_checkpoint(tmp_path / "m.ckpt", bench,
                                              state, bad)
 
-    def test_reading_wrong_mode_rejected(self, tmp_path, bench, state):
-        from repro.ckpt.writer import write_full_checkpoint
+    def test_tiny_state_falls_back_to_the_full_checkpoint(self, tmp_path,
+                                                          bench):
+        # 4 elements cannot pay for the header of the tier records
+        state = {"v": np.array([1.0, 2.0, 3.0, 4.0]), "it": 2}
+        tiers = np.array([TIER_DROP, TIER_HALF, TIER_SINGLE, TIER_DOUBLE],
+                         dtype=np.int8)
+        plans = {"v": PrecisionPlan(CheckpointVariable("v", (4,)), tiers)}
+        written = write_mixed_precision_checkpoint(
+            tmp_path / "m.ckpt", bench, state, plans)
+        full = write_full_checkpoint(tmp_path / "f.ckpt", bench, state)
+        assert written.mode == "full" and written.nbytes == full.nbytes
+        restored = read_mixed_precision_checkpoint(
+            written.path).materialize({})
+        np.testing.assert_array_equal(restored["v"], state["v"])
 
-        written = write_full_checkpoint(tmp_path / "f.ckpt", bench, state)
+    def test_reading_wrong_mode_rejected(self, tmp_path):
+        it = np.asarray(2)
+        header = CheckpointHeader(benchmark="DUMMY", problem_class="T",
+                                  step=2, mode="pruned",
+                                  records=[verbatim_record("it", it)])
+        write_container(tmp_path / "p.ckpt", header, {"it": it})
         with pytest.raises(CheckpointFormatError, match="mixed"):
-            read_mixed_precision_checkpoint(written.path)
+            read_mixed_precision_checkpoint(tmp_path / "p.ckpt")
+
+    @pytest.mark.parametrize("damage", ["missing", "short", "recount"])
+    def test_bad_tier_map_rejected(self, tmp_path, bench, state, plans,
+                                   damage):
+        written = write_mixed_precision_checkpoint(
+            tmp_path / "m.ckpt", bench, state, plans)
+        loaded = read_mixed_precision_checkpoint(written.path)
+        header, arrays = loaded.header, dict(loaded.arrays)
+        packed = arrays.pop(map_key("v"))
+        if damage == "short":
+            arrays[map_key("v")] = packed[:-1]
+        elif damage == "recount":
+            # move one element from the double tier to the half tier
+            tiers = unpack_tiers(packed, N)
+            tiers[-1] = TIER_HALF
+            arrays[map_key("v")] = pack_tiers(tiers)
+        header.records = [rec for rec in header.records
+                          if rec.key in arrays]
+        write_container(tmp_path / "bad.ckpt", header, arrays)
+        with pytest.raises(CheckpointFormatError, match="tier"):
+            read_mixed_precision_checkpoint(tmp_path / "bad.ckpt")
 
     def test_materialize_requires_base_for_planned_keys(self, tmp_path,
                                                         bench, state, plans):
@@ -118,21 +184,27 @@ class TestWriteRead:
 
 class TestComplexPairVariables:
     def test_both_components_share_the_plan(self, tmp_path, bench, rng):
-        state = {"y_re": rng.random(8), "y_im": rng.random(8), "it": 1}
-        var = CheckpointVariable("y", (8,), VariableKind.COMPLEX_PAIR)
-        tiers = np.array([TIER_DROP] * 2 + [TIER_HALF] * 2
-                         + [TIER_DOUBLE] * 4, dtype=np.int8)
+        n = 2 * BLOCK
+        state = {"y_re": rng.random(n), "y_im": rng.random(n), "it": 1}
+        var = CheckpointVariable("y", (n,), VariableKind.COMPLEX_PAIR)
+        tiers = np.repeat(np.array([TIER_DROP, TIER_HALF, TIER_DOUBLE,
+                                    TIER_DOUBLE], dtype=np.int8), n // 4)
         plans = {"y": PrecisionPlan(var, tiers)}
         written = write_mixed_precision_checkpoint(tmp_path / "m.ckpt",
                                                    bench, state, plans)
         loaded = read_mixed_precision_checkpoint(written.path)
-        base = {"y_re": np.zeros(8), "y_im": np.zeros(8), "it": 0}
+        assert written.mode == "mixed"
+        assert [rec.key for rec in loaded.header.records].count(
+            map_key("y")) == 1
+        base = {"y_re": np.zeros(n), "y_im": np.zeros(n), "it": 0}
         restored = loaded.materialize(base)
+        half = slice(n // 4, n // 2)
         for key in ("y_re", "y_im"):
-            np.testing.assert_array_equal(restored[key][:2], 0.0)
-            np.testing.assert_allclose(restored[key][2:4], state[key][2:4],
+            np.testing.assert_array_equal(restored[key][:n // 4], 0.0)
+            np.testing.assert_allclose(restored[key][half], state[key][half],
                                        rtol=1e-3)
-            np.testing.assert_array_equal(restored[key][4:], state[key][4:])
+            np.testing.assert_array_equal(restored[key][n // 2:],
+                                          state[key][n // 2:])
 
 
 class TestEndToEndOnBenchmarks:

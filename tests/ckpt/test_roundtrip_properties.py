@@ -158,11 +158,18 @@ def test_mixed_precision_checkpoint_round_trips_per_tier(data, tiers):
         tier_map)}
     base = {key: np.full(mask.shape, -7.0) for key in ("y_re", "y_im")}
     with tempfile.TemporaryDirectory() as tmp:
-        write_mixed_precision_checkpoint(Path(tmp) / "m.ckpt", DummyBench(),
-                                         state, plans)
+        written = write_mixed_precision_checkpoint(
+            Path(tmp) / "m.ckpt", DummyBench(), state, plans)
+        full = write_full_checkpoint(Path(tmp) / "f.ckpt", DummyBench(),
+                                     state)
+        assert written.total_nbytes <= full.nbytes
         loaded = read_mixed_precision_checkpoint(Path(tmp) / "m.ckpt")
     restored = loaded.materialize(base)
     for key in ("y_re", "y_im"):
+        if written.mode == "full":
+            # too small to pay for the tier records: stored verbatim
+            assert restored[key].tobytes() == state[key].tobytes()
+            continue
         assert restored[key][tier_map == TIER_DROP].tobytes() \
             == base[key][tier_map == TIER_DROP].tobytes()
         for tier in (TIER_HALF, TIER_SINGLE, TIER_DOUBLE):

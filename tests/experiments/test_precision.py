@@ -59,3 +59,21 @@ class TestPrecisionCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "mixed-precision" in out
+
+
+class TestByteAccounting:
+    def test_class_s_cg_saving_is_not_negative(self, tmp_path):
+        # CG-S prunes 2 of 1402 elements: nothing is worth writing but the
+        # full checkpoint, and the report must say 0 % rather than less
+        report = precision.run(ExperimentRunner(problem_class="S"),
+                               benchmarks=("CG",), include_aggressive=False,
+                               directory=tmp_path)
+        entry = report.data["CG"]
+        assert entry["full_nbytes"] == (tmp_path / "cg_full.ckpt").stat() \
+            .st_size
+        assert entry["pruned_nbytes"] <= entry["full_nbytes"]
+        assert entry["mixed_nbytes"] <= entry["full_nbytes"]
+        row = next(line for line in report.text.splitlines()
+                   if line.startswith("CG "))
+        saved = float(row.split("|")[4].strip().rstrip("%"))
+        assert saved >= 0.0

@@ -8,6 +8,7 @@ import pytest
 from repro.core.analysis import scrutinize
 from repro.npb.ep import EP
 from repro.npb.is_ import IS
+from repro.npb.reference import PUBLISHED, VALUES
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +87,9 @@ class TestEPDynamics:
         final["sx"] = float(final["sx"]) * 1.01
         assert not ep.verify(final).passed
 
-    def test_verification_without_published_values_uses_a_reference_run(
+    def test_verification_without_published_values_uses_recorded_values(
             self, ep):
-        assert ep.verify(ep.run_full()).notes == "reference run"
+        assert ep.verify(ep.run_full()).notes == "recorded values"
 
     def test_all_elements_critical(self, ep):
         result = scrutinize(ep, step=ep.total_steps // 2)
@@ -99,14 +100,16 @@ class TestEPDynamics:
 class TestEPAgainstNPB:
     """Class S is NPB's class S: its published values are the oracle."""
 
-    def test_class_s_reproduces_npb_published_values(self, ep_s, ep_s_final):
-        p = ep_s.params
-        assert float(ep_s_final["sx"]) == pytest.approx(p.sx_verify,
+    def test_class_s_reproduces_npb_published_values(self, ep_s_final):
+        published = VALUES[("EP", "S")]
+        assert ("EP", "S") in PUBLISHED
+        assert float(ep_s_final["sx"]) == pytest.approx(published["sx"],
                                                         rel=1e-8)
-        assert float(ep_s_final["sy"]) == pytest.approx(p.sy_verify,
+        assert float(ep_s_final["sy"]) == pytest.approx(published["sy"],
                                                         rel=1e-8)
-        assert p.sx_verify == -3.247834652034740e3
-        assert p.sy_verify == -6.958407078382297e3
+        assert published["sx"] == -3.247834652034740e3
+        assert published["sy"] == -6.958407078382297e3
+        assert published["gc"] == 13176389
         assert float(np.sum(ep_s_final["q"])) == 13176389
 
     def test_class_s_verifies_against_published_values(self, ep_s,
@@ -114,8 +117,6 @@ class TestEPAgainstNPB:
         result = ep_s.verify(ep_s_final)
         assert result.passed
         assert result.notes == "NPB published values"
-        # the published values are the oracle: no reference run was made
-        assert ep_s._reference is None
 
     def test_class_s_rejects_a_1e7_relative_change_to_sy(self, ep_s,
                                                          ep_s_final):
