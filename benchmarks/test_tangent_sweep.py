@@ -11,9 +11,12 @@ class-A loop.  CG at class T (62 watched directions, short loop) is
 measured as the counter-case where the reverse sweep stays ahead.
 
 Every configuration cross-checks the criticality masks of the two methods
-elementwise before timing is reported.  The pytest entry asserts the
-crossover (tangent beats the batched segmented reverse sweep on the
-many-probe EP configuration); the module is also runnable standalone to
+elementwise before timing is reported.  The two sweeps run back to back in
+each timing round (:func:`benchmarks.conftest.paired_samples`), and the
+pytest entry asserts the crossover on the median per-round ratio (tangent
+beats the batched segmented reverse sweep on the many-probe EP
+configuration), so load that outlasts a round cancels out; the module is
+also runnable standalone to
 emit the ``BENCH_tangent.json`` perf baseline consumed by
 ``scripts/ci_check.sh``::
 
@@ -23,7 +26,7 @@ emit the ``BENCH_tangent.json`` perf baseline consumed by
 from __future__ import annotations
 
 import json
-import time
+import statistics
 
 import numpy as np
 import pytest
@@ -34,6 +37,11 @@ from repro.ad.tangent import tangent_gradients
 from repro.core.criticality import criticality_from_gradient
 from repro.npb import registry
 
+try:
+    from benchmarks.conftest import paired_samples
+except ImportError:  # run as a script from inside benchmarks/
+    from conftest import paired_samples
+
 #: (benchmark, class, n_probes) grid: EP-A is the tangent regime (12
 #: watched directions, 512 steps); CG-T is the reverse regime (62 watched
 #: directions, short loop) kept as the honest counter-case
@@ -41,6 +49,10 @@ MEASURED = (("EP", "A", 1), ("EP", "A", 4), ("EP", "A", 16), ("CG", "T", 4))
 
 #: the acceptance configuration: many probes on the long few-direction loop
 CROSSOVER = ("EP", "A", 16)
+
+#: timing rounds of the acceptance configuration (one for the others, whose
+#: times are reported but not asserted on)
+CROSSOVER_ROUNDS = 7
 
 
 def _perturbed(state, watch, rng, scale=1.0e-6):
@@ -54,8 +66,13 @@ def _perturbed(state, watch, rng, scale=1.0e-6):
     return probed
 
 
-def measure_crossover(name: str, problem_class: str, n_probes: int) -> dict:
-    """Wall-clock and peak memory of both multi-probe sweeps."""
+def measure_crossover(name: str, problem_class: str, n_probes: int,
+                      rounds: int = 1) -> dict:
+    """Wall-clock and peak memory of both multi-probe sweeps.
+
+    The sweeps run back to back in each of ``rounds`` rounds; the reported
+    seconds are the best round's, the ratios medians of per-round ratios.
+    """
     bench = registry.create(name, problem_class)
     state = bench.checkpoint_state(0)
     watch = list(bench.default_watch_keys())
@@ -63,18 +80,24 @@ def measure_crossover(name: str, problem_class: str, n_probes: int) -> dict:
     rng = np.random.default_rng(20240824)
     states = [dict(state)] \
         + [_perturbed(state, watch, rng) for _ in range(n_probes - 1)]
+    last = {}  # the last round's gradients and stats
 
-    rev_stats = SweepStats()
-    t0 = time.perf_counter()
-    rev = segmented_batched_gradients(bench, states, watch=watch,
-                                      stats=rev_stats)
-    reverse_seconds = time.perf_counter() - t0
+    def reverse():
+        last["rev_stats"] = stats = SweepStats()
+        last["rev"] = segmented_batched_gradients(bench, states, watch=watch,
+                                                  stats=stats)
 
-    tan_stats = SweepStats()
-    t0 = time.perf_counter()
-    tan = [tangent_gradients(bench, s, watch=watch, stats=tan_stats)
-           for s in states]
-    tangent_seconds = time.perf_counter() - t0
+    def tangent():
+        last["tan_stats"] = stats = SweepStats()
+        last["tan"] = [tangent_gradients(bench, s, watch=watch, stats=stats)
+                       for s in states]
+
+    samples = paired_samples([reverse, tangent], rounds)
+    reverse_seconds = min(r for r, _ in samples)
+    tangent_seconds = min(t for _, t in samples)
+    tangent_vs_reverse = statistics.median(t / r for r, t in samples)
+    rev, tan = last["rev"], last["tan"]
+    rev_stats, tan_stats = last["rev_stats"], last["tan_stats"]
 
     # the timing is only meaningful if both methods see the same structure:
     # per-probe criticality masks must agree elementwise
@@ -96,7 +119,9 @@ def measure_crossover(name: str, problem_class: str, n_probes: int) -> dict:
         "tangent_seconds": round(tangent_seconds, 4),
         "tangent_passes": tan_stats.tangent_passes,
         "tangent_peak_state_nbytes": tan_stats.tangent_peak_state_nbytes,
-        "tangent_speedup": round(reverse_seconds / tangent_seconds, 2),
+        "rounds": rounds,
+        "tangent_vs_reverse": round(tangent_vs_reverse, 3),
+        "tangent_speedup": round(1.0 / tangent_vs_reverse, 2),
     }
 
 
@@ -105,15 +130,18 @@ def measure_crossover(name: str, problem_class: str, n_probes: int) -> dict:
                          ids=[f"{n}-{c}-p{p}" for n, c, p in MEASURED])
 def test_tangent_crossover(benchmark, name, problem_class, n_probes):
     """Masks agree everywhere; tangent wins the many-probe EP regime."""
+    crossover = (name, problem_class, n_probes) == CROSSOVER
     row = benchmark.pedantic(
-        lambda: measure_crossover(name, problem_class, n_probes),
+        lambda: measure_crossover(name, problem_class, n_probes,
+                                  CROSSOVER_ROUNDS if crossover else 1),
         iterations=1, rounds=1)
     benchmark.extra_info.update(row)
 
     # one stacked forward pass carries every direction of every probe
     assert row["tangent_passes"] == n_probes
-    if (name, problem_class, n_probes) == CROSSOVER:
-        assert row["tangent_seconds"] < row["reverse_seconds"], row
+    if crossover:
+        # the median per-round ratio: tangent < reverse
+        assert row["tangent_vs_reverse"] < 1.0, row
         # and it does so without a tape: peak state footprint stays below
         # the reverse sweep's peak per-iteration tape
         assert row["tangent_peak_state_nbytes"] \
@@ -132,7 +160,10 @@ def main(argv=None) -> int:
 
     rows = []
     for name, problem_class, n_probes in MEASURED:
-        row = measure_crossover(name, problem_class, n_probes)
+        row = measure_crossover(
+            name, problem_class, n_probes,
+            CROSSOVER_ROUNDS if (name, problem_class, n_probes) == CROSSOVER
+            else 1)
         rows.append(row)
         print(f"{name}-{problem_class} x {n_probes} probes "
               f"({row['watched_directions']} directions, "

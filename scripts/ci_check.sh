@@ -36,9 +36,12 @@ echo "== fault tolerance: retries, quarantine, chaos, resumable batches =="
 python -m pytest -q tests/experiments/test_faults.py \
     tests/experiments/test_chaos.py tests/core/test_store.py
 
-echo "== pruned checkpoints: never bigger than full, aux format errors =="
+echo "== checkpoint codec: no writer bigger than its fallback, format errors =="
 python -m pytest -q tests/ckpt/test_never_bigger.py \
-    tests/ckpt/test_aux_format_errors.py tests/ckpt/test_roundtrip_properties.py
+    tests/ckpt/test_aux_format_errors.py tests/ckpt/test_roundtrip_properties.py \
+    tests/ckpt/test_incremental.py tests/ckpt/test_precision.py \
+    tests/ckpt/test_precision_properties.py
+python -m repro.cli --class T --no-cache precision >/dev/null
 
 echo "== batched probe sweep: per-probe equivalence =="
 python -m pytest -q tests/ad/test_probes.py \

@@ -233,6 +233,7 @@ def _emit_redminmax(spec: tuple, node: Instr) -> Callable:
 
 def _emit_prod(spec: tuple, node: Instr) -> Callable:
     _, axis, keepdims, in_shape = spec
+    partials = _ops_mod()._prod_partials
 
     def kernel(vals: list) -> tuple:
         av = vals[0]
@@ -244,8 +245,7 @@ def _emit_prod(spec: tuple, node: Instr) -> Callable:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
                 out_k = np.expand_dims(out, axis=axis)
-            safe = np.where(av == 0, 1.0, av)
-            return (g * out_k / safe,)
+            return (g * partials(av, out_k, axis),)
 
         return out, vjp
 

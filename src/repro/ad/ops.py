@@ -496,8 +496,8 @@ def _tangent_weighted_reduce(a: TangentArray, axis, keepdims: bool,
     """Forward rule of the weighted-sum reductions (max/min/prod).
 
     ``w`` is the logical weight array the matching VJP distributes its
-    cotangent with (the tie mask split or ``out / safe``); its transpose --
-    a weighted sum over the reduced axes -- is the JVP.
+    cotangent with (the tie mask split or :func:`_prod_partials`); its
+    transpose -- a weighted sum over the reduced axes -- is the JVP.
     """
     ta = a.tangent
     axis_t = _probe_reduce_axis(axis, ta.ndim, ta.shape[0])
@@ -970,15 +970,29 @@ def min(a: Any, axis=None, keepdims: bool = False) -> Any:
                    spec=spec)
 
 
+def _prod_partials(av: np.ndarray, out_k: np.ndarray, axis) -> np.ndarray:
+    """Partial derivatives of a product over ``axis`` (``out_k`` keeps the
+    reduced axes): the product of the other elements of each lane,
+    ``out / a`` where the lane holds no zero and exact where it does."""
+    zero = av == 0
+    safe = np.where(zero, 1.0, av)
+    partials = out_k / safe
+    if zero.any():
+        others = np.prod(safe, axis=axis, keepdims=True)
+        lone = np.sum(zero, axis=axis, keepdims=True) == 1
+        partials = np.where(zero, np.where(lone, others, 0.0), partials)
+    return partials
+
+
 def prod(a: Any, axis=None, keepdims: bool = False) -> Any:
-    """Product over the given axis (assumes no exact zeros for the VJP)."""
+    """Product over the given axis; its derivative is exact at zeros."""
     if isinstance(a, TangentArray):
         av = a.value
         out = np.prod(av, axis=axis, keepdims=keepdims)
         out_k = np.expand_dims(out, axis=axis) \
             if axis is not None and not keepdims else out
-        safe = np.where(av == 0, 1.0, av)
-        return _tangent_weighted_reduce(a, axis, keepdims, out, out_k / safe)
+        return _tangent_weighted_reduce(a, axis, keepdims, out,
+                                        _prod_partials(av, out_k, axis))
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.prod(av, axis=axis, keepdims=keepdims)
@@ -990,8 +1004,7 @@ def prod(a: Any, axis=None, keepdims: bool = False) -> Any:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
             out_k = np.expand_dims(out, axis=axis)
-        safe = np.where(av == 0, 1.0, av)
-        return (g * out_k / safe,)
+        return (g * _prod_partials(av, out_k, axis),)
 
     spec = ("prod", axis, keepdims, av.shape) \
         if _CAPTURE.capture is not None else None

@@ -3,7 +3,9 @@
 Writes conventional *full* checkpoints and *pruned* checkpoints that store
 only the critical elements identified by the analysis, with the critical
 regions recorded as strided records in a small auxiliary file (none when
-nothing is worth pruning); restores either kind; manages
+nothing is worth pruning), plus incremental and mixed-precision ones, all
+through one per-variable codec (:mod:`repro.ckpt.codec`); restores every
+kind with one reader; manages
 versioned checkpoint directories; and provides the failure-injection harness
 the restart-correctness experiments (Section IV-C) are built on.
 
@@ -26,12 +28,11 @@ from .failure import (FailureScenarioResult, SimulatedFailure, corrupt_state,
                       run_failure_scenario)
 from .format import (CheckpointFormatError, CheckpointHeader, RecordSpec,
                      read_container, read_header, write_container)
-from .incremental import (IncrementalDelta, apply_incremental, changed_mask,
-                           read_incremental_checkpoint, restore_chain,
-                           write_incremental_checkpoint)
+from .incremental import (apply_incremental, changed_mask,
+                          read_incremental_checkpoint, restore_chain,
+                          write_incremental_checkpoint)
 from .manager import CheckpointManager, run_with_checkpoints
-from .precision import (MixedPrecisionCheckpoint,
-                        read_mixed_precision_checkpoint,
+from .precision import (read_mixed_precision_checkpoint,
                         write_mixed_precision_checkpoint)
 from .reader import LoadedCheckpoint, read_checkpoint
 from .restart import RestartOutcome, restart_benchmark, restore_state
@@ -64,10 +65,8 @@ __all__ = [
     "run_failure_scenario",
     "StorageComparison",
     "measure_checkpoint_storage",
-    "MixedPrecisionCheckpoint",
     "write_mixed_precision_checkpoint",
     "read_mixed_precision_checkpoint",
-    "IncrementalDelta",
     "changed_mask",
     "write_incremental_checkpoint",
     "read_incremental_checkpoint",

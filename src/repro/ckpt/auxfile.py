@@ -1,4 +1,4 @@
-"""The auxiliary region file of pruned checkpoints.
+"""The auxiliary region file of checkpoints that store region records.
 
 The paper (Section III-B): *"We save the location of critical elements in an
 auxiliary file ... The auxiliary file only records the start and end
@@ -10,8 +10,9 @@ critical elements whose starts are ``stride`` apart over the flattened
 array -- so a regular pattern such as a padding plane in every row is one
 record, and a plain start/end run is a record with ``count == 1`` (see
 :func:`repro.core.regions.encode_records`).  Records are kept per *region
-list*, one per pruned variable; the ``_re``/``_im`` keys of a dcomplex pair
-share their variable's list.  A checkpoint that prunes nothing has no
+list*, one per variable the codec (:mod:`repro.ckpt.codec`) stores as
+region records; the ``_re``/``_im`` keys of a dcomplex pair share their
+variable's list.  A checkpoint that stores no region records has no
 auxiliary file.  Layout::
 
     +-----------------+---------------------+-------------+---------------+
@@ -32,16 +33,13 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.regions import decode_records
-
-from .format import CheckpointFormatError, CheckpointHeader
+from .format import CheckpointFormatError
 
 __all__ = [
     "AUX_MAGIC",
     "encode_aux",
     "write_aux_file",
     "read_aux_file",
-    "read_masks",
 ]
 
 
@@ -76,7 +74,7 @@ def read_aux_file(path: str | Path) -> dict[str, np.ndarray]:
     """Read an auxiliary file back into ``(n, 4)`` record arrays per list.
 
     The records are not checked against any array here; see
-    :func:`read_masks`.
+    :func:`repro.ckpt.codec.record_masks`.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -107,42 +105,3 @@ def read_aux_file(path: str | Path) -> dict[str, np.ndarray]:
     pieces = np.split(flat.reshape(-1, 4), np.cumsum(counts)[:-1])
     return {str(entry["name"]): records.astype(np.int64)
             for entry, records in zip(lists, pieces)}
-
-
-def read_masks(aux_path: Path, header: CheckpointHeader
-               ) -> dict[str, np.ndarray]:
-    """Flat critical-element masks of every region list the pruned records
-    of ``header`` use, decoded from the auxiliary file at ``aux_path``.
-
-    Raises :class:`CheckpointFormatError`, naming the file and the list,
-    when a list is missing, its records are invalid for the record's array
-    (negative, empty, unsorted, overlapping, out of range or with a stride
-    shorter than the run) or they cover a different number of elements
-    than the record stores.
-    """
-    lists = read_aux_file(aux_path)
-    masks: dict[str, np.ndarray] = {}
-    for rec in header.records:
-        if not rec.pruned:
-            continue
-        name = rec.region_list
-        if name not in masks:
-            if name not in lists:
-                raise CheckpointFormatError(
-                    f"auxiliary file {aux_path} has no region list {name!r} "
-                    f"for pruned record {rec.key!r}")
-            try:
-                masks[name] = decode_records(lists[name], rec.n_elements)
-            except ValueError as exc:
-                raise CheckpointFormatError(
-                    f"auxiliary file {aux_path}, region list {name!r}: "
-                    f"{exc}") from None
-        mask = masks[name]
-        n_covered = int(np.count_nonzero(mask))
-        if mask.size != rec.n_elements or n_covered != rec.n_stored:
-            raise CheckpointFormatError(
-                f"auxiliary file {aux_path}, region list {name!r}: the "
-                f"records cover {n_covered} of {mask.size} elements but "
-                f"record {rec.key!r} stores {rec.n_stored} of "
-                f"{rec.n_elements}")
-    return masks

@@ -7,14 +7,15 @@ A checkpoint file is a self-describing binary container::
     +------------------+----------------------+------------------------+
 
 The JSON header carries the benchmark metadata (name, problem class, step,
-full/pruned mode) and one :class:`RecordSpec` per state-dict entry: its key,
-dtype, logical shape, whether it was pruned and where its payload bytes live
-in the file.  Payloads are raw little-endian array bytes -- the full C-order
-array for full records, or the critical elements in C order for pruned
-records.  Where those elements sit is the paper's start/end region list,
-generalised to strided ``(start, length, stride, count)`` records and kept
-in the auxiliary file (see :mod:`repro.ckpt.auxfile`); a pruned record names
-its list, and the two keys of a dcomplex pair name the same one.
+mode: ``full``, ``pruned``, ``incremental`` or ``mixed``) and one
+:class:`RecordSpec` per record: its key, dtype, logical shape, whether it
+holds only some elements ("pruned") and where its payload bytes live in the
+file.  Payloads are raw little-endian array bytes -- the full C-order array,
+or the kept elements in C order.  A pruned record names where its elements
+sit: a region list of the auxiliary file (the paper's start/end regions as
+strided records, :mod:`repro.ckpt.auxfile`) or a tier-map record of this
+file; the two keys of a dcomplex pair name the same one.  Which variable
+gets which records is the codec's choice (:mod:`repro.ckpt.codec`).
 
 The format is deliberately simple: everything needed to reason about storage
 (Table III) is a byte count of this file plus the auxiliary file.
@@ -68,7 +69,8 @@ class RecordSpec:
     offset: int
     nbytes: int
     n_stored: int
-    #: auxiliary region list of a pruned record (``None``: named ``key``)
+    #: region list or tier map of a record holding only some elements
+    #: (``None``: the region list named ``key``)
     regions: str | None = None
 
     def to_json(self) -> dict[str, Any]:
@@ -98,7 +100,7 @@ class RecordSpec:
 
     @property
     def region_list(self) -> str:
-        """Name of the auxiliary region list a pruned record uses."""
+        """Name of the region list or tier map a pruned record uses."""
         return self.key if self.regions is None else self.regions
 
     @property
@@ -119,7 +121,7 @@ class CheckpointHeader:
     benchmark: str
     problem_class: str
     step: int
-    mode: str  # "full" or "pruned"
+    mode: str  # "full", "pruned", "incremental" or "mixed"
     records: list[RecordSpec] = field(default_factory=list)
     version: int = FORMAT_VERSION
     extra: dict[str, Any] = field(default_factory=dict)
@@ -233,10 +235,10 @@ def read_container(path: str | Path
                    ) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
     """Read a checkpoint container into flat per-key arrays.
 
-    Full records come back with their logical shape; pruned records come
-    back as the flat array of stored (critical) values -- reassembly into
-    the full array is the reader's job (:mod:`repro.ckpt.reader`), because
-    it needs the auxiliary region file.
+    Verbatim records come back with their logical shape, the others as
+    the flat array of stored values -- reassembly into the full array is
+    the reader's job (:mod:`repro.ckpt.reader`), because it needs the
+    auxiliary region file or the tier maps.
     """
     header, payload_start = read_header(path)
     arrays: dict[str, np.ndarray] = {}

@@ -10,10 +10,15 @@ and *combined*:
   previously checkpointed state;
 * :func:`write_incremental_checkpoint` -- store only the changed elements
   (optionally intersected with the critical elements of a criticality
-  analysis), with their regions recorded in the usual auxiliary file (one
-  list per state key; an entry whose delta would not pay is stored whole);
+  analysis): each state key's mask of changed elements goes to the codec
+  (:mod:`repro.ckpt.codec`), which stores the entry as region records in
+  the usual auxiliary file (one list per state key) or, when its delta
+  would not pay, whole;
+* :func:`read_incremental_checkpoint` -- read a delta back as a
+  :class:`~repro.ckpt.reader.LoadedCheckpoint` of mode ``"incremental"``;
 * :func:`apply_incremental` / :func:`restore_chain` -- rebuild the state by
-  replaying a base checkpoint plus its chain of deltas.
+  replaying a base checkpoint plus its chain of deltas, each materialised
+  on top of the state reached so far.
 
 The NPB access patterns make the combination interesting: BT/SP/LU/MG only
 ever *write* interior points, so an incremental checkpoint is automatically
@@ -23,27 +28,23 @@ first checkpoint the deltas collapse to the accumulator variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.criticality import VariableCriticality
-from repro.core.regions import prune_records
 
-from .format import (CheckpointFormatError, CheckpointHeader, RecordSpec,
-                     read_container)
-from .reader import read_checkpoint, read_region_masks, restore_verbatim
+from .codec import (WrittenCheckpoint, as_arrays, default_aux_path,
+                    encode_checkpoint, write_smallest)
+from .format import CheckpointFormatError
+from .reader import LoadedCheckpoint, read_checkpoint, read_mode
 from .restart import restore_state
-from .writer import (WrittenCheckpoint, _as_array, _header_meta,
-                     default_aux_path, pruned_record, verbatim_record,
-                     write_with_aux)
+from .writer import header_meta
 
 __all__ = [
     "changed_mask",
     "write_incremental_checkpoint",
-    "IncrementalDelta",
     "read_incremental_checkpoint",
     "apply_incremental",
     "restore_chain",
@@ -95,12 +96,15 @@ def write_incremental_checkpoint(
     base_step:
         Step of the previous checkpoint in the chain (defaults to
         ``previous``'s step counter when the benchmark exposes one).
+
+    When the delta would not be smaller than every entry stored verbatim,
+    every entry is (still a delta of mode ``"incremental"``).
     """
     path = Path(path)
     aux_path = default_aux_path(path, aux_path)
-    meta = _header_meta(bench, state, step)
+    meta = header_meta(bench, state, step)
     if base_step is None:
-        base_step = _header_meta(bench, previous, None)["step"]
+        base_step = header_meta(bench, previous, None)["step"]
 
     key_masks: dict[str, np.ndarray] = {}
     if criticality:
@@ -108,11 +112,9 @@ def write_incremental_checkpoint(
             for key in crit.variable.state_keys():
                 key_masks[key] = crit.mask
 
-    records: list[RecordSpec] = []
-    payloads: dict[str, np.ndarray] = {}
-    lists: dict[str, np.ndarray] = {}
-    for key, value in state.items():
-        arr = _as_array(value)
+    arrays = as_arrays(state)
+    variables = []
+    for key, arr in arrays.items():
         if key not in previous:
             raise KeyError(f"previous state is missing entry {key!r}")
         delta = changed_mask(previous, state, key)
@@ -120,85 +122,44 @@ def write_incremental_checkpoint(
         if mask is not None:
             delta = delta & mask.reshape(delta.shape)
         # scalars (loop counters) are tiny: always store them verbatim
-        runs = None if arr.shape == () \
-            else prune_records(delta, arr.itemsize)
-        if runs is None:
-            records.append(verbatim_record(key, arr))
-            payloads[key] = arr
-            continue
-        values = arr.reshape(-1)[delta.reshape(-1)]
-        lists[key] = runs
-        records.append(pruned_record(key, arr, values))
-        payloads[key] = values
-
-    header = CheckpointHeader(mode="incremental", records=records, **meta)
-    header.extra["base_step"] = int(base_step)
-    return write_with_aux(path, aux_path, header, payloads, lists)
-
-
-@dataclass
-class IncrementalDelta:
-    """An incremental checkpoint read back from disk."""
-
-    header: CheckpointHeader
-    arrays: dict[str, np.ndarray]
-    masks: dict[str, np.ndarray]
-    path: Path
-
-    @property
-    def step(self) -> int:
-        """Step the delta brings the state up to."""
-        return self.header.step
-
-    @property
-    def base_step(self) -> int:
-        """Step of the checkpoint this delta applies on top of."""
-        return int(self.header.extra.get("base_step", -1))
+        variables.append((key, [key], None if arr.shape == () else delta,
+                          None))
+    extra = {"base_step": int(base_step)}
+    return write_smallest(path, aux_path, [
+        encode_checkpoint(meta, "incremental", arrays, extra=extra),
+        encode_checkpoint(meta, "incremental", arrays, variables,
+                          aux_path.name, extra)])
 
 
 def read_incremental_checkpoint(path: str | Path,
                                 aux_path: str | Path | None = None
-                                ) -> IncrementalDelta:
+                                ) -> LoadedCheckpoint:
     """Read one incremental checkpoint and its auxiliary region file."""
-    path = Path(path)
-    header, arrays = read_container(path)
-    if header.mode != "incremental":
-        raise CheckpointFormatError(
-            f"{path} is a {header.mode!r} checkpoint, not an incremental "
-            f"delta")
-    _, masks = read_region_masks(path, header, aux_path)
-    return IncrementalDelta(header=header, arrays=arrays, masks=masks,
-                            path=path)
+    return read_mode(path, ("incremental",), "an incremental delta",
+                     aux_path)
 
 
 def apply_incremental(state: Mapping[str, Any],
-                      delta: IncrementalDelta) -> dict[str, Any]:
-    """Apply one delta to a state dict, returning the updated copy."""
-    out: dict[str, Any] = {}
-    for key, value in state.items():
-        if isinstance(value, np.ndarray):
-            out[key] = np.array(value, copy=True)
-        else:
-            out[key] = value
+                      delta: LoadedCheckpoint) -> dict[str, Any]:
+    """Apply one delta to a state dict, returning the updated copy.
+
+    Raises ``KeyError`` when the state lacks an entry the delta updates,
+    and :class:`CheckpointFormatError` when the entry's shape differs from
+    the delta's (a delta written against another problem configuration).
+    """
     for rec in delta.header.records:
         if not rec.pruned:
-            out[rec.key] = restore_verbatim(
-                rec, delta.arrays[rec.key])
             continue
-        if rec.key not in out:
+        if rec.key not in state:
             raise KeyError(f"state has no entry {rec.key!r} to apply the "
                            f"delta to")
-        current_shape = tuple(np.asarray(out[rec.key]).shape)
-        if current_shape != tuple(rec.shape):
+        current_shape = tuple(np.shape(state[rec.key]))
+        if current_shape != rec.shape:
             raise CheckpointFormatError(
-                f"delta record {rec.key!r} has shape {tuple(rec.shape)} but "
+                f"delta record {rec.key!r} has shape {rec.shape} but "
                 f"the state entry has shape {current_shape}; the delta was "
                 f"written against a different problem configuration")
-        target = np.ascontiguousarray(out[rec.key])
-        target.reshape(-1)[delta.masks[rec.region_list]] = \
-            delta.arrays[rec.key]
-        out[rec.key] = target
-    return out
+    return {**state, **delta.materialize(state)}
 
 
 def restore_chain(bench, base_path: str | Path,
@@ -216,10 +177,11 @@ def restore_chain(bench, base_path: str | Path,
     reached = base.step
     for delta_path in delta_paths:
         delta = read_incremental_checkpoint(delta_path)
-        if delta.base_step != reached:
+        base_step = int(delta.header.extra.get("base_step", -1))
+        if base_step != reached:
             raise CheckpointFormatError(
-                f"delta {delta.path} applies on top of step "
-                f"{delta.base_step}, but the chain is at step {reached}")
+                f"delta {delta.path} applies on top of step {base_step}, "
+                f"but the chain is at step {reached}")
         state = apply_incremental(state, delta)
         reached = delta.step
     return state

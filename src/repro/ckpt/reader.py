@@ -1,11 +1,12 @@
-"""Reading full and pruned checkpoints back into state dicts.
+"""Reading checkpoints back into state dicts.
 
-Full checkpoints materialise directly.  Pruned checkpoints only contain the
-critical elements, so materialising them needs a *base state* to supply
-values for the uncritical slots -- any values will do for correctness (that
-is the paper's claim, exercised by the failure-injection experiments), and
-the natural choice on a restart is the application's freshly constructed
-initial state.
+Full checkpoints materialise directly.  Every other checkpoint stores some
+variables as only their critical (or changed) elements, so materialising it
+needs a *base state* to supply values for the other slots -- for a pruned
+checkpoint any values will do for correctness (that is the paper's claim,
+exercised by the failure-injection experiments), and the natural choice on
+a restart is the application's freshly constructed initial state.  Where
+each stored element goes is decoded once, by :mod:`repro.ckpt.codec`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .auxfile import read_masks
+from .codec import is_tiered, record_masks, stored_entry
 from .format import (CheckpointFormatError, CheckpointHeader, RecordSpec,
                      read_container)
 
-__all__ = ["LoadedCheckpoint", "read_checkpoint", "read_region_masks",
+__all__ = ["LoadedCheckpoint", "read_checkpoint", "read_mode",
            "restore_verbatim"]
 
 
@@ -39,10 +40,10 @@ def restore_verbatim(rec: RecordSpec, data: np.ndarray):
 class LoadedCheckpoint:
     """A checkpoint read from disk, before materialisation.
 
-    ``arrays`` holds, per state key, either the full array (unpruned
-    records) or the packed critical values (pruned records).  ``masks``
-    holds the flat critical-element mask of each region list the pruned
-    records name (:attr:`RecordSpec.region_list`).
+    ``arrays`` holds, per record key, either the full array (verbatim
+    records) or the packed stored values (pruned, delta and tier records).
+    ``masks`` holds the flat mask of the elements each stored record holds,
+    decoded from its region list or tier map.
     """
 
     header: CheckpointHeader
@@ -53,7 +54,7 @@ class LoadedCheckpoint:
 
     @property
     def mode(self) -> str:
-        """"full" or "pruned"."""
+        """"full", "pruned", "incremental" or "mixed"."""
         return self.header.mode
 
     @property
@@ -68,59 +69,57 @@ class LoadedCheckpoint:
         Parameters
         ----------
         base_state:
-            Required for pruned checkpoints: supplies the array shells whose
-            uncritical slots keep their (irrelevant) values.  Ignored for
-            full checkpoints.
+            Required when records are stored partially: supplies the array
+            shells whose other slots keep their values.  Ignored for full
+            checkpoints.
 
         0-d records come back as Python ``int`` (integer records) or
-        ``numpy.float64`` (everything else).
+        ``numpy.float64`` (everything else); tier records restore their
+        state entry in double precision.
         """
+        maps = {rec.region_list for rec in self.header.records
+                if rec.pruned and is_tiered(rec)}
         state: dict[str, Any] = {}
         for rec in self.header.records:
             data = self.arrays[rec.key]
             if not rec.pruned:
-                state[rec.key] = restore_verbatim(rec, data)
+                if rec.key not in maps:
+                    state[rec.key] = restore_verbatim(rec, data)
                 continue
-            if base_state is None or rec.key not in base_state:
-                raise ValueError(
-                    f"materialising pruned record {rec.key!r} needs a base "
-                    f"state providing that key")
-            base = np.asarray(base_state[rec.key], dtype=rec.numpy_dtype)
-            if tuple(base.shape) != rec.shape:
-                raise ValueError(
-                    f"base state entry {rec.key!r} has shape {base.shape}, "
-                    f"checkpoint expects {rec.shape}")
-            restored = np.array(base, order="C")
-            restored.reshape(-1)[self.masks[rec.region_list]] = data
-            state[rec.key] = restored
+            key, dtype = stored_entry(rec)
+            if key not in state:
+                if base_state is None or key not in base_state:
+                    raise ValueError(
+                        f"materialising stored record {rec.key!r} needs a "
+                        f"base state providing {key!r}")
+                base = np.asarray(base_state[key], dtype=dtype)
+                if tuple(base.shape) != rec.shape:
+                    raise ValueError(
+                        f"base state entry {key!r} has shape {base.shape}, "
+                        f"checkpoint expects {rec.shape}")
+                state[key] = np.array(base, order="C")
+            state[key].reshape(-1)[self.masks[rec.key]] = data
         return state
-
-def read_region_masks(path: Path, header: CheckpointHeader,
-                      aux_path: str | Path | None = None
-                      ) -> tuple[Path | None, dict[str, np.ndarray]]:
-    """The auxiliary file of the checkpoint at ``path`` and the masks of its
-    region lists, or ``(None, {})`` when no record is pruned.
-
-    The file is ``aux_path`` when given, else the one the header names; bad
-    region records raise :class:`CheckpointFormatError`.
-    """
-    if not any(rec.pruned for rec in header.records):
-        return None, {}
-    if aux_path is None:
-        aux_name = header.extra.get("aux_file")
-        if aux_name is None:
-            raise CheckpointFormatError(
-                f"{path} has pruned records but names no auxiliary file")
-        aux_path = path.with_name(aux_name)
-    return Path(aux_path), read_masks(Path(aux_path), header)
 
 
 def read_checkpoint(path: str | Path,
                     aux_path: str | Path | None = None) -> LoadedCheckpoint:
-    """Read a checkpoint and, when it has pruned records, its auxiliary
-    file; bad region records raise :class:`CheckpointFormatError`."""
+    """Read a checkpoint of any mode and, when it has region records, its
+    auxiliary file; bad region records or tier maps raise
+    :class:`CheckpointFormatError`."""
     path = Path(path)
     header, arrays = read_container(path)
-    aux_path, masks = read_region_masks(path, header, aux_path)
+    aux_path, masks = record_masks(path, header, arrays, aux_path)
     return LoadedCheckpoint(header=header, arrays=arrays, masks=masks,
                             path=path, aux_path=aux_path)
+
+
+def read_mode(path: str | Path, modes: tuple[str, ...], what: str,
+              aux_path: str | Path | None = None) -> LoadedCheckpoint:
+    """:func:`read_checkpoint`, raising :class:`CheckpointFormatError` unless
+    the checkpoint's mode is one of ``modes`` (``what`` names them)."""
+    loaded = read_checkpoint(path, aux_path)
+    if loaded.mode not in modes:
+        raise CheckpointFormatError(
+            f"{loaded.path} is a {loaded.mode!r} checkpoint, not {what}")
+    return loaded

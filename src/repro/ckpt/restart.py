@@ -52,14 +52,14 @@ def restore_state(checkpoint: LoadedCheckpoint | str | Path, bench,
                   ) -> dict[str, Any]:
     """Rebuild an application state dict from a checkpoint.
 
-    For pruned checkpoints the ``base_state`` defaults to
-    ``bench.initial_state()``; only its uncritical slots survive into the
+    For pruned and mixed-precision checkpoints the ``base_state`` defaults
+    to ``bench.initial_state()``; only its uncritical slots survive into the
     restored state, so any garbage there must not change the outcome (the
     property the verification experiments check).
     """
     if not isinstance(checkpoint, LoadedCheckpoint):
         checkpoint = read_checkpoint(checkpoint)
-    if checkpoint.mode == "pruned" and base_state is None:
+    if checkpoint.mode in ("pruned", "mixed") and base_state is None:
         base_state = bench.initial_state()
     return checkpoint.materialize(base_state)
 

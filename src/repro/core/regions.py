@@ -15,14 +15,15 @@ space of a variable:
   stripe per block) collapse to one record per progression.
 
 :func:`prune_records` is the one break-even rule shared by the checkpoint
-writer and the storage model: a variable is pruned only when its critical
-data plus its records are smaller than the variable stored verbatim.
+codec (:mod:`repro.ckpt.codec`) and the storage model: a variable is
+pruned only when its critical data plus its records are smaller than the
+variable stored verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,9 +33,6 @@ __all__ = [
     "encode_mask",
     "decode_regions",
     "n_elements",
-    "validate_regions",
-    "merge_regions",
-    "invert_regions",
     "encode_records",
     "decode_records",
     "prune_records",
@@ -104,49 +102,6 @@ def decode_regions(regions: Iterable[Region], size: int) -> np.ndarray:
 def n_elements(regions: Iterable[Region]) -> int:
     """Total number of elements covered by the runs."""
     return sum(len(r) for r in regions)
-
-
-def validate_regions(regions: Sequence[Region], size: int | None = None) -> None:
-    """Raise ``ValueError`` unless the runs are sorted, disjoint and in range."""
-    previous_stop = -1
-    for region in regions:
-        if region.start <= previous_stop - 1 and previous_stop >= 0:
-            raise ValueError(f"regions overlap or are unsorted near "
-                             f"[{region.start}, {region.stop})")
-        if region.start < previous_stop:
-            raise ValueError(f"regions overlap near [{region.start}, "
-                             f"{region.stop})")
-        previous_stop = region.stop
-        if size is not None and region.stop > size:
-            raise ValueError(f"region [{region.start}, {region.stop}) exceeds "
-                             f"size {size}")
-
-
-def merge_regions(regions: Iterable[Region]) -> list[Region]:
-    """Sort the runs and merge any that touch or overlap."""
-    ordered = sorted(regions)
-    merged: list[Region] = []
-    for region in ordered:
-        if merged and region.start <= merged[-1].stop:
-            last = merged[-1]
-            merged[-1] = Region(last.start, max(last.stop, region.stop))
-        else:
-            merged.append(region)
-    return merged
-
-
-def invert_regions(regions: Sequence[Region], size: int) -> list[Region]:
-    """Runs covering exactly the elements *not* covered by ``regions``."""
-    validate_regions(regions, size)
-    inverted: list[Region] = []
-    cursor = 0
-    for region in regions:
-        if region.start > cursor:
-            inverted.append(Region(cursor, region.start))
-        cursor = region.stop
-    if cursor < size:
-        inverted.append(Region(cursor, size))
-    return inverted
 
 
 def encode_records(mask: np.ndarray) -> np.ndarray:

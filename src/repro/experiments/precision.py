@@ -20,11 +20,14 @@ elements that are of very low impact") implemented end to end:
    the tolerance -- it saves more bytes but breaks the strictest
    verifications, which is exactly why the tolerance-driven planner exists.
 
-Every size is what a checkpoint takes on disk: the file plus, for a
-pruned one, its auxiliary region file (a mixed-precision checkpoint keeps
-its tier maps in the file and has none), against the full checkpoint file.
-Both writers fall back to the full checkpoint when they would not save
-bytes, so no saving is negative.
+Every size is what a checkpoint takes on disk: the file plus its auxiliary
+region file, if any, against the full checkpoint file.  Both writers fall
+back to the full checkpoint when they would not save bytes, so no saving
+is negative, and the mixed-precision writer stores a variable as region
+records, as the pruned writer does, whenever that beats its tier map, so
+a tuned mixed checkpoint is never bigger than the pruned one.  The mixed
+and pruned files have names of equal length, because the header of a
+checkpoint with region records names its auxiliary file.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 from repro.ad import ops
 from repro.ckpt.precision import (read_mixed_precision_checkpoint,
                                   write_mixed_precision_checkpoint)
+from repro.ckpt.restart import restart_benchmark
 from repro.ckpt.writer import write_full_checkpoint, write_pruned_checkpoint
 from repro.core.impact import (estimate_roundoff_impact, plan_precision,
                                plan_precision_for_budget)
@@ -60,10 +64,8 @@ MAX_BUDGET_TRIALS = 5
 
 def _restart_verification(bench, mixed_path) -> bool:
     """Restore a mixed-precision checkpoint, finish the run and verify."""
-    loaded = read_mixed_precision_checkpoint(mixed_path)
-    restored = loaded.materialize(bench.initial_state())
-    final = bench.run(restored, bench.total_steps - loaded.step)
-    return bool(bench.verify(final))
+    return restart_benchmark(
+        bench, read_mixed_precision_checkpoint(mixed_path)).passed
 
 
 def _tune_budget(bench, result, workdir: Path, name: str,
@@ -85,7 +87,7 @@ def _tune_budget(bench, result, workdir: Path, name: str,
         plans = plan_precision_for_budget(result.variables, result.state,
                                           budget)
         written = write_mixed_precision_checkpoint(
-            workdir / f"{name.lower()}_mixed_t{trial}.ckpt", bench,
+            workdir / f"{name.lower()}_mixed{trial}.ckpt", bench,
             result.state, plans, step=result.step)
         if _restart_verification(bench, written.path):
             return plans, budget, written, True, trial

@@ -70,32 +70,6 @@ class TestRegionAlgebra:
     def test_n_elements(self):
         assert reg.n_elements([Region(0, 3), Region(5, 6)]) == 4
 
-    def test_validate_accepts_sorted_disjoint(self):
-        reg.validate_regions([Region(0, 2), Region(4, 6)], size=6)
-
-    def test_validate_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            reg.validate_regions([Region(0, 4), Region(3, 6)])
-
-    def test_validate_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            reg.validate_regions([Region(0, 4)], size=3)
-
-    def test_merge_regions(self):
-        merged = reg.merge_regions([Region(4, 6), Region(0, 2), Region(2, 5)])
-        assert merged == [Region(0, 6)]
-
-    def test_merge_keeps_disjoint_runs(self):
-        merged = reg.merge_regions([Region(5, 7), Region(0, 2)])
-        assert merged == [Region(0, 2), Region(5, 7)]
-
-    def test_invert_regions(self):
-        inverted = reg.invert_regions([Region(2, 4), Region(6, 8)], 10)
-        assert inverted == [Region(0, 2), Region(4, 6), Region(8, 10)]
-
-    def test_invert_of_full_coverage_is_empty(self):
-        assert reg.invert_regions([Region(0, 5)], 5) == []
-
     def test_aux_record_nbytes_counts_32_bytes_per_record(self):
         mask = np.zeros((4, 10), dtype=bool)
         mask[:, :6] = True            # four equal runs: one record
