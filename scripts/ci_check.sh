@@ -103,6 +103,13 @@ echo "== correctness: class-S restart verification, default engine =="
 # restart with its critical elements corrupted) must fail; exit 0 iff so
 python -m repro.cli verify >/dev/null
 
+echo "== restart verification: scenarios resumed from the analysed state =="
+# each scenario resumes from ScrutinyResult.state instead of step 0; its
+# restart, final state and checkpoint files must equal a run from step 0
+python -m pytest -q tests/experiments/test_verify_resume.py \
+    tests/ckpt/test_failure_storage.py
+python -m repro.cli --class T --no-cache verify >/dev/null
+
 echo "== correctness: negative control on the ports whose control crashes =="
 # garbage critical elements crash FT's and IS's replay; the control must
 # still report a failed verification (exit 0) instead of raising

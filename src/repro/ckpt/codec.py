@@ -13,7 +13,9 @@ it in the cheapest of three encodings, counting payload bytes:
   chosen by the break-even of :func:`repro.core.regions.prune_records`;
 * **tier map** -- the kept elements split by precision tier, one record
   ``"<key>@<tier>"`` per stored tier, plus the variable's tiers at two
-  bits per element as a record ``"<variable>@map"`` in the file.
+  bits per element as a record ``"<variable>@map"`` in the file.  An
+  element whose finite value its planned tier cannot hold (beyond
+  float16's 65504, say) is stored in the narrowest wider tier that can.
 
 A writer offers whole-checkpoint candidates (:func:`encode_checkpoint`,
 e.g. the full and the pruned checkpoint) and :func:`write_smallest` writes
@@ -108,6 +110,26 @@ def _stored(key: str, arr: np.ndarray, values: np.ndarray,
                       regions=where), values
 
 
+def _fit_tiers(tiers: np.ndarray, flats: Sequence[np.ndarray]
+               ) -> np.ndarray:
+    """``tiers`` with every element that some of ``flats`` holds finite but
+    its tier's dtype would not (beyond float16's 65504, say) moved to the
+    narrowest wider tier that holds it: half, then single, then double.
+    ``tiers`` itself is not modified."""
+    for narrow, wide in zip(STORABLE_TIERS, STORABLE_TIERS[1:]):
+        at = np.flatnonzero(tiers == narrow)
+        over = np.zeros(at.size, dtype=bool)
+        for flat in flats:
+            values = flat[at]
+            with np.errstate(over="ignore"):
+                cast = values.astype(TIER_DTYPES[narrow])
+            over |= np.isfinite(values) & ~np.isfinite(cast)
+        if over.any():
+            tiers = tiers.copy()
+            tiers[at[over]] = wide
+    return tiers
+
+
 #: per state key, its records with their payloads
 Records = dict[str, list[tuple[RecordSpec, np.ndarray]]]
 
@@ -126,7 +148,8 @@ def encode_variable(name: str, values: Mapping[str, np.ndarray],
     ``values`` maps the variable's state keys to their arrays; ``keep``
     marks the elements to store (``None``: all, stored verbatim), or
     ``tiers`` gives every element a ``TIER_*`` precision, keeping those it
-    does not drop.  Region records need
+    does not drop; an element its tier cannot hold finite is stored in a
+    wider one.  Region records need
     :func:`~repro.core.regions.prune_records`' break-even against verbatim;
     the tier map (floating-point data only) must be cheaper than both.
     """
@@ -149,7 +172,8 @@ def encode_variable(name: str, values: Mapping[str, np.ndarray],
         + int(np.count_nonzero(flat)) * element_nbytes
     if tiers is not None and all(np.issubdtype(arr.dtype, np.floating)
                                  for arr in values.values()):
-        flat_tiers = tiers.reshape(-1)
+        flat_tiers = _fit_tiers(tiers.reshape(-1), [
+            arr.reshape(-1) for arr in values.values()])
         counts = np.bincount(flat_tiers, minlength=4)
         packed = pack_tiers(flat_tiers)
         if packed.nbytes + len(values) * sum(

@@ -14,8 +14,10 @@ This module provides the pieces of that experiment:
   control, the critical) elements of a state with garbage, modelling the
   data loss a failure causes in memory regions that were not checkpointed;
 * :func:`run_failure_scenario` -- the end-to-end harness: run with periodic
-  (pruned or full) checkpoints, fail, rebuild a base state with corrupted
-  non-checkpointed data, restart from the latest checkpoint and verify.
+  (pruned or full) checkpoints, from step 0 or resumed from a given state
+  (the analysed checkpoint state), fail, rebuild a base state with
+  corrupted non-checkpointed data, restart from the latest checkpoint and
+  verify.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.criticality import VariableCriticality
+from repro.core.variables import validate_state
 from repro.npb.base import concrete_state
 from repro.npb.common import VerificationResult
 
@@ -37,6 +40,7 @@ __all__ = [
     "SimulatedFailure",
     "corrupt_state",
     "FailureScenarioResult",
+    "default_fail_step",
     "run_failure_scenario",
 ]
 
@@ -130,6 +134,35 @@ class FailureScenarioResult:
                 f"{self.restart_step}: verification {status}")
 
 
+def default_fail_step(bench, interval: int) -> int:
+    """The failure step :func:`run_failure_scenario` injects by default:
+    about 3/4 of the run, but always after the first checkpoint."""
+    fail_at_step = max((3 * bench.total_steps) // 4, interval + 1)
+    return min(fail_at_step, bench.total_steps)
+
+
+def _check_start(bench, state: Mapping[str, Any] | None, start_step: int,
+                 fail_at_step: int) -> None:
+    """Raise ``ValueError`` unless ``state`` is a valid state of ``bench``
+    after ``start_step`` iterations, before the failure."""
+    if not 0 <= start_step < fail_at_step:
+        raise ValueError(f"start step {start_step} outside [0, "
+                         f"{fail_at_step}): the run must start before the "
+                         f"failure at step {fail_at_step}")
+    if state is None:
+        if start_step:
+            raise ValueError(f"start step {start_step} given without the "
+                             f"state to resume from")
+        return
+    validate_state(bench.checkpoint_variables(), state)
+    counter = bench.step_variable()
+    if counter is not None:
+        done = int(np.asarray(state[counter]).item())
+        if done != start_step:
+            raise ValueError(f"start state's step counter {counter!r} is "
+                             f"{done}, not the start step {start_step}")
+
+
 def run_failure_scenario(bench, directory: str | Path,
                          criticality: Mapping[str, VariableCriticality],
                          interval: int = 1,
@@ -138,15 +171,28 @@ def run_failure_scenario(bench, directory: str | Path,
                          corrupt: str = "uncritical",
                          unrecovered: str | None = None,
                          magnitude: float = 1.0e3,
-                         rng: np.random.Generator | None = None
-                         ) -> FailureScenarioResult:
+                         rng: np.random.Generator | None = None,
+                         state: Mapping[str, Any] | None = None,
+                         start_step: int = 0) -> FailureScenarioResult:
     """The Section IV-C experiment for one benchmark.
 
     Runs ``bench`` with periodic checkpoints of the requested ``mode``,
-    injects a failure after ``fail_at_step`` (default: ~3/4 of the run),
-    rebuilds a restart base state whose non-checkpointed memory is corrupted
-    according to ``corrupt``, restores the latest checkpoint on top of it,
-    finishes the run and verifies.
+    injects a failure after ``fail_at_step`` (default: ~3/4 of the run,
+    :func:`default_fail_step`), rebuilds a restart base state whose
+    non-checkpointed memory is corrupted according to ``corrupt``, restores
+    the latest checkpoint on top of it, finishes the run and verifies.
+
+    ``state``/``start_step`` resume the checkpointed run from a clean state
+    after ``start_step`` iterations (as for :func:`run_with_checkpoints`)
+    instead of from step 0: :mod:`repro.experiments.verify` passes the
+    state the analysis already computed.  The start state is written as a
+    checkpoint when the interval makes ``start_step`` a checkpoint step, as
+    a run from step 0 would have written it, so the restart sees the same
+    checkpoints either way.  ``ValueError`` is raised when ``start_step``
+    is not in ``[0, fail_at_step)``, when the state is missing or
+    mis-shapes a checkpoint variable, or when its step counter
+    (``bench.step_variable()``) is not ``start_step``.  ``state`` is not
+    modified.
 
     ``unrecovered`` models a checkpoint that fails to bring back part of the
     state: the named element class (``"critical"`` for the paper's negative
@@ -161,17 +207,23 @@ def run_failure_scenario(bench, directory: str | Path,
     """
     directory = Path(directory)
     if fail_at_step is None:
-        # fail late in the run, but always after at least one checkpoint
-        fail_at_step = max((3 * bench.total_steps) // 4, interval + 1)
-        fail_at_step = min(fail_at_step, bench.total_steps)
-    if fail_at_step <= interval:
-        raise ValueError(
-            f"failure at step {fail_at_step} happens before the first "
-            f"checkpoint (interval {interval}); nothing could be restored")
+        fail_at_step = default_fail_step(bench, interval)
+    _check_start(bench, state, start_step, fail_at_step)
     manager = CheckpointManager(directory, bench, interval=interval,
                                 mode=mode, criticality=criticality)
+    # the first checkpoint step the run reaches: steps before the failure
+    # are checkpointed, the start itself only when resumed from it
+    first = interval * max(-(-start_step // interval), 1)
+    if fail_at_step <= first:
+        raise ValueError(
+            f"failure at step {fail_at_step} happens before the first "
+            f"checkpoint (interval {interval}, start step {start_step}); "
+            f"nothing could be restored")
+    if state is not None:
+        manager.maybe_checkpoint(state, start_step)
     try:
-        run_with_checkpoints(bench, manager, fail_at_step=fail_at_step)
+        run_with_checkpoints(bench, manager, fail_at_step=fail_at_step,
+                             state=state, start_step=start_step)
     except SimulatedFailure:
         pass
     else:  # pragma: no cover - defensive guard

@@ -157,7 +157,12 @@ def run_with_checkpoints(bench, manager: CheckpointManager,
         after completing that iteration (before any further checkpoint) --
         the failure-injection harness uses this to interrupt a run.
     state, start_step:
-        Optional starting state / step for resumed runs.
+        Optional starting state / step for resumed runs: the loop continues
+        from ``state`` after ``start_step`` iterations (not modified) and
+        checkpoints only the steps after it.  The Section IV-C scenario
+        resumes from the analysed checkpoint state this way
+        (:func:`repro.ckpt.failure.run_failure_scenario`), writing the
+        start checkpoint itself.
 
     Returns
     -------

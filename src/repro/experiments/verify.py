@@ -4,7 +4,10 @@ checkpoints.
 For every benchmark the harness:
 
 1. runs the main loop with periodic *pruned* checkpoints (only critical
-   elements written, regions in the auxiliary file);
+   elements written, regions in the auxiliary file), resuming from the
+   analysed checkpoint state (``ScrutinyResult.state`` after
+   ``ScrutinyResult.step`` iterations) rather than re-running the clean
+   prefix from step 0 -- the checkpoints, and so the restart, are the same;
 2. injects a failure part-way through the run;
 3. rebuilds the restart state from a fresh initial state whose *uncritical*
    elements are overwritten with garbage (they were not checkpointed, so
@@ -23,7 +26,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.ckpt.failure import run_failure_scenario
+from repro.ckpt.failure import default_fail_step, run_failure_scenario
 from repro.core.report import format_table
 
 from .paper import VERIFY_BENCHMARKS
@@ -63,32 +66,33 @@ def run(runner: ExperimentRunner | None = None,
     workdir = Path(directory) if directory is not None \
         else Path(tempfile.mkdtemp(prefix="repro_verify_"))
 
+    def scenario(name: str, path: Path, **kwargs):
+        bench = runner.benchmark(name)
+        result = runner.result(name)
+        bench_interval = interval or max(bench.total_steps // 4, 1)
+        # resume from the analysed state when it lies before the failure
+        start = {} if result.step >= default_fail_step(bench, bench_interval) \
+            else {"state": result.state, "start_step": result.step}
+        return result, run_failure_scenario(
+            bench, path, result.variables, interval=bench_interval,
+            mode="pruned", corrupt="uncritical", **start, **kwargs)
+
     rows = []
     records = []
     all_passed = True
     for name in benchmarks:
-        bench = runner.benchmark(name)
-        result = runner.result(name)
-        bench_interval = interval or max(bench.total_steps // 4, 1)
-        scenario = run_failure_scenario(
-            bench, workdir / name.lower(), result.variables,
-            interval=bench_interval, mode="pruned", corrupt="uncritical")
-        records.append(scenario)
-        all_passed &= scenario.verification_passed
-        rows.append((name, str(scenario.fail_step),
-                     str(scenario.restart_step),
+        result, record = scenario(name, workdir / name.lower())
+        records.append(record)
+        all_passed &= record.verification_passed
+        rows.append((name, str(record.fail_step), str(record.restart_step),
                      str(result.n_uncritical),
-                     "PASSED" if scenario.verification_passed else "FAILED"))
+                     "PASSED" if record.verification_passed else "FAILED"))
 
     negative = None
     if include_negative_control and benchmarks:
         name = benchmarks[0]
-        bench = runner.benchmark(name)
-        result = runner.result(name)
-        negative = run_failure_scenario(
-            bench, workdir / f"{name.lower()}_negative", result.variables,
-            interval=interval or max(bench.total_steps // 4, 1),
-            mode="pruned", corrupt="uncritical", unrecovered="critical")
+        _, negative = scenario(name, workdir / f"{name.lower()}_negative",
+                               unrecovered="critical")
         rows.append((f"{name} (negative control)",
                      str(negative.fail_step), str(negative.restart_step),
                      "critical dropped",

@@ -113,6 +113,83 @@ class TestFailureScenario:
         assert scenario.verification_passed
 
 
+class TestResumedScenario:
+    """``state``/``start_step`` resume the checkpointed run; bad starts are
+    rejected before anything runs or is written."""
+
+    def _run(self, tmp_path, bench, analysis, **kwargs):
+        kwargs.setdefault("interval", 2)
+        return run_failure_scenario(bench, tmp_path / "run",
+                                    analysis.variables, **kwargs)
+
+    def test_resumed_run_restarts_like_a_run_from_step_zero(self, tmp_path,
+                                                            bench, analysis):
+        state = bench.checkpoint_state(4)
+        before = {key: np.array(value, copy=True)
+                  for key, value in state.items()}
+        resumed = self._run(tmp_path / "resumed", bench, analysis,
+                            state=state, start_step=4, fail_at_step=5)
+        fresh = self._run(tmp_path / "fresh", bench, analysis,
+                          fail_at_step=5)
+        # step 4 is a checkpoint step: the resumed run writes its start
+        assert resumed.restart_step == fresh.restart_step == 4
+        assert resumed.outcome.steps_replayed \
+            == fresh.outcome.steps_replayed
+        assert resumed.verification_passed and fresh.verification_passed
+        for key, value in fresh.outcome.final_state.items():
+            assert np.asarray(resumed.outcome.final_state[key]).tobytes() \
+                == np.asarray(value).tobytes()
+        for key, value in before.items():
+            assert np.asarray(state[key]).tobytes() == value.tobytes()
+        written = tmp_path / "resumed" / "run" / "bt_step000004.ckpt"
+        assert written.read_bytes() \
+            == (tmp_path / "fresh" / "run" / written.name).read_bytes()
+
+    @pytest.mark.parametrize("start_step", [-1, 6, 7])
+    def test_start_outside_the_run_before_the_failure_rejected(
+            self, tmp_path, bench, analysis, start_step):
+        state = bench.checkpoint_state(2)
+        with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+            self._run(tmp_path, bench, analysis, state=state,
+                      start_step=start_step, fail_at_step=6)
+        assert not (tmp_path / "run").exists()
+
+    def test_start_step_without_a_state_rejected(self, tmp_path, bench,
+                                                 analysis):
+        with pytest.raises(ValueError, match="without the state"):
+            self._run(tmp_path, bench, analysis, start_step=2)
+
+    def test_step_counter_disagreeing_with_the_start_rejected(
+            self, tmp_path, bench, analysis):
+        state = bench.checkpoint_state(2)
+        with pytest.raises(ValueError, match="step counter 'step' is 2, "
+                                             "not the start step 4"):
+            self._run(tmp_path, bench, analysis, state=state, start_step=4)
+        assert not (tmp_path / "run").exists()
+
+    def test_invalid_start_state_rejected(self, tmp_path, bench, analysis):
+        state = bench.checkpoint_state(2)
+        missing = {key: value for key, value in state.items()
+                   if key != "u"}
+        with pytest.raises(ValueError, match="missing state entry 'u'"):
+            self._run(tmp_path, bench, analysis, state=missing,
+                      start_step=2)
+        misshaped = dict(state, u=state["u"][:1])
+        with pytest.raises(ValueError, match="'u': expected shape"):
+            self._run(tmp_path, bench, analysis, state=misshaped,
+                      start_step=2)
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_past_every_checkpoint_step_rejected(self, tmp_path,
+                                                        bench, analysis):
+        # interval 4: step 5 is no checkpoint step and the run fails at 7,
+        # before step 8, so nothing could be restored
+        with pytest.raises(ValueError, match="nothing could be restored"):
+            self._run(tmp_path, bench, analysis, interval=4,
+                      state=bench.checkpoint_state(5), start_step=5,
+                      fail_at_step=7)
+
+
 ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
 
 

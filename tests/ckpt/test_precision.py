@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,29 @@ class TestWriteRead:
                      if rec.pruned)
         assert stored == BLOCK * (2 + 4 + 8)
         assert loaded.header.record(map_key("v")).nbytes == N // 4
+
+    def test_values_beyond_a_tier_are_stored_in_a_wider_one(self, tmp_path,
+                                                            bench, state,
+                                                            plans):
+        v = state["v"]
+        v[BLOCK] = 1.0e6            # planned half: beyond float16's 65504
+        v[BLOCK + 1] = -1.0e300     # planned half: beyond float32 too
+        v[2 * BLOCK] = 1.0e300      # planned single: beyond float32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow in a cast
+            written = write_mixed_precision_checkpoint(
+                tmp_path / "m.ckpt", bench, state, plans)
+        loaded = read_mixed_precision_checkpoint(written.path)
+        restored = loaded.materialize({"v": np.zeros(N), "it": 0})["v"]
+        assert np.isfinite(restored).all()
+        np.testing.assert_allclose(restored[BLOCK], 1.0e6, rtol=2.0 ** -24)
+        assert restored[BLOCK + 1] == -1.0e300
+        assert restored[2 * BLOCK] == 1.0e300
+        stored = sum(rec.nbytes for rec in loaded.header.records
+                     if rec.pruned)
+        assert stored == (BLOCK - 2) * 2 + BLOCK * 4 + (BLOCK + 2) * 8
+        # the plan itself is left as it was
+        assert plans["v"].tiers[BLOCK] == TIER_HALF
 
     def test_all_double_lossless_plan_stores_verbatim(self, tmp_path, bench,
                                                       state):
