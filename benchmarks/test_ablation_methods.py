@@ -2,7 +2,8 @@
 
 Compares the AD analysis against the first-touch read-set (activity)
 analysis and against multi-probe AD, and measures their relative cost.
-These ablations back the design choices called out in DESIGN.md.
+These ablations back the design choices of
+:mod:`repro.experiments.ablation`.
 """
 
 from __future__ import annotations

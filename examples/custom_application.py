@@ -62,6 +62,7 @@ class HeatDiffusion(NPBBenchmark):
     """Explicit 2-D heat diffusion with a sampled history buffer."""
 
     name = "HEAT"
+    step_name = "step"
     epsilon = 1.0e-10
 
     def __init__(self, params: HeatParams | None = None) -> None:

@@ -1,12 +1,12 @@
 """repro -- reproduction of "Scrutinizing Variables for Checkpoint Using
 Automatic Differentiation" (SC 2024).
 
-The package is organised as layered subsystems (see DESIGN.md):
+The package is organised as layered subsystems (see the Layout section of
+README.md):
 
 ``repro.ad``
     Reverse-mode automatic differentiation engine over NumPy arrays (the
-    Enzyme substitute), plus the tape-free forward-mode (JVP) tangent
-    sweep, activity analysis and gradient checking.
+    Enzyme substitute), plus activity analysis and gradient checking.
 ``repro.npb``
     Python ports of the NAS Parallel Benchmarks kernels (BT, SP, LU, MG, CG,
     FT, EP, IS) at class-S layouts, restartable from an explicit state.

@@ -19,12 +19,6 @@ ports of the NPB benchmarks:
   all perturbed probe states stacked along a leading probe axis, one traced
   forward and one reverse sweep yielding every probe's gradients at once
   (in both monolithic and segmented modes).
-* :mod:`repro.ad.dual` / :mod:`repro.ad.tangent` -- the production
-  forward-mode (JVP) engine: :class:`~repro.ad.dual.TangentArray` state with
-  a stacked tangent axis (one slice per direction) pushed through the same
-  primitive rule tables by the benchmark's plain ``run`` loop, no tape at
-  all; :func:`~repro.ad.tangent.tangent_gradients` is the drop-in
-  forward-mode counterpart of ``segmented_gradients``.
 * :mod:`repro.ad.forward` -- an independent dual-number forward mode used for
   cross-validation: it shares no rule tables with the reverse engine, so
   :func:`repro.ad.checks.check_against_forward` is an independent oracle.
@@ -45,9 +39,8 @@ Quick example::
     # g == [0, 2, 4, 0, 0]: elements 3 and 4 are "uncritical"
 """
 
-from . import activity, checks, dual, forward, ops, probes, reverse, \
-    schedule, segmented, tangent
-from .dual import TangentArray
+from . import activity, checks, forward, ops, probes, reverse, schedule, \
+    segmented
 from .ops import *  # noqa: F401,F403 - re-export the numpy-like facade
 from .probes import (ProbeBatchingError, batched_gradients, probe_axis,
                      segmented_batched_gradients)
@@ -55,15 +48,12 @@ from .reverse import (backward, backward_from_seeds, grad, gradient,
                       value_and_grad)
 from .schedule import SnapshotSchedule, make_schedule
 from .segmented import SweepStats, segmented_gradients
-from .tangent import tangent_gradients
 from .tape import Tape, no_tape
 from .tensor import ADArray, is_traced, value_of
 
 __all__ = [
     "Tape",
     "ADArray",
-    "TangentArray",
-    "tangent_gradients",
     "no_tape",
     "is_traced",
     "value_of",
@@ -84,8 +74,6 @@ __all__ = [
     "ops",
     "probes",
     "reverse",
-    "dual",
-    "tangent",
     "forward",
     "activity",
     "checks",

@@ -29,7 +29,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .dual import TangentArray
 from .plan import _CAPTURE
 from .probes import ProbeBatchingError, probe_axis_size
 from .tape import Tape, _TAPES, get_active_tape
@@ -298,214 +297,6 @@ def _unbroadcast_keep_probe(g: np.ndarray, shape: tuple,
 
 
 # ---------------------------------------------------------------------------
-# forward-mode (JVP) dispatch (see repro.ad.dual / repro.ad.tangent)
-#
-# A :class:`~repro.ad.dual.TangentArray` operand switches a primitive into
-# forward mode: the value is computed with exactly the same numpy calls on
-# the same logical values as the untraced/reverse path, and the *stacked
-# tangent* -- shape ``(n_directions,) + logical_shape`` -- is pushed forward
-# through the same shared rule tables the reverse VJPs pull cotangents
-# through (EW_BINARY_RULES / UNARY_RULES / MINMAX_RULES), so the two modes
-# share one set of tie/zero subgradient conventions by construction.
-# Nothing is recorded on any tape.  The leading direction axis reuses the
-# probe-axis mechanics above verbatim: singleton lifting for right-aligned
-# broadcasting, +1 axis shifts for reductions and shape ops, and a
-# prepended full slice for indexing.
-# ---------------------------------------------------------------------------
-
-def _any_tangent(*operands: Any) -> bool:
-    return builtins.any(isinstance(x, TangentArray) for x in operands)
-
-
-def _tangent_parts(x: Any) -> tuple[np.ndarray, np.ndarray | None]:
-    """(logical value, stacked tangent or ``None``) of one operand."""
-    if isinstance(x, TangentArray):
-        return x.value, x.tangent
-    return np.asarray(value_of(x)), None
-
-
-def _tangent_dirs(*operands: Any) -> int:
-    """Direction count of the first TangentArray operand."""
-    for x in operands:
-        if isinstance(x, TangentArray):
-            return x.tangent.shape[0]
-    raise TypeError("no TangentArray operand")  # pragma: no cover - guarded
-
-
-def _tangent_lift(t: np.ndarray, target: int) -> np.ndarray:
-    """Insert singleton logical axes just after the direction axis.
-
-    The exact :func:`_probe_align` lift applied to one tangent: with the
-    tangent's logical rank raised to ``target``, numpy's right-aligned
-    broadcasting against plain logical operands matches the unstacked
-    elementwise semantics while the direction axis stays in front.
-    """
-    lndim = t.ndim - 1
-    if lndim < target:
-        t = t.reshape(t.shape[:1] + (1,) * (target - lndim) + t.shape[1:])
-    return t
-
-
-def _tangent_result(out: Any, dt: Any, nd: int) -> TangentArray:
-    """Wrap ``(value, tangent)``, materialising the tangent at full shape.
-
-    The tangent is broadcast up to ``(nd,) + out.shape`` and copied to C
-    order whenever broadcasting was needed, so downstream reductions
-    traverse every direction slice in the same memory order as a
-    single-direction sweep (the per-direction bitwise guarantee).
-    """
-    out = np.asarray(out)
-    dt = np.asarray(dt)
-    target = (nd,) + out.shape
-    if dt.shape != target:
-        dt = np.array(np.broadcast_to(dt, target), copy=True, order="C")
-    return TangentArray(out, dt)
-
-
-def _tangent_ew_binary(a: Any, b: Any, compute, grad_a, grad_b) -> TangentArray:
-    """Forward rule of one elementwise binary primitive.
-
-    Every ``EW_BINARY_RULES`` cotangent is a *linear* elementwise map of
-    ``g``, so applying it to a lifted tangent instead of a cotangent is the
-    exact JVP: ``dt = grad_a(ta) + grad_b(tb)``.
-    """
-    av, ta = _tangent_parts(a)
-    bv, tb = _tangent_parts(b)
-    nd = _tangent_dirs(a, b)
-    out = compute(av, bv)
-    target = builtins.max(av.ndim, bv.ndim)
-    dt = None
-    if ta is not None:
-        dt = grad_a(_tangent_lift(ta, target), av, bv)
-    if tb is not None:
-        dtb = grad_b(_tangent_lift(tb, target), av, bv)
-        dt = dtb if dt is None else dt + dtb
-    return _tangent_result(out, dt, nd)
-
-
-def _tangent_minmax(a: Any, b: Any, compute, mask_of) -> TangentArray:
-    """Forward rule of maximum/minimum with the shared tie mask."""
-    av, ta = _tangent_parts(a)
-    bv, tb = _tangent_parts(b)
-    nd = _tangent_dirs(a, b)
-    out = compute(av, bv)
-    mask_a = mask_of(av, bv)
-    target = builtins.max(av.ndim, bv.ndim)
-    dt = None
-    if ta is not None:
-        dt = _tangent_lift(ta, target) * mask_a
-    if tb is not None:
-        dtb = _tangent_lift(tb, target) * ~mask_a
-        dt = dtb if dt is None else dt + dtb
-    return _tangent_result(out, dt, nd)
-
-
-def _tangent_matmul(a: Any, b: Any) -> TangentArray:
-    """Forward rule of matmul (product rule, direction axis as batch dim).
-
-    Logical 1-D operands are lifted to row/column matrices exactly as in
-    :func:`_probe_matmul`; the direction axis broadcasts as a leading batch
-    dimension (numpy batched matmul runs one 2-D GEMM per direction slice,
-    so a stacked pass computes each direction bitwise as a width-1 pass
-    would) and the inserted singleton axes are squeezed back out.
-    """
-    av, ta = _tangent_parts(a)
-    bv, tb = _tangent_parts(b)
-    nd = _tangent_dirs(a, b)
-    la, lb = av.ndim, bv.ndim
-    if la == 0 or lb == 0:
-        raise ValueError("matmul operands must be at least 1-D")
-    av_m = av[..., None, :] if la == 1 else av
-    bv_m = bv[..., :, None] if lb == 1 else bv
-    out_m = np.matmul(av_m, bv_m)
-    dt_m = None
-    if ta is not None:
-        ta_m = ta[..., None, :] if la == 1 else ta
-        dt_m = np.matmul(_tangent_lift_batch(ta_m, bv_m.ndim - 2), bv_m)
-    if tb is not None:
-        tb_m = tb[..., :, None] if lb == 1 else tb
-        d2 = np.matmul(av_m, _tangent_lift_batch(tb_m, av_m.ndim - 2))
-        dt_m = d2 if dt_m is None else dt_m + d2
-    if la == 1 and lb == 1:
-        out, dt = out_m[..., 0, 0], dt_m[..., 0, 0]
-    elif la == 1:
-        out, dt = out_m[..., 0, :], dt_m[..., 0, :]
-    elif lb == 1:
-        out, dt = out_m[..., :, 0], dt_m[..., :, 0]
-    else:
-        out, dt = out_m, dt_m
-    return _tangent_result(out, dt, nd)
-
-
-def _tangent_lift_batch(t_m: np.ndarray, other_batch: int) -> np.ndarray:
-    """Pad a matrix-form tangent's batch rank with singletons after the
-    direction axis, so the other operand's batch dims broadcast against the
-    *logical* batch dims instead of swallowing the direction axis."""
-    own_batch = t_m.ndim - 3
-    if own_batch < other_batch:
-        t_m = t_m.reshape(t_m.shape[:1] + (1,) * (other_batch - own_batch)
-                          + t_m.shape[1:])
-    return t_m
-
-
-def _tangent_index_write(a: Any, index: Any, b: Any,
-                         add: bool) -> TangentArray:
-    """Forward rule of index_update (``add=False``) / index_add (``True``).
-
-    The target's tangent is copied; an overwrite replaces the region's
-    tangent with the value operand's (zero for a plain value), a
-    scatter-add accumulates it with ``np.add.at`` semantics.
-    """
-    av, ta = _tangent_parts(a)
-    bv, tb = _tangent_parts(b)
-    nd = _tangent_dirs(a, b)
-    idx = _index_values(index)
-    full_idx = _probe_index(idx, nd)
-    out = np.array(av, copy=True)
-    if ta is not None:
-        out_t = np.array(ta, copy=True)
-    else:
-        out_t = np.zeros((nd,) + out.shape,
-                         dtype=tb.dtype if tb is not None else np.float64)
-    if add:
-        np.add.at(out, idx, bv)
-        if tb is not None:
-            np.add.at(out_t, full_idx, tb)
-    else:
-        out[idx] = bv
-        out_t[full_idx] = tb if tb is not None else 0.0
-    return TangentArray(out, out_t)
-
-
-def _tangent_join(joiner, arrays: list, axis: int) -> TangentArray:
-    """Forward rule of concatenate/stack: plain parts contribute zero
-    tangents, the join axis shifts past the direction axis."""
-    values = [np.asarray(value_of(x)) for x in arrays]
-    nd = _tangent_dirs(*arrays)
-    t_dtype = np.result_type(*[x.tangent for x in arrays
-                               if isinstance(x, TangentArray)])
-    parts = [x.tangent if isinstance(x, TangentArray)
-             else np.zeros((nd,) + np.shape(v), dtype=t_dtype)
-             for x, v in zip(arrays, values)]
-    return TangentArray(joiner(values, axis=axis),
-                        joiner(parts, axis=_probe_shift_axis(axis, nd)))
-
-
-def _tangent_weighted_reduce(a: TangentArray, axis, keepdims: bool,
-                             out: np.ndarray, w: np.ndarray) -> TangentArray:
-    """Forward rule of the weighted-sum reductions (max/min/prod).
-
-    ``w`` is the logical weight array the matching VJP distributes its
-    cotangent with (the tie mask split or :func:`_prod_partials`); its
-    transpose -- a weighted sum over the reduced axes -- is the JVP.
-    """
-    ta = a.tangent
-    axis_t = _probe_reduce_axis(axis, ta.ndim, ta.shape[0])
-    dt = np.sum(w * ta, axis=axis_t, keepdims=keepdims)
-    return _tangent_result(out, dt, ta.shape[0])
-
-
-# ---------------------------------------------------------------------------
 # elementwise binary primitives
 # ---------------------------------------------------------------------------
 
@@ -557,8 +348,6 @@ def _elementwise_binary(op: str, a: Any, b: Any,
     unbroadcast to the (possibly probe-lifted) operand shape and restored to
     the operand's true node shape.
     """
-    if _any_tangent(a, b):
-        return _tangent_ew_binary(a, b, compute, grad_a, grad_b)
     av0, bv0 = value_of(a), value_of(b)
     nb = _probe_batch(a, b)
     if nb is not None:
@@ -631,8 +420,6 @@ MINMAX_RULES: dict[str, tuple] = {
 def _minmax_binary(op: str, a: Any, b: Any, compute, mask_of) -> Any:
     """Shared maximum/minimum recorder; the tie mask is computed once at
     trace time and shared by both cotangents."""
-    if _any_tangent(a, b):
-        return _tangent_minmax(a, b, compute, mask_of)
     av0, bv0 = value_of(a), value_of(b)
     nb = _probe_batch(a, b)
     if nb is not None:
@@ -676,15 +463,6 @@ def minimum(a: Any, b: Any) -> Any:
 
 def mod(a: Any, b: Any) -> Any:
     """Elementwise ``a % b``; derivative taken w.r.t. ``a`` only."""
-    if _any_tangent(a, b):
-        av, ta = _tangent_parts(a)
-        bv, _tb = _tangent_parts(b)
-        out = np.mod(av, bv)
-        if ta is None:          # derivative w.r.t. ``b`` is ignored
-            return out
-        nd = ta.shape[0]
-        return _tangent_result(
-            out, _tangent_lift(ta, builtins.max(av.ndim, bv.ndim)), nd)
     av0, bv0 = value_of(a), value_of(b)
     nb = _probe_batch(a, b)
     if nb is not None:
@@ -739,11 +517,6 @@ def _unary(op: str, a: Any, out: np.ndarray,
 def _rule_unary(op: str, a: Any) -> Any:
     """Record one table-driven unary primitive (see :data:`UNARY_RULES`)."""
     compute, dydx = UNARY_RULES[op]
-    if isinstance(a, TangentArray):
-        av = a.value
-        out = compute(av)
-        return _tangent_result(out, dydx(av, out) * a.tangent,
-                               a.tangent.shape[0])
     av = value_of(a)
     out = compute(av)
     spec = ("unary", op) if _CAPTURE.capture is not None else None
@@ -752,8 +525,6 @@ def _rule_unary(op: str, a: Any) -> Any:
 
 def negative(a: Any) -> Any:
     """Elementwise negation."""
-    if isinstance(a, TangentArray):
-        return TangentArray(-a.value, -a.tangent)
     av = value_of(a)
     parents = _traced_parents(a)
 
@@ -831,12 +602,6 @@ def reciprocal(a: Any) -> Any:
 
 def clip(a: Any, lo: float, hi: float) -> Any:
     """Clamp values to ``[lo, hi]``; cotangent passes only inside the range."""
-    if isinstance(a, TangentArray):
-        av = a.value
-        inside = (av >= lo) & (av <= hi)
-        return _tangent_result(np.clip(av, lo, hi),
-                               a.tangent * inside.astype(av.dtype),
-                               a.tangent.shape[0])
     av = value_of(a)
     out = np.clip(av, lo, hi)
     inside = (av >= lo) & (av <= hi)
@@ -864,12 +629,6 @@ def allclose(a: Any, b: Any, rtol: float = 1e-5, atol: float = 1e-8) -> bool:
 
 def sum(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Sum of elements over the given axis."""
-    if isinstance(a, TangentArray):
-        ta = a.tangent
-        axis_t = _probe_reduce_axis(axis, ta.ndim, ta.shape[0])
-        return _tangent_result(np.sum(a.value, axis=axis, keepdims=keepdims),
-                               np.sum(ta, axis=axis_t, keepdims=keepdims),
-                               ta.shape[0])
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.sum(av, axis=axis, keepdims=keepdims)
@@ -888,12 +647,6 @@ def sum(a: Any, axis=None, keepdims: bool = False) -> Any:
 
 def mean(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Arithmetic mean over the given axis."""
-    if isinstance(a, TangentArray):
-        ta = a.tangent
-        axis_t = _probe_reduce_axis(axis, ta.ndim, ta.shape[0])
-        return _tangent_result(np.mean(a.value, axis=axis, keepdims=keepdims),
-                               np.mean(ta, axis=axis_t, keepdims=keepdims),
-                               ta.shape[0])
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.mean(av, axis=axis, keepdims=keepdims)
@@ -930,15 +683,6 @@ def _minmax_vjp(av: np.ndarray, out: np.ndarray, axis, keepdims: bool):
 
 def max(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Maximum over the given axis (ties share the cotangent equally)."""
-    if isinstance(a, TangentArray):
-        av = a.value
-        out = np.max(av, axis=axis, keepdims=keepdims)
-        out_k = np.expand_dims(out, axis=axis) \
-            if axis is not None and not keepdims else out
-        mask = (av == out_k)
-        denom = mask.sum(axis=axis, keepdims=True) if axis is not None \
-            else mask.sum()
-        return _tangent_weighted_reduce(a, axis, keepdims, out, mask / denom)
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.max(av, axis=axis, keepdims=keepdims)
@@ -951,15 +695,6 @@ def max(a: Any, axis=None, keepdims: bool = False) -> Any:
 
 def min(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Minimum over the given axis (ties share the cotangent equally)."""
-    if isinstance(a, TangentArray):
-        av = a.value
-        out = np.min(av, axis=axis, keepdims=keepdims)
-        out_k = np.expand_dims(out, axis=axis) \
-            if axis is not None and not keepdims else out
-        mask = (av == out_k)
-        denom = mask.sum(axis=axis, keepdims=True) if axis is not None \
-            else mask.sum()
-        return _tangent_weighted_reduce(a, axis, keepdims, out, mask / denom)
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.min(av, axis=axis, keepdims=keepdims)
@@ -986,13 +721,6 @@ def _prod_partials(av: np.ndarray, out_k: np.ndarray, axis) -> np.ndarray:
 
 def prod(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Product over the given axis; its derivative is exact at zeros."""
-    if isinstance(a, TangentArray):
-        av = a.value
-        out = np.prod(av, axis=axis, keepdims=keepdims)
-        out_k = np.expand_dims(out, axis=axis) \
-            if axis is not None and not keepdims else out
-        return _tangent_weighted_reduce(a, axis, keepdims, out,
-                                        _prod_partials(av, out_k, axis))
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.prod(av, axis=axis, keepdims=keepdims)
@@ -1036,10 +764,6 @@ def reshape(a: Any, shape) -> Any:
     ``shape`` is the *logical* target shape; under a batched probe sweep the
     probe axis is preserved in front of it.
     """
-    if isinstance(a, TangentArray):
-        out = np.reshape(a.value, shape)
-        dt = np.reshape(a.tangent, (a.tangent.shape[0],) + out.shape)
-        return TangentArray(out, dt)
     av = value_of(a)
     if _probe_batch(a) is not None:
         shape = (av.shape[0],) + ((shape,) if np.ndim(shape) == 0
@@ -1062,14 +786,6 @@ def ravel(a: Any) -> Any:
 
 def transpose(a: Any, axes=None) -> Any:
     """Permute array axes (the probe axis, when present, stays in front)."""
-    if isinstance(a, TangentArray):
-        av, ta = a.value, a.tangent
-        if axes is None:
-            axes_t = (0,) + tuple(range(ta.ndim - 1, 0, -1))
-        else:
-            axes_t = (0,) + tuple(ax + 1 if ax >= 0 else ta.ndim + ax
-                                  for ax in axes)
-        return TangentArray(np.transpose(av, axes), np.transpose(ta, axes_t))
     av = value_of(a)
     if _probe_batch(a) is not None:
         if axes is None:
@@ -1094,12 +810,6 @@ def transpose(a: Any, axes=None) -> Any:
 
 def swapaxes(a: Any, axis1: int, axis2: int) -> Any:
     """Interchange two axes."""
-    if isinstance(a, TangentArray):
-        nd = a.tangent.shape[0]
-        return TangentArray(
-            np.swapaxes(a.value, axis1, axis2),
-            np.swapaxes(a.tangent, _probe_shift_axis(axis1, nd),
-                        _probe_shift_axis(axis2, nd)))
     nb = _probe_batch(a)
     axis1 = _probe_shift_axis(axis1, nb)
     axis2 = _probe_shift_axis(axis2, nb)
@@ -1118,12 +828,6 @@ def swapaxes(a: Any, axis1: int, axis2: int) -> Any:
 
 def moveaxis(a: Any, source, destination) -> Any:
     """Move array axes to new positions."""
-    if isinstance(a, TangentArray):
-        nd = a.tangent.shape[0]
-        return TangentArray(
-            np.moveaxis(a.value, source, destination),
-            np.moveaxis(a.tangent, _probe_shift_axis(source, nd),
-                        _probe_shift_axis(destination, nd)))
     nb = _probe_batch(a)
     source = _probe_shift_axis(source, nb)
     destination = _probe_shift_axis(destination, nb)
@@ -1141,14 +845,15 @@ def moveaxis(a: Any, source, destination) -> Any:
 
 def broadcast_to(a: Any, shape) -> Any:
     """Broadcast to a new (logical) shape."""
-    if isinstance(a, TangentArray):
-        shape = tuple(shape)
-        out = np.array(np.broadcast_to(a.value, shape))
-        return _tangent_result(out, _tangent_lift(a.tangent, len(shape)),
-                               a.tangent.shape[0])
     av = value_of(a)
     if _probe_batch(a) is not None:
-        shape = (av.shape[0],) + tuple(shape)
+        shape = tuple(shape)
+        if av.ndim - 1 < len(shape):
+            # numpy aligns shapes from the right, the probe axis sits on
+            # the left: give the operand the target's logical rank first
+            a = reshape(a, (1,) * (len(shape) - av.ndim + 1) + av.shape[1:])
+            av = value_of(a)
+        shape = (av.shape[0],) + shape
     out = np.broadcast_to(av, shape)
     parents = _traced_parents(a)
 
@@ -1162,10 +867,6 @@ def broadcast_to(a: Any, shape) -> Any:
 
 def squeeze(a: Any, axis=None) -> Any:
     """Remove size-1 dimensions (never the probe axis)."""
-    if isinstance(a, TangentArray):
-        out = np.squeeze(a.value, axis=axis)
-        dt = np.reshape(a.tangent, (a.tangent.shape[0],) + out.shape)
-        return TangentArray(out, dt)
     av = value_of(a)
     nb = _probe_batch(a)
     if nb is not None:
@@ -1187,10 +888,6 @@ def squeeze(a: Any, axis=None) -> Any:
 
 def expand_dims(a: Any, axis) -> Any:
     """Insert a size-1 dimension at (logical) ``axis``."""
-    if isinstance(a, TangentArray):
-        out = np.expand_dims(a.value, axis)
-        dt = np.reshape(a.tangent, (a.tangent.shape[0],) + out.shape)
-        return TangentArray(out, dt)
     axis = _probe_shift_axis(axis, _probe_batch(a))
     av = value_of(a)
     out = np.expand_dims(av, axis)
@@ -1207,8 +904,6 @@ def expand_dims(a: Any, axis) -> Any:
 def concatenate(arrays: Sequence[Any], axis: int = 0) -> Any:
     """Join arrays along an existing (logical) axis."""
     arrays = list(arrays)
-    if _any_tangent(*arrays):
-        return _tangent_join(np.concatenate, arrays, axis)
     values = [value_of(a) for a in arrays]
     nb = _probe_batch(*arrays)
     if nb is not None:
@@ -1243,8 +938,6 @@ def concatenate(arrays: Sequence[Any], axis: int = 0) -> Any:
 def stack(arrays: Sequence[Any], axis: int = 0) -> Any:
     """Join arrays along a new (logical) axis."""
     arrays = list(arrays)
-    if _any_tangent(*arrays):
-        return _tangent_join(np.stack, arrays, axis)
     values = [value_of(a) for a in arrays]
     nb = _probe_batch(*arrays)
     if nb is not None:
@@ -1272,12 +965,6 @@ def stack(arrays: Sequence[Any], axis: int = 0) -> Any:
 
 def flip(a: Any, axis=None) -> Any:
     """Reverse element order along the given (logical) axis."""
-    if isinstance(a, TangentArray):
-        ta = a.tangent
-        axis_t = tuple(range(1, ta.ndim)) if axis is None \
-            else _probe_shift_axis(axis, ta.shape[0])
-        return TangentArray(np.flip(a.value, axis=axis),
-                            np.flip(ta, axis=axis_t))
     av = value_of(a)
     nb = _probe_batch(a)
     if nb is not None:
@@ -1295,18 +982,6 @@ def flip(a: Any, axis=None) -> Any:
 
 def roll(a: Any, shift, axis=None) -> Any:
     """Circularly shift elements along a (logical) axis."""
-    if isinstance(a, TangentArray):
-        ta = a.tangent
-        if axis is None:
-            # numpy's axis=None rolls the flattened array; per direction
-            # that means rolling each flattened direction slice
-            out = np.roll(a.value, shift)
-            dt = np.roll(ta.reshape(ta.shape[0], -1), shift,
-                         axis=1).reshape(ta.shape)
-            return TangentArray(out, dt)
-        return TangentArray(
-            np.roll(a.value, shift, axis=axis),
-            np.roll(ta, shift, axis=_probe_shift_axis(axis, ta.shape[0])))
     av = value_of(a)
     nb = _probe_batch(a)
     if nb is not None and axis is None:
@@ -1342,15 +1017,6 @@ def pad_zero(a: Any, pad_width) -> Any:
     ``pad_width`` refers to the logical dimensions; the probe axis (when
     present) is never padded.
     """
-    if isinstance(a, TangentArray):
-        av, ta = a.value, a.tangent
-        norm_pad = np.asarray(np.broadcast_to(
-            np.asarray(pad_width, dtype=np.int64).reshape(-1, 2)
-            if np.ndim(pad_width) > 0 else [[pad_width, pad_width]],
-            (av.ndim, 2)))
-        return TangentArray(
-            np.pad(av, norm_pad, mode="constant"),
-            np.pad(ta, np.vstack([[[0, 0]], norm_pad]), mode="constant"))
     av = value_of(a)
     nb = _probe_batch(a)
     lndim = av.ndim - 1 if nb is not None else av.ndim
@@ -1379,7 +1045,7 @@ def pad_zero(a: Any, pad_width) -> Any:
 
 def _index_values(index: Any) -> Any:
     """Strip AD wrappers from an index expression (indices are data)."""
-    if isinstance(index, (ADArray, TangentArray)):
+    if isinstance(index, ADArray):
         return index.value
     if isinstance(index, tuple):
         return tuple(_index_values(i) for i in index)
@@ -1402,16 +1068,6 @@ def getitem(a: Any, index: Any) -> Any:
     batched probe sweep a full slice of the probe axis is prepended, so
     every probe slice is indexed identically.
     """
-    if isinstance(a, TangentArray):
-        av, ta = a.value, a.tangent
-        idx = _index_values(index)
-        out = av[idx]
-        dt = ta[_probe_index(idx, ta.shape[0])]
-        if _is_advanced(idx):
-            # restore C order after the advanced gather (see the batched
-            # reverse path below) so per-direction reduction orders match
-            dt = np.ascontiguousarray(dt)
-        return TangentArray(out, dt)
     av = value_of(a)
     idx = _index_values(index)
     nb = _probe_batch(a)
@@ -1443,19 +1099,6 @@ def getitem(a: Any, index: Any) -> Any:
 
 def take(a: Any, indices: Any, axis=None) -> Any:
     """Differentiable ``numpy.take`` (``axis`` addresses logical dims)."""
-    if isinstance(a, TangentArray):
-        av, ta = a.value, a.tangent
-        idx = _index_values(indices)
-        nd = ta.shape[0]
-        out = np.take(av, idx, axis=axis)
-        if axis is None:
-            dt = np.take(ta.reshape(nd, -1), idx, axis=1)
-            dt = dt.reshape((nd,) + np.shape(out))
-        else:
-            ax1 = _probe_shift_axis(axis, nd)
-            dt = np.ascontiguousarray(
-                ta[(slice(None),) * ax1 + (np.asarray(idx),)])
-        return TangentArray(out, dt)
     av = value_of(a)
     idx = _index_values(indices)
     nb = _probe_batch(a)
@@ -1479,8 +1122,9 @@ def take(a: Any, indices: Any, axis=None) -> Any:
 
             return _record("take", out, parents, vjp_flat,
                            meta={"indices": np.asarray(idx), "axis": axis})
-        # a single advanced index at `axis` is exactly np.take(..., axis)
-        ax1 = _probe_shift_axis(axis, nb)
+        # a single advanced index at `axis` is exactly np.take(..., axis);
+        # a negative axis counts from the end of the batched array
+        ax1 = _probe_shift_axis(axis, nb) % av.ndim
         take_idx = (slice(None),) * ax1 + (np.asarray(idx),)
         out = np.ascontiguousarray(av[take_idx])
         parents = _traced_parents(a)
@@ -1531,8 +1175,6 @@ def index_update(a: Any, index: Any, b: Any) -> Any:
     elements of ``a`` were overwritten, so they no longer influence the
     output); the cotangent of ``b`` is the cotangent of the updated region.
     """
-    if _any_tangent(a, b):
-        return _tangent_index_write(a, index, b, add=False)
     av, bv = value_of(a), value_of(b)
     idx = _index_values(index)
     nb = _probe_batch(a, b)
@@ -1577,8 +1219,6 @@ def index_update(a: Any, index: Any, b: Any) -> Any:
 def index_add(a: Any, index: Any, b: Any) -> Any:
     """Functional scatter-add: a copy of ``a`` with ``a[index] += b``
     (unbuffered, i.e. repeated indices accumulate as ``np.add.at`` does)."""
-    if _any_tangent(a, b):
-        return _tangent_index_write(a, index, b, add=True)
     av, bv = value_of(a), value_of(b)
     idx = _index_values(index)
     nb = _probe_batch(a, b)
@@ -1617,20 +1257,6 @@ def index_add(a: Any, index: Any, b: Any) -> Any:
 
 def where(cond: Any, a: Any, b: Any) -> Any:
     """Elementwise select; the condition is treated as non-differentiable."""
-    if _any_tangent(a, b):
-        cv = value_of(cond).astype(bool)
-        av, ta = _tangent_parts(a)
-        bv, tb = _tangent_parts(b)
-        nd = _tangent_dirs(a, b)
-        out = np.where(cv, av, bv)
-        target = builtins.max(av.ndim, bv.ndim, cv.ndim)
-        dt = None
-        if ta is not None:
-            dt = _tangent_lift(ta, target) * cv
-        if tb is not None:
-            dtb = _tangent_lift(tb, target) * ~cv
-            dt = dtb if dt is None else dt + dtb
-        return _tangent_result(out, dt, nd)
     cv = value_of(cond).astype(bool)
     av0, bv0 = value_of(a), value_of(b)
     nb = _probe_batch(a, b)
@@ -1664,9 +1290,6 @@ def where(cond: Any, a: Any, b: Any) -> Any:
 
 def copy(a: Any) -> Any:
     """Differentiable identity copy."""
-    if isinstance(a, TangentArray):
-        return TangentArray(np.array(a.value, copy=True),
-                            np.array(a.tangent, copy=True))
     av = value_of(a)
     out = np.array(av, copy=True)
     parents = _traced_parents(a)
@@ -1685,12 +1308,6 @@ def astype(a: Any, dtype) -> Any:
     integer or boolean dtype detaches the result, because derivatives through
     integer data are identically zero.
     """
-    if isinstance(a, TangentArray):
-        dtype = np.dtype(dtype)
-        out = a.value.astype(dtype)
-        if not np.issubdtype(dtype, np.floating):
-            return out
-        return TangentArray(out, a.tangent.astype(dtype))
     av = value_of(a)
     dtype = np.dtype(dtype)
     out = av.astype(dtype)
@@ -1724,8 +1341,6 @@ def matmul(a: Any, b: Any) -> Any:
     traced operands' *logical* ranks decide the vector/matrix semantics and
     the probe axis broadcasts as a leading batch dimension.
     """
-    if _any_tangent(a, b):
-        return _tangent_matmul(a, b)
     nb = _probe_batch(a, b)
     if nb is not None:
         return _probe_matmul(a, b, nb)
@@ -1843,7 +1458,7 @@ def outer(a: Any, b: Any) -> Any:
 
 #: elements of the gathered ``(rows, k, n)`` product block of one banded
 #: matvec chunk (4 MB of float64): a vector or a few probes take one
-#: chunk, thousands of stacked tangent directions take many
+#: chunk, the probes of a large matrix take several
 _DIA_CHUNK = 1 << 19
 
 
@@ -1853,9 +1468,9 @@ def _dia_kernel(bands: np.ndarray, offsets: tuple, shape: tuple,
     ``y[..., i] = sum_d bands[d, i] * x[..., i + offsets[d]]``; the buffers
     are built once.
 
-    Each leading-axis slice of ``x`` (a probe or a tangent direction) is
-    copied into a zero-padded row, so every diagonal reads a full-length
-    window of it (a column outside the matrix meets a padded zero).  The
+    Each leading-axis slice of ``x`` (a probe) is copied into a
+    zero-padded row, so every diagonal reads a full-length window of it (a
+    column outside the matrix meets a padded zero).  The
     ``k`` shifted windows are gathered as a fresh ``(rows, k, n)`` block,
     multiplied by the bands and summed over ``k``: numpy reduces a
     non-inner axis row by row from ``0.0``, so each ``y[..., i]`` is
@@ -1927,10 +1542,10 @@ def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
     are ``bands_t = dia_transpose(bands, offsets)``, built once by the
     caller that owns the matrix.
 
-    The kernel is batch-invariant: under a probe axis or a stacked tangent
-    every slice is computed bitwise as an unbatched call would.
+    The kernel is batch-invariant: under a probe axis every slice is
+    computed bitwise as an unbatched call would.
     """
-    if _is_traced(bands) or isinstance(bands, TangentArray):
+    if _is_traced(bands):
         raise TypeError("banded_matvec: the bands must be constant")
     bands = np.asarray(bands)
     offsets = tuple(int(o) for o in offsets)
@@ -1938,14 +1553,10 @@ def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
         raise ValueError(f"banded_matvec: bands of shape {bands.shape} do "
                          f"not match {len(offsets)} offsets")
     n = bands.shape[1]
-    shape = x.value.shape if isinstance(x, TangentArray) \
-        else logical_shape(x)
+    shape = logical_shape(x)
     if shape != (n,):
         raise ValueError(f"banded_matvec: vector of shape {shape} for an "
                          f"order-{n} matrix")
-    if isinstance(x, TangentArray):
-        return TangentArray(_dia_matvec(bands, offsets, x.value),
-                            _dia_matvec(bands, offsets, x.tangent))
     out = _dia_matvec(bands, offsets, value_of(x))
     offsets_t = tuple(-o for o in offsets)
 
@@ -1967,8 +1578,8 @@ def _fft_pair(z: np.ndarray, k: int, inverse: bool) -> np.ndarray:
     """The complex DFT over the last ``k`` axes of stacked real/imaginary
     pairs.
 
-    The pair sits on axis ``-(k + 1)``; axes in front of it (a probe or
-    tangent-direction axis) are batch axes, transformed in blocks of up to
+    The pair sits on axis ``-(k + 1)``; axes in front of it (a probe
+    axis) are batch axes, transformed in blocks of up to
     :data:`_FFT_BLOCK` elements, in place in one complex buffer.  numpy
     transforms every slice of a call independently, so each is computed
     exactly as an unbatched call would.  ``inverse`` gives
@@ -2006,18 +1617,13 @@ def ifftn_pair(z: Any) -> Any:
     the result is ``numpy.fft.ifftn`` of it in the same layout.  The map is
     linear, so the VJP needs no forward operand: it applies the adjoint,
     ``fftn(g[0] + 1j * g[1]) / N`` with ``N`` the grid size.  Under a probe
-    axis or a stacked tangent every slice is transformed bitwise as an
-    unbatched call would.
+    axis every slice is transformed bitwise as an unbatched call would.
     """
-    shape = z.value.shape if isinstance(z, TangentArray) \
-        else logical_shape(z)
+    shape = logical_shape(z)
     if len(shape) < 2 or shape[0] != 2:
         raise ValueError(f"ifftn_pair: expected a (2, *grid) real/imaginary "
                          f"pair, got shape {shape}")
     k = len(shape) - 1
-    if isinstance(z, TangentArray):
-        return TangentArray(_fft_pair(z.value, k, True),
-                            _fft_pair(z.tangent, k, True))
     out = _fft_pair(np.asarray(value_of(z)), k, True)
 
     def vjp(g: np.ndarray) -> tuple:
@@ -2067,15 +1673,15 @@ def linspace(*args, **kwargs) -> np.ndarray:
 
 
 def asarray(a: Any, dtype=None) -> Any:
-    """Identity on ADArrays/TangentArrays; ``numpy.asarray`` otherwise."""
-    if isinstance(a, (ADArray, TangentArray)):
+    """Identity on ADArrays; ``numpy.asarray`` otherwise."""
+    if isinstance(a, ADArray):
         return a if dtype is None else astype(a, dtype)
     return np.asarray(a, dtype=dtype)
 
 
 def array(a: Any, dtype=None) -> Any:
     """Copying variant of :func:`asarray`."""
-    if isinstance(a, (ADArray, TangentArray)):
+    if isinstance(a, ADArray):
         out = copy(a)
         return out if dtype is None else astype(out, dtype)
     return np.array(a, dtype=dtype)

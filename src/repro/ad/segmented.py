@@ -124,12 +124,6 @@ class SweepStats:
     activity_retraces: int = 0
     #: largest resident read/moved mask payload of an activity sweep (bytes)
     activity_peak_mask_nbytes: int = 0
-    #: forward passes run by a tangent (JVP) sweep
-    tangent_passes: int = 0
-    #: tangent directions carried across all passes of a tangent sweep
-    tangent_directions: int = 0
-    #: largest resident (value + stacked tangent) state of any pass (bytes)
-    tangent_peak_state_nbytes: int = 0
 
     def observe(self, tape: Tape) -> None:
         """Record one tape's size before it is freed."""
@@ -190,18 +184,6 @@ class SweepStats:
         self.peak_snapshot_nbytes = max(
             self.peak_snapshot_nbytes,
             sum(s.peak_snapshot_nbytes for s in schedules))
-
-    def observe_tangent(self, n_directions: int, peak_nbytes: int) -> None:
-        """Record one forward (tangent) pass of a JVP sweep.
-
-        A tangent pass has no tape at all; its meter is the resident
-        (value + stacked tangent) state payload, which is what replaces the
-        reverse sweep's tape/snapshot footprint.
-        """
-        self.tangent_passes += 1
-        self.tangent_directions += n_directions
-        self.tangent_peak_state_nbytes = max(self.tangent_peak_state_nbytes,
-                                             peak_nbytes)
 
 
 def float_state_keys(state: Mapping[str, Any]) -> list[str]:

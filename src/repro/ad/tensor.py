@@ -25,7 +25,6 @@ from typing import Any
 
 import numpy as np
 
-from .dual import TangentArray
 from .tape import Node, Tape, get_active_tape
 
 __all__ = ["ADArray", "value_of", "is_traced"]
@@ -345,13 +344,9 @@ class ADArray:
 def value_of(x: Any) -> np.ndarray:
     """Return the concrete numpy value of ``x``.
 
-    Accepts reverse-mode :class:`ADArray`, forward-mode
-    :class:`~repro.ad.dual.TangentArray` and plain array-likes; wrappers of
-    either mode unwrap to their primal value.
+    Accepts :class:`ADArray` and plain array-likes.
     """
     if isinstance(x, ADArray):
-        return x.value
-    if isinstance(x, TangentArray):
         return x.value
     return np.asarray(x)
 

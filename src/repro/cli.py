@@ -39,7 +39,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.criticality import DEFAULT_PROBE_SCALE
+from repro.core.criticality import DEFAULT_PROBE_SCALE, METHODS
 from repro.experiments import (ExperimentRunner, ablation, figures,
                                incremental, precision, table1, table2,
                                table3, verify)
@@ -63,17 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "enlarged class unlocked by --sweep segmented; "
                              "class A is registered for CG and FT -- larger "
                              "arrays -- and EP and IS -- longer main loops)")
-    parser.add_argument("--method", default="ad",
-                        choices=("ad", "tangent", "activity", "rule"),
+    parser.add_argument("--method", default="ad", choices=METHODS,
                         help="criticality analysis method: 'ad' is the "
-                             "paper's reverse-mode sweep, 'tangent' computes "
-                             "the same derivative criterion with the "
-                             "tape-free forward-mode (JVP) sweep -- "
-                             "bitwise-identical masks, memory independent "
-                             "of the loop length, cost scaling with the "
-                             "number of watched elements instead; "
-                             "'activity' is the derivative-free read-set "
-                             "baseline (honours --sweep like 'ad')")
+                             "paper's reverse-mode sweep, 'activity' the "
+                             "derivative-free read-set baseline (honours "
+                             "--sweep like 'ad'), 'rule' keeps every "
+                             "element")
     parser.add_argument("--probes", type=int, default=1,
                         help="number of AD probes per variable")
     parser.add_argument("--probe-scale", type=float,

@@ -40,7 +40,7 @@ class ScrutinyResult:
     step:
         Main-loop index of the checkpoint the analysis is based on.
     method:
-        Criticality method used ("ad", "tangent", "activity" or "rule").
+        Criticality method used ("ad", "activity" or "rule").
     variables:
         Per-variable criticality, keyed by variable name in Table I order.
     state:

@@ -3,7 +3,7 @@
 Given a restartable application and the state captured at a checkpoint, the
 analysis decides for every element of every checkpoint variable whether it
 is *critical* (it influences the application output, so it must be saved) or
-*uncritical* (zero influence, it can be dropped).  Four methods are
+*uncritical* (zero influence, it can be dropped).  Three methods are
 provided:
 
 ``"ad"`` (default, the paper's method)
@@ -11,20 +11,8 @@ provided:
     reverse-mode AD engine and mark an element critical when the derivative
     of the scalar verification output with respect to it is nonzero.
     Optionally the derivative is probed at several perturbed base states and
-    the nonzero masks are OR-ed (guards against coincidental zeros, see the
-    ablation in DESIGN.md).
-
-``"tangent"``
-    The same derivative criterion computed with the forward-mode (JVP)
-    tangent sweep (:mod:`repro.ad.tangent`): the benchmark's plain ``run``
-    loop is executed on stacked-tangent state, one identity direction per
-    watched element, recording **no tape** -- peak memory is one state,
-    independent of the remaining loop length.  Shares the primitive rule
-    tables with the reverse engine, so the masks match the ``"ad"`` masks
-    bitwise (pinned for all eight NPB ports); cost grows with the number
-    of watched elements instead of the loop length, so it wins for small
-    states with long loops and many probes.  Supports ``n_probes`` exactly
-    like ``"ad"``; ``sweep`` does not apply and is ignored.
+    the nonzero masks are OR-ed (guards against coincidental zeros, see
+    the README's "Batched multi-probe sweep" section).
 
 ``"activity"``
     A read-dependency analysis over the same tape: an element is classified
@@ -65,7 +53,6 @@ from repro.ad.plan import PlanCache
 from repro.ad.reverse import backward
 from repro.ad.segmented import (cast_gradient, gradient_dtype,
                                 segmented_gradients)
-from repro.ad.tangent import tangent_gradients
 from repro.ad.tensor import value_of
 from repro.core.masks import MaskSummary, combine_or, summarize_mask
 from repro.core.regions import Region, encode_mask
@@ -85,7 +72,7 @@ __all__ = [
 
 
 #: recognised analysis methods
-METHODS = ("ad", "tangent", "activity", "rule")
+METHODS = ("ad", "activity", "rule")
 
 #: recognised reverse-sweep strategies for the AD method
 SWEEPS = ("monolithic", "segmented")
@@ -267,8 +254,7 @@ class CriticalityAnalyzer:
     Parameters
     ----------
     method:
-        ``"ad"``, ``"tangent"``, ``"activity"`` or ``"rule"`` (see module
-        docstring).
+        ``"ad"``, ``"activity"`` or ``"rule"`` (see module docstring).
     n_probes:
         Number of AD evaluations per variable; probe 0 uses the checkpoint
         state itself (the paper's method), further probes perturb the
@@ -290,8 +276,8 @@ class CriticalityAnalyzer:
         default) or ``"segmented"`` (:mod:`repro.ad.segmented` for "ad",
         :func:`repro.ad.activity.segmented_read_masks` for "activity" --
         one iteration's tape at a time, peak memory bounded by a single
-        iteration, bitwise-identical masks).  Ignored by the "tangent" and
-        "rule" methods.  The only execution choice: the segmented sweep
+        iteration, bitwise-identical masks).  Ignored by the "rule"
+        method.  The only execution choice: the segmented sweep
         always keeps every boundary snapshot and replays compiled plans
         from one :class:`~repro.ad.plan.PlanCache` per :meth:`analyze`
         call, lowered with the full ``"fuse"`` pass pipeline.
@@ -357,10 +343,6 @@ class CriticalityAnalyzer:
                 with _collect_own_cycles():
                     results.update(self._activity_masks(bench, state,
                                                         ad_vars))
-            elif self.method == "tangent":
-                rng = self._analysis_rng(bench, state, step)
-                results.update(self._tangent_masks(bench, state, ad_vars,
-                                                   rng))
             else:
                 rng = self._analysis_rng(bench, state, step)
                 with _collect_own_cycles():
@@ -471,46 +453,6 @@ class CriticalityAnalyzer:
             gradients = {key: base_grads[key] for key in var.state_keys()}
             results[var.name] = VariableCriticality(
                 var, mask.reshape(var.shape), method="ad",
-                gradients=gradients)
-        return results
-
-    # ------------------------------------------------------------------
-    # tangent (forward-mode) method
-    # ------------------------------------------------------------------
-    def _tangent_masks(self, bench, state: Mapping[str, Any],
-                       variables: Sequence[CheckpointVariable],
-                       rng: np.random.Generator
-                       ) -> dict[str, VariableCriticality]:
-        """Forward-mode twin of :meth:`_ad_masks`.
-
-        Probe states are drawn in the exact same ``(probe, key)`` order with
-        the same generator, so an OR-of-probes tangent analysis perturbs the
-        state identically to the reverse methods; each probe then runs one
-        tape-free JVP sweep instead of a reverse sweep.
-        """
-        watch = self._watched_keys(variables)
-        states = [dict(state)]
-        for probe in range(1, self.n_probes):
-            states.append(self._perturb_state(state, watch, probe, rng))
-
-        base_grads = tangent_gradients(bench, states[0], watch=list(watch),
-                                       steps=self.steps)
-        key_masks = {key: criticality_from_gradient(g)
-                     for key, g in base_grads.items()}
-        for probed_state in states[1:]:
-            probe_grads = tangent_gradients(bench, probed_state,
-                                            watch=list(watch),
-                                            steps=self.steps)
-            for key, g in probe_grads.items():
-                key_masks[key] |= criticality_from_gradient(g)
-
-        results: dict[str, VariableCriticality] = {}
-        for var in variables:
-            parts = [key_masks[key] for key in var.state_keys()]
-            mask = combine_or(parts) if len(parts) > 1 else parts[0]
-            gradients = {key: base_grads[key] for key in var.state_keys()}
-            results[var.name] = VariableCriticality(
-                var, mask.reshape(var.shape), method="tangent",
                 gradients=gradients)
         return results
 

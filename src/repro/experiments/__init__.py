@@ -1,6 +1,6 @@
 """Experiment drivers that regenerate every table and figure of the paper.
 
-One module per artefact (see DESIGN.md for the experiment index):
+One module per artefact:
 
 =============  ==========================================================
 module         paper artefact
@@ -10,7 +10,7 @@ module         paper artefact
 ``table3``     Table III (checkpoint storage before/after pruning)
 ``figures``    Figures 3-8 (critical/uncritical distributions)
 ``verify``     Section IV-C (restart verification with pruned checkpoints)
-``ablation``   method / probe / encoding ablations (DESIGN.md extras)
+``ablation``   method / probe / encoding ablations (beyond the paper)
 ``precision``  impact-aware mixed-precision checkpoints (the paper's
                future-work extension)
 ``incremental`` criticality pruning vs. element-level incremental deltas

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for the design choices of the analysis.
 
 Not part of the paper's evaluation, but they answer the two questions a
 reader of the paper is left with:

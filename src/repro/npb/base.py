@@ -70,6 +70,11 @@ class NPBBenchmark:
 
     #: short benchmark name, overridden by subclasses ("BT", "MG", ...)
     name: str = "base"
+    #: the scalar integer checkpoint variable counting completed main-loop
+    #: iterations, named by each port (IS also checkpoints a scalar
+    #: partial-verification counter, so it cannot be inferred); ``None``
+    #: when the state carries no counter
+    step_name: str | None = None
     #: ``details`` label of a verification quantity, where it differs from
     #: the quantity's name
     detail_labels: Mapping[str, str] = {}
@@ -149,10 +154,7 @@ class NPBBenchmark:
 
     def step_variable(self) -> str | None:
         """Name of the integer main-loop index variable, if any."""
-        for var in self.checkpoint_variables():
-            if var.kind is VariableKind.INTEGER and var.is_scalar:
-                return var.name
-        return None
+        return self.step_name
 
     def run(self, state: Mapping[str, Any], steps: int) -> dict[str, Any]:
         """Advance ``state`` by ``steps`` iterations (new dict returned)."""

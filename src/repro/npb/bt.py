@@ -9,7 +9,7 @@ The paper finds 1500 of the 10140 elements of ``u`` uncritical (14.8 %):
 exactly the padded planes at ``j == 12`` and ``i == 12`` that the
 ``error_norm`` and solver loops never touch (Figures 2 and 3).  This port
 reproduces that access structure; see :mod:`repro.npb.structured` for the
-shared BT/SP driver and DESIGN.md for the substitution rationale.
+shared BT/SP driver.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ class CG(NPBBenchmark):
     """Conjugate Gradient benchmark surrogate (see module docstring)."""
 
     name = "CG"
+    step_name = "it"
     #: verification tolerance on zeta (NPB uses 1e-10 for CG)
     epsilon = 1.0e-10
 

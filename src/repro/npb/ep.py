@@ -52,6 +52,7 @@ class EP(NPBBenchmark):
     """Embarrassingly Parallel benchmark surrogate (see module docstring)."""
 
     name = "EP"
+    step_name = "k"
     #: verification tolerance on the accumulated sums (NPB uses 1e-8)
     epsilon = 1.0e-8
 

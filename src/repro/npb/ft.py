@@ -23,8 +23,8 @@ declared ``64 x 64 x 65`` -- one padding plane on the last dimension -- but
 only ``k = 0 .. 63`` is ever read, leaving exactly the ``64 x 64`` top layer
 (4096 elements, 1.5 %) uncritical.
 
-Substitutions (documented in DESIGN.md): the random initial field uses a
-fixed-seed NumPy generator instead of ``vranlc``; the inverse transform is,
+Substitutions: the random initial field uses a fixed-seed NumPy generator
+instead of ``vranlc``; the inverse transform is,
 as in NPB, a 3-D FFT -- NumPy's, through the differentiable primitive
 :func:`repro.ad.ops.ifftn_pair`, which carries the complex field as a
 stacked real/imaginary pair and pulls cotangents back with the adjoint
@@ -59,6 +59,7 @@ class FT(NPBBenchmark):
     """3-D FFT benchmark surrogate (see module docstring)."""
 
     name = "FT"
+    step_name = "kt"
     #: verification tolerance on the per-iteration checksums (NPB uses 1e-12)
     epsilon = 1.0e-12
     #: number of checksum sample points per iteration (as in the original)

@@ -40,6 +40,7 @@ class IS(NPBBenchmark):
     """Integer Sort benchmark surrogate (see module docstring)."""
 
     name = "IS"
+    step_name = "iteration"
     #: integer benchmark: verification is exact, no numerical tolerance
     epsilon = 0.0
     #: number of (key, rank) pairs spot-checked per iteration

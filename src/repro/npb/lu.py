@@ -59,6 +59,7 @@ class LU(NPBBenchmark):
     """Lower-Upper symmetric Gauss-Seidel solver surrogate."""
 
     name = "LU"
+    step_name = "istep"
     #: verification tolerance (NPB uses 1e-8 for LU)
     epsilon = 1.0e-8
     #: strength of the quadratic coupling in the residual

@@ -85,6 +85,7 @@ class MG(NPBBenchmark):
     """MultiGrid V-cycle solver surrogate (see module docstring)."""
 
     name = "MG"
+    step_name = "it"
     #: verification tolerance (NPB uses 1e-8 for MG's residual norm check)
     epsilon = 1.0e-8
     #: weight of the prolongated coarse corrections (negative because the

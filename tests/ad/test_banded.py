@@ -5,8 +5,8 @@ so a VJP that applied ``A`` instead of ``A.T`` would still produce CG's
 masks unchanged.  The rule is therefore checked against oracles that share
 no code with it -- central finite differences and a dense matrix built by
 the test itself -- on random *non-symmetric* bands with uneven offsets,
-in float32 and float64.  The batch-invariance the probe and tangent axes
-rely on, and plan replay against the tracer, are pinned bitwise.
+in float32 and float64.  The batch-invariance the probe axis relies on,
+and plan replay against the tracer, are pinned bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 from repro.ad import ops
 from repro.ad.checks import finite_difference_grad
-from repro.ad.dual import TangentArray
 from repro.ad.plan import PlanCache
 from repro.ad.probes import probe_axis, segmented_batched_gradients
 from repro.ad.reverse import backward
@@ -108,20 +107,6 @@ class TestDerivativesAgainstFiniteDifferences:
             if dtype == np.float32 else 1e-6)
         np.testing.assert_allclose(g, fd, rtol=rtol, atol=rtol)
 
-    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-7),
-                                             (np.float32, 1e-4)])
-    def test_jvp(self, dtype, rtol):
-        bands = _bands(dtype)
-        rng = np.random.default_rng(3)
-        x0 = rng.uniform(-1.0, 1.0, N).astype(dtype)
-        v = rng.uniform(-1.0, 1.0, N).astype(dtype)
-        out = _f(bands, TangentArray(x0, v[None]))
-        fd = finite_difference_grad(
-            lambda t: value_of(_f(bands, (x0 + t[0] * v).astype(dtype))),
-            np.zeros(1), eps=1e-3 if dtype == np.float32 else 1e-6)
-        np.testing.assert_allclose(out.tangent[0], fd[0], rtol=rtol,
-                                   atol=rtol)
-
 
 class TestBatchInvariance:
     def test_batched_probes_equal_per_probe(self):
@@ -141,26 +126,15 @@ class TestBatchInvariance:
             _assert_bitwise(value, value_of(out)[p], f"value probe {p}")
             _assert_bitwise(grad, gx[p], f"gradient probe {p}")
 
-    def test_chunked_directions_equal_single_direction(self, monkeypatch):
-        # a 2-row chunk budget splits 5 directions into chunks of 2, 2, 1
+    def test_chunked_probes_equal_single_probe(self, monkeypatch):
+        # a 2-row chunk budget splits 5 probes into chunks of 2, 2, 1
         monkeypatch.setattr(ops, "_DIA_CHUNK", 2 * len(OFFSETS) * N)
         bands = _bands()
-        x0 = np.random.default_rng(6).random(N)
-        dirs = np.random.default_rng(7).random((5, N))
-        stacked = _matvec(bands, TangentArray(x0, dirs))
-        for d in range(5):
-            single = _matvec(bands, dirs[d])
-            _assert_bitwise(single, stacked.tangent[d], f"direction {d}")
-
-    def test_stacked_tangents_equal_single_direction(self):
-        bands = _bands()
-        x0 = np.random.default_rng(4).random(N)
-        dirs = np.random.default_rng(5).random((4, N))
-        stacked = _matvec(bands, TangentArray(x0, dirs))
-        for d in range(4):
-            single = _matvec(bands, TangentArray(x0, dirs[d:d + 1]))
-            _assert_bitwise(single.tangent[0], stacked.tangent[d],
-                            f"direction {d}")
+        xs = np.random.default_rng(7).random((5, N))
+        with Tape() as tape, probe_axis(5):
+            stacked = value_of(_matvec(bands, tape.watch(xs, name="x")))
+        for p in range(5):
+            _assert_bitwise(_matvec(bands, xs[p]), stacked[p], f"probe {p}")
 
 
 class _BandedBench:

@@ -6,8 +6,8 @@ factor or a conjugation still marks the same elements critical.  The rule
 is therefore checked on *values* against oracles that share no code with
 it -- central finite differences and a dense cosine/sine DFT built by the
 test itself -- on random non-cubic grids in float32 and float64.  The batch
-invariance the probe and tangent axes rely on, and plan replay against the
-tracer, are pinned bitwise.
+invariance the probe axis relies on, and plan replay against the tracer,
+are pinned bitwise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from repro.ad import ops
 from repro.ad.checks import finite_difference_grad
-from repro.ad.dual import TangentArray
 from repro.ad.plan import PlanCache
 from repro.ad.probes import probe_axis, segmented_batched_gradients
 from repro.ad.reverse import backward
@@ -103,9 +102,6 @@ class TestValues:
     def test_rejects_anything_but_a_pair(self, shape):
         with pytest.raises(ValueError, match="pair"):
             ops.ifftn_pair(np.zeros(shape))
-        with pytest.raises(ValueError, match="pair"):
-            ops.ifftn_pair(TangentArray(np.zeros(shape),
-                                        np.zeros((1,) + shape)))
         with Tape() as tape:
             z = tape.watch(np.zeros(shape), name="z")
             with pytest.raises(ValueError, match="pair"):
@@ -136,20 +132,6 @@ class TestDerivatives:
             z0.astype(np.float64), eps=eps)
         scale = np.abs(fd).max()
         np.testing.assert_allclose(g, fd, rtol=rtol, atol=rtol * scale)
-
-    @pytest.mark.parametrize("dtype, eps, rtol", [(np.float64, 1e-6, 1e-7),
-                                                  (np.float32, 1e-2, 2e-3)])
-    def test_jvp_matches_finite_differences(self, dtype, eps, rtol):
-        rng = np.random.default_rng(3)
-        z0 = _pair(3, dtype)
-        v = rng.uniform(-1.0, 1.0, z0.shape).astype(dtype)
-        out = _f(TangentArray(z0, v[None]), dtype)
-        assert out.tangent.dtype == dtype
-        fd = finite_difference_grad(
-            lambda t: value_of(_f((z0 + t[0] * v).astype(dtype), dtype)),
-            np.zeros(1), eps=eps)
-        np.testing.assert_allclose(out.tangent[0], fd[0], rtol=rtol,
-                                   atol=rtol * abs(fd[0]))
 
     def test_vjp_matches_dense_transpose(self):
         # the gradient of sum(w * ifftn(z)) is the transposed dense map
@@ -193,30 +175,17 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("block", [1, 2, 4])
     def test_blocked_batches_equal_single_slices(self, monkeypatch, block):
-        # a budget of ``block`` grids per FFT call splits 5 directions into
+        # a budget of ``block`` grids per FFT call splits 5 probes into
         # calls of ``block`` slices (and a shorter last one)
         monkeypatch.setattr(ops, "_FFT_BLOCK", block * int(np.prod(GRID)))
-        z0 = _pair(10)
-        dirs = np.random.default_rng(11).random((5,) + z0.shape)
-        stacked = ops.ifftn_pair(TangentArray(z0, dirs))
-        for d in range(5):
-            _assert_bitwise(ops.ifftn_pair(dirs[d]), stacked.tangent[d],
-                            f"direction {d}")
-            _assert_bitwise(ops._fft_pair(dirs[d], 3, False),
-                            ops._fft_pair(dirs, 3, False)[d],
-                            f"adjoint direction {d}")
-
-    def test_stacked_tangents_equal_single_direction(self):
-        z0 = _pair(7)
-        dirs = np.random.default_rng(8).random((4,) + z0.shape)
-        stacked = ops.ifftn_pair(TangentArray(z0, dirs))
-        for d in range(4):
-            single = ops.ifftn_pair(TangentArray(z0, dirs[d:d + 1]))
-            _assert_bitwise(single.value, stacked.value, "value")
-            _assert_bitwise(single.tangent[0], stacked.tangent[d],
-                            f"direction {d}")
-            _assert_bitwise(ops.ifftn_pair(dirs[d]), stacked.tangent[d],
-                            f"direction {d} against the value path")
+        zs = np.random.default_rng(11).random((5, 2) + GRID)
+        with Tape() as tape, probe_axis(5):
+            stacked = value_of(ops.ifftn_pair(tape.watch(zs, name="z")))
+        for p in range(5):
+            _assert_bitwise(ops.ifftn_pair(zs[p]), stacked[p], f"probe {p}")
+            _assert_bitwise(ops._fft_pair(zs[p], 3, False),
+                            ops._fft_pair(zs, 3, False)[p],
+                            f"adjoint probe {p}")
 
 
 class _FFTBench:

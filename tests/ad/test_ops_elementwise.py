@@ -3,7 +3,9 @@
 Every entry of the shared rule tables (``ops.EW_BINARY_RULES``,
 ``ops.UNARY_RULES``, ``ops.MINMAX_RULES``) is checked against central
 finite differences (:func:`repro.ad.checks.finite_difference_grad`), so a
-new entry is covered the moment it is added.
+new entry is covered the moment it is added -- once on a single input and
+once probe-batched, with two different inputs stacked along a probe axis
+and each probe slice of the gradient checked at its own input.
 """
 
 import numpy as np
@@ -132,13 +134,34 @@ def _draw(rng, shape, dtype, low=0.5, high=2.0, signed=False):
     return x.astype(dtype)
 
 
-def _assert_matches_fd(fun, x):
-    """Reverse-mode gradient of ``sum(fun(x))`` against central FD."""
-    g = ad.grad(lambda v: ops.sum(fun(v)))(x)
-    fd = checks.finite_difference_grad(
-        lambda v: float(np.sum(fun(v))), x)
-    np.testing.assert_allclose(np.asarray(g, dtype=np.float64), fd,
-                               rtol=1e-5, atol=1e-7)
+#: how the rule-table checks differentiate: one input through
+#: :func:`repro.ad.grad`, or two through one probe-batched sweep
+BATCHES = ("single", "probes")
+
+
+def _inputs(x, draw, batch):
+    """``[x]``, or ``x`` and a different second input for the
+    probe-batched check."""
+    xs = [x]
+    if batch == "probes":
+        xs.append(draw())
+        assert not np.array_equal(xs[0], xs[1])
+    return xs
+
+
+def _assert_matches_fd(fun, xs, probe_gradients):
+    """Reverse-mode gradients of ``sum(fun(x))`` against central FD, for
+    each input ``x`` of ``xs`` (two inputs share one batched sweep)."""
+    objective = lambda v: ops.sum(fun(v))  # noqa: E731
+    if len(xs) == 1:
+        grads = [ad.grad(objective)(xs[0])]
+    else:
+        grads = probe_gradients(objective, xs)
+    for x, g in zip(xs, grads):
+        fd = checks.finite_difference_grad(
+            lambda v: float(np.sum(fun(v))), x)
+        np.testing.assert_allclose(np.asarray(g, dtype=np.float64), fd,
+                                   rtol=1e-5, atol=1e-7)
 
 
 #: every table-driven binary primitive (maximum/minimum carry a tie mask
@@ -147,35 +170,46 @@ BINARY_RULES = sorted(ops.EW_BINARY_RULES) + sorted(ops.MINMAX_RULES)
 
 
 class TestRuleTablesAgainstFiniteDifferences:
+    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("shapes", BINARY_SHAPES,
                              ids=("same", "broadcast"))
     @pytest.mark.parametrize("argnum", (0, 1))
     @pytest.mark.parametrize("name", BINARY_RULES)
-    def test_binary_rule(self, name, argnum, shapes, dtype):
+    def test_binary_rule(self, name, argnum, shapes, dtype, batch,
+                         probe_gradients):
         rng = np.random.default_rng(7)
         a, b = (_draw(rng, shape, dtype) for shape in shapes)
+        xs = _inputs((a, b)[argnum],
+                     lambda: _draw(rng, shapes[argnum], dtype), batch)
         # no pair near a tie, so no finite-difference stencil straddles
         # the maximum/minimum kink
-        assert np.min(np.abs(np.subtract(a, b))) > 1e-3
+        for x in xs:
+            assert np.min(np.abs(np.subtract(x, (b, a)[argnum]))) > 1e-3
         op = getattr(ops, name)
         if argnum == 0:
-            _assert_matches_fd(lambda x: op(x, b), a)
+            _assert_matches_fd(lambda x: op(x, b), xs, probe_gradients)
         else:
-            _assert_matches_fd(lambda y: op(a, y), b)
+            _assert_matches_fd(lambda y: op(a, y), xs, probe_gradients)
 
+    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("name", sorted(ops.UNARY_RULES))
-    def test_unary_rule(self, name, dtype):
+    def test_unary_rule(self, name, dtype, batch, probe_gradients):
         rng = np.random.default_rng(3)
-        x = _draw(rng, (3, 4), dtype, *UNARY_DOMAINS.get(name, ()))
-        _assert_matches_fd(getattr(ops, name), x)
+        draw = lambda: _draw(rng, (3, 4), dtype,  # noqa: E731
+                             *UNARY_DOMAINS.get(name, ()))
+        xs = _inputs(draw(), draw, batch)
+        _assert_matches_fd(getattr(ops, name), xs, probe_gradients)
 
+    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_negative(self, dtype):
+    def test_negative(self, dtype, batch, probe_gradients):
         # ``negative`` has its own recorder outside the unary table
         rng = np.random.default_rng(5)
-        _assert_matches_fd(ops.negative, _draw(rng, (3, 4), dtype))
+        draw = lambda: _draw(rng, (3, 4), dtype)  # noqa: E731
+        xs = _inputs(draw(), draw, batch)
+        _assert_matches_fd(ops.negative, xs, probe_gradients)
 
     @pytest.mark.parametrize("name", sorted(ops.MINMAX_RULES))
     def test_exact_tie_routes_to_first_operand(self, name):

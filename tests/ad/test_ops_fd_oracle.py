@@ -7,6 +7,11 @@ checked against central finite differences
 the VJP rules.  Each case draws a random shape, and the objective weighs
 every output element by a fixed random weight, so a VJP that routes a
 cotangent to the wrong element fails (a plain sum would not notice).
+Every case also runs probe-batched: two different inputs stacked along a
+probe axis (:func:`repro.ad.probes.probe_axis`) give one trace and one
+reverse sweep, and each probe slice of the gradient is checked against the
+finite differences at that probe's input.  A case the probe axis refuses
+by design must raise :class:`~repro.ad.probes.ProbeBatchingError`.
 ``banded_matvec`` and ``ifftn_pair`` have their own checks.
 """
 
@@ -17,6 +22,7 @@ import pytest
 
 from repro import ad
 from repro.ad import checks, ops
+from repro.ad.probes import ProbeBatchingError
 
 FLOAT_DTYPES = (np.float64, np.float32)
 
@@ -56,6 +62,8 @@ CASES = {
     # indexing: repeated indices must accumulate
     "getitem": (_uniform, lambda v, r: ops.getitem(
         v, ([1, 0, 1], slice(None, None, -1)))),
+    "getitem_split": (_uniform, lambda v, r: ops.getitem(
+        v, ([1, 0], Ellipsis, [0, 1]))),
     "take": (_uniform, lambda v, r: ops.take(v, [1, 0, 1], axis=-1)),
     "index_update": (_uniform, lambda v, r: ops.index_update(
         v, (0,), ops.getitem(v, (1,)))),
@@ -66,8 +74,8 @@ CASES = {
     "transpose": (_uniform, lambda v, r: ops.transpose(v)),
     "swapaxes": (_uniform, lambda v, r: ops.swapaxes(v, 0, -1)),
     "moveaxis": (_uniform, lambda v, r: ops.moveaxis(v, 0, -1)),
-    "broadcast_to": (_uniform,
-                     lambda v, r: ops.broadcast_to(v, (2,) + v.shape)),
+    "broadcast_to": (_uniform, lambda v, r: ops.broadcast_to(
+        v, (2,) + ops.logical_shape(v))),
     "squeeze": (_uniform, lambda v, r: ops.squeeze(
         ops.getitem(v, (slice(0, 1),)), 0)),
     "expand_dims": (_uniform, lambda v, r: ops.expand_dims(v, 1)),
@@ -79,31 +87,52 @@ CASES = {
     "stack": (_uniform, lambda v, r: ops.stack([v, v], axis=1)),
     # selection and products
     "where": (_uniform, lambda v, r: ops.where(
-        _parity(v.shape), v, ops.negative(v))),
+        _parity(ops.logical_shape(v)), v, ops.negative(v))),
     "matmul": (_uniform, lambda v, r: ops.matmul(
         ops.matmul(r.uniform(-1.0, 1.0, (3, v.shape[-2])).astype(v.dtype),
                    v),
         r.uniform(-1.0, 1.0, (v.shape[-1], 2)).astype(v.dtype))),
 }
 
+#: cases the probe axis refuses by design: numpy moves the subspace of
+#: advanced indices separated by a slice or ellipsis in front of the
+#: prepended probe slice
+PROBE_REFUSED = {"getitem_split"}
 
+
+@pytest.mark.parametrize("batch", ("single", "probes"))
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_gradient_matches_finite_differences(name, dtype):
+def test_gradient_matches_finite_differences(name, dtype, batch,
+                                             probe_gradients):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     shape = tuple(int(n) for n in rng.integers(2, 5, rng.integers(2, 4)))
     draw, op = CASES[name]
-    x = draw(rng, shape).astype(dtype)
+    xs = [draw(rng, shape).astype(dtype)]
     seed = int(rng.integers(2 ** 31))
 
     def fun(v):
         # the same constants on every call
         return op(v, np.random.default_rng(seed))
 
-    weights = rng.uniform(0.5, 1.5, np.shape(fun(x)))
-    g = ad.grad(lambda v: ops.sum(ops.multiply(fun(v), weights)))(x)
-    fd = checks.finite_difference_grad(
-        lambda v: float(np.sum(fun(v) * weights)), x)
-    assert np.shape(g) == shape
-    np.testing.assert_allclose(np.asarray(g, dtype=np.float64), fd,
-                               rtol=1e-5, atol=1e-6)
+    weights = rng.uniform(0.5, 1.5, np.shape(fun(xs[0])))
+
+    def objective(v):
+        return ops.sum(ops.multiply(fun(v), weights))
+
+    if batch == "single":
+        grads = [ad.grad(objective)(xs[0])]
+    else:
+        xs.append(draw(rng, shape).astype(dtype))
+        assert not np.array_equal(xs[0], xs[1])
+        if name in PROBE_REFUSED:
+            with pytest.raises(ProbeBatchingError):
+                probe_gradients(objective, xs)
+            return
+        grads = probe_gradients(objective, xs)
+    for x, g in zip(xs, grads):
+        fd = checks.finite_difference_grad(
+            lambda v: float(np.sum(fun(v) * weights)), x)
+        assert np.shape(g) == shape
+        np.testing.assert_allclose(np.asarray(g, dtype=np.float64), fd,
+                                   rtol=1e-5, atol=1e-6)

@@ -1,11 +1,11 @@
 """Primitive-coverage audit: no dispatch table may silently miss an op.
 
-The AD engine routes every primitive through four dispatch layers: the
+The AD engine routes every primitive through three dispatch layers: the
 plan executor's emitters (:data:`repro.ad.exec._EMITTERS`, each of which
 embeds the primitive's VJP rule), the activity classification
 (:data:`repro.ad.activity.SPEC_CONSUMING` / ``SPEC_MOVEMENT`` plus the
-explicitly special-cased indexing kinds), the shared reverse-mode rule
-tables and the forward-mode (tangent) handling of the same ops.  A new
+explicitly special-cased indexing kinds) and the shared reverse-mode rule
+tables.  A new
 primitive that lands in one table but not another produces wrong masks or
 a crash only on the benchmark that happens to exercise it -- these audits
 fail immediately instead.
@@ -19,10 +19,8 @@ import pytest
 from repro.ad import ops
 from repro.ad.activity import (CONSUMING_OPS, INDEXING_OPS, MOVEMENT_OPS,
                                SPEC_CONSUMING, SPEC_MOVEMENT)
-from repro.ad.dual import TangentArray
 from repro.ad.exec import _EMITTERS
 from repro.ad.ir import Instr
-from repro.ad.reverse import grad
 
 #: spec kinds `repro.ad.activity.plan_transfer` special-cases by index
 #: region instead of classifying whole-array (see its kind dispatch)
@@ -150,65 +148,3 @@ class TestVjpRuleCoverage:
             assert np.all(np.isfinite(np.asarray(g, dtype=np.float64))), \
                 f"{kind}: cotangent {i} not finite"
 
-
-# ---------------------------------------------------------------------------
-# JVP coverage: every shared-rule-table op propagates tangents
-# ---------------------------------------------------------------------------
-#
-# The reverse sweep, the replay plans and the forward (tangent) sweep all
-# pull derivatives from EW_BINARY_RULES / UNARY_RULES / MINMAX_RULES; an op
-# present in a table but unhandled by the tangent path would break the
-# cross-check machinery.  For each table op the directional derivative from
-# one TangentArray sweep must match the reverse-mode gradient contracted
-# with the same direction.
-
-_X = np.linspace(0.6, 1.4, 6).reshape(2, 3)   # safe for log/sqrt/power
-_Y = np.linspace(1.1, 1.9, 6).reshape(2, 3)
-_V = np.linspace(-0.5, 0.5, 6).reshape(2, 3)  # probe direction
-
-
-def _jvp_via_tangent(fn, x, v):
-    out = fn(TangentArray(np.asarray(x, dtype=np.float64),
-                          np.asarray(v, dtype=np.float64)[None]))
-    return float(np.sum(out.tangent[0]))
-
-
-class TestJvpRuleCoverage:
-    @pytest.mark.parametrize("op", sorted(ops.EW_BINARY_RULES))
-    def test_ew_binary_rule_shapes(self, op):
-        compute, grad_a, grad_b = ops.EW_BINARY_RULES[op]
-        assert callable(compute) and callable(grad_a) and callable(grad_b)
-
-    @pytest.mark.parametrize("op", sorted(ops.UNARY_RULES))
-    def test_unary_rule_shapes(self, op):
-        compute, dydx = ops.UNARY_RULES[op]
-        assert callable(compute) and callable(dydx)
-
-    @pytest.mark.parametrize("op", sorted(ops.MINMAX_RULES))
-    def test_minmax_rule_shapes(self, op):
-        compute, mask_of = ops.MINMAX_RULES[op]
-        assert callable(compute) and callable(mask_of)
-
-    @pytest.mark.parametrize("op", sorted(ops.EW_BINARY_RULES))
-    def test_ew_binary_jvp_matches_vjp(self, op):
-        fn = getattr(ops, op)
-        scalar = lambda a: ops.sum(fn(a, _Y))  # noqa: E731
-        rev = grad(scalar)(_X)
-        assert np.isclose(_jvp_via_tangent(scalar, _X, _V),
-                          float(np.vdot(rev, _V)), rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("op", sorted(ops.UNARY_RULES))
-    def test_unary_jvp_matches_vjp(self, op):
-        fn = getattr(ops, op)
-        scalar = lambda a: ops.sum(fn(a))  # noqa: E731
-        rev = grad(scalar)(_X)
-        assert np.isclose(_jvp_via_tangent(scalar, _X, _V),
-                          float(np.vdot(rev, _V)), rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("op", sorted(ops.MINMAX_RULES))
-    def test_minmax_jvp_matches_vjp(self, op):
-        fn = getattr(ops, op)
-        scalar = lambda a: ops.sum(fn(a, _Y))  # noqa: E731
-        rev = grad(scalar)(_X)
-        assert np.isclose(_jvp_via_tangent(scalar, _X, _V),
-                          float(np.vdot(rev, _V)), rtol=1e-12, atol=1e-12)

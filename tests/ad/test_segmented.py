@@ -17,7 +17,6 @@ from repro.ad.probes import segmented_batched_gradients
 from repro.ad.reverse import backward, backward_from_seeds
 from repro.ad.segmented import (SweepStats, float_state_keys,
                                 segmented_gradients)
-from repro.ad.tangent import tangent_gradients
 from repro.ad.tape import Tape
 from repro.core.analysis import scrutinize
 from repro.npb import registry
@@ -99,17 +98,15 @@ def test_segmented_rejects_negative_steps_and_unknown_watch():
 
 
 def _sweep(kind, bench, state, steps):
-    """Run one of the four ``repro.ad`` sweeps over ``steps`` iterations."""
+    """Run one of the three ``repro.ad`` sweeps over ``steps`` iterations."""
     if kind == "segmented":
         return segmented_gradients(bench, state, steps=steps)
     if kind == "batched":
         return segmented_batched_gradients(bench, [state], steps=steps)
-    if kind == "activity":
-        return segmented_read_masks(bench, state, steps=steps)
-    return tangent_gradients(bench, state, steps=steps)
+    return segmented_read_masks(bench, state, steps=steps)
 
 
-SWEEP_KINDS = ("segmented", "batched", "activity", "tangent")
+SWEEP_KINDS = ("segmented", "batched", "activity")
 
 
 class TestStepsCheck:

@@ -49,6 +49,29 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture()
+def probe_gradients():
+    """Per-probe gradients of a scalar objective from one batched sweep.
+
+    The returned function stacks the inputs ``xs`` along a probe axis
+    (:func:`repro.ad.probes.probe_axis`), traces ``objective`` once and
+    runs one reverse sweep; row ``p`` of its result is the gradient at
+    ``xs[p]``.
+    """
+    from repro import ad
+    from repro.ad.probes import probe_axis
+
+    def gradients(objective, xs):
+        with ad.Tape() as tape, probe_axis(len(xs)):
+            v = tape.watch(np.stack(xs), name="x")
+            out = objective(v)
+        (g,) = ad.backward(tape, out, [v])
+        assert np.shape(g) == (len(xs),) + np.shape(xs[0])
+        return g
+
+    return gradients
+
+
+@pytest.fixture()
 def force_per_probe(monkeypatch):
     """Route later analyses to the analyzer's per-probe fallback loop.
 

@@ -8,12 +8,17 @@ could retry and quarantine it as a poisoned job.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.analysis import scrutinize
+from repro.core.criticality import METHODS, CriticalityAnalyzer
 from repro.experiments.parallel import ScrutinyJob
 from repro.experiments.runner import ExperimentRunner
+from repro.npb import registry
 
 
 class TestScrutinyJob:
@@ -108,3 +113,37 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--class", "T", "analyze", "CG", "--step", step])
         assert match in capsys.readouterr().err
+
+
+class TestRemovedTangentMethod:
+    """``method="tangent"`` (the deleted forward-mode engine) is refused at
+    every entry point, with the valid methods named in the message."""
+
+    NAMED = re.escape(f"unknown method 'tangent'; choose from {METHODS}")
+
+    def test_analyzer(self):
+        with pytest.raises(ValueError, match=self.NAMED):
+            CriticalityAnalyzer(method="tangent")
+
+    def test_scrutinize(self):
+        bench = registry.create("CG", "T")
+        with pytest.raises(ValueError, match=self.NAMED):
+            scrutinize(bench, method="tangent")
+
+    def test_job(self):
+        with pytest.raises(ValueError, match=self.NAMED):
+            ScrutinyJob("CG", problem_class="T", method="tangent")
+
+    def test_runner(self):
+        with pytest.raises(ValueError, match=self.NAMED):
+            ExperimentRunner(problem_class="T", method="tangent",
+                             on_failure="record")
+
+    def test_cli_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--class", "T", "--method", "tangent", "analyze", "CG"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'tangent'" in err
+        for method in METHODS:
+            assert repr(method) in err

@@ -24,6 +24,7 @@ class ToyBenchmark(NPBBenchmark):
     """Doubles the first half of a vector each step; second half unused."""
 
     name = "TOY"
+    step_name = "it"
 
     def checkpoint_variables(self):
         return (
