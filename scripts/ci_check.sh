@@ -3,7 +3,7 @@
 #
 # Usage:  scripts/ci_check.sh [extra pytest args...]
 #
-# Mirrors what the repo's ROADMAP calls the tier-1 verify, then smoke-runs
+# Runs the repo's tier-1 verify verbatim (ROADMAP.md), then smoke-runs
 # the quickstart (which exercises analysis, pruned checkpointing and
 # restart end-to-end, including the --workers/cache workflow).
 set -euo pipefail
@@ -13,7 +13,7 @@ cd "$repo_root"
 export PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: pytest =="
-python -m pytest -x -q tests/ "$@"
+python -m pytest -x -q "$@"
 
 echo "== quickstart example =="
 python examples/quickstart.py
@@ -24,9 +24,13 @@ trap 'rm -rf "$cache_dir"' EXIT
 python -m repro.cli --class T --cache-dir "$cache_dir" analyze CG >/dev/null
 python -m repro.cli --class T --cache-dir "$cache_dir" analyze CG
 
-echo "== segmented sweep: bitwise equivalence =="
+echo "== segmented sweep driver: gradient, batched probe and activity walks =="
+# one driver runs all three segmented sweeps; each must stay bitwise equal
+# to its monolithic or per-probe oracle
 python -m pytest -q tests/ad/test_segmented.py \
-    tests/experiments/test_sweep_plumbing.py tests/npb/test_class_a.py
+    tests/experiments/test_sweep_plumbing.py tests/npb/test_class_a.py \
+    tests/ad/test_probes.py tests/experiments/test_probe_plumbing.py \
+    tests/ad/test_activity_sweep.py tests/experiments/test_activity_plumbing.py
 
 echo "== snapshot store: aliasing, dtypes, no schedule surface =="
 python -m pytest -q tests/ad/test_schedule.py \
@@ -43,20 +47,12 @@ python -m pytest -q tests/ckpt/test_never_bigger.py \
     tests/ckpt/test_precision_properties.py
 python -m repro.cli --class T --no-cache precision >/dev/null
 
-echo "== batched probe sweep: per-probe equivalence =="
-python -m pytest -q tests/ad/test_probes.py \
-    tests/experiments/test_probe_plumbing.py
-
 echo "== replay plans: plan-vs-tracer bitwise equivalence =="
 python -m pytest -q tests/ad/test_plan.py
 
 echo "== plan lowering: IR passes, fused-vs-unfused bitwise equivalence =="
 python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py \
     tests/ad/test_banded.py tests/ad/test_ifftn.py
-
-echo "== segmented activity: monolithic-vs-chained bitwise equivalence =="
-python -m pytest -q tests/ad/test_activity_sweep.py \
-    tests/experiments/test_activity_plumbing.py
 
 echo "== CLI smoke: segmented sweep, enlarged class A =="
 python -m repro.cli --class A --sweep segmented analyze CG >/dev/null

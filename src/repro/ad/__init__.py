@@ -12,13 +12,15 @@ ports of the NPB benchmarks:
 * :mod:`repro.ad.reverse` -- the reverse sweep (``grad``, ``value_and_grad``).
 * :mod:`repro.ad.segmented` -- iteration-granular (checkpointed) reverse
   sweep: one main-loop iteration's tape at a time, peak memory O(1
-  iteration) instead of O(remaining steps).
+  iteration) instead of O(remaining steps).  Its one segmented driver
+  also runs the probe-batched gradient sweep and the segmented activity
+  sweep.
 * :mod:`repro.ad.schedule` -- the segmented sweeps' boundary-snapshot
   store, which keeps a copy of every iteration boundary in memory.
 * :mod:`repro.ad.probes` -- batched multi-probe sweeps: the base state and
   all perturbed probe states stacked along a leading probe axis, one traced
   forward and one reverse sweep yielding every probe's gradients at once
-  (in both monolithic and segmented modes).
+  (monolithic, or segmented through :mod:`repro.ad.segmented`'s driver).
 * :mod:`repro.ad.forward` -- an independent dual-number forward mode used for
   cross-validation: it shares no rule tables with the reverse engine, so
   :func:`repro.ad.checks.check_against_forward` is an independent oracle.

@@ -56,9 +56,9 @@ The analysis runs in three modes that produce **bitwise-identical** masks:
 
 * **monolithic** -- :func:`read_masks` over one ``traced_restart`` tape
   (the historical path; O(steps) tape memory, re-traced every run);
-* **segmented** -- :func:`segmented_read_masks` traces one iteration at a
-  time and composes per-segment masks across boundaries with the same
-  chaining trick as :func:`repro.ad.segmented.segmented_gradients`: in the
+* **segmented** -- :func:`segmented_read_masks` runs the gradient sweeps'
+  segmented driver (:mod:`repro.ad.segmented`) with masks as its carry,
+  composed across boundaries by :func:`chain_step_masks`: in the
   monolithic tape, reads accumulate on a boundary value across iterations
   *only* when the very same node object passes through a step untouched
   (an identity pass-through in the next-state dict), so folding the next
@@ -79,8 +79,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .plan import DEFAULT_TRACE_CACHE
+from .segmented import SweepStats, _segmented_sweep, _Walk
 from .tape import Node, Tape
-from .tensor import ADArray, value_of
+from .tensor import ADArray
 
 __all__ = [
     "CONSUMING_OPS",
@@ -483,7 +485,16 @@ def replay_step_masks(plan, prev: Mapping[str, "ActivityResult"]
     return masks
 
 
-# -- the segmented driver ---------------------------------------------------
+# -- the segmented sweep ----------------------------------------------------
+
+#: the sweep kind of :func:`segmented_read_masks`: read/moved masks carried
+#: back from the output segment's own reads
+_ACTIVITY = _Walk(
+    lambda tape, leaves, out, chain: masks_from_tape(tape, leaves, chain),
+    chain_step_masks,
+    lambda plan, state, masks: replay_step_masks(plan, masks),
+    SweepStats.observe_activity)
+
 
 def segmented_read_masks(bench, state: Mapping[str, Any],
                          watch: Sequence[str] | None = None,
@@ -496,126 +507,25 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     """Activity masks of the restart, one iteration's tape at a time.
 
     Drop-in replacement for the monolithic ``traced_restart`` +
-    :func:`read_masks` pair with bitwise-identical results: traces (or
-    plan-replays) one iteration per segment and composes the per-segment
-    masks across boundaries via :func:`chain_step_masks`, so peak tape
-    memory is O(1 iteration) and the sweep shares the boundary snapshot
-    store and the trace-once/replay-many plan cache of the gradient path.
+    :func:`read_masks` pair with bitwise-identical results: the segmented
+    driver of :func:`repro.ad.segmented.segmented_gradients`, carrying
+    masks composed across boundaries by :func:`chain_step_masks` (or a
+    compiled step's transfer) instead of cotangents.  Parameters mirror
+    ``segmented_gradients``; ``stats`` also collects the ``activity_*``
+    fields of :class:`~repro.ad.segmented.SweepStats`.
 
-    Parameters mirror :func:`repro.ad.segmented.segmented_gradients`
-    (``trace_cache="plan"`` replays compiled transfers, ``plan_cache``
-    shares plans across sweeps, ``plan_optimize`` configures how a
-    freshly created cache lowers its plans -- ignored when ``plan_cache``
-    is supplied);
-    ``stats`` additionally collects the activity telemetry fields of
-    :class:`~repro.ad.segmented.SweepStats`.
-
-    Returns a dict mapping each watched key to its
-    :class:`ActivityResult`.  Like the gradient sweep, only floating-point
-    state entries are chained; a watched non-float entry comes back with
-    all-False masks (the analyzer routes integer variables to rules, never
-    here).
+    Returns a dict mapping each watched key to its :class:`ActivityResult`.
+    Only floating-point entries are chained; a watched non-float entry
+    comes back with all-False masks (the analyzer routes integer variables
+    to rules, never here).
     """
-    from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE,
-                       TRACE_CACHES, PlanCache)
-    from .schedule import make_schedule, snapshot_state
-    from .segmented import _check_steps, float_state_keys
-
-    if trace_cache is None:
-        trace_cache = DEFAULT_TRACE_CACHE
-    if plan_optimize is None:
-        plan_optimize = DEFAULT_PLAN_OPTIMIZE
-
-    for hook in ("traced_step", "traced_output"):
-        if not callable(getattr(bench, hook, None)):
-            raise TypeError(
-                f"benchmark {getattr(bench, 'name', bench)!r} does not "
-                f"expose {hook}(); the segmented sweep needs the "
-                f"per-iteration tracing API (use sweep='monolithic')")
-
-    state = {key: value_of(value) for key, value in state.items()}
-    if watch is None:
-        watch = bench.default_watch_keys() if callable(
-            getattr(bench, "default_watch_keys", None)) \
-            else float_state_keys(state)
-    watch = list(watch)
-    for key in watch:
-        if key not in state:
-            raise KeyError(f"cannot watch unknown state entry {key!r}")
-
-    steps = _check_steps(bench, state, steps)
-    if trace_cache not in TRACE_CACHES:
-        raise ValueError(f"unknown trace_cache {trace_cache!r}; "
-                         f"choose from {TRACE_CACHES}")
-
-    # chain every float entry, not just the requested keys: an identity
-    # pass-through may run via an unwatched auxiliary (see segmented's docs)
-    chain = float_state_keys(state)
-
-    planner = cache = plan_base = None
-    if trace_cache == "plan":
-        cache = plan_cache if plan_cache is not None \
-            else PlanCache(plan_optimize=plan_optimize)
-        plan_base = cache.counters()
-        planner = cache.planner(bench, chain)
-
-    schedule = make_schedule(steps)
-    try:
-        # -- forward pass: a snapshot at every boundary ---------------------
-        current = snapshot_state(state)
-        schedule.record(0, current)
-        for t in range(1, steps + 1):
-            current = bench.run(current, 1)
-            schedule.record(t, current)
-        del current
-
-        # -- output segment: the chain's seed, traced once ----------------
-        last = schedule.fetch(steps)
-        tape, leaves, _out = bench.traced_output(last, watch=chain)
-        if stats is not None:
-            stats.observe(tape)
-            stats.activity_retraces += 1
-        masks = masks_from_tape(tape, leaves, chain)
-        del tape, leaves
-        if stats is not None:
-            stats.activity_segments += 1
-        del last
-
-        # -- reverse walk: one iteration's masks (or replay) at a time -----
-        for k in range(steps - 1, -1, -1):
-            boundary = schedule.fetch(k)
-            if planner is not None:
-                masks = planner.step_activity(boundary, masks, stats=stats)
-            else:
-                tape, leaves, next_state = bench.traced_step(boundary,
-                                                             watch=chain)
-                if stats is not None:
-                    stats.observe(tape)
-                    stats.activity_retraces += 1
-                masks = chain_step_masks(tape, leaves, next_state, chain,
-                                         masks)
-                del tape, leaves, next_state
-            if stats is not None:
-                stats.activity_segments += 1
-            del boundary
-
-        if stats is not None:
-            # the resident mask payload is fixed for the whole walk: one
-            # read + one moved mask per chained key
-            stats.activity_peak_mask_nbytes = max(
-                stats.activity_peak_mask_nbytes,
-                sum(res.read.nbytes + res.moved.nbytes
-                    for res in masks.values()))
-    finally:
-        if stats is not None:
-            stats.observe_schedule(schedule)
-            stats.trace_cache = trace_cache
-            if cache is not None:
-                stats.observe_plan(cache, since=plan_base)
-        schedule.close()
+    watch, base, masks = _segmented_sweep(
+        bench, [state], watch, steps, stats,
+        DEFAULT_TRACE_CACHE if trace_cache is None else trace_cache,
+        plan_cache, plan_optimize, _ACTIVITY)
 
     def _empty(key: str) -> ActivityResult:
-        shape = np.shape(state[key])
+        shape = np.shape(base[key])
         return ActivityResult(key, np.zeros(shape, dtype=bool),
                               np.zeros(shape, dtype=bool))
 

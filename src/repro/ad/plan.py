@@ -80,6 +80,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import warnings
+from contextlib import nullcontext
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -564,10 +565,14 @@ class PlanCache:
         #: most dead instructions eliminated from any compiled plan
         self.eliminated_slots = 0
 
-    def planner(self, bench, watch: Sequence[str],
-                n_probes: int | None = None) -> "Planner":
-        """A :class:`Planner` bound to this cache for one sweep flavour."""
-        return Planner(self, bench, tuple(watch), n_probes)
+    def planner(self, bench, watch: Sequence[str], n_probes: int | None,
+                trace: Callable[..., Any]) -> "Planner":
+        """A :class:`Planner` bound to this cache for one sweep flavour.
+
+        ``trace(state, watch=...)`` is the sweep's step tracer (the plain or
+        the probe-batched hook, as ``n_probes`` says).
+        """
+        return Planner(self, bench, tuple(watch), n_probes, trace)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the additive telemetry counters (for delta folds)."""
@@ -632,107 +637,54 @@ class Planner:
     """Capture-or-replay driver for one sweep flavour of one benchmark."""
 
     def __init__(self, cache: PlanCache, bench, watch: tuple[str, ...],
-                 n_probes: int | None) -> None:
+                 n_probes: int | None, trace: Callable[..., Any]) -> None:
         self.cache = cache
         self.bench = bench
         self.watch = watch
         self.n_probes = n_probes
+        self.trace = trace
 
     def _entry(self, state: Mapping[str, Any]) -> _Entry:
         return self.cache._entry(
             (self.n_probes, self.watch,
              coarse_signature(state, _structure_token(self.bench, state))))
 
-    def _replay(self, entry: _Entry, replay: Callable[[CompiledPlan], Any],
-                stats) -> Any:
-        """``replay(plan)`` on a hit; ``None`` on a miss or replay error."""
+    def step(self, state: Mapping[str, Any], carry: Any, walk,
+             stats=None) -> Any:
+        """Move a segmented sweep's carry back through the step at ``state``.
+
+        A compiled plan replays it (``walk.replay``); a miss traces the step
+        and chains over the tape (``walk.chain``), feeding the capture, so
+        gradient and activity sweeps share one plan per step structure.
+        """
+        entry = self._entry(state)
         plan = entry.plan
-        if plan is None:
-            return None
-        try:
-            result = replay(plan)
-        except Exception as exc:  # noqa: BLE001 - fall back, never fail
-            self.cache._reject(
-                entry, f"replay failed: {type(exc).__name__}: {exc}")
-            warnings.warn(
-                f"replay plan for {getattr(self.bench, 'name', self.bench)!r}"
-                f" failed ({entry.reason}); falling back to fresh tracing",
-                RuntimeWarning, stacklevel=3)
-            return None
-        self.cache.hits += 1
-        if stats is not None:
-            stats.observe_plan_segment(plan.n_slots, plan.nbytes_estimate)
-        return result
-
-    def _call_tracer(self, state: Mapping[str, Any]):
-        watch = list(self.watch)
-        if self.n_probes is None:
-            return self.bench.traced_step(state, watch=watch)
-        return self.bench.traced_step_probes(state, self.n_probes,
-                                             watch=watch)
-
-    def _trace(self, entry: _Entry, state: Mapping[str, Any], stats):
-        """Trace one step, capturing it while the entry still learns."""
+        if plan is not None:
+            try:
+                result = walk.replay(plan, state, carry)
+            except Exception as exc:  # noqa: BLE001 - fall back, never fail
+                self.cache._reject(
+                    entry, f"replay failed: {type(exc).__name__}: {exc}")
+                warnings.warn(
+                    f"replay plan for "
+                    f"{getattr(self.bench, 'name', self.bench)!r} failed "
+                    f"({entry.reason}); falling back to fresh tracing",
+                    RuntimeWarning, stacklevel=3)
+            else:
+                self.cache.hits += 1
+                if stats is not None:
+                    stats.observe_plan_segment(plan.n_slots,
+                                               plan.nbytes_estimate)
+                return result
+        # a miss traces the step, capturing it while the entry still learns
         self.cache.misses += 1
-        if entry.learning:
-            with _capture_scope() as sink:
-                tape, leaves, next_state = self._call_tracer(state)
-            program = _build_program(sink, tape, leaves, self.watch,
-                                     next_state, self.n_probes)
-            self.cache.learn(entry, fine_signature(state), program)
-        else:
-            tape, leaves, next_state = self._call_tracer(state)
+        learning = entry.learning
+        with _capture_scope() if learning else nullcontext() as sink:
+            tape, leaves, next_state = self.trace(state,
+                                                  watch=list(self.watch))
+        if learning:
+            self.cache.learn(entry, fine_signature(state), _build_program(
+                sink, tape, leaves, self.watch, next_state, self.n_probes))
         if stats is not None:
             stats.observe(tape)
-        return tape, leaves, next_state
-
-    # -- sweep entry points ------------------------------------------------
-    def step_cotangents(self, state: Mapping[str, Any],
-                        cotangents: Mapping[str, np.ndarray],
-                        stats=None) -> dict[str, np.ndarray]:
-        """Chained cotangents of one segment: replay when compiled."""
-        from .reverse import backward_from_seeds
-
-        entry = self._entry(state)
-        result = self._replay(
-            entry, lambda plan: plan.replay_step(state, cotangents), stats)
-        if result is not None:
-            return result
-        tape, leaves, next_state = self._trace(entry, state, stats)
-        seeds: list[tuple[ADArray, np.ndarray]] = []
-        for chain_key in self.watch:
-            produced = next_state.get(chain_key)
-            if isinstance(produced, ADArray) and produced.node is not None:
-                seeds.append((produced, cotangents[chain_key]))
-        grads = backward_from_seeds(tape, seeds,
-                                    [leaves[k] for k in self.watch])
-        return dict(zip(self.watch, grads))
-
-    def step_activity(self, state: Mapping[str, Any],
-                      masks: Mapping[str, Any],
-                      stats=None) -> dict[str, Any]:
-        """Chained read/moved masks of one segment: replay when compiled.
-
-        The activity twin of :meth:`step_cotangents`: a compiled plan's
-        static structure already fixes which leaf elements each segment
-        reads or moves, so a plan hit applies the precomputed transfer
-        (:func:`repro.ad.activity.replay_step_masks`) without running the
-        tracer at all.  Misses trace one iteration, chain through the tape
-        and feed the capture exactly like the gradient path, so activity
-        and gradient sweeps share one plan per step structure.
-        """
-        from . import activity as activity_mod
-
-        entry = self._entry(state)
-        result = self._replay(
-            entry, lambda plan: activity_mod.replay_step_masks(plan, masks),
-            stats)
-        if result is not None:
-            if stats is not None:
-                stats.activity_plan_replays += 1
-            return result
-        tape, leaves, next_state = self._trace(entry, state, stats)
-        if stats is not None:
-            stats.activity_retraces += 1
-        return activity_mod.chain_step_masks(tape, leaves, next_state,
-                                             self.watch, masks)
+        return walk.chain(tape, leaves, next_state, self.watch, carry)

@@ -28,9 +28,9 @@ spirit of vectorised-trace engines such as ``udiff``'s diff-array container:
 Both sweep strategies are supported: :func:`batched_gradients` is the
 batched counterpart of ``traced_restart`` + ``backward`` (monolithic tape),
 :func:`segmented_batched_gradients` the counterpart of
-:func:`repro.ad.segmented.segmented_gradients` -- it snapshots *batched*
-boundary states and re-traces one iteration at a time, so peak tape memory
-stays O(1 iteration) regardless of the probe count.
+:func:`repro.ad.segmented.segmented_gradients`, run by the same segmented
+driver with every boundary stacked along the probe axis, so peak tape
+memory stays O(1 iteration) regardless of the probe count.
 
 Benchmarks whose kernels cannot broadcast over a leading axis (data-
 dependent control flow on traced scalars, shape introspection that does not
@@ -47,12 +47,12 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .plan import DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache
-from .reverse import backward, backward_from_seeds
-from .schedule import make_schedule, snapshot_state
-from .segmented import (SweepStats, _check_steps, cast_gradient,
-                        float_state_keys, gradient_dtype)
-from .tensor import ADArray, value_of
+from .plan import DEFAULT_TRACE_CACHE, PlanCache
+from .reverse import backward
+from .segmented import (_GRADIENTS, SweepStats, _declared_gradients,
+                        _require_hooks, _segmented_sweep, cast_gradient,
+                        gradient_dtype)
+from .tensor import value_of
 
 __all__ = [
     "ProbeBatchingError",
@@ -136,15 +136,6 @@ def stack_states(states: Sequence[Mapping[str, Any]],
     return stacked
 
 
-def _require_hooks(bench, hooks: Sequence[str]) -> None:
-    for hook in hooks:
-        if not callable(getattr(bench, hook, None)):
-            raise ProbeBatchingError(
-                f"benchmark {getattr(bench, 'name', bench)!r} does not "
-                f"expose {hook}(); the batched probe sweep needs the "
-                f"probe-tracing API (use probe_batching='per-probe')")
-
-
 def batched_gradients(bench, states: Sequence[Mapping[str, Any]],
                       watch: Sequence[str] | None = None,
                       steps: int | None = None,
@@ -181,7 +172,7 @@ def batched_gradients(bench, states: Sequence[Mapping[str, Any]],
     states = list(states)
     if not states:
         raise ValueError("need at least one probe state")
-    _require_hooks(bench, ("traced_restart_probes",))
+    _require_hooks(bench, ("traced_restart_probes",), batched=True)
     tape, leaves, out = bench.traced_restart_probes(states, watch=watch,
                                                     steps=steps)
     if stats is not None:
@@ -203,140 +194,24 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
                                 ) -> dict[str, np.ndarray]:
     """All probes' gradients, one *batched* iteration tape at a time.
 
-    Batched counterpart of :func:`repro.ad.segmented.segmented_gradients`:
-    the concrete forward runs per probe (cheap, recording-free numpy),
-    boundary snapshots are stacked along the probe axis, and each segment is
-    re-traced and swept exactly once with batched cotangent buffers.  Peak
-    tape memory stays bounded by one iteration's (batched) tape no matter
-    how many probes are carried.
-
-    Boundary snapshots are held by one
-    :class:`~repro.ad.schedule.SnapshotSchedule` per probe, which keeps
-    every boundary.
+    Batched counterpart of :func:`repro.ad.segmented.segmented_gradients`,
+    run by the same segmented driver: the concrete forward runs per probe
+    (one snapshot store each), each boundary is stacked along the probe
+    axis on fetch, and each segment is traced (or plan-replayed) once with
+    batched cotangents, so peak tape memory stays one (batched) iteration
+    whatever the probe count.  The probe-tracing hooks are required even
+    for a single state (else :class:`ProbeBatchingError`).  Parameters
+    mirror ``segmented_gradients`` (no ``plan_optimize``); gradients are
+    bitwise-identical under either ``trace_cache``.
 
     Returns a dict mapping each watched key to its stacked gradient array of
     shape ``(len(states),) + entry_shape`` in the entry's declared floating
     dtype.
-
-    ``trace_cache="plan"`` (the default) compiles the batched step to a
-    replay plan (:mod:`repro.ad.plan`) once two step traces agree and
-    replays further segments without tracing; the forward runs and the
-    output segment are never planned.  Gradients are bitwise-identical
-    either way.
     """
-    states = [{key: value_of(val) for key, val in state.items()}
-              for state in states]
+    states = list(states)
     if not states:
         raise ValueError("need at least one probe state")
-    _require_hooks(bench, ("traced_step_probes", "traced_output_probes",
-                           "run"))
-    if trace_cache not in TRACE_CACHES:
-        raise ValueError(f"unknown trace_cache {trace_cache!r}; "
-                         f"choose from {TRACE_CACHES}")
-    base = states[0]
-
-    if watch is None:
-        watch = bench.default_watch_keys() if callable(
-            getattr(bench, "default_watch_keys", None)) \
-            else float_state_keys(base)
-    watch = list(watch)
-    for key in watch:
-        if key not in base:
-            raise KeyError(f"cannot watch unknown state entry {key!r}")
-
-    steps = _check_steps(bench, base, steps)
-    n_probes = len(states)
-
-    # chain every float entry, not just the requested keys (a dependence may
-    # flow through an unwatched auxiliary -- see repro.ad.segmented)
-    chain = float_state_keys(base)
-
-    planner = cache = plan_base = None
-    if trace_cache == "plan":
-        cache = plan_cache if plan_cache is not None else PlanCache()
-        plan_base = cache.counters()
-        planner = cache.planner(bench, chain, n_probes=n_probes)
-
-    # one schedule per probe: the per-probe boundary states are what the
-    # schedules store; stacking happens on fetch
-    schedules = [make_schedule(steps) for _ in states]
-    try:
-        # -- forward pass: concrete per-probe runs, stored ----------------
-        # snapshots (real copies, so an in-place-mutating ``run`` cannot
-        # corrupt earlier boundaries).  The concrete forward is recording-
-        # free numpy; the batching win is in the traced segments below,
-        # where the per-primitive recording overhead is paid once instead
-        # of once per probe.
-        for schedule, probe_state in zip(schedules, states):
-            current = snapshot_state(probe_state)
-            schedule.record(0, current)
-            for t in range(1, steps + 1):
-                current = bench.run(current, 1)
-                schedule.record(t, current)
-            del current
-
-        def stacked_boundary(k: int) -> dict[str, Any]:
-            per_probe = [schedule.fetch(k) for schedule in schedules]
-            boundary = dict(per_probe[0])
-            for key in chain:
-                boundary[key] = np.stack(
-                    [np.asarray(bounds[key], dtype=np.float64)
-                     for bounds in per_probe])
-            return boundary
-
-        # -- output segment ------------------------------------------------
-        last = stacked_boundary(steps)
-        tape, leaves, out = bench.traced_output_probes(last, n_probes,
-                                                       watch=chain)
-        if stats is not None:
-            stats.observe(tape)
-        if isinstance(out, ADArray) and out.node is not None:
-            grads = backward(tape, out, [leaves[key] for key in chain],
-                             strict=False)
-            cotangents = dict(zip(chain, grads))
-        else:
-            cotangents = None
-        del tape, leaves, out
-        if cotangents is None:
-            cotangents = {key: np.zeros(np.shape(last[key]),
-                                        dtype=gradient_dtype(base[key]))
-                          for key in chain}
-        del last
-
-        # -- reverse walk: one batched iteration tape at a time ------------
-        for k in range(steps - 1, -1, -1):
-            boundary = stacked_boundary(k)
-            if planner is not None:
-                cotangents = planner.step_cotangents(boundary, cotangents,
-                                                     stats=stats)
-                del boundary
-                continue
-            tape, leaves, next_state = bench.traced_step_probes(
-                boundary, n_probes, watch=chain)
-            if stats is not None:
-                stats.observe(tape)
-            seeds: list[tuple[ADArray, np.ndarray]] = []
-            for key in chain:
-                produced = next_state.get(key)
-                if isinstance(produced, ADArray) and produced.node is not None:
-                    seeds.append((produced, cotangents[key]))
-            grads = backward_from_seeds(tape, seeds,
-                                        [leaves[key] for key in chain])
-            cotangents = dict(zip(chain, grads))
-            del tape, leaves, next_state, boundary
-    finally:
-        if stats is not None:
-            stats.observe_schedule(*schedules)
-            stats.trace_cache = trace_cache
-            if cache is not None:
-                stats.observe_plan(cache, since=plan_base)
-        for schedule in schedules:
-            schedule.close()
-
-    # preserve each entry's declared floating dtype (no silent float64
-    # upcast of float32 variables -- see repro.ad.segmented)
-    return {key: cast_gradient(cotangents[key], gradient_dtype(base[key]))
-            if key in cotangents
-            else np.zeros((n_probes,) + np.shape(base[key]),
-                          dtype=gradient_dtype(base[key]))
-            for key in watch}
+    watch, base, cotangents = _segmented_sweep(
+        bench, states, watch, steps, stats, trace_cache, plan_cache, None,
+        _GRADIENTS, n_probes=len(states))
+    return _declared_gradients(cotangents, watch, base, (len(states),))

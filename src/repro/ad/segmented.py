@@ -15,14 +15,26 @@ iteration granularity (Griewank's *revolve* idea, at its simplest schedule):
    cotangent of every state entry of the last boundary;
 3. walk the boundaries backwards: re-trace *one* iteration, seed the traced
    next-state entries with the chained cotangents
-   (:func:`repro.ad.reverse.backward_from_seeds`), sweep, and free the tape
-   before tracing the previous iteration.
+   (:func:`chain_cotangents`), sweep, and free the tape before tracing the
+   previous iteration.
 
 Peak tape memory is therefore O(1 iteration) instead of O(remaining steps).
 The boundary snapshots themselves are held by a
 :class:`repro.ad.schedule.SnapshotSchedule`, which keeps every boundary in
 memory (O(steps x state) -- for the NPB kernels one state is smaller
 than one iteration's tape).
+
+One driver, three sweeps
+------------------------
+That walk is written once, in the private ``_segmented_sweep`` driver;
+:func:`segmented_gradients`,
+:func:`repro.ad.probes.segmented_batched_gradients` (one schedule per
+probe, boundaries stacked along a leading probe axis) and
+:func:`repro.ad.activity.segmented_read_masks` are short entry points over
+it.  A sweep kind is a small ``_Walk``: how the output segment seeds the
+carry, how a traced step chains it (:func:`chain_cotangents` here,
+:func:`~repro.ad.activity.chain_step_masks` for read/moved masks) and how
+a compiled step replays it.
 
 Bitwise equivalence
 -------------------
@@ -53,19 +65,19 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE, TRACE_CACHES,
-                   PlanCache)
+                   CompiledPlan, PlanCache)
 from .reverse import backward, backward_from_seeds
 from .schedule import SnapshotSchedule, make_schedule, snapshot_state
 from .tape import Tape
 from .tensor import ADArray, value_of
 
 __all__ = ["SweepStats", "float_state_keys", "gradient_dtype",
-           "cast_gradient", "segmented_gradients"]
+           "cast_gradient", "chain_cotangents", "segmented_gradients"]
 
 
 @dataclass
@@ -127,15 +139,10 @@ class SweepStats:
 
     def observe(self, tape: Tape) -> None:
         """Record one tape's size before it is freed."""
-        nodes = len(tape)
-        self.n_segments += 1
-        self.total_nodes += nodes
-        self.segment_nodes.append(nodes)
-        self.peak_nodes = max(self.peak_nodes, nodes)
-        self.peak_nbytes = max(self.peak_nbytes, tape.nbytes())
+        self.observe_plan_segment(len(tape), tape.nbytes())
 
     def observe_plan_segment(self, n_slots: int, nbytes: int) -> None:
-        """Record one *replayed* segment with the tape meter's semantics.
+        """Record one segment of ``n_slots`` nodes and ``nbytes`` buffers.
 
         A replayed segment has no tape, but its plan's slot count and
         gradient-buffer estimate are exactly what the equivalent tape would
@@ -171,6 +178,20 @@ class SweepStats:
         self.plan_fused_ops = max(self.plan_fused_ops, cache.fused_ops)
         self.plan_eliminated_slots = max(self.plan_eliminated_slots,
                                          cache.eliminated_slots)
+
+    def observe_activity(self, segments: int, replays: int,
+                         masks: Mapping[str, Any]) -> None:
+        """Fold one segmented activity sweep's telemetry in.
+
+        ``replays`` of its ``segments`` applied a plan transfer, the rest
+        ran the tracer; ``masks`` is the walk's fixed resident payload.
+        """
+        self.activity_segments += segments
+        self.activity_plan_replays += replays
+        self.activity_retraces += segments - replays
+        self.activity_peak_mask_nbytes = max(
+            self.activity_peak_mask_nbytes,
+            sum(res.read.nbytes + res.moved.nbytes for res in masks.values()))
 
     def observe_schedule(self, *schedules: SnapshotSchedule) -> None:
         """Fold one sweep's snapshot-store telemetry in.
@@ -271,6 +292,187 @@ def _check_steps(bench, state: Mapping[str, Any], steps: Any) -> int:
     return int(steps)
 
 
+def chain_cotangents(tape: Tape, leaves: Mapping[str, ADArray],
+                     next_state: Mapping[str, Any], chain: Sequence[str],
+                     cotangents: Mapping[str, np.ndarray]
+                     ) -> dict[str, np.ndarray]:
+    """Chain the next boundary's cotangents back through one traced step.
+
+    The gradient twin of :func:`repro.ad.activity.chain_step_masks`: every
+    traced next-state entry is seeded with its cotangent and one
+    :func:`~repro.ad.reverse.backward_from_seeds` sweep returns the
+    cotangent of every chain key at this step's boundary.  A next-state
+    entry that is a plain constant does not depend on the step's inputs;
+    its cotangent dies here, exactly as it would on the monolithic tape.
+    """
+    seeds: list[tuple[ADArray, np.ndarray]] = []
+    for key in chain:
+        produced = next_state.get(key)
+        if isinstance(produced, ADArray) and produced.node is not None:
+            seeds.append((produced, cotangents[key]))
+    grads = backward_from_seeds(tape, seeds, [leaves[key] for key in chain])
+    return dict(zip(chain, grads))
+
+
+def _require_hooks(bench, hooks: Sequence[str], batched: bool) -> None:
+    """Refuse, before any forward run, a benchmark missing a tracing hook."""
+    for hook in hooks:
+        if callable(getattr(bench, hook, None)):
+            continue
+        missing = (f"benchmark {getattr(bench, 'name', bench)!r} does not "
+                   f"expose {hook}()")
+        if not batched:
+            raise TypeError(
+                f"{missing}; the segmented sweep needs the per-iteration "
+                f"tracing API (use sweep='monolithic')")
+        from .probes import ProbeBatchingError
+        raise ProbeBatchingError(
+            f"{missing}; the batched probe sweep needs the probe-tracing "
+            f"API (CriticalityAnalyzer falls back to one sweep per probe)")
+
+
+class _Walk(NamedTuple):
+    """What one kind of segmented sweep carries backwards, and how.
+
+    ``seed(tape, leaves, out, chain)`` makes the last boundary's carry from
+    the traced output segment; ``chain(tape, leaves, next_state, chain,
+    carry)`` moves it back through one traced step, ``replay(plan, state,
+    carry)`` through one compiled step.  ``observe(stats, segments,
+    replays, carry)``, if set, folds the kind's telemetry in at the end.
+    """
+
+    seed: Callable[..., Any]
+    chain: Callable[..., Any]
+    replay: Callable[..., Any]
+    observe: Callable[..., None] | None = None
+
+
+def _seed_cotangents(tape: Tape, leaves: Mapping[str, ADArray], out: Any,
+                     chain: Sequence[str]) -> dict[str, np.ndarray]:
+    """Cotangents of the last boundary: the output segment's sweep.
+
+    An output that never touched a chained input (the monolithic
+    ``strict=False`` case) gives exact float64 zeros, as it would there.
+    """
+    grads = backward(tape, out, [leaves[key] for key in chain], strict=False)
+    return dict(zip(chain, grads))
+
+
+_GRADIENTS = _Walk(_seed_cotangents, chain_cotangents,
+                   CompiledPlan.replay_step)
+
+
+def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
+                     watch: Sequence[str] | None, steps: Any,
+                     stats: SweepStats | None, trace_cache: str,
+                     plan_cache: PlanCache | None, plan_optimize: str | None,
+                     walk: _Walk, n_probes: int | None = None
+                     ) -> tuple[list[str], dict[str, Any], dict[str, Any]]:
+    """The segmented walk (module docs) behind every segmented sweep.
+
+    ``states`` holds one state per probe, base first.  ``n_probes=None``
+    sweeps ``states[0]`` through the plain hooks; an integer sweeps through
+    the ``*_probes`` hooks with boundaries stacked along a probe axis.
+    Returns the resolved watch list, the base state and boundary 0's carry.
+    """
+    if n_probes is None:
+        _require_hooks(bench, ("traced_step", "traced_output", "run"),
+                       batched=False)
+        trace_output, trace_step = bench.traced_output, bench.traced_step
+    else:
+        from .probes import stack_states
+        _require_hooks(bench, ("traced_step_probes", "traced_output_probes",
+                               "run"), batched=True)
+
+        def trace_output(state, watch):
+            return bench.traced_output_probes(state, n_probes, watch=watch)
+
+        def trace_step(state, watch):
+            return bench.traced_step_probes(state, n_probes, watch=watch)
+
+    states = [{key: value_of(value) for key, value in state.items()}
+              for state in states]
+    base = states[0]
+    if watch is None:
+        watch = bench.default_watch_keys() if callable(
+            getattr(bench, "default_watch_keys", None)) \
+            else float_state_keys(base)
+    watch = list(watch)
+    for key in watch:
+        if key not in base:
+            raise KeyError(f"cannot watch unknown state entry {key!r}")
+
+    steps = _check_steps(bench, base, steps)
+    if trace_cache not in TRACE_CACHES:
+        raise ValueError(f"unknown trace_cache {trace_cache!r}; "
+                         f"choose from {TRACE_CACHES}")
+
+    # chain every float entry, not just the requested keys (see module docs)
+    chain = float_state_keys(base)
+
+    planner = cache = plan_base = None
+    if trace_cache == "plan":
+        cache = plan_cache if plan_cache is not None else PlanCache(
+            DEFAULT_PLAN_OPTIMIZE if plan_optimize is None else plan_optimize)
+        plan_base = cache.counters()
+        planner = cache.planner(bench, chain, n_probes, trace_step)
+
+    # one schedule per probe; a batched boundary is stacked on fetch
+    schedules = [make_schedule(steps) for _ in states]
+
+    def boundary(k: int) -> dict[str, Any]:
+        per_probe = [schedule.fetch(k) for schedule in schedules]
+        return per_probe[0] if n_probes is None \
+            else stack_states(per_probe, chain)
+
+    try:
+        # -- forward pass: a snapshot at every boundary ---------------------
+        # ``record`` copies every array entry, so a benchmark whose ``run``
+        # mutates arrays in place cannot corrupt earlier boundaries through
+        # aliasing; the initial copy also shields the caller's state.  The
+        # concrete forward is recording-free numpy, run per probe.
+        for schedule, state in zip(schedules, states):
+            current = snapshot_state(state)
+            schedule.record(0, current)
+            for t in range(1, steps + 1):
+                current = bench.run(current, 1)
+                schedule.record(t, current)
+            del current
+
+        # -- output segment: trace only the final reduction ---------------
+        tape, leaves, out = trace_output(boundary(steps), watch=chain)
+        if stats is not None:
+            stats.observe(tape)
+        carry = walk.seed(tape, leaves, out, chain)
+        del tape, leaves, out
+
+        # -- reverse walk: one iteration's tape (or plan replay) at a time -
+        for k in range(steps - 1, -1, -1):
+            state = boundary(k)
+            if planner is not None:
+                carry = planner.step(state, carry, walk, stats=stats)
+            else:
+                tape, leaves, next_state = trace_step(state, watch=chain)
+                if stats is not None:
+                    stats.observe(tape)
+                carry = walk.chain(tape, leaves, next_state, chain, carry)
+                del tape, leaves, next_state
+            del state
+
+        if stats is not None and walk.observe is not None:
+            replays = 0 if cache is None else cache.hits - plan_base["hits"]
+            walk.observe(stats, steps + 1, replays, carry)
+    finally:
+        if stats is not None:
+            stats.observe_schedule(*schedules)
+            stats.trace_cache = trace_cache
+            if cache is not None:
+                stats.observe_plan(cache, since=plan_base)
+        for schedule in schedules:
+            schedule.close()
+    return watch, base, carry
+
+
 def segmented_gradients(bench, state: Mapping[str, Any],
                         watch: Sequence[str] | None = None,
                         steps: int | None = None,
@@ -309,25 +511,17 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         Optional :class:`SweepStats` collector observing every segment tape
         (and the snapshot store's telemetry).
     trace_cache:
-        ``"plan"`` (default) compiles the step to a replay plan
-        (:mod:`repro.ad.plan`) once two step traces agree and replays it
-        for the remaining segments -- bitwise-identical gradients; a step
-        whose structure depends on the loop counter (FT, EP) is traced
-        every time.  ``"off"`` traces every segment afresh.  The forward
-        pass and the output segment always run the benchmark and the
-        tracer.
+        ``"plan"`` (default) replays a compiled step plan
+        (:mod:`repro.ad.plan`) once two step traces agree -- bitwise-
+        identical gradients; a step whose structure depends on the loop
+        counter (FT, EP) is traced every time.  ``"off"`` traces every
+        segment, as a test oracle.
     plan_cache:
         Optional :class:`~repro.ad.plan.PlanCache` shared across sweeps
-        (the criticality analyzer shares one per analysis, so per-probe
-        sweeps replay each other's plans); ``None`` uses a private cache
-        for this sweep.
+        (the analyzer shares one per analysis); ``None`` uses a private one.
     plan_optimize:
-        IR optimisation policy of a freshly created plan cache
-        (:data:`repro.ad.passes.PLAN_OPTIMIZES`): ``"fuse"`` (default)
-        fuses elementwise/unary chains, eliminates dead slots and packs
-        the arena; ``"off"`` interprets every captured primitive
-        unoptimised.  Ignored when ``plan_cache`` is supplied (the cache
-        already fixed its policy).
+        IR policy (:data:`repro.ad.passes.PLAN_OPTIMIZES`) of that private
+        cache: ``"fuse"`` (default) or the unoptimised ``"off"`` oracle.
 
     Returns
     -------
@@ -335,110 +529,19 @@ def segmented_gradients(bench, state: Mapping[str, Any],
     in the entry's declared floating dtype -- float32 state entries get
     float32 gradients).
     """
-    for hook in ("traced_step", "traced_output"):
-        if not callable(getattr(bench, hook, None)):
-            raise TypeError(
-                f"benchmark {getattr(bench, 'name', bench)!r} does not "
-                f"expose {hook}(); the segmented sweep needs the "
-                f"per-iteration tracing API (use sweep='monolithic')")
+    watch, base, cotangents = _segmented_sweep(
+        bench, [state], watch, steps, stats, trace_cache, plan_cache,
+        plan_optimize, _GRADIENTS)
+    return _declared_gradients(cotangents, watch, base)
 
-    state = {key: value_of(value) for key, value in state.items()}
-    if watch is None:
-        watch = bench.default_watch_keys() if callable(
-            getattr(bench, "default_watch_keys", None)) \
-            else float_state_keys(state)
-    watch = list(watch)
-    for key in watch:
-        if key not in state:
-            raise KeyError(f"cannot watch unknown state entry {key!r}")
 
-    steps = _check_steps(bench, state, steps)
-    if trace_cache not in TRACE_CACHES:
-        raise ValueError(f"unknown trace_cache {trace_cache!r}; "
-                         f"choose from {TRACE_CACHES}")
-
-    # chain every float entry, not just the requested keys (see module docs)
-    chain = float_state_keys(state)
-
-    planner = cache = plan_base = None
-    if trace_cache == "plan":
-        cache = plan_cache if plan_cache is not None \
-            else PlanCache(
-                plan_optimize=plan_optimize if plan_optimize is not None
-                else DEFAULT_PLAN_OPTIMIZE)
-        plan_base = cache.counters()
-        planner = cache.planner(bench, chain)
-
-    schedule = make_schedule(steps)
-    try:
-        # -- forward pass: a snapshot at every boundary ---------------------
-        # ``record`` copies every array entry, so a benchmark whose ``run``
-        # mutates arrays in place cannot corrupt earlier boundaries through
-        # aliasing; the initial copy also shields the caller's state.
-        current = snapshot_state(state)
-        schedule.record(0, current)
-        for t in range(1, steps + 1):
-            current = bench.run(current, 1)
-            schedule.record(t, current)
-        del current
-
-        # -- output segment: trace and sweep only the final reduction -----
-        last = schedule.fetch(steps)
-        tape, leaves, out = bench.traced_output(last, watch=chain)
-        if stats is not None:
-            stats.observe(tape)
-        if isinstance(out, ADArray) and out.node is not None:
-            grads = backward(tape, out, [leaves[key] for key in chain],
-                             strict=False)
-            cotangents = dict(zip(chain, grads))
-        else:
-            cotangents = None
-        del tape, leaves, out
-        if cotangents is None:
-            # the output never touched a watched input (the monolithic
-            # strict=False case): every gradient is exactly zero
-            cotangents = {key: np.zeros(np.shape(last[key]),
-                                        dtype=gradient_dtype(state[key]))
-                          for key in chain}
-        del last
-
-        # -- reverse walk: one iteration's tape (or plan replay) at a time -
-        for k in range(steps - 1, -1, -1):
-            boundary = schedule.fetch(k)
-            if planner is not None:
-                cotangents = planner.step_cotangents(boundary, cotangents,
-                                                     stats=stats)
-                del boundary
-                continue
-            tape, leaves, next_state = bench.traced_step(boundary,
-                                                         watch=chain)
-            if stats is not None:
-                stats.observe(tape)
-            seeds: list[tuple[ADArray, np.ndarray]] = []
-            for key in chain:
-                produced = next_state.get(key)
-                if isinstance(produced, ADArray) and produced.node is not None:
-                    seeds.append((produced, cotangents[key]))
-                # a next-state entry that is a plain constant does not depend
-                # on this segment's inputs; its cotangent dies here, exactly
-                # as it would on the monolithic tape
-            grads = backward_from_seeds(tape, seeds,
-                                        [leaves[key] for key in chain])
-            cotangents = dict(zip(chain, grads))
-            del tape, leaves, next_state, boundary
-    finally:
-        if stats is not None:
-            stats.observe_schedule(schedule)
-            stats.trace_cache = trace_cache
-            if cache is not None:
-                stats.observe_plan(cache, since=plan_base)
-        schedule.close()
-
-    # each gradient reports in its entry's declared floating dtype: casting
-    # everything to float64 would silently upcast float32 variables (the
-    # drift class _perturb_state guards against on the probing side)
-    return {key: cast_gradient(cotangents[key], gradient_dtype(state[key]))
+def _declared_gradients(cotangents: Mapping[str, np.ndarray],
+                        watch: Sequence[str], base: Mapping[str, Any],
+                        lead: tuple[int, ...] = ()) -> dict[str, np.ndarray]:
+    """Each watched gradient in its entry's declared dtype (never a silent
+    float64 upcast of a float32 variable); unchained entries get zeros."""
+    return {key: cast_gradient(cotangents[key], gradient_dtype(base[key]))
             if key in cotangents
-            else np.zeros(np.shape(state[key]),
-                          dtype=gradient_dtype(state[key]))
+            else np.zeros(lead + np.shape(base[key]),
+                          dtype=gradient_dtype(base[key]))
             for key in watch}

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import logging
 import numbers
 import warnings
 from contextlib import contextmanager
@@ -70,6 +71,8 @@ __all__ = [
     "validate_steps",
 ]
 
+
+logger = logging.getLogger(__name__)
 
 #: recognised analysis methods
 METHODS = ("ad", "activity", "rule")
@@ -464,13 +467,15 @@ class CriticalityAnalyzer:
         back to the per-probe loop when the benchmark cannot broadcast.
 
         A benchmark that simply does not expose the probe-tracing API (a
-        custom :class:`RestartableApplication`) falls back silently; a
-        kernel that *fails* mid-trace falls back with a
-        :class:`RuntimeWarning` so the slowdown is explainable.
+        custom :class:`RestartableApplication`) falls back with an INFO
+        log event, not a warning; a kernel that *fails* mid-trace falls
+        back with a :class:`RuntimeWarning` so the slowdown is explainable.
         """
         hooks = ("traced_step_probes", "traced_output_probes") \
             if self.sweep == "segmented" else ("traced_restart_probes",)
         if not all(callable(getattr(bench, hook, None)) for hook in hooks):
+            logger.info("benchmark %r has no probe-tracing API; running one "
+                        "sweep per probe", getattr(bench, "name", bench))
             return None
         try:
             if self.sweep == "segmented":

@@ -374,35 +374,51 @@ def test_masks_identical_batched_vs_per_probe(name, sweep, force_per_probe):
                                 f"{name}({var_name})[{key}] base gradient")
 
 
+class _Minimal:
+    """Bare RestartableApplication: no NPBBenchmark inheritance."""
+
+    name = "MINI"
+    total_steps = 2
+
+    def checkpoint_variables(self):
+        from repro.core.variables import CheckpointVariable, VariableKind
+
+        return (CheckpointVariable("x", (3,), VariableKind.FLOAT,
+                                   description="state"),)
+
+    def traced_restart(self, state, watch=None, steps=None):
+        tape = Tape()
+        with tape:
+            x = tape.watch(state["x"], name="x")
+            out = ops.sum(x[:2] * x[:2])
+        return tape, {"x": x}, out
+
+
 def test_analyzer_falls_back_without_probe_api(recwarn):
     """A benchmark without the probe-tracing API uses the per-probe loop
-    silently and still produces the per-probe masks."""
-    from repro.core.variables import CheckpointVariable, VariableKind
-
-    class Minimal:
-        """Bare RestartableApplication: no NPBBenchmark inheritance."""
-
-        name = "MINI"
-        total_steps = 2
-
-        def checkpoint_variables(self):
-            return (CheckpointVariable("x", (3,), VariableKind.FLOAT,
-                                       description="state"),)
-
-        def traced_restart(self, state, watch=None, steps=None):
-            tape = Tape()
-            with tape:
-                x = tape.watch(state["x"], name="x")
-                out = ops.sum(x[:2] * x[:2])
-            return tape, {"x": x}, out
-
-    bench = Minimal()
+    without a warning and still produces the per-probe masks."""
+    bench = _Minimal()
     state = {"x": np.array([1.0, 2.0, 3.0])}
     masks = CriticalityAnalyzer(n_probes=3).analyze(bench, state=state,
                                                     step=1)
     assert masks["x"].mask.tolist() == [True, True, False]
     assert not [w for w in recwarn.list
                 if issubclass(w.category, RuntimeWarning)]
+
+
+def test_analyzer_logs_the_probe_api_fallback(caplog):
+    """The fallback to one sweep per probe is an INFO event naming the
+    benchmark, never a warning."""
+    state = {"x": np.array([1.0, 2.0, 3.0])}
+    with caplog.at_level("INFO", logger="repro.core.criticality"):
+        CriticalityAnalyzer(n_probes=3).analyze(_Minimal(), state=state,
+                                                step=1)
+    records = [rec for rec in caplog.records
+               if rec.name == "repro.core.criticality"]
+    assert len(records) == 1
+    assert records[0].levelname == "INFO"
+    assert "'MINI'" in records[0].getMessage()
+    assert "one sweep per probe" in records[0].getMessage()
 
 
 def test_analyzer_warns_and_falls_back_on_broadcast_failure(

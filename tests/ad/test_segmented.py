@@ -13,7 +13,7 @@ import pytest
 
 from repro.ad import ops
 from repro.ad.activity import segmented_read_masks
-from repro.ad.probes import segmented_batched_gradients
+from repro.ad.probes import ProbeBatchingError, segmented_batched_gradients
 from repro.ad.reverse import backward, backward_from_seeds
 from repro.ad.segmented import (SweepStats, float_state_keys,
                                 segmented_gradients)
@@ -97,13 +97,15 @@ def test_segmented_rejects_negative_steps_and_unknown_watch():
         segmented_gradients(bench, state, watch=["nope"])
 
 
-def _sweep(kind, bench, state, steps):
-    """Run one of the three ``repro.ad`` sweeps over ``steps`` iterations."""
+def _sweep(kind, bench, state, steps=None, probes=1, **kwargs):
+    """Run one of the three ``repro.ad`` sweeps over ``steps`` iterations
+    (the batched one over ``probes`` copies of ``state``)."""
     if kind == "segmented":
-        return segmented_gradients(bench, state, steps=steps)
+        return segmented_gradients(bench, state, steps=steps, **kwargs)
     if kind == "batched":
-        return segmented_batched_gradients(bench, [state], steps=steps)
-    return segmented_read_masks(bench, state, steps=steps)
+        return segmented_batched_gradients(bench, [state] * probes,
+                                           steps=steps, **kwargs)
+    return segmented_read_masks(bench, state, steps=steps, **kwargs)
 
 
 SWEEP_KINDS = ("segmented", "batched", "activity")
@@ -192,6 +194,44 @@ class TestStepsCheck:
         assert grads["x"].shape == np.shape(state["x"])
         with pytest.raises(ValueError, match="non-negative integer"):
             segmented_gradients(NoLoopLength(bench), state, steps=2.5)
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_entry_points_validate_alike(kind, monkeypatch):
+    """The three entry points share one driver, so they refuse the same
+    arguments -- and every refusal comes before the first forward step."""
+    probes = 2 if kind == "batched" else 1
+
+    class NoHooks:
+        name = "NOHOOKS"
+
+    if kind == "batched":
+        with pytest.raises(ProbeBatchingError,
+                           match="traced_step_probes") as err:
+            _sweep(kind, NoHooks(), {"x": np.ones(3)}, probes=probes,
+                   watch=["x"])
+        # the per-probe fallback is the analyzer's, not an option
+        assert "CriticalityAnalyzer falls back to one sweep per probe" \
+            in str(err.value)
+        assert "probe_batching" not in str(err.value)
+    else:
+        with pytest.raises(TypeError, match="traced_step") as err:
+            _sweep(kind, NoHooks(), {"x": np.ones(3)}, watch=["x"])
+        assert "sweep='monolithic'" in str(err.value)
+
+    bench = registry.create("CG", "T")
+    state = bench.initial_state()     # 4 iterations remain
+
+    def run(*args, **kwargs):  # pragma: no cover - must not be hit
+        raise AssertionError("a forward step ran before the check")
+
+    monkeypatch.setattr(bench, "run", run)
+    with pytest.raises(KeyError, match="unknown state entry"):
+        _sweep(kind, bench, state, probes=probes, watch=["nope"])
+    with pytest.raises(ValueError, match="unknown trace_cache"):
+        _sweep(kind, bench, state, probes=probes, trace_cache="sometimes")
+    with pytest.raises(ValueError, match="overruns the main loop"):
+        _sweep(kind, bench, state, 5, probes=probes)
 
 
 def test_segmented_requires_per_iteration_api():

@@ -14,7 +14,6 @@ import pytest
 
 import repro
 import repro.ad.activity as activity_mod
-import repro.ad.probes as probes_mod
 import repro.ad.segmented as segmented_mod
 from repro.ad.probes import segmented_batched_gradients
 from repro.ad.schedule import SnapshotSchedule
@@ -36,8 +35,9 @@ def _schedules_made(monkeypatch) -> list[SnapshotSchedule]:
         made.append(real(*args, **kwargs))
         return made[-1]
 
-    for module in (segmented_mod, probes_mod):
-        monkeypatch.setattr(module, "make_schedule", spy)
+    # every segmented sweep (gradient, probe-batched, activity) builds its
+    # stores through the one driver in repro.ad.segmented
+    monkeypatch.setattr(segmented_mod, "make_schedule", spy)
     return made
 
 
