@@ -24,9 +24,13 @@ trap 'rm -rf "$cache_dir"' EXIT
 python -m repro.cli --class T --cache-dir "$cache_dir" analyze CG >/dev/null
 python -m repro.cli --class T --cache-dir "$cache_dir" analyze CG
 
-echo "== segmented sweep driver: gradient, batched probe and activity walks =="
-# one driver runs all three segmented sweeps; each must stay bitwise equal
-# to its monolithic or per-probe oracle
+echo "== sweep driver: gradient, batched probe and activity walks =="
+# one driver runs every sweep: --sweep monolithic is its one-segment walk
+# (tail = steps) and --sweep segmented traces only the output reduction
+# (tail = 0); at those tails and at tail = steps // 2
+# (test_multi_iteration_output_segment_matches_one_tape) each walk must
+# stay bitwise equal to its one-tape traced_restart oracle or the
+# per-probe loop
 python -m pytest -q tests/ad/test_segmented.py \
     tests/experiments/test_sweep_plumbing.py tests/npb/test_class_a.py \
     tests/ad/test_probes.py tests/experiments/test_probe_plumbing.py \

@@ -12,15 +12,15 @@ ports of the NPB benchmarks:
 * :mod:`repro.ad.reverse` -- the reverse sweep (``grad``, ``value_and_grad``).
 * :mod:`repro.ad.segmented` -- iteration-granular (checkpointed) reverse
   sweep: one main-loop iteration's tape at a time, peak memory O(1
-  iteration) instead of O(remaining steps).  Its one segmented driver
-  also runs the probe-batched gradient sweep and the segmented activity
-  sweep.
+  iteration) instead of O(remaining steps).  Its one driver also runs the
+  probe-batched gradient sweep and the activity sweep, and the monolithic
+  sweep is its one-segment walk (``tail=None``).
 * :mod:`repro.ad.schedule` -- the segmented sweeps' boundary-snapshot
   store, which keeps a copy of every iteration boundary in memory.
 * :mod:`repro.ad.probes` -- batched multi-probe sweeps: the base state and
   all perturbed probe states stacked along a leading probe axis, one traced
-  forward and one reverse sweep yielding every probe's gradients at once
-  (monolithic, or segmented through :mod:`repro.ad.segmented`'s driver).
+  forward and one reverse sweep yielding every probe's gradients at once,
+  run by :mod:`repro.ad.segmented`'s driver.
 * :mod:`repro.ad.forward` -- an independent dual-number forward mode used for
   cross-validation: it shares no rule tables with the reverse engine, so
   :func:`repro.ad.checks.check_against_forward` is an independent oracle.
@@ -44,7 +44,7 @@ Quick example::
 from . import activity, checks, forward, ops, probes, reverse, schedule, \
     segmented
 from .ops import *  # noqa: F401,F403 - re-export the numpy-like facade
-from .probes import (ProbeBatchingError, batched_gradients, probe_axis,
+from .probes import (ProbeBatchingError, probe_axis,
                      segmented_batched_gradients)
 from .reverse import (backward, backward_from_seeds, grad, gradient,
                       value_and_grad)
@@ -69,7 +69,6 @@ __all__ = [
     "SnapshotSchedule",
     "make_schedule",
     "schedule",
-    "batched_gradients",
     "segmented_batched_gradients",
     "probe_axis",
     "ProbeBatchingError",

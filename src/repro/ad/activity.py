@@ -52,19 +52,21 @@ distinction.
 
 Sweep modes
 -----------
-The analysis runs in three modes that produce **bitwise-identical** masks:
+:func:`segmented_read_masks` runs the gradient sweeps' driver
+(:mod:`repro.ad.segmented`) with masks as its carry; every mode gives
+**bitwise-identical** masks:
 
-* **monolithic** -- :func:`read_masks` over one ``traced_restart`` tape
-  (the historical path; O(steps) tape memory, re-traced every run);
-* **segmented** -- :func:`segmented_read_masks` runs the gradient sweeps'
-  segmented driver (:mod:`repro.ad.segmented`) with masks as its carry,
-  composed across boundaries by :func:`chain_step_masks`: in the
-  monolithic tape, reads accumulate on a boundary value across iterations
-  *only* when the very same node object passes through a step untouched
-  (an identity pass-through in the next-state dict), so folding the next
-  boundary's masks into the pass-through entries of the current segment
-  reproduces the monolithic result exactly, with O(1-iteration) tape
-  memory;
+* **monolithic** -- the driver's one-segment walk (``tail=None``):
+  :func:`read_masks` over one ``traced_restart`` tape of the whole
+  remaining run (O(steps) tape memory, re-traced every run);
+* **segmented** -- the output segment traces only the reduction
+  (``tail=0``) and per-iteration masks are composed across boundaries by
+  :func:`chain_step_masks`: on one tape, reads accumulate on a boundary
+  value across iterations *only* when the very same node object passes
+  through a step untouched (an identity pass-through in the next-state
+  dict), so folding the next boundary's masks into the pass-through
+  entries of the current segment reproduces the one-tape result exactly,
+  with O(1-iteration) tape memory;
 * **plan-replayed** -- a :class:`repro.ad.plan.CompiledPlan` records op
   identity, operand roles and index expressions as plain data, so a step's
   read/movement transfer is derived **once** from the plan structure
@@ -502,25 +504,26 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
                          stats=None,
                          trace_cache: str | None = None,
                          plan_cache=None,
-                         plan_optimize: str | None = None
+                         plan_optimize: str | None = None,
+                         tail: int | None = 0
                          ) -> dict[str, "ActivityResult"]:
     """Activity masks of the restart, one iteration's tape at a time.
 
-    Drop-in replacement for the monolithic ``traced_restart`` +
-    :func:`read_masks` pair with bitwise-identical results: the segmented
-    driver of :func:`repro.ad.segmented.segmented_gradients`, carrying
+    Bitwise what :func:`read_masks` over one ``traced_restart`` tape gives:
+    the driver of :func:`repro.ad.segmented.segmented_gradients`, carrying
     masks composed across boundaries by :func:`chain_step_masks` (or a
     compiled step's transfer) instead of cotangents.  Parameters mirror
-    ``segmented_gradients``; ``stats`` also collects the ``activity_*``
-    fields of :class:`~repro.ad.segmented.SweepStats`.
+    ``segmented_gradients`` (``tail=None`` is that one tape); ``stats``
+    also collects the ``activity_*`` fields of
+    :class:`~repro.ad.segmented.SweepStats`.
 
     Returns a dict mapping each watched key to its :class:`ActivityResult`.
-    Only floating-point entries are chained; a watched non-float entry
-    comes back with all-False masks (the analyzer routes integer variables
-    to rules, never here).
+    Across a boundary only floating-point entries are chained; there a
+    watched non-float entry comes back with all-False masks (the analyzer
+    routes integer variables to rules, never here).
     """
     watch, base, masks = _segmented_sweep(
-        bench, [state], watch, steps, stats,
+        bench, [state], watch, steps, tail, stats,
         DEFAULT_TRACE_CACHE if trace_cache is None else trace_cache,
         plan_cache, plan_optimize, _ACTIVITY)
 

@@ -25,12 +25,12 @@ spirit of vectorised-trace engines such as ``udiff``'s diff-array container:
    seeding the batched scalar output with ones is exactly the per-probe
    gradient stack.
 
-Both sweep strategies are supported: :func:`batched_gradients` is the
-batched counterpart of ``traced_restart`` + ``backward`` (monolithic tape),
-:func:`segmented_batched_gradients` the counterpart of
-:func:`repro.ad.segmented.segmented_gradients`, run by the same segmented
-driver with every boundary stacked along the probe axis, so peak tape
-memory stays O(1 iteration) regardless of the probe count.
+:func:`segmented_batched_gradients` is the batched counterpart of
+:func:`repro.ad.segmented.segmented_gradients`, run by the same driver
+with every boundary stacked along the probe axis: with ``tail=0`` peak
+tape memory stays O(1 iteration) regardless of the probe count, and with
+``tail=None`` (the monolithic sweep) the one output segment traces every
+remaining iteration of the stacked state.
 
 Benchmarks whose kernels cannot broadcast over a leading axis (data-
 dependent control flow on traced scalars, shape introspection that does not
@@ -48,10 +48,8 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .plan import DEFAULT_TRACE_CACHE, PlanCache
-from .reverse import backward
 from .segmented import (_GRADIENTS, SweepStats, _declared_gradients,
-                        _require_hooks, _segmented_sweep, cast_gradient,
-                        gradient_dtype)
+                        _segmented_sweep)
 from .tensor import value_of
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "probe_axis",
     "probe_axis_size",
     "stack_states",
-    "batched_gradients",
     "segmented_batched_gradients",
 ]
 
@@ -136,73 +133,29 @@ def stack_states(states: Sequence[Mapping[str, Any]],
     return stacked
 
 
-def batched_gradients(bench, states: Sequence[Mapping[str, Any]],
-                      watch: Sequence[str] | None = None,
-                      steps: int | None = None,
-                      stats: SweepStats | None = None
-                      ) -> dict[str, np.ndarray]:
-    """All probes' gradients from one monolithic trace and one sweep.
-
-    Batched counterpart of ``bench.traced_restart`` + ``backward``: the
-    states in ``states`` (base state first, perturbed probes after) are
-    stacked along a leading probe axis, the remaining computation is traced
-    once, and a single reverse sweep returns, for every watched key, the
-    stacked gradient array of shape ``(len(states),) + entry_shape`` --
-    slice ``[p]`` is bitwise what a separate sweep over ``states[p]`` would
-    produce for every primitive whose batched numpy kernel matches its
-    unbatched one (all elementwise operations; the NPB kernels' matmul
-    shapes are pinned equivalent by ``tests/ad/test_probes.py``).
-
-    Parameters
-    ----------
-    bench:
-        Benchmark exposing ``traced_restart_probes`` (see
-        :class:`repro.npb.base.NPBBenchmark`).
-    states:
-        One concrete state dict per probe; unwatched entries are taken from
-        ``states[0]``.
-    watch:
-        State keys to differentiate; defaults to the benchmark's default
-        watch list.
-    steps:
-        Remaining iterations to analyse (``None`` = the state's default).
-    stats:
-        Optional :class:`~repro.ad.segmented.SweepStats` observing the tape.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one probe state")
-    _require_hooks(bench, ("traced_restart_probes",), batched=True)
-    tape, leaves, out = bench.traced_restart_probes(states, watch=watch,
-                                                    steps=steps)
-    if stats is not None:
-        stats.observe(tape)
-    keys = list(leaves)
-    grads = backward(tape, out, [leaves[key] for key in keys], strict=False)
-    # same dtype contract as the segmented sweeps: report each gradient in
-    # its state entry's declared floating dtype
-    return {key: cast_gradient(g, gradient_dtype(states[0][key]))
-            for key, g in zip(keys, grads)}
-
-
 def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
                                 watch: Sequence[str] | None = None,
                                 steps: int | None = None,
                                 stats: SweepStats | None = None,
                                 trace_cache: str = DEFAULT_TRACE_CACHE,
-                                plan_cache: PlanCache | None = None
+                                plan_cache: PlanCache | None = None,
+                                tail: int | None = 0
                                 ) -> dict[str, np.ndarray]:
     """All probes' gradients, one *batched* iteration tape at a time.
 
     Batched counterpart of :func:`repro.ad.segmented.segmented_gradients`,
-    run by the same segmented driver: the concrete forward runs per probe
-    (one snapshot store each), each boundary is stacked along the probe
-    axis on fetch, and each segment is traced (or plan-replayed) once with
-    batched cotangents, so peak tape memory stays one (batched) iteration
-    whatever the probe count.  The probe-tracing hooks are required even
-    for a single state (else :class:`ProbeBatchingError`).  Parameters
-    mirror ``segmented_gradients`` (no ``plan_optimize``); gradients are
-    bitwise-identical under either ``trace_cache``.
+    run by the same driver: the concrete forward runs per probe (one
+    snapshot store each), each boundary is stacked along the probe axis on
+    fetch, and each segment is traced (or plan-replayed) once with batched
+    cotangents, so peak tape memory stays one (batched) iteration whatever
+    the probe count.  ``tail=None`` traces the whole remaining run of the
+    stacked states on one tape instead (the monolithic sweep).  The
+    probe-tracing hooks are required even for a single state (else
+    :class:`ProbeBatchingError`).  Parameters mirror
+    ``segmented_gradients`` (no ``plan_optimize``); gradients are
+    bitwise-identical under either ``trace_cache`` and every ``tail``, and
+    slice ``[p]`` is bitwise what a separate sweep over ``states[p]``
+    gives (``tests/ad/test_probes.py``).
 
     Returns a dict mapping each watched key to its stacked gradient array of
     shape ``(len(states),) + entry_shape`` in the entry's declared floating
@@ -212,6 +165,6 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
     if not states:
         raise ValueError("need at least one probe state")
     watch, base, cotangents = _segmented_sweep(
-        bench, states, watch, steps, stats, trace_cache, plan_cache, None,
-        _GRADIENTS, n_probes=len(states))
+        bench, states, watch, steps, tail, stats, trace_cache, plan_cache,
+        None, _GRADIENTS, n_probes=len(states))
     return _declared_gradients(cotangents, watch, base, (len(states),))

@@ -1,28 +1,31 @@
 """Segmented reverse sweep: bound tape memory to a single iteration.
 
-The monolithic AD path (:meth:`repro.npb.base.NPBBenchmark.traced_restart` +
-:func:`repro.ad.reverse.backward`) records every primitive of *all* remaining
-main-loop iterations on one tape before sweeping it, so peak tape memory
-grows linearly with the number of remaining steps.  That linear growth is
-what caps the analysable problem sizes.
+Tracing every primitive of *all* remaining main-loop iterations on one tape
+(:meth:`repro.npb.base.NPBBenchmark.traced_restart` +
+:func:`repro.ad.reverse.backward`) makes peak tape memory grow linearly
+with the number of remaining steps.  That linear growth is what caps the
+analysable problem sizes.
 
 This module implements the standard fix -- checkpointing the reverse sweep at
 iteration granularity (Griewank's *revolve* idea, at its simplest schedule):
 
-1. run the remaining iterations **forward on concrete numpy state**, keeping
-   the (cheap) state snapshot at every iteration boundary;
-2. trace only the final output reduction and sweep it, producing the
-   cotangent of every state entry of the last boundary;
+1. run the first ``steps - tail`` iterations **forward on concrete numpy
+   state**, keeping the (cheap) state snapshot at every iteration boundary;
+2. trace the output segment -- the last ``tail`` iterations together with
+   the final output reduction (``traced_restart(..., steps=tail)``) -- and
+   sweep it, producing the cotangent of every state entry of its boundary;
 3. walk the boundaries backwards: re-trace *one* iteration, seed the traced
    next-state entries with the chained cotangents
    (:func:`chain_cotangents`), sweep, and free the tape before tracing the
    previous iteration.
 
-Peak tape memory is therefore O(1 iteration) instead of O(remaining steps).
-The boundary snapshots themselves are held by a
-:class:`repro.ad.schedule.SnapshotSchedule`, which keeps every boundary in
-memory (O(steps x state) -- for the NPB kernels one state is smaller
-than one iteration's tape).
+With ``tail = 0`` (the segmented sweep) peak tape memory is O(1 iteration)
+instead of O(remaining steps).  With ``tail = steps`` (the monolithic
+sweep) the output segment is the whole run: nothing runs forward
+concretely, no step is walked back and one tape is swept.  The boundary
+snapshots are held by a :class:`repro.ad.schedule.SnapshotSchedule`, which
+keeps every boundary in memory (O(steps x state) -- for the NPB kernels one
+state is smaller than one iteration's tape).
 
 One driver, three sweeps
 ------------------------
@@ -31,15 +34,15 @@ That walk is written once, in the private ``_segmented_sweep`` driver;
 :func:`repro.ad.probes.segmented_batched_gradients` (one schedule per
 probe, boundaries stacked along a leading probe axis) and
 :func:`repro.ad.activity.segmented_read_masks` are short entry points over
-it.  A sweep kind is a small ``_Walk``: how the output segment seeds the
-carry, how a traced step chains it (:func:`chain_cotangents` here,
-:func:`~repro.ad.activity.chain_step_masks` for read/moved masks) and how
-a compiled step replays it.
+it, and each takes ``tail``.  A sweep kind is a small ``_Walk``: how the
+output segment seeds the carry, how a traced step chains it
+(:func:`chain_cotangents` here, :func:`~repro.ad.activity.chain_step_masks`
+for read/moved masks) and how a compiled step replays it.
 
 Bitwise equivalence
 -------------------
-The chained sweep reproduces the monolithic gradients **bit for bit**, not
-just approximately:
+Every ``tail`` gives the same gradients **bit for bit**, not just
+approximately:
 
 * the concrete forward values at every boundary equal the traced forward
   values (the ops compute with the same numpy calls either way);
@@ -49,16 +52,18 @@ just approximately:
   exactly the order in which the segmented sweep applies them: the chained
   seed first, then the segment's own contributions;
 * seeds are injected by buffer copy and in-place addition, the same float
-  operations the monolithic sweep performs.
+  operations a single tape's sweep performs.
 
 ``tests/ad/test_segmented.py`` pins the bitwise identity of both the
-gradients and the criticality masks for all eight NPB ports.
+gradients and the criticality masks for all eight NPB ports, at
+``tail = 0``, ``steps // 2`` and ``steps``.
 
-Every floating-point entry of the state dict is chained across segment
-boundaries -- not only the keys the caller asked for -- because a dependence
+Across a segment boundary every floating-point entry of the state dict is
+chained -- not only the keys the caller asked for -- because a dependence
 may flow through an auxiliary float entry (e.g. LU's recomputed ``rho_i``)
 even when that entry itself is not under analysis.  Integer entries advance
-concretely, exactly as in the monolithic trace.
+concretely, exactly as on one tape.  A one-segment walk has no boundary to
+chain across, so it watches only the requested keys.
 """
 
 from __future__ import annotations
@@ -321,14 +326,29 @@ def _require_hooks(bench, hooks: Sequence[str], batched: bool) -> None:
             continue
         missing = (f"benchmark {getattr(bench, 'name', bench)!r} does not "
                    f"expose {hook}()")
-        if not batched:
-            raise TypeError(
-                f"{missing}; the segmented sweep needs the per-iteration "
-                f"tracing API (use sweep='monolithic')")
-        from .probes import ProbeBatchingError
-        raise ProbeBatchingError(
-            f"{missing}; the batched probe sweep needs the probe-tracing "
-            f"API (CriticalityAnalyzer falls back to one sweep per probe)")
+        if batched:
+            from .probes import ProbeBatchingError
+            raise ProbeBatchingError(
+                f"{missing}; the batched probe sweep needs the probe-tracing "
+                f"API (CriticalityAnalyzer falls back to one sweep per "
+                f"probe)")
+        if hook == "traced_restart":
+            raise TypeError(f"{missing}; every sweep traces its output "
+                            f"segment with it")
+        raise TypeError(
+            f"{missing}; a sweep over per-iteration segments needs the "
+            f"per-iteration tracing API (use sweep='monolithic')")
+
+
+def _check_tail(tail: Any, steps: int) -> int:
+    """The iterations the output segment traces: ``None`` means all."""
+    if tail is None:
+        return steps
+    if isinstance(tail, bool) or not isinstance(tail, numbers.Integral) \
+            or not 0 <= tail <= steps:
+        raise ValueError(f"tail must be an integer in [0, steps={steps}], "
+                         f"got {tail!r}")
+    return int(tail)
 
 
 class _Walk(NamedTuple):
@@ -363,33 +383,20 @@ _GRADIENTS = _Walk(_seed_cotangents, chain_cotangents,
 
 
 def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
-                     watch: Sequence[str] | None, steps: Any,
+                     watch: Sequence[str] | None, steps: Any, tail: Any,
                      stats: SweepStats | None, trace_cache: str,
                      plan_cache: PlanCache | None, plan_optimize: str | None,
                      walk: _Walk, n_probes: int | None = None
                      ) -> tuple[list[str], dict[str, Any], dict[str, Any]]:
-    """The segmented walk (module docs) behind every segmented sweep.
+    """The segmented walk (module docs) behind every sweep.
 
     ``states`` holds one state per probe, base first.  ``n_probes=None``
     sweeps ``states[0]`` through the plain hooks; an integer sweeps through
-    the ``*_probes`` hooks with boundaries stacked along a probe axis.
-    Returns the resolved watch list, the base state and boundary 0's carry.
+    the ``*_probes`` hooks with boundaries stacked along a probe axis.  The
+    output segment traces the last ``tail`` iterations (``None``: all of
+    them, one segment).  Returns the resolved watch list, the base state
+    and boundary 0's carry.
     """
-    if n_probes is None:
-        _require_hooks(bench, ("traced_step", "traced_output", "run"),
-                       batched=False)
-        trace_output, trace_step = bench.traced_output, bench.traced_step
-    else:
-        from .probes import stack_states
-        _require_hooks(bench, ("traced_step_probes", "traced_output_probes",
-                               "run"), batched=True)
-
-        def trace_output(state, watch):
-            return bench.traced_output_probes(state, n_probes, watch=watch)
-
-        def trace_step(state, watch):
-            return bench.traced_step_probes(state, n_probes, watch=watch)
-
     states = [{key: value_of(value) for key, value in state.items()}
               for state in states]
     base = states[0]
@@ -403,22 +410,38 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
             raise KeyError(f"cannot watch unknown state entry {key!r}")
 
     steps = _check_steps(bench, base, steps)
+    tail = _check_tail(tail, steps)
     if trace_cache not in TRACE_CACHES:
         raise ValueError(f"unknown trace_cache {trace_cache!r}; "
                          f"choose from {TRACE_CACHES}")
+    # the iterations run concretely and walked back one tape at a time
+    head = steps - tail
 
-    # chain every float entry, not just the requested keys (see module docs)
-    chain = float_state_keys(base)
+    if n_probes is None:
+        restart_hook, step_hook, probe = "traced_restart", "traced_step", ()
+    else:
+        from .probes import stack_states
+        restart_hook, step_hook, probe = ("traced_restart_probes",
+                                          "traced_step_probes", (n_probes,))
+    _require_hooks(bench, ((step_hook, "run") if head else ())
+                   + (restart_hook,), batched=n_probes is not None)
+
+    def trace_step(state, watch):
+        return getattr(bench, step_hook)(state, *probe, watch=watch)
+
+    # across a boundary chain every float entry, not just the requested
+    # keys (see module docs); one segment has no boundary to chain across
+    chain = float_state_keys(base) if head else watch
 
     planner = cache = plan_base = None
-    if trace_cache == "plan":
+    if trace_cache == "plan" and head:
         cache = plan_cache if plan_cache is not None else PlanCache(
             DEFAULT_PLAN_OPTIMIZE if plan_optimize is None else plan_optimize)
         plan_base = cache.counters()
         planner = cache.planner(bench, chain, n_probes, trace_step)
 
     # one schedule per probe; a batched boundary is stacked on fetch
-    schedules = [make_schedule(steps) for _ in states]
+    schedules = [make_schedule(head) for _ in states]
 
     def boundary(k: int) -> dict[str, Any]:
         per_probe = [schedule.fetch(k) for schedule in schedules]
@@ -434,20 +457,21 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
         for schedule, state in zip(schedules, states):
             current = snapshot_state(state)
             schedule.record(0, current)
-            for t in range(1, steps + 1):
+            for t in range(1, head + 1):
                 current = bench.run(current, 1)
                 schedule.record(t, current)
             del current
 
-        # -- output segment: trace only the final reduction ---------------
-        tape, leaves, out = trace_output(boundary(steps), watch=chain)
+        # -- output segment: the last ``tail`` iterations and the output --
+        tape, leaves, out = getattr(bench, restart_hook)(
+            boundary(head), *probe, watch=chain, steps=tail)
         if stats is not None:
             stats.observe(tape)
         carry = walk.seed(tape, leaves, out, chain)
         del tape, leaves, out
 
         # -- reverse walk: one iteration's tape (or plan replay) at a time -
-        for k in range(steps - 1, -1, -1):
+        for k in range(head - 1, -1, -1):
             state = boundary(k)
             if planner is not None:
                 carry = planner.step(state, carry, walk, stats=stats)
@@ -461,7 +485,7 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
 
         if stats is not None and walk.observe is not None:
             replays = 0 if cache is None else cache.hits - plan_base["hits"]
-            walk.observe(stats, steps + 1, replays, carry)
+            walk.observe(stats, head + 1, replays, carry)
     finally:
         if stats is not None:
             stats.observe_schedule(*schedules)
@@ -479,34 +503,35 @@ def segmented_gradients(bench, state: Mapping[str, Any],
                         stats: SweepStats | None = None,
                         trace_cache: str = DEFAULT_TRACE_CACHE,
                         plan_cache: PlanCache | None = None,
-                        plan_optimize: str | None = None
+                        plan_optimize: str | None = None,
+                        tail: int | None = 0
                         ) -> dict[str, np.ndarray]:
     """Gradients of the restart output w.r.t. ``watch``, one tape at a time.
 
-    Drop-in replacement for the monolithic ``traced_restart`` + ``backward``
-    pair: returns the derivative of the benchmark's scalar verification
-    output (after ``steps`` more iterations) with respect to every watched
-    entry of ``state``, but never materialises more than one iteration's
-    tape.
+    Returns the derivative of the benchmark's scalar verification output
+    (after ``steps`` more iterations) with respect to every watched entry
+    of ``state`` -- bitwise what ``traced_restart`` + ``backward`` give --
+    but by default never materialises more than one iteration's tape.
 
     Parameters
     ----------
     bench:
-        A benchmark exposing the per-iteration tracing API
-        (:meth:`~repro.npb.base.NPBBenchmark.traced_step` /
-        :meth:`~repro.npb.base.NPBBenchmark.traced_output`).
+        A benchmark exposing
+        :meth:`~repro.npb.base.NPBBenchmark.traced_restart` and, unless
+        ``tail`` covers every step, the per-iteration tracing API
+        (:meth:`~repro.npb.base.NPBBenchmark.traced_step` and ``run``).
     state:
         Concrete checkpoint state the analysis is based on.
     watch:
         State keys to return gradients for; defaults to the benchmark's
         default watch list (every float component of every checkpoint
-        variable).  Internally every float entry of the state dict is
-        chained regardless, so cross-iteration dependences through
-        unwatched auxiliaries are never severed.
+        variable).  Across a segment boundary every float entry of the
+        state dict is chained regardless, so cross-iteration dependences
+        through unwatched auxiliaries are never severed.
     steps:
         Remaining iterations to analyse; ``None`` derives them from the
-        state's step counter (the monolithic default).  An integer that
-        overruns the main loop raises ``ValueError``.
+        state's step counter.  An integer that overruns the main loop
+        raises ``ValueError``.
     stats:
         Optional :class:`SweepStats` collector observing every segment tape
         (and the snapshot store's telemetry).
@@ -522,6 +547,11 @@ def segmented_gradients(bench, state: Mapping[str, Any],
     plan_optimize:
         IR policy (:data:`repro.ad.passes.PLAN_OPTIMIZES`) of that private
         cache: ``"fuse"`` (default) or the unoptimised ``"off"`` oracle.
+    tail:
+        Trailing iterations the output segment traces on one tape together
+        with the output reduction: ``0`` (default) traces only the
+        reduction, ``None`` every step (the monolithic sweep: one tape, no
+        concrete forward, no plan).
 
     Returns
     -------
@@ -530,7 +560,7 @@ def segmented_gradients(bench, state: Mapping[str, Any],
     float32 gradients).
     """
     watch, base, cotangents = _segmented_sweep(
-        bench, [state], watch, steps, stats, trace_cache, plan_cache,
+        bench, [state], watch, steps, tail, stats, trace_cache, plan_cache,
         plan_optimize, _GRADIENTS)
     return _declared_gradients(cotangents, watch, base)
 

@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="problem class (S reproduces the paper, "
                              "T is a reduced size for quick runs, A is the "
                              "enlarged class unlocked by --sweep segmented; "
-                             "class A is registered for CG and FT -- larger "
-                             "arrays -- and EP and IS -- longer main loops)")
+                             "class A is registered for "
+                             + ", ".join(registry.registered("A")) + ")")
     parser.add_argument("--method", default="ad", choices=METHODS,
                         help="criticality analysis method: 'ad' is the "
                              "paper's reverse-mode sweep, 'activity' the "

@@ -207,6 +207,8 @@ def scrutinize(bench, step: int | None = None,
         Explicit checkpoint state; overrides ``step`` when given.
     method, n_probes, steps, sweep, probe_scale:
         Forwarded to :class:`~repro.core.criticality.CriticalityAnalyzer`;
+        both sweeps run one driver (:mod:`repro.ad.segmented`):
+        ``"monolithic"`` traces the whole remaining run on one tape, and
         ``sweep="segmented"`` bounds the AD tape memory to one main-loop
         iteration and replays compiled step plans (bitwise-identical
         masks, for the ``"ad"`` *and* ``"activity"`` methods), and

@@ -19,12 +19,13 @@ provided:
     critical when it is read directly from the checkpointed variable by any
     primitive.  Cheaper and derivative-free, but only an approximation of
     criticality (see :mod:`repro.ad.activity`); provided as the baseline the
-    ablation experiments compare the AD method against.  Honours the same
-    sweep machinery as ``"ad"``: ``sweep="segmented"`` chains per-iteration
-    read masks across boundaries (O(1-iteration) tape memory) and replays
-    step segments from compiled plan structure without tracing them --
-    bitwise-identical to the monolithic tape walk.  Value-independent, so
-    ``n_probes`` must stay 1 (probing cannot change a read set).
+    ablation experiments compare the AD method against.  Runs through the
+    same sweep driver as ``"ad"``: ``sweep="segmented"`` chains
+    per-iteration read masks across boundaries (O(1-iteration) tape
+    memory) and replays step segments from compiled plan structure without
+    tracing them -- bitwise-identical to the one-tape walk of
+    ``sweep="monolithic"``.  Value-independent, so ``n_probes`` must stay 1
+    (probing cannot change a read set).
 
 ``"rule"``
     Classify every element of every variable critical.  This is the
@@ -51,9 +52,10 @@ import numpy as np
 from repro.ad import activity as activity_mod
 from repro.ad import probes as probes_mod
 from repro.ad.plan import PlanCache
-from repro.ad.reverse import backward
-from repro.ad.segmented import (cast_gradient, gradient_dtype,
-                                segmented_gradients)
+# not called here since every sweep runs through the segmented driver; kept
+# at this name because perfbench/spans.py instruments it
+from repro.ad.reverse import backward  # noqa: F401
+from repro.ad.segmented import segmented_gradients
 from repro.ad.tensor import value_of
 from repro.core.masks import MaskSummary, combine_or, summarize_mask
 from repro.core.regions import Region, encode_mask
@@ -274,16 +276,17 @@ class CriticalityAnalyzer:
         every iteration left until the benchmark completes (the paper's
         setting: criticality with respect to the final output).
     sweep:
-        Reverse-sweep strategy of the AD and activity methods:
-        ``"monolithic"`` (one tape for the whole remaining computation, the
-        default) or ``"segmented"`` (:mod:`repro.ad.segmented` for "ad",
-        :func:`repro.ad.activity.segmented_read_masks` for "activity" --
-        one iteration's tape at a time, peak memory bounded by a single
-        iteration, bitwise-identical masks).  Ignored by the "rule"
-        method.  The only execution choice: the segmented sweep
-        always keeps every boundary snapshot and replays compiled plans
-        from one :class:`~repro.ad.plan.PlanCache` per :meth:`analyze`
-        call, lowered with the full ``"fuse"`` pass pipeline.
+        Reverse-sweep strategy of the AD and activity methods, both run by
+        the driver of :mod:`repro.ad.segmented`: ``"monolithic"`` (the
+        default) is its one-segment walk, one tape for the whole remaining
+        computation (``tail=None``); ``"segmented"`` traces only the
+        output reduction there (``tail=0``) and walks back one iteration's
+        tape at a time, peak memory bounded by a single iteration,
+        bitwise-identical masks.  Ignored by the "rule" method.  The only
+        execution choice: the segmented sweep always keeps every boundary
+        snapshot and replays compiled plans from one
+        :class:`~repro.ad.plan.PlanCache` per :meth:`analyze` call, lowered
+        with the full ``"fuse"`` pass pipeline.
 
     Multi-probe AD analyses always stack the probe states along a leading
     probe axis and run one traced forward plus one reverse sweep
@@ -304,6 +307,9 @@ class CriticalityAnalyzer:
         self.probe_scale = float(probe_scale)
         self.steps = steps
         self.sweep = sweep
+        # trailing iterations the sweep driver's output segment traces:
+        # every one (one tape) or none (one iteration's tape at a time)
+        self._tail = None if sweep == "monolithic" else 0
 
     # ------------------------------------------------------------------
     # public API
@@ -428,7 +434,7 @@ class CriticalityAnalyzer:
         # one replay-plan cache per analysis: every segmented sweep of this
         # analysis (all probes, batched or per-probe) shares the compiled
         # plans, which is where trace-once/replay-many pays off
-        plan_cache = PlanCache() if self.sweep == "segmented" else None
+        plan_cache = PlanCache()
 
         stacked = None
         if len(states) > 1:
@@ -471,20 +477,16 @@ class CriticalityAnalyzer:
         log event, not a warning; a kernel that *fails* mid-trace falls
         back with a :class:`RuntimeWarning` so the slowdown is explainable.
         """
-        hooks = ("traced_step_probes", "traced_output_probes") \
-            if self.sweep == "segmented" else ("traced_restart_probes",)
+        hooks = ("traced_restart_probes",) \
+            + (("traced_step_probes",) if self._tail == 0 else ())
         if not all(callable(getattr(bench, hook, None)) for hook in hooks):
             logger.info("benchmark %r has no probe-tracing API; running one "
                         "sweep per probe", getattr(bench, "name", bench))
             return None
         try:
-            if self.sweep == "segmented":
-                return probes_mod.segmented_batched_gradients(
-                    bench, states, watch=list(watch), steps=self.steps,
-                    plan_cache=plan_cache)
-            return probes_mod.batched_gradients(bench, states,
-                                                watch=list(watch),
-                                                steps=self.steps)
+            return probes_mod.segmented_batched_gradients(
+                bench, states, watch=list(watch), steps=self.steps,
+                plan_cache=plan_cache, tail=self._tail)
         except Exception as exc:  # noqa: BLE001 - any kernel may refuse to
             # broadcast over the probe axis; the per-probe path is always
             # available and produces identical masks.  Any error --
@@ -507,19 +509,9 @@ class CriticalityAnalyzer:
         tape; ``sweep="segmented"`` chains per-iteration tapes instead
         (bitwise-identical result, peak memory bounded by one iteration).
         """
-        if self.sweep == "segmented":
-            return segmented_gradients(bench, state, watch=list(watch),
-                                       steps=self.steps,
-                                       plan_cache=plan_cache)
-        tape, leaves, output = bench.traced_restart(state, watch=list(watch),
-                                                    steps=self.steps)
-        keys = list(leaves)
-        grads = backward(tape, output, [leaves[k] for k in keys],
-                         strict=False)
-        # same dtype contract as the segmented sweep: each gradient reports
-        # in its state entry's declared floating dtype, never upcast
-        return {key: cast_gradient(g, gradient_dtype(state[key]))
-                for key, g in zip(keys, grads)}
+        return segmented_gradients(bench, state, watch=list(watch),
+                                   steps=self.steps, plan_cache=plan_cache,
+                                   tail=self._tail)
 
     def _perturb_state(self, state: Mapping[str, Any],
                        watch: Sequence[str], probe: int,
@@ -552,23 +544,13 @@ class CriticalityAnalyzer:
                         variables: Sequence[CheckpointVariable]
                         ) -> dict[str, VariableCriticality]:
         watch = self._watched_keys(variables)
-        if self.sweep == "segmented":
-            # the same sweep machinery as _ad_masks: one iteration's tape
-            # (or compiled transfer) at a time, chained across boundaries;
-            # a fresh per-analysis plan cache keeps repeated analyses of
-            # one analyzer honest about what each call costs
-            activity = activity_mod.segmented_read_masks(
-                bench, state, watch=list(watch), steps=self.steps,
-                plan_cache=PlanCache())
-            key_masks = {key: activity[key].read for key in watch}
-        else:
-            tape, leaves, _output = bench.traced_restart(
-                state, watch=list(watch), steps=self.steps)
-            keys = list(leaves)
-            results_by_key = activity_mod.read_masks(
-                tape, [leaves[k] for k in keys])
-            key_masks = {key: res.read
-                         for key, res in zip(keys, results_by_key)}
+        # the same sweep driver as _ad_masks; a fresh per-analysis plan
+        # cache keeps repeated analyses of one analyzer honest about what
+        # each call costs
+        activity = activity_mod.segmented_read_masks(
+            bench, state, watch=list(watch), steps=self.steps,
+            plan_cache=PlanCache(), tail=self._tail)
+        key_masks = {key: activity[key].read for key in watch}
 
         results: dict[str, VariableCriticality] = {}
         for var in variables:

@@ -29,10 +29,12 @@ operate on the same representation.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from contextlib import nullcontext
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.ad.probes import probe_axis
 from repro.ad.schedule import snapshot_state
 from repro.ad.tape import Tape
 from repro.ad.tensor import ADArray, value_of
@@ -231,7 +233,9 @@ class NPBBenchmark:
             never watched -- the criticality rules handle them.
         steps:
             Number of remaining iterations to trace; ``None`` means all
-            remaining iterations per the state's step counter.
+            remaining iterations per the state's step counter, ``0`` only
+            the output reduction (the output segment of the segmented
+            sweep, :mod:`repro.ad.segmented`).
 
         Returns
         -------
@@ -242,11 +246,8 @@ class NPBBenchmark:
         output:
             The traced scalar output.
         """
-        state = concrete_state(state)
-        traced_state, leaves, tape = self._watched_trace_state(state, watch)
-        with tape:
-            out = self.restart_output(traced_state, steps=steps)
-        return tape, leaves, out
+        return self._traced(
+            state, watch, lambda traced: self.restart_output(traced, steps))
 
     def default_watch_keys(self) -> list[str]:
         """State keys watched by default: every floating point component."""
@@ -275,6 +276,18 @@ class NPBBenchmark:
                 traced_state[key] = leaves[key]
         return traced_state, leaves, tape
 
+    def _traced(self, state: Mapping[str, Any], watch: Sequence[str] | None,
+                body: Callable[[dict[str, Any]], Any],
+                n_probes: int | None = None):
+        """``(tape, leaves, body(traced state))`` of one fresh trace, under
+        a probe axis of ``n_probes`` when given (:mod:`repro.ad.probes`)."""
+        state = concrete_state(state)
+        traced_state, leaves, tape = self._watched_trace_state(state, watch)
+        with tape, (nullcontext() if n_probes is None
+                    else probe_axis(n_probes)):
+            result = body(traced_state)
+        return tape, leaves, result
+
     def traced_step(self, state: Mapping[str, Any],
                     watch: Sequence[str] | None = None):
         """Trace exactly **one** main-loop iteration from ``state``.
@@ -294,25 +307,7 @@ class NPBBenchmark:
             The state dict after the iteration; watched entries that depend
             on the inputs are traced ``ADArray`` values on ``tape``.
         """
-        state = concrete_state(state)
-        traced_state, leaves, tape = self._watched_trace_state(state, watch)
-        with tape:
-            next_state = self._advance(traced_state)
-        return tape, leaves, next_state
-
-    def traced_output(self, state: Mapping[str, Any],
-                      watch: Sequence[str] | None = None):
-        """Trace only the output (verification) reduction from ``state``.
-
-        The final segment of the segmented reverse sweep: no main-loop
-        iteration is traced, just the reduction of ``state`` to the scalar
-        verification output.  Returns ``(tape, leaves, output)``.
-        """
-        state = concrete_state(state)
-        traced_state, leaves, tape = self._watched_trace_state(state, watch)
-        with tape:
-            out = self.output(traced_state)
-        return tape, leaves, out
+        return self._traced(state, watch, self._advance)
 
     def plan_structure_token(self, state: Mapping[str, Any]):
         """Discriminator for state-dependent traced structure (plan cache).
@@ -332,65 +327,34 @@ class NPBBenchmark:
     # ------------------------------------------------------------------
     # batched multi-probe AD entry points (see repro.ad.probes)
     # ------------------------------------------------------------------
-    def traced_restart_probes(self, states: Sequence[Mapping[str, Any]],
+    def traced_restart_probes(self, stacked_state: Mapping[str, Any],
+                              n_probes: int,
                               watch: Sequence[str] | None = None,
                               steps: int | None = None):
-        """Trace the restart computation of several probe states at once.
+        """Trace the restart computation of an already-stacked probe state.
 
-        The watched entries of every state in ``states`` are stacked along a
-        leading probe axis and traced in **one** forward run under the
-        probe-batched semantics of :mod:`repro.ad.ops`; unwatched entries
-        are shared from ``states[0]`` (exactly what the per-probe path
-        does, since probing only perturbs watched keys).  Returns ``(tape,
-        leaves, output)`` where every leaf and the output carry the probe
-        axis.
+        ``stacked_state`` carries ``(n_probes,) + shape`` arrays for every
+        watched entry (see :func:`repro.ad.probes.stack_states`); the
+        remaining computation runs **once** under the probe-batched
+        semantics of :mod:`repro.ad.ops`.  Returns ``(tape, leaves,
+        output)`` exactly like :meth:`traced_restart`, where every leaf and
+        the output carry the probe axis; ``steps=0`` traces only the
+        output reduction.
         """
-        from repro.ad.probes import probe_axis, stack_states
-
-        states = [concrete_state(s) for s in states]
-        if watch is None:
-            watch = self.default_watch_keys()
-        stacked = stack_states(states, list(watch))
-        traced_state, leaves, tape = self._watched_trace_state(stacked, watch)
-        with tape, probe_axis(len(states)):
-            out = self.restart_output(traced_state, steps=steps)
-        return tape, leaves, out
+        return self._traced(
+            stacked_state, watch,
+            lambda traced: self.restart_output(traced, steps), n_probes)
 
     def traced_step_probes(self, stacked_state: Mapping[str, Any],
                            n_probes: int,
                            watch: Sequence[str] | None = None):
         """Trace one iteration of an already-stacked probe state.
 
-        ``stacked_state`` carries ``(n_probes,) + shape`` arrays for every
-        watched entry (see :func:`repro.ad.probes.stack_states`); this is
-        the per-segment building block of the batched segmented sweep.
+        The per-segment building block of the batched segmented sweep.
         Returns ``(tape, leaves, next_state)`` exactly like
         :meth:`traced_step`, with the probe axis threaded through.
         """
-        from repro.ad.probes import probe_axis
-
-        state = concrete_state(stacked_state)
-        traced_state, leaves, tape = self._watched_trace_state(state, watch)
-        with tape, probe_axis(n_probes):
-            next_state = self._advance(traced_state)
-        return tape, leaves, next_state
-
-    def traced_output_probes(self, stacked_state: Mapping[str, Any],
-                             n_probes: int,
-                             watch: Sequence[str] | None = None):
-        """Trace only the output reduction of an already-stacked probe state.
-
-        Batched counterpart of :meth:`traced_output`; the traced output is a
-        ``(n_probes,)`` array holding every probe's scalar verification
-        value.
-        """
-        from repro.ad.probes import probe_axis
-
-        state = concrete_state(stacked_state)
-        traced_state, leaves, tape = self._watched_trace_state(state, watch)
-        with tape, probe_axis(n_probes):
-            out = self.output(traced_state)
-        return tape, leaves, out
+        return self._traced(stacked_state, watch, self._advance, n_probes)
 
     # ------------------------------------------------------------------
     # misc

@@ -52,20 +52,14 @@ DRIFT_TOLERANCE = 1.0e-13
 def registered_keys() -> list[tuple[str, str]]:
     """Every (port, class) whose ``verify`` reads this table."""
     from .base import NPBBenchmark
-    from .registry import BENCHMARKS
+    from .registry import BENCHMARKS, registered
 
-    keys = []
-    for name, port in BENCHMARKS.items():
-        if port.verification_quantities is \
-                NPBBenchmark.verification_quantities:
-            continue
-        for problem_class in CLASSES:
-            try:
-                params_for(name, problem_class)
-            except KeyError:
-                continue
-            keys.append((name, problem_class))
-    return keys
+    ports = {problem_class: registered(problem_class)
+             for problem_class in CLASSES}
+    return [(name, problem_class) for name, port in BENCHMARKS.items()
+            if port.verification_quantities
+            is not NPBBenchmark.verification_quantities
+            for problem_class in CLASSES if name in ports[problem_class]]
 
 
 def recorded_values(bench) -> tuple[Mapping[str, Any], str]:

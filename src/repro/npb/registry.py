@@ -21,6 +21,7 @@ from .ft import FT
 from .is_ import IS
 from .lu import LU
 from .mg import MG
+from .params import params_for
 from .sp import SP
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "available_benchmarks",
     "create",
     "iter_benchmarks",
+    "registered",
     "table1_rows",
 ]
 
@@ -62,6 +64,18 @@ class BenchmarkEntry:
 def available_benchmarks() -> tuple[str, ...]:
     """Names of all ported benchmarks, in Table I order."""
     return tuple(BENCHMARKS)
+
+
+def registered(problem_class: str) -> tuple[str, ...]:
+    """Ports with parameters registered for ``problem_class``, Table I order."""
+    names = []
+    for name in BENCHMARKS:
+        try:
+            params_for(name, problem_class)
+        except KeyError:
+            continue
+        names.append(name)
+    return tuple(names)
 
 
 def create(name: str, problem_class: str = "S") -> NPBBenchmark:

@@ -237,21 +237,20 @@ class _MiniBench:
             nxt = self._advance(traced)
         return tape, leaves, nxt
 
-    def traced_output(self, state, watch=None):
+    def traced_restart(self, state, watch=None, steps=None):
+        if steps is None:
+            steps = self._default_remaining_steps(state)
         traced, leaves, tape = self._watched(state,
                                              watch or self.default_watch_keys())
         with tape:
+            for _ in range(steps):
+                traced = self._advance(traced)
             out = self.output(traced)
         return tape, leaves, out
 
     def monolithic_masks(self, state, watch):
         """The reference: one tape over all remaining iterations."""
-        steps = self._default_remaining_steps(state)
-        traced, leaves, tape = self._watched(state, watch)
-        with tape:
-            for _ in range(steps):
-                traced = self._advance(traced)
-            self.output(traced)
+        tape, leaves, _out = self.traced_restart(state, watch)
         results = act.read_masks(tape, [leaves[key] for key in watch])
         return {key: res for key, res in zip(watch, results)}
 
@@ -358,33 +357,3 @@ def test_identity_pass_through_accumulates_across_segments():
     assert mono["x"].read.all()
     for key in ("x", "y"):
         _assert_masks_equal(mono[key], seg[key], f"passthrough[{key}]")
-
-
-# ---------------------------------------------------------------------------
-# argument validation
-# ---------------------------------------------------------------------------
-
-class TestSegmentedActivityValidation:
-    def test_missing_tracing_api_raises(self):
-        class NoHooks:
-            name = "NOHOOKS"
-
-        with pytest.raises(TypeError, match="traced_step"):
-            act.segmented_read_masks(NoHooks(), {"x": np.ones(3)})
-
-    def test_unknown_watch_key_raises(self):
-        bench = _ComplementBench()
-        with pytest.raises(KeyError, match="unknown state entry"):
-            act.segmented_read_masks(bench, bench.initial_state(),
-                                     watch=["nope"])
-
-    def test_negative_steps_raises(self):
-        bench = _ComplementBench()
-        with pytest.raises(ValueError, match="non-negative"):
-            act.segmented_read_masks(bench, bench.initial_state(), steps=-1)
-
-    def test_unknown_trace_cache_raises(self):
-        bench = _ComplementBench()
-        with pytest.raises(ValueError, match="trace_cache"):
-            act.segmented_read_masks(bench, bench.initial_state(),
-                                     trace_cache="sometimes")

@@ -232,14 +232,18 @@ class _FFTBench:
     def traced_step(self, state, watch=None):
         return self._traced(state, watch, self._advance)
 
-    def traced_output(self, state, watch=None):
-        return self._traced(state, watch, self.output)
+    def traced_restart(self, state, watch=None, steps=0):
+        return self._traced(state, watch, self._restart_output(steps))
 
     def traced_step_probes(self, state, n_probes, watch=None):
         return self._traced(state, watch, self._advance, n_probes)
 
-    def traced_output_probes(self, state, n_probes, watch=None):
-        return self._traced(state, watch, self.output, n_probes)
+    def traced_restart_probes(self, state, n_probes, watch=None, steps=0):
+        return self._traced(state, watch, self._restart_output(steps),
+                            n_probes)
+
+    def _restart_output(self, steps):
+        return lambda state: self.output(self.run(state, steps))
 
 
 class TestPlanReplay:

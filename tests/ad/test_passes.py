@@ -112,10 +112,10 @@ class _ChainBench:
             nxt = self._advance(traced)
         return tape, leaves, nxt
 
-    def traced_output(self, state, watch=None):
+    def traced_restart(self, state, watch=None, steps=0):
         traced, leaves, tape = self._watched(state, watch or ["x"])
         with tape:
-            out = self.output(traced)
+            out = self.output(self.run(traced, steps))
         return tape, leaves, out
 
 

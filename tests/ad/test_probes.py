@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
-from repro.ad.probes import (ProbeBatchingError, batched_gradients,
-                             probe_axis, probe_axis_size,
-                             segmented_batched_gradients, stack_states)
+from repro.ad.probes import (ProbeBatchingError, probe_axis,
+                             probe_axis_size, segmented_batched_gradients,
+                             stack_states)
 from repro.ad.reverse import backward
 from repro.ad.segmented import SweepStats, segmented_gradients
 from repro.ad.tape import Tape
@@ -301,7 +301,9 @@ def test_batched_gradients_bitwise_equal_per_probe(name):
         pytest.skip(f"{name} has no floating point checkpoint variables")
     states = _probe_states(bench, watch, n_probes=3)
     per = _per_probe_monolithic(bench, states, watch)
-    stacked = batched_gradients(bench, states, watch=watch)
+    # tail=None: one output segment traces the whole stacked run
+    stacked = segmented_batched_gradients(bench, states, watch=watch,
+                                          tail=None)
     for key in watch:
         assert stacked[key].shape == (3,) + np.shape(states[0][key])
         for p in range(3):
@@ -334,17 +336,6 @@ def test_segmented_batched_peak_tape_is_one_batched_iteration():
     # one tape per iteration plus the output segment, regardless of probes
     assert stats.n_segments == steps + 1
     assert stats.peak_nodes * steps <= stats.total_nodes * 2
-
-
-def test_batched_requires_probe_tracing_api():
-    class Opaque:
-        name = "OPAQUE"
-
-    with pytest.raises(ProbeBatchingError):
-        batched_gradients(Opaque(), [{"x": np.ones(2)}], watch=["x"])
-    with pytest.raises(ProbeBatchingError):
-        segmented_batched_gradients(Opaque(), [{"x": np.ones(2)}],
-                                    watch=["x"])
 
 
 # ---------------------------------------------------------------------------

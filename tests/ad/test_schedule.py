@@ -100,12 +100,6 @@ class SquareMapBench:
             nxt["it"] = int(value_of(state["it"])) + 1
         return tape, leaves, nxt
 
-    def traced_output(self, state, watch=None):
-        tape, leaves, traced = self._watched(state, watch)
-        with tape:
-            out = ops.sum(traced["x"])
-        return tape, leaves, out
-
     def traced_restart(self, state, watch=None, steps=None):
         tape, leaves, traced = self._watched(state, watch)
         if steps is None:
@@ -211,7 +205,7 @@ class TestGradientDtype:
         # steps=0 with an output that never touches the watched input:
         # the zero-cotangent fallback path must also preserve dtype
         class ConstantOutput(SquareMapBench):
-            def traced_output(self, state, watch=None):
+            def traced_restart(self, state, watch=None, steps=None):
                 tape, leaves, _traced = self._watched(state, watch)
                 return tape, leaves, np.float64(3.0)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
-from repro.ad.activity import segmented_read_masks
+from repro.ad.activity import read_masks, segmented_read_masks
 from repro.ad.probes import ProbeBatchingError, segmented_batched_gradients
 from repro.ad.reverse import backward, backward_from_seeds
 from repro.ad.segmented import (SweepStats, float_state_keys,
@@ -28,6 +28,11 @@ def _monolithic_gradients(bench, state, watch):
     tape, leaves, out = bench.traced_restart(state, watch=list(watch))
     grads = backward(tape, out, [leaves[k] for k in watch], strict=False)
     return dict(zip(watch, grads)), len(tape)
+
+
+def _monolithic_masks(bench, state, watch):
+    tape, leaves, _out = bench.traced_restart(state, watch=list(watch))
+    return dict(zip(watch, read_masks(tape, [leaves[k] for k in watch])))
 
 
 def _assert_bitwise_equal(a, b, label):
@@ -86,15 +91,6 @@ def test_segmented_default_steps_follow_state_counter():
     segmented_gradients(bench, state, stats=stats)
     # 3 remaining iterations + the output segment
     assert stats.n_segments == 4
-
-
-def test_segmented_rejects_negative_steps_and_unknown_watch():
-    bench = registry.create("CG", "T")
-    state = bench.checkpoint_state(1)
-    with pytest.raises(ValueError):
-        segmented_gradients(bench, state, steps=-1)
-    with pytest.raises(KeyError, match="unknown state entry"):
-        segmented_gradients(bench, state, watch=["nope"])
 
 
 def _sweep(kind, bench, state, steps=None, probes=1, **kwargs):
@@ -201,45 +197,63 @@ def test_entry_points_validate_alike(kind, monkeypatch):
     """The three entry points share one driver, so they refuse the same
     arguments -- and every refusal comes before the first forward step."""
     probes = 2 if kind == "batched" else 1
+    hook = "_probes" if kind == "batched" else ""
+    refused = ProbeBatchingError if kind == "batched" else TypeError
 
     class NoHooks:
         name = "NOHOOKS"
 
+    # per-iteration segments need the step hook; the batched sweep needs
+    # the probe hooks even for a single state
+    for n in sorted({1, probes}):
+        with pytest.raises(refused, match=f"traced_step{hook}") as err:
+            _sweep(kind, NoHooks(), {"x": np.ones(3)}, probes=n)
     if kind == "batched":
-        with pytest.raises(ProbeBatchingError,
-                           match="traced_step_probes") as err:
-            _sweep(kind, NoHooks(), {"x": np.ones(3)}, probes=probes,
-                   watch=["x"])
         # the per-probe fallback is the analyzer's, not an option
         assert "CriticalityAnalyzer falls back to one sweep per probe" \
             in str(err.value)
         assert "probe_batching" not in str(err.value)
     else:
-        with pytest.raises(TypeError, match="traced_step") as err:
-            _sweep(kind, NoHooks(), {"x": np.ones(3)}, watch=["x"])
         assert "sweep='monolithic'" in str(err.value)
+    # one segment needs only the restart hook
+    with pytest.raises(refused, match=f"traced_restart{hook}"):
+        _sweep(kind, NoHooks(), {"x": np.ones(3)}, probes=probes,
+               tail=None)
+
+    class NoStepHook:
+        """CG without its per-iteration tracing hooks."""
+
+        def __init__(self, bench):
+            self._bench = bench
+
+        def __getattr__(self, name):
+            if name.startswith("traced_step"):
+                raise AttributeError(name)
+            return getattr(self._bench, name)
 
     bench = registry.create("CG", "T")
     state = bench.initial_state()     # 4 iterations remain
+    one_segment = _sweep(kind, NoStepHook(bench), state, probes=probes,
+                         watch=["x"], tail=None)
+    assert list(one_segment) == ["x"]
 
     def run(*args, **kwargs):  # pragma: no cover - must not be hit
         raise AssertionError("a forward step ran before the check")
 
     monkeypatch.setattr(bench, "run", run)
+    with pytest.raises(refused, match=f"traced_step{hook}"):
+        _sweep(kind, NoStepHook(bench), state, probes=probes)
     with pytest.raises(KeyError, match="unknown state entry"):
         _sweep(kind, bench, state, probes=probes, watch=["nope"])
     with pytest.raises(ValueError, match="unknown trace_cache"):
         _sweep(kind, bench, state, probes=probes, trace_cache="sometimes")
+    with pytest.raises(ValueError, match="non-negative"):
+        _sweep(kind, bench, state, -1, probes=probes)
     with pytest.raises(ValueError, match="overruns the main loop"):
         _sweep(kind, bench, state, 5, probes=probes)
-
-
-def test_segmented_requires_per_iteration_api():
-    class NotABenchmark:
-        name = "NOPE"
-
-    with pytest.raises(TypeError, match="traced_step"):
-        segmented_gradients(NotABenchmark(), {"x": np.ones(3)}, watch=["x"])
+    for tail in (-1, 5, 1.5, True):
+        with pytest.raises(ValueError, match="tail must be"):
+            _sweep(kind, bench, state, probes=probes, tail=tail)
 
 
 def test_float_state_keys_filters_integers():
@@ -276,6 +290,65 @@ def test_segmented_multi_probe_masks_identical():
     for var in mono.variables:
         assert np.array_equal(mono.variables[var].mask,
                               seg.variables[var].mask)
+
+
+# ---------------------------------------------------------------------------
+# a multi-iteration output segment chained into step segments
+# ---------------------------------------------------------------------------
+
+def _probe_states(bench, watch, n_probes):
+    """The step-0 state plus ``n_probes - 1`` perturbed copies."""
+    state = bench.checkpoint_state(0)
+    rng = np.random.default_rng(1234)
+    states = [state]
+    for _ in range(n_probes - 1):
+        probed = dict(state)
+        for key in watch:
+            base = np.asarray(state[key], dtype=np.float64)
+            probed[key] = base + 1.0e-3 * rng.standard_normal(base.shape)
+        states.append(probed)
+    return states
+
+
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_multi_iteration_output_segment_matches_one_tape(name):
+    """``tail = steps // 2``: the output segment traces several iterations
+    and hands its carry to per-iteration step segments -- the junction
+    neither ``tail=0`` nor ``tail=steps`` crosses.  Gradients (1 and 3
+    probes, all keys and the first key alone, whose dependences may cross
+    the junction through unwatched entries) and activity masks must equal
+    the one-tape oracles bitwise."""
+    bench = registry.create(name, "T")
+    watch = bench.default_watch_keys()
+    steps = bench.total_steps
+    tail = steps // 2
+    assert 0 < tail < steps
+
+    for n_probes, keys in ((1, watch), (1, watch[:1]), (3, watch)):
+        states = _probe_states(bench, watch, n_probes)
+        stats = SweepStats()
+        if n_probes == 1:
+            got = {key: grad[None] for key, grad in segmented_gradients(
+                bench, states[0], watch=keys, tail=tail,
+                stats=stats).items()}
+        else:
+            got = segmented_batched_gradients(bench, states, watch=keys,
+                                              tail=tail, stats=stats)
+        # the output segment plus one segment per untraced-tail iteration
+        assert stats.n_segments == steps - tail + 1
+        assert list(got) == list(keys)
+        for p, state in enumerate(states):
+            want, _ = _monolithic_gradients(bench, state, keys)
+            for key in keys:
+                _assert_bitwise_equal(want[key], got[key][p],
+                                      f"{name}[{key}] probe {p}/{n_probes}")
+
+    state = bench.checkpoint_state(0)
+    masks = segmented_read_masks(bench, state, watch=watch, tail=tail)
+    for key, want in _monolithic_masks(bench, state, watch).items():
+        assert np.array_equal(want.read, masks[key].read), f"{name}[{key}]"
+        assert np.array_equal(want.moved, masks[key].moved), \
+            f"{name}[{key}]"
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,13 @@ class TestAnalyzerConstruction:
         import repro.ad.probes as probes_mod
 
         calls = []
-        real = probes_mod.batched_gradients
+        real = probes_mod.segmented_batched_gradients
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(probes_mod, "batched_gradients", spy)
+        monkeypatch.setattr(probes_mod, "segmented_batched_gradients", spy)
         CriticalityAnalyzer(n_probes=3).analyze(registry.create("CG", "T"))
         assert calls == [1]          # one stacked sweep for all probes
 

@@ -65,14 +65,25 @@ class TestAnalyzerHonoursSweepKnobs:
         assert isinstance(calls[0]["plan_cache"], PlanCache)
 
     def test_monolithic_route_does_not_run_the_chained_sweep(self, monkeypatch):
+        """The monolithic sweep is the driver's one-segment walk: one
+        ``traced_restart`` tape, no step segment to chain."""
+        calls = []
+        original = activity_mod.segmented_read_masks
+
+        def spy(bench, state, **kwargs):
+            calls.append(kwargs)
+            return original(bench, state, **kwargs)
+
         def boom(*args, **kwargs):  # pragma: no cover - must not be hit
             raise AssertionError("monolithic activity used the chained sweep")
 
         monkeypatch.setattr(criticality_mod.activity_mod,
-                            "segmented_read_masks", boom)
-        result = CriticalityAnalyzer(method="activity").analyze(
-            registry.create("CG", "T"))
+                            "segmented_read_masks", spy)
+        bench = registry.create("CG", "T")
+        monkeypatch.setattr(bench, "traced_step", boom)
+        result = CriticalityAnalyzer(method="activity").analyze(bench)
         assert result
+        assert len(calls) == 1 and calls[0]["tail"] is None
 
     def test_activity_rejects_probes(self):
         with pytest.raises(ValueError, match="value-independent"):

@@ -35,6 +35,25 @@ class TestParser:
             ["--method", "activity", "table2"])
         assert args.method == "activity"
 
+    def test_class_help_names_every_class_a_port(self):
+        from repro.npb import registry
+        from repro.npb.params import params_for
+
+        def has_class_a(name):
+            try:
+                params_for(name, "A")
+            except KeyError:
+                return False
+            return True
+
+        ports = [name for name in registry.available_benchmarks()
+                 if has_class_a(name)]
+        assert {"CG", "FT", "MG", "SP", "EP", "IS"} <= set(ports)
+        help_text = " ".join(cli.build_parser().format_help().split())
+        named = help_text.split("class A is registered for ")[1]
+        named = named.split(")")[0].split(", ")
+        assert named == ports
+
     def test_fault_flags_parse(self):
         args = cli.build_parser().parse_args(
             ["--max-retries", "5", "--job-timeout", "30", "--workers", "2",
