@@ -14,8 +14,9 @@ Two regimes are pinned separately:
   amortises -- four probes must complete within **2x** the single-probe
   wall-clock (the per-probe loop pays ~4x);
 * **array-bound** (class S rows): the per-probe numpy work grows -- CG's
-  banded matvecs touch ``(2 * nonzer + 1) * NA`` entries per probe, FT's
-  spectral fields are 2 MB -- so four probes are up to four times the
+  banded matvecs touch ``(2 * nonzer + 1) * NA`` entries per probe, FT
+  scales two 2 MB spectral planes into a 4 MB complex transform buffer per
+  probe -- so four probes are up to four times the
   arithmetic no matter how they are scheduled.  Here the batched sweep
   must still *beat the loop it replaces* (on CG-S one trace and one
   banded kernel call per matvec serve all probes, ~1.6-1.9x faster than
@@ -50,9 +51,10 @@ except ImportError:  # run as a script from inside benchmarks/
 #: rounds); ``None`` skips the single-ratio cap where the single-probe
 #: baseline is too small and noisy to divide by reliably (FT-S: ~0.1-0.25 s
 #: run-to-run) -- the batched-vs-loop assertion still applies there.  FT-S
-#: batched and per-probe cost about the same (median per-round ratio ~1.04,
-#: single rounds 0.85-1.5 on a loaded 2-vCPU host), so its median needs 15
-#: rounds to stay clear of the 1.1 bound
+#: batched and per-probe cost about the same (median per-round ratio
+#: 0.99-1.01 with the sampled transform, 1.07-1.08 before it, on a 2-vCPU
+#: host; single rounds 0.85-1.5 under load), so its median needs 15 rounds
+#: to stay clear of the 1.1 bound
 MEASURED = (
     ("CG", "T", 2.0, 5),    # recording-bound: the batching premise, hard 2x
     ("FT", "T", 2.0, 5),

@@ -56,7 +56,7 @@ python -m pytest -q tests/ad/test_plan.py
 
 echo "== plan lowering: IR passes, fused-vs-unfused bitwise equivalence =="
 python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py \
-    tests/ad/test_banded.py tests/ad/test_ifftn.py
+    tests/ad/test_banded.py tests/ad/test_ifftn_sampled.py
 
 echo "== CLI smoke: segmented sweep, enlarged class A =="
 python -m repro.cli --class A --sweep segmented analyze CG >/dev/null

@@ -108,7 +108,7 @@ CONSUMING_OPS = frozenset({
     "mod", "negative", "absolute", "sqrt", "exp", "expm1", "log", "log1p",
     "sin", "cos", "tan", "tanh", "sign", "square", "reciprocal", "clip",
     "sum", "mean", "max", "min", "prod", "where",
-    "matmul", "banded_matvec", "ifftn_pair", "stack", "concatenate",
+    "matmul", "banded_matvec", "ifftn_sampled", "stack", "concatenate",
 })
 
 #: primitives that only move data around
@@ -138,7 +138,8 @@ INDEXING_OPS = frozenset({"getitem", "take"})
 SPEC_CONSUMING = frozenset({
     "ewbinary", "minmax", "unary", "negative",
     "sum", "mean", "redminmax", "prod", "where",
-    "matmul", "matmul_probe", "banded", "ifftn", "concat", "stack",
+    "matmul", "matmul_probe", "banded", "ifftn_sampled", "concat",
+    "stack",
 })
 
 #: spec kinds that only move data around

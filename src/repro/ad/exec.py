@@ -473,15 +473,14 @@ def _emit_banded(spec: tuple, node: Instr) -> Callable:
     return kernel
 
 
-def _emit_ifftn(spec: tuple, node: Instr) -> Callable:
-    _, k = spec
-    fft_pair = _ops_mod()._fft_pair
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (fft_pair(np.asarray(g), k, False),)
+def _emit_ifftn_sampled(spec: tuple, node: Instr) -> Callable:
+    _, traced, consts, scale, points, nb = spec
+    rule = _ops_mod()._ifftn_sampled_rule
 
     def kernel(vals: list) -> tuple:
-        return fft_pair(vals[0], k, True), vjp
+        it = iter(vals)
+        return rule([next(it) if t else c for t, c in zip(traced, consts)],
+                    traced, scale, points, nb)
 
     return kernel
 
@@ -743,7 +742,7 @@ _EMITTERS: dict[str, Callable] = {
     "matmul": _emit_matmul,
     "matmul_probe": _emit_matmul_probe,
     "banded": _emit_banded,
-    "ifftn": _emit_ifftn,
+    "ifftn_sampled": _emit_ifftn_sampled,
     "reshape": _emit_reshape,
     "transpose": _emit_transpose,
     "swapaxes": _emit_swapaxes,

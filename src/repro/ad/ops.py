@@ -52,7 +52,7 @@ __all__ = [
     "astype", "detach",
     # linear algebra
     "matmul", "dot", "outer", "banded_matvec", "dia_transpose",
-    "ifftn_pair",
+    "ifftn_sampled",
     # constructors / passthrough helpers
     "zeros", "ones", "full", "zeros_like", "ones_like", "arange", "linspace",
     "asarray", "array",
@@ -1574,63 +1574,123 @@ def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
 _FFT_BLOCK = 1 << 16
 
 
-def _fft_pair(z: np.ndarray, k: int, inverse: bool) -> np.ndarray:
-    """The complex DFT over the last ``k`` axes of stacked real/imaginary
-    pairs.
+def _ifftn_samples(re: np.ndarray, im: np.ndarray, scale: np.ndarray,
+                   points: tuple) -> np.ndarray:
+    """``(B, 2, n)`` samples at ``points`` of ``ifftn((re + i im) * scale)``.
 
-    The pair sits on axis ``-(k + 1)``; axes in front of it (a probe
-    axis) are batch axes, transformed in blocks of up to
-    :data:`_FFT_BLOCK` elements, in place in one complex buffer.  numpy
-    transforms every slice of a call independently, so each is computed
-    exactly as an unbatched call would.  ``inverse`` gives
-    ``numpy.fft.ifftn``; otherwise ``fftn(.) / N`` with ``N`` the grid
-    size, the adjoint of ``ifftn``.
+    ``re``/``im`` are ``(B, *grid)`` batches.  Each block of up to
+    :data:`_FFT_BLOCK` elements is scaled straight into the complex buffer,
+    transformed in place and sampled; numpy transforms every slice of a
+    call independently, so each is computed exactly as an unbatched call
+    would.
     """
-    z = np.asarray(z)
-    grid = z.shape[z.ndim - k:]
+    grid = re.shape[1:]
+    step = builtins.max(1, _FFT_BLOCK // math.prod(grid))
+    buf = np.empty((builtins.min(step, len(re)),) + grid,
+                   dtype=np.result_type(re, im, scale, np.complex64))
+    out = np.empty((len(re), 2, len(points[0])), dtype=buf.real.dtype)
+    axes = tuple(range(1, len(grid) + 1))
+    at = (slice(None),) + points
+    for start in range(0, len(re), step):
+        stop = builtins.min(start + step, len(re))
+        blk = buf[:stop - start]
+        np.multiply(re[start:stop], scale, out=blk.real)
+        np.multiply(im[start:stop], scale, out=blk.imag)
+        np.fft.ifftn(blk, axes=axes, out=blk)
+        out[start:stop, 0] = blk.real[at]
+        out[start:stop, 1] = blk.imag[at]
+    return out
+
+
+def _ifftn_samples_vjp(g: np.ndarray, scale: np.ndarray, points: tuple,
+                       grid: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoint of :func:`_ifftn_samples` for a ``(B, 2, n)`` cotangent.
+
+    Scatters ``g`` onto zeros at ``points`` (``0.0 + g``, as the gather's
+    own VJP would), applies ``fftn(.) / N`` with ``N`` the grid size and
+    multiplies by ``scale``: ``(B, *grid)`` cotangents of ``re`` and ``im``.
+    """
     size = math.prod(grid)
-    pairs = z.reshape((-1, 2) + grid)
     step = builtins.max(1, _FFT_BLOCK // size)
-    field = np.empty((builtins.min(step, len(pairs)),) + grid,
-                     dtype=np.result_type(z.dtype, np.complex64))
-    out = np.empty(pairs.shape, dtype=field.real.dtype)
-    transform = np.fft.ifftn if inverse else np.fft.fftn
-    axes = tuple(range(1, k + 1))
-    for start in range(0, len(pairs), step):
-        block = pairs[start:start + step]
-        buf = field[:len(block)]
-        buf.real = block[:, 0]
-        buf.imag = block[:, 1]
-        transform(buf, axes=axes, out=buf)
-        out[start:start + step, 0] = buf.real
-        out[start:start + step, 1] = buf.imag
-    if not inverse:
-        out /= size
-    return out.reshape(z.shape)
+    buf = np.zeros((builtins.min(step, len(g)),) + grid,
+                   dtype=np.result_type(g, np.float64, np.complex64))
+    dtype = np.result_type(buf.real.dtype, scale)
+    g_re = np.empty((len(g),) + grid, dtype=dtype)
+    g_im = np.empty((len(g),) + grid, dtype=dtype)
+    axes = tuple(range(1, len(grid) + 1))
+    at = (slice(None),) + points
+    for start in range(0, len(g), step):
+        stop = builtins.min(start + step, len(g))
+        blk = buf[:stop - start]
+        if start:
+            blk.fill(0)
+        np.add.at(blk.real, at, g[start:stop, 0])
+        np.add.at(blk.imag, at, g[start:stop, 1])
+        np.fft.fftn(blk, axes=axes, out=blk)
+        for part, dst in ((blk.real, g_re), (blk.imag, g_im)):
+            np.divide(part, size, out=dst[start:stop])
+            np.multiply(dst[start:stop], scale, out=dst[start:stop])
+    return g_re, g_im
 
 
-def ifftn_pair(z: Any) -> Any:
-    """Inverse DFT over every logical axis after axis 0 of a complex field.
+def ifftn_sampled(re: Any, im: Any, scale: Any, points: Sequence) -> Any:
+    """Samples of the inverse DFT of a scaled complex field.
 
-    The field is carried as a stacked pair: ``z[0]`` is the real part and
-    ``z[1]`` the imaginary part of a complex array of shape ``z.shape[1:]``;
-    the result is ``numpy.fft.ifftn`` of it in the same layout.  The map is
-    linear, so the VJP needs no forward operand: it applies the adjoint,
-    ``fftn(g[0] + 1j * g[1]) / N`` with ``N`` the grid size.  Under a probe
-    axis every slice is transformed bitwise as an unbatched call would.
+    Returns the ``(2, n)`` real and imaginary parts of
+    ``numpy.fft.ifftn((re + 1j * im) * scale)`` at the ``n`` grid points
+    ``points`` (one index array per axis), and never materialises the
+    transformed field beyond one work buffer.  ``scale`` is a constant
+    broadcast against the grid.  The map is linear, so the VJP keeps no
+    forward operand, only ``scale`` and ``points``: it scatters the
+    cotangent onto the sample points, applies the adjoint transform
+    ``fftn(.) / N`` with ``N`` the grid size and multiplies by ``scale``.
+    Under a probe axis every slice is computed bitwise as an unbatched call
+    would.
     """
-    shape = logical_shape(z)
-    if len(shape) < 2 or shape[0] != 2:
-        raise ValueError(f"ifftn_pair: expected a (2, *grid) real/imaginary "
-                         f"pair, got shape {shape}")
-    k = len(shape) - 1
-    out = _fft_pair(np.asarray(value_of(z)), k, True)
+    if _is_traced(scale):
+        raise TypeError("ifftn_sampled: the scale must be constant")
+    grid = logical_shape(re)
+    if logical_shape(im) != grid:
+        raise ValueError(f"ifftn_sampled: real part of shape {grid} and "
+                         f"imaginary part of shape {logical_shape(im)}")
+    points = tuple(np.asarray(p, dtype=np.intp) for p in points)
+    if not grid or len(points) != len(grid) \
+            or {p.shape for p in points} != {points[0].shape} \
+            or points[0].ndim != 1:
+        raise ValueError(f"ifftn_sampled: expected one 1-D index array of "
+                         f"equal length per axis of the grid {grid}")
+    scale = np.asarray(scale)
+    nb = _probe_batch(re, im)
+    traced = (_is_traced(re), _is_traced(im))
+    values = [value_of(re), value_of(im)]
+    out, vjp = _ifftn_sampled_rule(values, traced, scale, points, nb)
+    spec = ("ifftn_sampled", traced,
+            tuple(None if t else v for t, v in zip(traced, values)),
+            scale, points, nb) if _CAPTURE.capture is not None else None
+    return _record("ifftn_sampled", out, _traced_parents(re, im), vjp,
+                   spec=spec)
+
+
+def _ifftn_sampled_rule(values: list, traced: tuple, scale: np.ndarray,
+                        points: tuple, nb: int | None) -> tuple:
+    """``(samples, vjp)`` of :func:`ifftn_sampled` on plain values (shared
+    by the tracer and the replay plans).  Under a probe axis of ``nb`` the
+    traced parts carry it and the constant ones are broadcast along it."""
+    lead = (1,) if nb is None else (nb,)
+    k = len(points)
+    re, im = (np.broadcast_to(v, lead + np.shape(v)[np.ndim(v) - k:])
+              for v in values)
+    grid = re.shape[1:]
+    out = _ifftn_samples(re, im, scale, points)
+    batch_shape = out.shape
 
     def vjp(g: np.ndarray) -> tuple:
-        return (_fft_pair(np.asarray(g), k, False),)
+        grads = _ifftn_samples_vjp(np.reshape(g, batch_shape), scale,
+                                   points, grid)
+        return tuple(gr if nb is not None else gr[0]
+                     for gr, t in zip(grads, traced) if t)
 
-    spec = ("ifftn", k) if _CAPTURE.capture is not None else None
-    return _record("ifftn_pair", out, _traced_parents(z), vjp, spec=spec)
+    return (out if nb is not None else out[0]), vjp
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ decreasing** order (``steps`` first for the output segment, then
 Because access is strictly decreasing, a fetched boundary -- and every
 boundary above it -- is dead and its snapshot is released.
 
-Every snapshot is a *real copy* of the state (:func:`snapshot_state`): a
-benchmark whose ``run`` mutates arrays in place must not be able to corrupt
-earlier boundaries through aliasing.
+Every snapshot the forward pass records is a *real copy* of the state
+(:func:`snapshot_state`): a benchmark whose ``run`` mutates arrays in place
+must not be able to corrupt earlier boundaries through aliasing.  Boundary
+0 is the caller's own state, kept uncopied: the forward steps from a copy
+of it, and the tracing hooks write into no state they are handed.
 """
 
 from __future__ import annotations
@@ -89,9 +91,14 @@ class SnapshotSchedule:
         self._resident_nbytes -= state_nbytes(snap)
         return snap
 
-    def record(self, k: int, state: Mapping[str, Any]) -> None:
-        """Store the boundary-``k`` snapshot (called in increasing ``k``)."""
-        snap = snapshot_state(state)
+    def record(self, k: int, state: Mapping[str, Any],
+               copy: bool = True) -> None:
+        """Store the boundary-``k`` snapshot (called in increasing ``k``).
+
+        ``copy=False`` keeps ``state`` itself, for a plain-numpy state that
+        nothing writes into while the sweep runs.
+        """
+        snap = snapshot_state(state) if copy else state
         self._kept[k] = snap
         self._resident_nbytes += state_nbytes(snap)
         self.peak_snapshots = max(self.peak_snapshots, len(self._kept))

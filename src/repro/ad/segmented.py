@@ -452,11 +452,13 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
         # -- forward pass: a snapshot at every boundary ---------------------
         # ``record`` copies every array entry, so a benchmark whose ``run``
         # mutates arrays in place cannot corrupt earlier boundaries through
-        # aliasing; the initial copy also shields the caller's state.  The
-        # concrete forward is recording-free numpy, run per probe.
+        # aliasing.  Boundary 0 is the caller's state itself: the forward
+        # steps from a copy of it, and the tracing hooks write into no
+        # state.  The concrete forward is recording-free numpy, run per
+        # probe.
         for schedule, state in zip(schedules, states):
-            current = snapshot_state(state)
-            schedule.record(0, current)
+            schedule.record(0, state, copy=False)
+            current = snapshot_state(state) if head else None
             for t in range(1, head + 1):
                 current = bench.run(current, 1)
                 schedule.record(t, current)

@@ -280,8 +280,12 @@ class NPBBenchmark:
                 body: Callable[[dict[str, Any]], Any],
                 n_probes: int | None = None):
         """``(tape, leaves, body(traced state))`` of one fresh trace, under
-        a probe axis of ``n_probes`` when given (:mod:`repro.ad.probes`)."""
-        state = concrete_state(state)
+        a probe axis of ``n_probes`` when given (:mod:`repro.ad.probes`).
+
+        The state is traced as passed, with AD wrappers stripped and no
+        array copied: no port writes into the state it steps from."""
+        state = {key: val.value if isinstance(val, ADArray) else val
+                 for key, val in state.items()}
         traced_state, leaves, tape = self._watched_trace_state(state, watch)
         with tape, (nullcontext() if n_probes is None
                     else probe_axis(n_probes)):

@@ -26,9 +26,10 @@ only ``k = 0 .. 63`` is ever read, leaving exactly the ``64 x 64`` top layer
 Substitutions: the random initial field uses a fixed-seed NumPy generator
 instead of ``vranlc``; the inverse transform is,
 as in NPB, a 3-D FFT -- NumPy's, through the differentiable primitive
-:func:`repro.ad.ops.ifftn_pair`, which carries the complex field as a
-stacked real/imaginary pair and pulls cotangents back with the adjoint
-forward FFT -- rather than the original Stockham kernel; the checksum
+:func:`repro.ad.ops.ifftn_sampled`, which scales the real/imaginary planes
+by the evolution factor into one complex buffer, transforms it in place and
+returns only the checksum samples, and pulls cotangents back with the
+adjoint forward FFT -- rather than the original Stockham kernel; the checksum
 sample points are a fixed pseudo-random *proper* subset instead of
 the original arithmetic progression, verified at construction so that no
 spectral coefficient has an exactly-zero structural weight in the checksum
@@ -178,15 +179,12 @@ class FT(NPBBenchmark):
         """Evolve the spectrum to time ``t``, transform it back to physical
         space and sum the field over the sample points: ``(re, im)``."""
         p = self.params
-        # evolving each plane before stacking keeps the stacked spectrum
-        # off the tape: only the transform, which retains nothing, reads it
-        factor = self._evolution_factor(t)
-        field = ops.ifftn_pair(ops.stack([y_re[:, :, 0: p.nz] * factor,
-                                          y_im[:, :, 0: p.nz] * factor]))
-        # an all-advanced index gathers both planes in C order, so each
-        # plane's samples are summed in one contiguous row
-        ki, kj, kk = self._sample_indices
-        samples = field[np.arange(2)[:, None], ki, kj, kk]
+        # the evolution factor scales the spectrum inside the transform, and
+        # only the sample points leave it: no evolved, stacked or
+        # transformed grid reaches the tape
+        samples = ops.ifftn_sampled(y_re[:, :, 0: p.nz], y_im[:, :, 0: p.nz],
+                                    self._evolution_factor(t),
+                                    self._sample_indices)
         return ops.sum(samples, axis=1) / float(p.nx * p.ny * p.nz)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ probe axis (:func:`repro.ad.probes.probe_axis`) give one trace and one
 reverse sweep, and each probe slice of the gradient is checked against the
 finite differences at that probe's input.  A case the probe axis refuses
 by design must raise :class:`~repro.ad.probes.ProbeBatchingError`.
-``banded_matvec`` and ``ifftn_pair`` have their own checks.
+``banded_matvec`` and ``ifftn_sampled`` have their own checks.
 """
 
 import zlib

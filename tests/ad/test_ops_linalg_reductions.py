@@ -201,7 +201,7 @@ class TestMatmul:
 class TestDFTViaMatmul:
     """A DFT written as explicit cosine/sine matrix products: gradients
     through matmul obey Parseval exactly, and padding the product never
-    reads gets a zero gradient (FT itself uses ``ops.ifftn_pair``)."""
+    reads gets a zero gradient (FT itself uses ``ops.ifftn_sampled``)."""
 
     @staticmethod
     def dft_matrices(n):

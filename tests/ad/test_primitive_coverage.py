@@ -102,7 +102,9 @@ _VJP_EXAMPLES = {
                      (), [_A[0], _B[0]], [(3,), (3,)]),
     "banded": (("banded", _A, ops.dia_transpose(_A, (-1, 1)), (-1, 1)),
                (3,), [_B[0]], [(3,)]),
-    "ifftn": (("ifftn", 1), (2, 3), [_A], [(2, 3)]),
+    "ifftn_sampled": (("ifftn_sampled", (True, True), (None, None), _B,
+                       (np.array([0, 1]), np.array([2, 0])), None),
+                      (2, 2), [_A, _B], [(2, 3), (2, 3)]),
     "reshape": (("reshape", (3, 2), (2, 3)), (3, 2), [_A], [(2, 3)]),
     "transpose": (("transpose", (1, 0), (1, 0)), (3, 2), [_A], [(2, 3)]),
     "swapaxes": (("swapaxes", 0, 1), (3, 2), [_A], [(2, 3)]),

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
+from repro.ad.probes import stack_states
 from repro.core.variables import CheckpointVariable, VariableKind
+from repro.npb import registry
 from repro.npb.base import NPBBenchmark, concrete_state, copy_state
 from repro.npb.common import VerificationResult
 
@@ -135,6 +137,40 @@ class TestTracedRestart:
         (grad,) = tape.gradient(out, [leaves["v"]])
         # one step of x *= 1.5 followed by a sum: derivative is exactly 1.5
         assert np.allclose(grad[: toy.params.n // 2], 1.5)
+
+
+def _assert_state_bitwise(before, after, label):
+    assert list(before) == list(after), label
+    for key, want in before.items():
+        got = after[key]
+        assert type(got) is type(want), f"{label}[{key}]"
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape \
+                and got.tobytes() == want.tobytes(), f"{label}[{key}]"
+        else:
+            assert got == want, f"{label}[{key}]"
+
+
+@pytest.mark.parametrize("name", registry.available_benchmarks())
+def test_tracing_hooks_leave_the_passed_state_unchanged(name):
+    # the hooks trace the state they are handed without copying it, so
+    # no port may write into it, whether traced plainly or probe-batched
+    bench = registry.create(name, "T")
+    state = bench.checkpoint_state(bench.total_steps // 2)
+    watch = bench.default_watch_keys()
+    stacked = stack_states([state, state], watch)
+    calls = {
+        "traced_restart": (state, lambda s: bench.traced_restart(s)),
+        "traced_step": (state, lambda s: bench.traced_step(s)),
+        "traced_restart_probes":
+            (stacked, lambda s: bench.traced_restart_probes(s, 2)),
+        "traced_step_probes":
+            (stacked, lambda s: bench.traced_step_probes(s, 2)),
+    }
+    for hook, (passed, call) in calls.items():
+        before = copy_state(passed)
+        call(passed)
+        _assert_state_bitwise(before, passed, f"{name}.{hook}")
 
 
 class TestHooksAreAbstract:

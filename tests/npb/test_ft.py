@@ -37,16 +37,33 @@ class TestTransforms:
 
     def test_inverse_of_initial_spectrum_recovers_initial_field(self, bench):
         spec_re, spec_im = bench._initial_spectrum
-        out = ops.ifftn_pair(np.stack([spec_re, spec_im]))
+        p = bench.params
+        every_point = np.unravel_index(np.arange(spec_re.size),
+                                       spec_re.shape)
+        out = ops.ifftn_sampled(spec_re, spec_im, 1.0, every_point)
         # the initial field is real, so the imaginary part must vanish
         np.testing.assert_allclose(out[1], 0.0, atol=1e-9)
         assert out[0].min() >= -1e-12 and out[0].max() < 1.0
+        assert out.shape == (2, p.nx * p.ny * p.nz)
 
     def test_restart_tape_transforms_with_one_fft_per_step(self, bench):
         tape, _, _ = bench.traced_restart(bench.checkpoint_state(0))
         used = [node.op for node in tape.nodes]
         assert "matmul" not in used
-        assert used.count("ifftn_pair") == bench.total_steps
+        assert used.count("ifftn_sampled") == bench.total_steps
+
+    def test_step_tape_holds_no_stacked_or_transformed_grid(self):
+        # the transform samples its own buffer: neither the stacked
+        # (2, nx, ny, nz) spectrum nor any (nx, ny, nz) result of it (the
+        # evolved planes, the transformed field) is a node of the step
+        bench = FT(problem_class="S")
+        p = bench.params
+        tape, _, _ = bench.traced_step(bench.checkpoint_state(1))
+        shapes = [tuple(node.shape) for node in tape.nodes]
+        assert (2, p.nx, p.ny, p.nz) not in shapes
+        grids = [node.op for node in tape.nodes
+                 if tuple(node.shape) == (p.nx, p.ny, p.nz)]
+        assert grids == ["getitem", "getitem"]
 
     def test_builds_no_square_matrix(self):
         def arrays(value):
