@@ -4,9 +4,11 @@ For each measured benchmark the full remaining-loop analysis is run twice:
 once on a single monolithic tape and once with the segmented sweep
 (:mod:`repro.ad.segmented`).  The monolithic peak is the whole tape; the
 segmented peak is the largest single per-iteration tape.  The pytest entry
-asserts the ~steps-fold peak reduction (and bitwise-equal gradients); the
-module is also runnable standalone to emit the ``BENCH_segmented.json``
-perf baseline consumed by ``scripts/ci_check.sh``::
+asserts the ~steps-fold peak reduction (and bitwise-equal gradients); a
+second one pins the same for the activity (read-set) sweep on the class-A
+scenario it is meant for.  The module is also runnable standalone to emit
+the ``BENCH_segmented.json`` perf baseline consumed by
+``scripts/ci_check.sh``::
 
     python benchmarks/test_segmented_memory.py --json BENCH_segmented.json
 """
@@ -19,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.ad import activity as act
 from repro.ad.reverse import backward
 from repro.ad.segmented import (SweepStats, float_state_keys,
                                 segmented_gradients)
@@ -105,6 +108,38 @@ def test_segmented_peak_memory_scales_with_one_iteration(benchmark, name,
     # and it never records asymptotically more work than the monolithic tape
     assert row["segmented_total_nodes"] \
         <= 2 * row["monolithic_nodes"] + leaf_nodes + steps, row
+
+
+#: class-A ports whose segmented activity sweep is pinned against the
+#: monolithic walk: CG's 30 steps and MG's dense 16**3 stencil
+ACTIVITY_MEASURED = (("CG", "A"), ("MG", "A"))
+
+
+@pytest.mark.paper
+@pytest.mark.parametrize("name,problem_class", ACTIVITY_MEASURED,
+                         ids=[f"{n}-{c}" for n, c in ACTIVITY_MEASURED])
+def test_segmented_activity_matches_monolithic(name, problem_class):
+    """Segmented read/moved masks equal the one-tape walk bit for bit, and
+    the peak tape is at most half the monolithic one past two steps."""
+    bench = registry.create(name, problem_class)
+    state = bench.checkpoint_state(0)
+    watch = list(bench.default_watch_keys())
+    tape, leaves, _out = bench.traced_restart(state, watch=watch)
+    mono = dict(zip(watch, act.read_masks(tape,
+                                          [leaves[k] for k in watch])))
+    mono_nodes = len(tape)
+    del tape, leaves, _out
+
+    stats = SweepStats()
+    seg = act.segmented_read_masks(bench, state, watch=watch, stats=stats)
+    for key in watch:
+        for field in ("read", "moved"):
+            assert np.array_equal(getattr(mono[key], field),
+                                  getattr(seg[key], field)), \
+                f"{name}-{problem_class}[{key}].{field}: masks differ"
+    if bench.total_steps > 2:
+        assert stats.peak_nodes * 2 <= mono_nodes, (stats.peak_nodes,
+                                                    mono_nodes)
 
 
 def main(argv=None) -> int:

@@ -73,13 +73,10 @@ python benchmarks/test_probe_batching.py --json BENCH_probes.json
 echo "== perf baseline: BENCH_plan.json =="
 python benchmarks/test_trace_plan.py --json BENCH_plan.json
 
-echo "== perf baseline: BENCH_activity.json =="
-python benchmarks/test_activity_replay.py --json BENCH_activity.json
-
 echo "== perf baseline: BENCH_lowering.json =="
 python benchmarks/test_plan_lowering.py --json BENCH_lowering.json
 
-echo "== CLI smoke: plan-replayed segmented activity analysis =="
+echo "== CLI smoke: segmented activity analysis =="
 python -m repro.cli --class T --method activity --sweep segmented \
     analyze CG >/dev/null
 
@@ -96,9 +93,11 @@ python -m repro.cli verify >/dev/null
 
 echo "== restart verification: scenarios resumed from the analysed state =="
 # each scenario resumes from ScrutinyResult.state instead of step 0; its
-# restart, final state and checkpoint files must equal a run from step 0
+# restart, final state and checkpoint files must equal a run from step 0,
+# and the masks it writes at later steps must equal the analysed step's
 python -m pytest -q tests/experiments/test_verify_resume.py \
-    tests/ckpt/test_failure_storage.py
+    tests/ckpt/test_failure_storage.py \
+    tests/experiments/test_step_independence.py
 python -m repro.cli --class T --no-cache verify >/dev/null
 
 echo "== correctness: negative control on the ports whose control crashes =="

@@ -53,8 +53,9 @@ distinction.
 Sweep modes
 -----------
 :func:`segmented_read_masks` runs the gradient sweeps' driver
-(:mod:`repro.ad.segmented`) with masks as its carry; every mode gives
-**bitwise-identical** masks:
+(:mod:`repro.ad.segmented`) with masks as its carry and traces every
+segment (compiled step plans serve only the gradient sweeps); both modes
+give **bitwise-identical** masks:
 
 * **monolithic** -- the driver's one-segment walk (``tail=None``):
   :func:`read_masks` over one ``traced_restart`` tape of the whole
@@ -66,22 +67,16 @@ Sweep modes
   through a step untouched (an identity pass-through in the next-state
   dict), so folding the next boundary's masks into the pass-through
   entries of the current segment reproduces the one-tape result exactly,
-  with O(1-iteration) tape memory;
-* **plan-replayed** -- a :class:`repro.ad.plan.CompiledPlan` records op
-  identity, operand roles and index expressions as plain data, so a step's
-  read/movement transfer is derived **once** from the plan structure
-  (:func:`plan_transfer`) and replayed for the sweep's other segments with
-  no tracing at all, falling back to fresh tracing exactly like the
-  gradient path (the output segment is always traced).
+  with O(1-iteration) tape memory.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .plan import DEFAULT_TRACE_CACHE
 from .segmented import SweepStats, _segmented_sweep, _Walk
 from .tape import Node, Tape
 from .tensor import ADArray
@@ -89,15 +84,11 @@ from .tensor import ADArray
 __all__ = [
     "CONSUMING_OPS",
     "MOVEMENT_OPS",
-    "SPEC_CONSUMING",
-    "SPEC_MOVEMENT",
     "read_mask",
     "read_masks",
     "ActivityResult",
     "masks_from_tape",
     "chain_step_masks",
-    "plan_transfer",
-    "replay_step_masks",
     "segmented_read_masks",
 ]
 
@@ -121,33 +112,7 @@ MOVEMENT_OPS = frozenset({
 #: indexing primitives: they read only the selected subset of the parent
 INDEXING_OPS = frozenset({"getitem", "take"})
 
-# -- capture-spec categories (the plan-side mirror of the op sets) ---------
-#
-# A compiled plan stores each slot's capture spec, whose first field is the
-# *spec kind* -- a slightly different vocabulary from tape op names (every
-# unary math op shares kind "unary", reductions "max"/"min" share
-# "redminmax", "roll" may lower to "roll_flat", ...).  These two sets
-# partition the spec kinds of ``repro.ad.exec._EMITTERS`` exactly as
-# CONSUMING_OPS/MOVEMENT_OPS partition op names, so a transfer derived from
-# a plan categorises every primitive identically to the tape walk.  Ops
-# without a capture spec (``mod``, ``take``) can never appear in a compiled
-# plan -- their presence rejects the capture and the sweep falls back to
-# tracing, where the tape categories apply.
-
-#: spec kinds whose use of a parent's elements is a real read of the values
-SPEC_CONSUMING = frozenset({
-    "ewbinary", "minmax", "unary", "negative",
-    "sum", "mean", "redminmax", "prod", "where",
-    "matmul", "matmul_probe", "banded", "ifftn_sampled", "concat",
-    "stack",
-})
-
-#: spec kinds that only move data around
-SPEC_MOVEMENT = frozenset({
-    "copy", "astype", "reshape", "transpose", "swapaxes", "moveaxis",
-    "broadcast_to", "squeeze", "expand_dims", "flip", "roll", "roll_flat",
-    "pad_zero", "leaf",
-})
+logger = logging.getLogger(__name__)
 
 
 class ActivityResult:
@@ -218,14 +183,18 @@ def read_mask(tape: Tape, leaf: ADArray) -> ActivityResult:
     chased -- see the module docstring for the consequences.  The only
     movement primitive handled specially is ``index_update`` (the
     copy-on-write behind ``__setitem__``): the overwritten region is neither
-    read nor moved, because the old values there are destroyed.
+    read nor moved, because the old values there are destroyed.  A
+    primitive in none of the op categories counts as a read of every
+    element and is logged at INFO, once per walk.
     """
-    return _read_mask_with_children(tape, leaf, _children_by_parent(tape))
+    return read_masks(tape, [leaf])[0]
 
 
 def _read_mask_with_children(tape: Tape, leaf: ADArray,
-                             children: dict[int, list[Node]]) -> ActivityResult:
-    """Implementation of :func:`read_mask` with a precomputed children map."""
+                             children: dict[int, list[Node]],
+                             unknown: set[str]) -> ActivityResult:
+    """Implementation of :func:`read_mask` with a precomputed children map;
+    ops in no category are added to ``unknown``."""
     if leaf.node is None:
         raise ValueError("leaf is not traced; use Tape.watch")
     shape = leaf.node.shape
@@ -263,6 +232,7 @@ def _read_mask_with_children(tape: Tape, leaf: ADArray,
             moved[...] = True
         else:  # unknown primitive: be conservative
             read[...] = True
+            unknown.add(child.op)
 
     return ActivityResult(tape.watched.get(leaf.node.index), read, moved)
 
@@ -273,13 +243,13 @@ def _leaf_roles(child: Node, leaf: ADArray) -> list[str]:
     The roles tuple recorded by :func:`repro.ad.ops.index_update` /
     :func:`~repro.ad.ops.index_add` is aligned with the node's traced
     parents; a leaf may appear in several slots (e.g. ``a[idx] += a``
-    spelled functionally).  Tapes recorded before roles existed fall back
-    to the historical assumption that the leaf is the target.
+    spelled functionally).  A node without that tuple was not recorded by
+    those primitives and is refused.
     """
-    meta = child.meta or {}
-    roles = meta.get("roles")
+    roles = (child.meta or {}).get("roles")
     if roles is None:
-        return ["target"]
+        raise ValueError(f"{child.op!r} node {child.index} records no "
+                         f"operand roles")
     return [role for role, parent in zip(roles, child.parents)
             if parent is leaf.node]
 
@@ -291,9 +261,14 @@ def read_masks(tape: Tape, leaves: Iterable[ADArray]) -> list[ActivityResult]:
     variables over the same (potentially long) tape stays linear in the tape
     length.
     """
-    leaves = list(leaves)
     children = _children_by_parent(tape)
-    return [_read_mask_with_children(tape, leaf, children) for leaf in leaves]
+    unknown: set[str] = set()
+    results = [_read_mask_with_children(tape, leaf, children, unknown)
+               for leaf in leaves]
+    for op in sorted(unknown):
+        logger.info("activity analysis: primitive %r is in no op category; "
+                    "its operands count as read in full", op)
+    return results
 
 
 def _indexed_region(shape: tuple, node: Node) -> np.ndarray:
@@ -313,17 +288,7 @@ def _indexed_region(shape: tuple, node: Node) -> np.ndarray:
             sl[axis] = np.asarray(idx).reshape(-1)
             mask[tuple(sl)] = True
         return mask
-    return _region_from_index(shape, meta.get("index"))
-
-
-def _region_from_index(shape: tuple, index: Any) -> np.ndarray:
-    """Boolean mask of the elements a plain index expression selects.
-
-    Shared by the tape walk (``Node.meta["index"]``) and the plan transfer
-    (the capture spec's index field); with an unbatched sweep the two store
-    the *same* expression, so both paths select identical regions.
-    """
-    mask = np.zeros(shape, dtype=bool)
+    index = meta.get("index")
     if index is None:
         mask[...] = True
         return mask
@@ -334,7 +299,7 @@ def _region_from_index(shape: tuple, index: Any) -> np.ndarray:
     return mask
 
 
-# -- segment chaining (the tape-traced path) --------------------------------
+# -- segment chaining --------------------------------------------------------
 
 def masks_from_tape(tape: Tape, leaves: Mapping[str, ADArray],
                     chain: Sequence[str]) -> dict[str, "ActivityResult"]:
@@ -377,143 +342,28 @@ def chain_step_masks(tape: Tape, leaves: Mapping[str, ADArray],
     return masks
 
 
-# -- plan-derived transfer (the replay path) --------------------------------
-
-class PlanActivityTransfer:
-    """Static activity transfer of one compiled plan's segment.
-
-    ``read``/``moved`` hold, per chain key, the mask this segment
-    contributes on its own; ``passes`` maps each next-state chain key that
-    is an identity pass-through of a leaf back to that leaf's key.  Derived
-    once per plan (cached on the plan) and applied per replay by two mask
-    copies plus the pass-through ORs -- no tracing, no graph walk.
-    """
-
-    __slots__ = ("read", "moved", "passes")
-
-    def __init__(self, read: dict[str, np.ndarray],
-                 moved: dict[str, np.ndarray],
-                 passes: dict[str, str]) -> None:
-        self.read = read
-        self.moved = moved
-        self.passes = passes
-
-
-def plan_transfer(plan) -> PlanActivityTransfer:
-    """Derive (and cache) a plan's activity transfer from its structure.
-
-    Walks the plan's typed IR (:class:`repro.ad.ir.PlanIR`) exactly as
-    :func:`read_mask` walks a tape: every instruction whose parents include
-    a watched leaf slot dispatches on its spec kind through the same
-    category rules the tape walk applies to op names.  The index
-    expressions and traced-operand roles needed for
-    ``getitem``/``index_update``/``index_add`` are all present in the specs
-    as plain data.  The walk covers the **full** instruction list -- dead
-    instructions the optimisation passes skip at execution time still
-    touched their operands in the traced program, so they contribute to
-    the masks identically in ``plan_optimize="fuse"`` and ``"off"``.
-    """
-    cached = getattr(plan, "_activity_transfer", None)
-    if cached is not None:
-        return cached
-
-    ir = plan.ir
-    owner = {slot: key for key, slot in zip(ir.watch, ir.leaf_slots)}
-    read = {key: np.zeros(ir.instrs[slot].shape, dtype=bool)
-            for key, slot in zip(ir.watch, ir.leaf_slots)}
-    moved = {key: np.zeros(ir.instrs[slot].shape, dtype=bool)
-             for key, slot in zip(ir.watch, ir.leaf_slots)}
-
-    for instr in ir.instrs:
-        spec, parents = instr.spec, instr.parents
-        kind = instr.kind
-        if kind == "leaf":
-            continue
-        for pos, parent in enumerate(parents):
-            key = owner.get(parent)
-            if key is None:
-                continue
-            shape = ir.instrs[parent].shape
-            if kind == "getitem":
-                read[key] |= _region_from_index(shape, spec[1])
-            elif kind in ("index_update", "index_add"):
-                # spec fields: (kind, idx, a_traced, b_traced, ...); the
-                # parents tuple lists the traced operands in (target, value)
-                # order, so the role follows from the position -- the same
-                # alignment Node.meta["roles"] records for the tape walk
-                roles = (("target",) if spec[2] else ()) \
-                    + (("value",) if spec[3] else ())
-                role = roles[pos]
-                if kind == "index_update":
-                    if role == "target":
-                        moved[key] |= ~_region_from_index(shape, spec[1])
-                    else:
-                        moved[key][...] = True
-                else:  # index_add
-                    if role == "target":
-                        moved[key][...] = True
-                    else:
-                        read[key][...] = True
-            elif kind in SPEC_CONSUMING:
-                read[key][...] = True
-            elif kind in SPEC_MOVEMENT:
-                moved[key][...] = True
-            else:  # unknown spec kind: be conservative, like the tape walk
-                read[key][...] = True
-
-    passes: dict[str, str] = {}
-    for out_key in ir.watch:
-        slot = ir.seed_slots.get(out_key)
-        if slot is not None:
-            in_key = owner.get(slot)
-            if in_key is not None:
-                passes[out_key] = in_key
-
-    transfer = PlanActivityTransfer(read, moved, passes)
-    plan._activity_transfer = transfer
-    return transfer
-
-
-def replay_step_masks(plan, prev: Mapping[str, "ActivityResult"]
-                      ) -> dict[str, "ActivityResult"]:
-    """Apply a step plan's transfer: segment masks + pass-through folds."""
-    transfer = plan_transfer(plan)
-    masks = {key: ActivityResult(key, transfer.read[key].copy(),
-                                 transfer.moved[key].copy())
-             for key in plan.watch}
-    for out_key, in_key in transfer.passes.items():
-        inherited = prev[out_key]
-        masks[in_key].read |= inherited.read
-        masks[in_key].moved |= inherited.moved
-    return masks
-
-
 # -- the segmented sweep ----------------------------------------------------
 
 #: the sweep kind of :func:`segmented_read_masks`: read/moved masks carried
 #: back from the output segment's own reads
 _ACTIVITY = _Walk(
     lambda tape, leaves, out, chain: masks_from_tape(tape, leaves, chain),
-    chain_step_masks,
-    lambda plan, state, masks: replay_step_masks(plan, masks),
-    SweepStats.observe_activity)
+    chain_step_masks, SweepStats.observe_activity)
 
 
 def segmented_read_masks(bench, state: Mapping[str, Any],
                          watch: Sequence[str] | None = None,
                          steps: int | None = None,
                          stats=None,
-                         trace_cache: str | None = None,
-                         plan_cache=None,
-                         plan_optimize: str | None = None,
                          tail: int | None = 0
                          ) -> dict[str, "ActivityResult"]:
     """Activity masks of the restart, one iteration's tape at a time.
 
     Bitwise what :func:`read_masks` over one ``traced_restart`` tape gives:
     the driver of :func:`repro.ad.segmented.segmented_gradients`, carrying
-    masks composed across boundaries by :func:`chain_step_masks` (or a
-    compiled step's transfer) instead of cotangents.  Parameters mirror
+    masks composed across boundaries by :func:`chain_step_masks` instead of
+    cotangents.  Every step segment is traced: no compiled plan replays a
+    read set, so there are no plan options.  The other parameters mirror
     ``segmented_gradients`` (``tail=None`` is that one tape); ``stats``
     also collects the ``activity_*`` fields of
     :class:`~repro.ad.segmented.SweepStats`.
@@ -524,9 +374,8 @@ def segmented_read_masks(bench, state: Mapping[str, Any],
     routes integer variables to rules, never here).
     """
     watch, base, masks = _segmented_sweep(
-        bench, [state], watch, steps, tail, stats,
-        DEFAULT_TRACE_CACHE if trace_cache is None else trace_cache,
-        plan_cache, plan_optimize, _ACTIVITY)
+        bench, [state], watch, steps, tail, stats, trace_cache="off",
+        plan_cache=None, plan_optimize=None, walk=_ACTIVITY)
 
     def _empty(key: str) -> ActivityResult:
         shape = np.shape(base[key])

@@ -12,15 +12,13 @@ tuples -- is what allows the downstream layers to stay honest:
 
 * the optimisation passes can reason about producers/consumers without
   executing anything;
-* the activity transfer (:mod:`repro.ad.activity`) derives read/move masks
-  from the same instruction list the executor runs, so the two can never
-  drift apart.
+* the executor builds its kernels from the same validated instructions
+  the passes analysed.
 
 Slot numbering is **identical** to the captured tape's node numbering and
-is never renumbered by any pass: the monolithic activity walk and the
-dead-slot analysis both key off original slot indices, so eliminating an
-instruction removes it from the executable list while every surviving
-reference stays stable.
+is never renumbered by any pass: the dead-slot analysis keys off original
+slot indices, so eliminating an instruction removes it from the
+executable list while every surviving reference stays stable.
 """
 
 from __future__ import annotations

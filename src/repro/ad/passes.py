@@ -7,8 +7,7 @@ elementwise/unary instructions fuse into single kernels, and how slot
 lifetimes pack into a smaller arena.  The passes are pure analyses: they
 never reorder or rewrite instructions (slot numbering is sacred, see
 :mod:`repro.ad.ir`), so the executor's program remains bit-for-bit the
-captured program and the derived activity transfer keeps working off the
-full instruction list.
+captured program.
 
 Passes (``plan_optimize="fuse"``, the default):
 

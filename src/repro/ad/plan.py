@@ -55,9 +55,9 @@ buffers (the same cast :meth:`~repro.ad.tape.Tape.watch` performs), runs
 the kernel program over the slot arena, then runs the plan's own reverse
 sweep -- an exact mirror of :func:`repro.ad.reverse.backward_from_seeds`
 including cotangent accumulation order and buffer ownership, so a replayed
-segment chains bit for bit like a traced one.  The activity sweep replays
-the same plan through its precomputed read/move transfer
-(:func:`repro.ad.activity.replay_step_masks`).
+segment chains bit for bit like a traced one.  Plans serve the gradient
+sweeps only; the activity sweep (:mod:`repro.ad.activity`) traces every
+segment and reads its masks off the tape.
 
 Safety
 ------
@@ -357,15 +357,11 @@ class CompiledPlan:
     def __init__(self, program: CaptureProgram,
                  optimize: str = DEFAULT_PLAN_OPTIMIZE) -> None:
         self.watch = program.watch
-        #: the typed, validated lowering of the captured program; derived
-        #: analyses (the activity transfer of :mod:`repro.ad.activity`)
-        #: walk ``ir.instrs`` instead of a tape
+        #: the typed, validated lowering of the captured program
         self.ir = lower_program(program)
         self.n_slots = self.ir.n_slots
         self._shapes = [instr.shape for instr in self.ir.instrs]
         self._parents = [instr.parents for instr in self.ir.instrs]
-        #: lazily derived activity transfer (see activity.plan_transfer)
-        self._activity_transfer = None
         self._leaf_slots = self.ir.leaf_slots
         #: chain key -> producing slot (``None`` = untraced next-state entry)
         self._seed_slots = dict(self.ir.seed_slots)
@@ -649,19 +645,23 @@ class Planner:
             (self.n_probes, self.watch,
              coarse_signature(state, _structure_token(self.bench, state))))
 
-    def step(self, state: Mapping[str, Any], carry: Any, walk,
-             stats=None) -> Any:
-        """Move a segmented sweep's carry back through the step at ``state``.
+    def step(self, state: Mapping[str, Any],
+             cotangents: Mapping[str, np.ndarray],
+             chain: Callable[..., Any], stats=None
+             ) -> dict[str, np.ndarray]:
+        """Chain a gradient sweep's cotangents back through the step at
+        ``state``.
 
-        A compiled plan replays it (``walk.replay``); a miss traces the step
-        and chains over the tape (``walk.chain``), feeding the capture, so
-        gradient and activity sweeps share one plan per step structure.
+        A compiled plan replays it (:meth:`CompiledPlan.replay_step`); a
+        miss traces the step and chains over the tape with
+        ``chain(tape, leaves, next_state, watch, cotangents)``, feeding the
+        capture.
         """
         entry = self._entry(state)
         plan = entry.plan
         if plan is not None:
             try:
-                result = walk.replay(plan, state, carry)
+                result = plan.replay_step(state, cotangents)
             except Exception as exc:  # noqa: BLE001 - fall back, never fail
                 self.cache._reject(
                     entry, f"replay failed: {type(exc).__name__}: {exc}")
@@ -687,4 +687,4 @@ class Planner:
                 sink, tape, leaves, self.watch, next_state, self.n_probes))
         if stats is not None:
             stats.observe(tape)
-        return walk.chain(tape, leaves, next_state, self.watch, carry)
+        return chain(tape, leaves, next_state, self.watch, cotangents)

@@ -146,8 +146,8 @@ def segmented_batched_gradients(bench, states: Sequence[Mapping[str, Any]],
     Batched counterpart of :func:`repro.ad.segmented.segmented_gradients`,
     run by the same driver: the concrete forward runs per probe (one
     snapshot store each), each boundary is stacked along the probe axis on
-    fetch, and each segment is traced (or plan-replayed) once with batched
-    cotangents, so peak tape memory stays one (batched) iteration whatever
+    fetch, and each step segment is traced, or replayed from a compiled
+    plan, once with batched cotangents, so peak tape memory stays one (batched) iteration whatever
     the probe count.  ``tail=None`` traces the whole remaining run of the
     stacked states on one tape instead (the monolithic sweep).  The
     probe-tracing hooks are required even for a single state (else

@@ -35,9 +35,10 @@ That walk is written once, in the private ``_segmented_sweep`` driver;
 probe, boundaries stacked along a leading probe axis) and
 :func:`repro.ad.activity.segmented_read_masks` are short entry points over
 it, and each takes ``tail``.  A sweep kind is a small ``_Walk``: how the
-output segment seeds the carry, how a traced step chains it
+output segment seeds the carry and how a traced step chains it
 (:func:`chain_cotangents` here, :func:`~repro.ad.activity.chain_step_masks`
-for read/moved masks) and how a compiled step replays it.
+for read/moved masks).  Only the two gradient sweeps replay compiled step
+plans (:mod:`repro.ad.plan`); the activity sweep traces every segment.
 
 Bitwise equivalence
 -------------------
@@ -75,7 +76,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE, TRACE_CACHES,
-                   CompiledPlan, PlanCache)
+                   PlanCache)
 from .reverse import backward, backward_from_seeds
 from .schedule import SnapshotSchedule, make_schedule, snapshot_state
 from .tape import Tape
@@ -133,12 +134,8 @@ class SweepStats:
     plan_fused_ops: int = 0
     #: most dead instructions eliminated from any compiled plan
     plan_eliminated_slots: int = 0
-    #: segments processed by a segmented activity (read-set) sweep
+    #: segments traced by a segmented activity (read-set) sweep
     activity_segments: int = 0
-    #: activity segments served by a plan-derived transfer (no tracer run)
-    activity_plan_replays: int = 0
-    #: activity segments that ran the tracer (plan capture or fallback)
-    activity_retraces: int = 0
     #: largest resident read/moved mask payload of an activity sweep (bytes)
     activity_peak_mask_nbytes: int = 0
 
@@ -184,16 +181,14 @@ class SweepStats:
         self.plan_eliminated_slots = max(self.plan_eliminated_slots,
                                          cache.eliminated_slots)
 
-    def observe_activity(self, segments: int, replays: int,
+    def observe_activity(self, segments: int,
                          masks: Mapping[str, Any]) -> None:
         """Fold one segmented activity sweep's telemetry in.
 
-        ``replays`` of its ``segments`` applied a plan transfer, the rest
-        ran the tracer; ``masks`` is the walk's fixed resident payload.
+        It traced ``segments`` tapes; ``masks`` is the walk's fixed
+        resident payload.
         """
         self.activity_segments += segments
-        self.activity_plan_replays += replays
-        self.activity_retraces += segments - replays
         self.activity_peak_mask_nbytes = max(
             self.activity_peak_mask_nbytes,
             sum(res.read.nbytes + res.moved.nbytes for res in masks.values()))
@@ -356,14 +351,14 @@ class _Walk(NamedTuple):
 
     ``seed(tape, leaves, out, chain)`` makes the last boundary's carry from
     the traced output segment; ``chain(tape, leaves, next_state, chain,
-    carry)`` moves it back through one traced step, ``replay(plan, state,
-    carry)`` through one compiled step.  ``observe(stats, segments,
-    replays, carry)``, if set, folds the kind's telemetry in at the end.
+    carry)`` moves it back through one traced step.  ``observe(stats,
+    segments, carry)``, if set, folds the kind's telemetry in at the end.
+    A compiled step replays only cotangents
+    (:meth:`~repro.ad.plan.CompiledPlan.replay_step`).
     """
 
     seed: Callable[..., Any]
     chain: Callable[..., Any]
-    replay: Callable[..., Any]
     observe: Callable[..., None] | None = None
 
 
@@ -378,8 +373,7 @@ def _seed_cotangents(tape: Tape, leaves: Mapping[str, ADArray], out: Any,
     return dict(zip(chain, grads))
 
 
-_GRADIENTS = _Walk(_seed_cotangents, chain_cotangents,
-                   CompiledPlan.replay_step)
+_GRADIENTS = _Walk(_seed_cotangents, chain_cotangents)
 
 
 def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
@@ -394,8 +388,9 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
     sweeps ``states[0]`` through the plain hooks; an integer sweeps through
     the ``*_probes`` hooks with boundaries stacked along a probe axis.  The
     output segment traces the last ``tail`` iterations (``None``: all of
-    them, one segment).  Returns the resolved watch list, the base state
-    and boundary 0's carry.
+    them, one segment).  ``trace_cache="plan"`` replays compiled steps;
+    only the gradient walks ask for it.  Returns the resolved watch list,
+    the base state and boundary 0's carry.
     """
     states = [{key: value_of(value) for key, value in state.items()}
               for state in states]
@@ -476,7 +471,8 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
         for k in range(head - 1, -1, -1):
             state = boundary(k)
             if planner is not None:
-                carry = planner.step(state, carry, walk, stats=stats)
+                carry = planner.step(state, carry, walk.chain,
+                                     stats=stats)
             else:
                 tape, leaves, next_state = trace_step(state, watch=chain)
                 if stats is not None:
@@ -486,8 +482,7 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
             del state
 
         if stats is not None and walk.observe is not None:
-            replays = 0 if cache is None else cache.hits - plan_base["hits"]
-            walk.observe(stats, head + 1, replays, carry)
+            walk.observe(stats, head + 1, carry)
     finally:
         if stats is not None:
             stats.observe_schedule(*schedules)

@@ -209,9 +209,10 @@ def scrutinize(bench, step: int | None = None,
         Forwarded to :class:`~repro.core.criticality.CriticalityAnalyzer`;
         both sweeps run one driver (:mod:`repro.ad.segmented`):
         ``"monolithic"`` traces the whole remaining run on one tape, and
-        ``sweep="segmented"`` bounds the AD tape memory to one main-loop
-        iteration and replays compiled step plans (bitwise-identical
-        masks, for the ``"ad"`` *and* ``"activity"`` methods), and
+        ``sweep="segmented"`` bounds the tape memory to one main-loop
+        iteration (bitwise-identical masks, for the ``"ad"`` *and*
+        ``"activity"`` methods; the ``"ad"`` sweeps replay compiled step
+        plans), and
         ``probe_scale`` sets the relative magnitude of the probe
         perturbations.
     """

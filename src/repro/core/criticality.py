@@ -22,10 +22,9 @@ provided:
     ablation experiments compare the AD method against.  Runs through the
     same sweep driver as ``"ad"``: ``sweep="segmented"`` chains
     per-iteration read masks across boundaries (O(1-iteration) tape
-    memory) and replays step segments from compiled plan structure without
-    tracing them -- bitwise-identical to the one-tape walk of
-    ``sweep="monolithic"``.  Value-independent, so ``n_probes`` must stay 1
-    (probing cannot change a read set).
+    memory), tracing every step segment -- bitwise-identical to the
+    one-tape walk of ``sweep="monolithic"``.  Value-independent, so
+    ``n_probes`` must stay 1 (probing cannot change a read set).
 
 ``"rule"``
     Classify every element of every variable critical.  This is the
@@ -284,9 +283,10 @@ class CriticalityAnalyzer:
         tape at a time, peak memory bounded by a single iteration,
         bitwise-identical masks.  Ignored by the "rule" method.  The only
         execution choice: the segmented sweep always keeps every boundary
-        snapshot and replays compiled plans from one
+        snapshot; the gradient sweeps replay compiled plans from one
         :class:`~repro.ad.plan.PlanCache` per :meth:`analyze` call, lowered
-        with the full ``"fuse"`` pass pipeline.
+        with the full ``"fuse"`` pass pipeline, and the activity sweep
+        traces every segment.
 
     Multi-probe AD analyses always stack the probe states along a leading
     probe axis and run one traced forward plus one reverse sweep
@@ -544,12 +544,10 @@ class CriticalityAnalyzer:
                         variables: Sequence[CheckpointVariable]
                         ) -> dict[str, VariableCriticality]:
         watch = self._watched_keys(variables)
-        # the same sweep driver as _ad_masks; a fresh per-analysis plan
-        # cache keeps repeated analyses of one analyzer honest about what
-        # each call costs
+        # the same sweep driver as _ad_masks, tracing every segment
         activity = activity_mod.segmented_read_masks(
             bench, state, watch=list(watch), steps=self.steps,
-            plan_cache=PlanCache(), tail=self._tail)
+            tail=self._tail)
         key_masks = {key: activity[key].read for key in watch}
 
         results: dict[str, VariableCriticality] = {}

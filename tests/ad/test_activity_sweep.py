@@ -1,13 +1,14 @@
-"""Segmented + plan-replayed activity analysis: bitwise identity pins.
+"""Segmented activity analysis: bitwise identity pins.
 
 The chained activity sweep (:func:`repro.ad.activity.segmented_read_masks`)
-and the plan-derived replay may only ever be *performance* transformations:
-the read and moved masks must equal the monolithic tape walk bit for bit,
-for every NPB port, under both trace-cache policies.
-These tests pin that, plus the properties that make the chaining correct:
-role-sensitive indexed writes, movement chains crossing a segment boundary
-(the documented under-approximation must not start resolving), identity
-pass-through accumulation, and the O(1-iteration) memory bound.
+may only ever be a *memory* transformation: the read and moved masks it
+composes from one traced iteration at a time must equal the monolithic
+tape walk bit for bit, for every NPB port.  These tests pin that, plus the
+properties that make the chaining correct: role-sensitive indexed writes,
+movement chains crossing a segment boundary (the documented
+under-approximation must not start resolving), identity pass-through
+accumulation, and the O(1-iteration) memory bound.  The tape walk itself
+(op categories, roles, unknown primitives) is pinned at the bottom.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 
 from repro.ad import activity as act
 from repro.ad import ops
-from repro.ad.plan import PlanCache
 from repro.ad.segmented import SweepStats
 from repro.ad.tape import Tape
 from repro.npb import registry
@@ -38,30 +38,26 @@ def _assert_masks_equal(expected, got, label):
 
 
 # ---------------------------------------------------------------------------
-# monolithic vs segmented, all ports, both trace caches
+# monolithic vs segmented, all ports
 # ---------------------------------------------------------------------------
 
 class TestSegmentedActivityBitwise:
     @pytest.mark.parametrize("name", ALL_PORTS)
-    def test_masks_identical_both_trace_caches(self, name):
+    def test_masks_identical(self, name):
         bench = registry.create(name, "T")
         state = bench.checkpoint_state(max(bench.total_steps - 3, 0))
         watch = bench.default_watch_keys()
         mono, _ = _monolithic_masks(bench, state, watch)
-        for trace_cache in ("off", "plan"):
-            stats = SweepStats()
-            seg = act.segmented_read_masks(
-                bench, state, watch=list(watch),
-                trace_cache=trace_cache, stats=stats)
-            for key in watch:
-                _assert_masks_equal(mono[key], seg[key],
-                                    f"{name}[{key}] {trace_cache}")
-            assert stats.activity_segments > 0
-            assert stats.peak_snapshots == stats.activity_segments
-            assert stats.trace_cache == trace_cache
-            if trace_cache == "off":
-                assert stats.activity_plan_replays == 0
-                assert stats.activity_retraces == stats.activity_segments
+        stats = SweepStats()
+        seg = act.segmented_read_masks(bench, state, watch=list(watch),
+                                       stats=stats)
+        for key in watch:
+            _assert_masks_equal(mono[key], seg[key], f"{name}[{key}]")
+        assert stats.activity_segments > 0
+        assert stats.peak_snapshots == stats.activity_segments
+        # every segment is traced: no plan cache is consulted
+        assert stats.n_segments == stats.activity_segments
+        assert stats.plan_hits == stats.plan_misses == 0
 
     def test_explicit_steps_match_monolithic_restart(self):
         bench = registry.create("CG", "T")
@@ -88,83 +84,6 @@ class TestSegmentedActivityBitwise:
 
 
 # ---------------------------------------------------------------------------
-# plan-derived replay: repeated analyses on a shared cache
-# ---------------------------------------------------------------------------
-
-class TestPlanReplayedActivity:
-    @pytest.mark.parametrize("name", ALL_PORTS)
-    def test_warm_cache_replays_without_tracing(self, name):
-        bench = registry.create(name, "T")
-        state = bench.checkpoint_state(max(bench.total_steps - 3, 0))
-        watch = bench.default_watch_keys()
-        mono, _ = _monolithic_masks(bench, state, watch)
-
-        cache = PlanCache()
-        runs = []
-        for _ in range(3):   # cold (capture), compile, warm replay
-            stats = SweepStats()
-            got = act.segmented_read_masks(bench, state, watch=list(watch),
-                                           trace_cache="plan",
-                                           plan_cache=cache, stats=stats)
-            for key in watch:
-                _assert_masks_equal(mono[key], got[key], f"{name}[{key}]")
-            runs.append(stats)
-        warm = runs[-1]
-        if name in ("FT", "EP"):
-            # counter-dependent steps are never planned: all segments trace
-            assert warm.activity_plan_replays == 0
-            assert warm.activity_retraces == warm.activity_segments
-        else:
-            # every step segment replays the compiled transfer; only the
-            # output segment (never planned) traces
-            assert warm.activity_retraces == 1, \
-                f"{name}: warm activity sweep still traced a step"
-            assert warm.activity_plan_replays == warm.activity_segments - 1
-        assert cache.rejects == 0
-
-    def test_activity_and_gradient_sweeps_share_plans(self):
-        # the cache key depends only on (probes, watch, structure),
-        # so plans compiled by the gradient walk serve the activity walk
-        from repro.ad.segmented import segmented_gradients
-
-        bench = registry.create("CG", "T")
-        state = bench.checkpoint_state(1)
-        cache = PlanCache()
-        for _ in range(2):
-            segmented_gradients(bench, state, plan_cache=cache)
-        compiles_before = cache.compiles
-        stats = SweepStats()
-        act.segmented_read_masks(bench, state, trace_cache="plan",
-                                 plan_cache=cache, stats=stats)
-        assert stats.activity_retraces == 1   # the output segment
-        assert cache.compiles == compiles_before
-
-    def test_plan_transfer_is_derived_once_per_plan(self):
-        bench = registry.create("CG", "T")
-        state = bench.checkpoint_state(1)
-        cache = PlanCache()
-        for _ in range(3):
-            act.segmented_read_masks(bench, state, trace_cache="plan",
-                                     plan_cache=cache)
-        transfers = [entry.plan._activity_transfer
-                     for entry in cache._entries.values()
-                     if entry.plan is not None]
-        derived = [t for t in transfers if t is not None]
-        assert derived, "no plan ever derived an activity transfer"
-        # replays must not mutate the cached transfer masks
-        stats = SweepStats()
-        before = [(dict((k, v.copy()) for k, v in t.read.items()),
-                   dict((k, v.copy()) for k, v in t.moved.items()))
-                  for t in derived]
-        act.segmented_read_masks(bench, state, trace_cache="plan",
-                                 plan_cache=cache, stats=stats)
-        for t, (read0, moved0) in zip(derived, before):
-            for key in read0:
-                assert np.array_equal(t.read[key], read0[key])
-                assert np.array_equal(t.moved[key], moved0[key])
-
-
-# ---------------------------------------------------------------------------
 # memory: peak tape bounded by one iteration
 # ---------------------------------------------------------------------------
 
@@ -177,7 +96,7 @@ class TestActivityMemoryBounded:
         mono, mono_nodes = _monolithic_masks(bench, state, watch)
         stats = SweepStats()
         seg = act.segmented_read_masks(bench, state, watch=list(watch),
-                                       trace_cache="off", stats=stats)
+                                       stats=stats)
         for key in watch:
             _assert_masks_equal(mono[key], seg[key], f"LU[{key}]")
         # the monolithic tape holds all iterations plus the output; any
@@ -294,22 +213,15 @@ class _CopyChainBench(_MiniBench):
 
 @pytest.mark.parametrize("bench_cls",
                          [_RoleBench, _ComplementBench, _CopyChainBench])
-@pytest.mark.parametrize("trace_cache", ["off", "plan"])
-def test_mini_bench_segmented_matches_monolithic(bench_cls, trace_cache):
+def test_mini_bench_segmented_matches_monolithic(bench_cls):
     bench = bench_cls(steps=3)
     state = bench.initial_state()
     watch = bench.default_watch_keys()
     mono = bench.monolithic_masks(state, watch)
-    cache = PlanCache()
-    for sweep in range(3):
-        seg = act.segmented_read_masks(bench, state, watch=watch,
-                                       trace_cache=trace_cache,
-                                       plan_cache=cache
-                                       if trace_cache == "plan" else None)
-        for key in watch:
-            _assert_masks_equal(mono[key], seg[key],
-                                f"{bench_cls.__name__}[{key}] "
-                                f"sweep {sweep}")
+    seg = act.segmented_read_masks(bench, state, watch=watch)
+    for key in watch:
+        _assert_masks_equal(mono[key], seg[key],
+                            f"{bench_cls.__name__}[{key}]")
 
 
 def test_role_bench_masks_are_role_sensitive():
@@ -357,3 +269,36 @@ def test_identity_pass_through_accumulates_across_segments():
     assert mono["x"].read.all()
     for key in ("x", "y"):
         _assert_masks_equal(mono[key], seg[key], f"passthrough[{key}]")
+
+
+# ---------------------------------------------------------------------------
+# the tape walk: unknown primitives and indexed-write roles
+# ---------------------------------------------------------------------------
+
+def _leaves_with_children(*ops, meta=None):
+    """A tape with one watched leaf per op, each read by one node of it."""
+    tape = Tape()
+    leaves = [tape.watch(np.ones(4), name=f"x{i}") for i in range(len(ops))]
+    for op, leaf in zip(ops, leaves):
+        tape.add_node(op, [leaf.node], lambda g: (g,), (4,),
+                      np.dtype(np.float64), meta=meta)
+    return tape, leaves
+
+
+def test_unknown_primitive_reads_everything_and_logs_once_per_walk(caplog):
+    tape, leaves = _leaves_with_children("mystery", "mystery", "enigma")
+    with caplog.at_level("INFO", logger="repro.ad.activity"):
+        for res in act.read_masks(tape, leaves):
+            assert res.read.all() and not res.moved.any()
+    records = [rec for rec in caplog.records
+               if rec.name == "repro.ad.activity"]
+    assert [rec.levelname for rec in records] == ["INFO", "INFO"]
+    assert "'enigma'" in records[0].getMessage()
+    assert "'mystery'" in records[1].getMessage()
+
+
+@pytest.mark.parametrize("op", ["index_update", "index_add"])
+def test_indexed_write_without_roles_is_refused(op):
+    tape, (x,) = _leaves_with_children(op, meta={"index": (slice(0, 2),)})
+    with pytest.raises(ValueError, match="operand roles"):
+        act.read_mask(tape, x)

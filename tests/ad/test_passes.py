@@ -17,7 +17,6 @@ import pytest
 from repro.ad import ops
 from repro.ad.plan import PlanCache
 from repro.ad.segmented import SweepStats, segmented_gradients
-from repro.core.analysis import scrutinize
 from repro.npb import registry
 
 ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
@@ -191,7 +190,7 @@ class TestArenaPackingRegression:
 
 
 # ---------------------------------------------------------------------------
-# port gradients and masks, fused vs unfused
+# port gradients, fused vs unfused
 # ---------------------------------------------------------------------------
 
 class TestPortParityFuseVsOff:
@@ -209,21 +208,3 @@ class TestPortParityFuseVsOff:
         for key in grads["fuse"]:
             _assert_bitwise(grads["fuse"][key], grads["off"][key],
                             f"{name}[{key}]")
-
-    @pytest.mark.parametrize("name", ("SP", "CG"))
-    def test_activity_masks_identical(self, name, sweep_options):
-        """Dead-slot elimination only prunes the *executable* program; the
-        activity transfer walks the full instruction list, so masks cannot
-        depend on the optimisation level."""
-        bench = registry.create(name, "T")
-        steps = min(3, bench.total_steps)
-        state = bench.checkpoint_state(bench.total_steps - steps)
-        results = {}
-        for mode in ("fuse", "off"):
-            sweep_options(plan_cache=PlanCache(plan_optimize=mode))
-            results[mode] = scrutinize(registry.create(name, "T"),
-                                       state=dict(state), steps=steps,
-                                       method="activity", sweep="segmented")
-        for var, crit in results["fuse"].variables.items():
-            np.testing.assert_array_equal(
-                crit.mask, results["off"].variables[var].mask, err_msg=var)

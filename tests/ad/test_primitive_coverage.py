@@ -2,10 +2,9 @@
 
 The AD engine routes every primitive through three dispatch layers: the
 plan executor's emitters (:data:`repro.ad.exec._EMITTERS`, each of which
-embeds the primitive's VJP rule), the activity classification
-(:data:`repro.ad.activity.SPEC_CONSUMING` / ``SPEC_MOVEMENT`` plus the
-explicitly special-cased indexing kinds) and the shared reverse-mode rule
-tables.  A new
+embeds the primitive's VJP rule), the activity classification of tape op
+names (:data:`repro.ad.activity.CONSUMING_OPS` / ``MOVEMENT_OPS`` /
+``INDEXING_OPS``) and the shared reverse-mode rule tables.  A new
 primitive that lands in one table but not another produces wrong masks or
 a crash only on the benchmark that happens to exercise it -- these audits
 fail immediately instead.
@@ -17,38 +16,46 @@ import numpy as np
 import pytest
 
 from repro.ad import ops
-from repro.ad.activity import (CONSUMING_OPS, INDEXING_OPS, MOVEMENT_OPS,
-                               SPEC_CONSUMING, SPEC_MOVEMENT)
+from repro.ad.activity import CONSUMING_OPS, INDEXING_OPS, MOVEMENT_OPS
 from repro.ad.exec import _EMITTERS
 from repro.ad.ir import Instr
+from repro.ad.probes import stack_states
+from repro.ad.segmented import float_state_keys
+from repro.npb import registry
 
-#: spec kinds `repro.ad.activity.plan_transfer` special-cases by index
-#: region instead of classifying whole-array (see its kind dispatch)
-INDEXING_SPECS = frozenset({"getitem", "index_update", "index_add"})
+ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
+
+
+def _recorded_ops(name: str) -> set[str]:
+    """Op names of every node the tracing hooks record for one class-T
+    port: the whole restart from step 0, and one plain and one
+    probe-batched step watching every chained float entry."""
+    bench = registry.create(name, "T")
+    state = bench.checkpoint_state(0)
+    chain = float_state_keys(state)
+    recorded = set()
+    tape, _leaves, _out = bench.traced_restart(state)
+    recorded.update(node.op for node in tape.nodes)
+    tape, _leaves, _next = bench.traced_step(state, watch=chain)
+    recorded.update(node.op for node in tape.nodes)
+    tape, _leaves, _next = bench.traced_step_probes(
+        stack_states([state, state], chain), 2, watch=chain)
+    recorded.update(node.op for node in tape.nodes)
+    return recorded
 
 
 class TestActivityClassification:
-    def test_every_emitter_kind_is_classified(self):
-        classified = SPEC_CONSUMING | SPEC_MOVEMENT | INDEXING_SPECS
-        missing = set(_EMITTERS) - classified
-        assert not missing, (
-            f"spec kinds with a replay emitter but no activity "
-            f"classification: {sorted(missing)} -- add them to "
-            f"SPEC_CONSUMING/SPEC_MOVEMENT (or special-case them in "
-            f"plan_transfer) or the chained activity sweep will fall "
-            f"back to the conservative read-everything default")
-
-    def test_no_stale_classified_kind(self):
-        # "leaf" is the only classified pseudo-kind without an executable
-        # emitter (leaves are arena inputs, never executed)
-        stale = (SPEC_CONSUMING | SPEC_MOVEMENT) - {"leaf"} - set(_EMITTERS)
-        assert not stale, (
-            f"classified spec kinds without an emitter: {sorted(stale)}")
-
-    def test_spec_categories_are_disjoint(self):
-        assert not SPEC_CONSUMING & SPEC_MOVEMENT
-        assert not SPEC_CONSUMING & INDEXING_SPECS
-        assert not SPEC_MOVEMENT & INDEXING_SPECS
+    @pytest.mark.parametrize("name", ALL_PORTS)
+    def test_every_recorded_op_is_in_exactly_one_category(self, name):
+        categories = (CONSUMING_OPS, MOVEMENT_OPS, INDEXING_OPS)
+        counts = {op: sum(op in cat for cat in categories)
+                  for op in _recorded_ops(name)}
+        wrong = {op: n for op, n in counts.items() if n != 1}
+        assert not wrong, (
+            f"{name}: tape ops in no or several activity categories "
+            f"(op: count) {wrong} -- add each to exactly one of "
+            f"CONSUMING_OPS/MOVEMENT_OPS/INDEXING_OPS, or the activity "
+            f"walk falls back to reading every element")
 
     def test_tape_op_categories_are_disjoint(self):
         assert not CONSUMING_OPS & MOVEMENT_OPS

@@ -91,22 +91,23 @@ def force_per_probe(monkeypatch):
 
 @pytest.fixture()
 def sweep_options(monkeypatch):
-    """Install extra :mod:`repro.ad` sweep options under the analyzer.
+    """Install extra :mod:`repro.ad` gradient-sweep options under the
+    analyzer.
 
-    The analyzer fixes how the segmented sweep runs (plan replay, fused
-    plans); the alternatives live on the ``repro.ad`` sweep functions as
-    test oracles.  Calling the returned
-    function -- e.g. ``sweep_options(trace_cache="off", plan_cache=None)``
-    -- makes every later analysis in the test call those functions with
-    the given options overriding the analyzer's own (until the next call),
-    so mask-level equivalences can still be pinned end to end.
+    The analyzer fixes how the segmented gradient sweeps run (plan replay,
+    fused plans); the alternatives live on the ``repro.ad`` gradient sweep
+    functions as test oracles.  Calling the returned function -- e.g.
+    ``sweep_options(trace_cache="off", plan_cache=None)`` -- makes every
+    later analysis in the test call those functions with the given options
+    overriding the analyzer's own (until the next call), so mask-level
+    equivalences can still be pinned end to end.  The activity sweep takes
+    no plan options and is left alone.
     """
     import repro.core.criticality as criticality
 
     drivers = [(owner, attr, getattr(owner, attr)) for owner, attr in (
         (criticality, "segmented_gradients"),
-        (criticality.probes_mod, "segmented_batched_gradients"),
-        (criticality.activity_mod, "segmented_read_masks"))]
+        (criticality.probes_mod, "segmented_batched_gradients"))]
 
     def install(**options):
         # each call replaces the previous options instead of stacking

@@ -2,12 +2,12 @@
 
 Before repro 1.6.0 ``method="activity"`` silently ignored
 ``sweep="segmented"`` -- the analysis always traced the monolithic tape.
-These are the regression tests: the segmented (chained, plan-replayed)
-path actually runs, with identical masks, and unsupported arguments raise
-instead of silently degrading.  Since repro 1.9.0 the sweep is the only
-execution choice above :mod:`repro.ad` and is not part of the result's
-identity; the trace-cache alternative stays on
-:func:`repro.ad.activity.segmented_read_masks` as an oracle.
+These are the regression tests: the segmented (chained) path actually
+runs, with identical masks, and unsupported arguments raise instead of
+silently degrading.  Since repro 1.9.0 the sweep is the only execution
+choice above :mod:`repro.ad` and is not part of the result's identity.
+The activity sweep traces every segment, so no plan option reaches
+:func:`repro.ad.activity.segmented_read_masks` and it accepts none.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.ad import activity as activity_mod
-from repro.ad.plan import PlanCache
 from repro.cli import main
 from repro.core import criticality as criticality_mod
 from repro.core.analysis import scrutinize
@@ -34,16 +33,11 @@ def _assert_same_masks(expected, got, label=""):
 
 class TestAnalyzerHonoursSweepKnobs:
     @pytest.mark.parametrize("name", ["CG", "MG", "LU", "IS"])
-    def test_segmented_activity_masks_match_monolithic(self, name,
-                                                       sweep_options):
+    def test_segmented_activity_masks_match_monolithic(self, name):
         mono = scrutinize(registry.create(name, "T"), method="activity")
-        planned = scrutinize(registry.create(name, "T"), method="activity",
-                             sweep="segmented")
-        sweep_options(trace_cache="off")
-        traced = scrutinize(registry.create(name, "T"), method="activity",
-                            sweep="segmented")
-        _assert_same_masks(mono, planned, f"{name} planned")
-        _assert_same_masks(mono, traced, f"{name} traced")
+        seg = scrutinize(registry.create(name, "T"), method="activity",
+                         sweep="segmented")
+        _assert_same_masks(mono, seg, f"{name} segmented")
 
     def test_segmented_route_actually_runs_the_chained_sweep(self, monkeypatch):
         """The sweep must reach the chained driver -- the original bug."""
@@ -59,10 +53,22 @@ class TestAnalyzerHonoursSweepKnobs:
         analyzer = CriticalityAnalyzer(method="activity", sweep="segmented")
         analyzer.analyze(registry.create("CG", "T"))
         assert len(calls) == 1
-        # the fixed engine: keep-all snapshots, a fresh per-analysis cache
-        assert "snapshot_schedule" not in calls[0]
-        assert "trace_cache" not in calls[0]
-        assert isinstance(calls[0]["plan_cache"], PlanCache)
+        # the fixed engine: keep-all snapshots and no plan knob at all
+        for knob in ("snapshot_schedule", "trace_cache", "plan_cache",
+                     "plan_optimize"):
+            assert knob not in calls[0]
+
+    @pytest.mark.parametrize("knob", ("trace_cache", "plan_cache",
+                                      "plan_optimize"))
+    def test_activity_sweep_takes_no_plan_knob(self, knob, sweep_options):
+        bench = registry.create("CG", "T")
+        with pytest.raises(TypeError, match=knob):
+            activity_mod.segmented_read_masks(bench, bench.initial_state(),
+                                              **{knob: None})
+        # the oracle fixture leaves the activity sweep alone
+        sweep_options(trace_cache="off")
+        assert criticality_mod.activity_mod.segmented_read_masks \
+            is activity_mod.segmented_read_masks
 
     def test_monolithic_route_does_not_run_the_chained_sweep(self, monkeypatch):
         """The monolithic sweep is the driver's one-segment walk: one
@@ -105,15 +111,11 @@ class TestAnalyzerHonoursSweepKnobs:
 
 
 class TestActivityJobsAndStoreKeys:
-    def test_segmented_activity_job_roundtrip(self, sweep_options):
+    def test_segmented_activity_job_roundtrip(self):
         mono = run_job(ScrutinyJob("CG", "T", method="activity"))
-        planned = run_job(ScrutinyJob("CG", "T", method="activity",
-                                      sweep="segmented"))
-        sweep_options(trace_cache="off")
-        traced = run_job(ScrutinyJob("CG", "T", method="activity",
-                                     sweep="segmented"))
-        _assert_same_masks(mono, planned, "CG planned")
-        _assert_same_masks(mono, traced, "CG traced")
+        seg = run_job(ScrutinyJob("CG", "T", method="activity",
+                                  sweep="segmented"))
+        _assert_same_masks(mono, seg, "CG segmented")
 
     def test_activity_sweep_keys_never_alias(self):
         """Activity keys still never alias the AD keys; the two sweeps of
