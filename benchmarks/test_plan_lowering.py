@@ -10,7 +10,7 @@ capture -> IR -> passes -> executor pipeline:
   dead-slot elimination, packed arena, and the specialised
   ``out=``-buffer kernels);
 * ``unfused``  -- ``plan_optimize="off"`` (the faithful pre-lowering
-  replay: generic emitters, no passes).
+  replay: every instruction runs its primitive's rule, no passes).
 
 Both modes are timed back to back in each of 41 rounds; the speedup is
 the median over the rounds of the unfused/fused time ratio, so load that

@@ -30,8 +30,9 @@ echo "== sweep driver: gradient, batched probe and activity walks =="
 # (tail = 0); at those tails and at tail = steps // 2
 # (test_multi_iteration_output_segment_matches_one_tape) each walk must
 # stay bitwise equal to its one-tape traced_restart oracle or the
-# per-probe loop
-python -m pytest -q tests/ad/test_segmented.py \
+# per-probe loop, and every tape a walk records must be freed by reference
+# counting alone (no cycles, the cyclic collector off)
+python -m pytest -q tests/ad/test_segmented.py tests/ad/test_tape_lifetime.py \
     tests/experiments/test_sweep_plumbing.py tests/npb/test_class_a.py \
     tests/ad/test_probes.py tests/experiments/test_probe_plumbing.py \
     tests/ad/test_activity_sweep.py tests/experiments/test_activity_plumbing.py

@@ -7,12 +7,15 @@ executable op list a :class:`~repro.ad.plan.CompiledPlan` replays -- a flat
 sequence of ``(slot, parents, kernel)`` triples where every kernel maps
 parent slot values to ``(value, vjp)``.
 
-The executor is a numpy interpreter.  Unfused instructions run the
-per-primitive kernels (each mirrors its ops-layer primitive); fused
-elementwise/unary chains run a single ``exec``-generated straight-line kernel
-with **preallocated ``out=`` buffers** for every ufunc step, so a warm replay
-of a fused chain performs no Python-level dispatch per primitive and no
-per-step allocation.  The generated code calls exactly the shared rule tables
+The executor is a numpy interpreter.  An unfused instruction runs its
+primitive's rule (:data:`repro.ad.ops.RULES`) bound to the recorded spec --
+the very function the tracer ran, so there is no second copy of any VJP.
+With the passes on, the hottest singleton kinds run shape-specialised
+kernels instead, and fused elementwise/unary chains run a single
+``exec``-generated straight-line kernel with **preallocated ``out=``
+buffers** for every ufunc step, so a warm replay of a fused chain performs
+no Python-level dispatch per primitive and no per-step allocation.  The
+generated code calls exactly the shared compute/VJP tables
 (``EW_BINARY_RULES`` / ``UNARY_RULES`` / ``MINMAX_RULES``) and the ops-layer
 broadcast helpers, so fused values and cotangents are bitwise what the
 unfused interpreter produces.
@@ -26,6 +29,7 @@ corrupt caller-visible state.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -36,727 +40,9 @@ __all__ = ["build_ops"]
 
 
 def _ops_mod():
-    from . import ops  # deferred: ops imports the plan layer at load time
+    from . import ops  # deferred: ops imports probes, which imports the plan
 
     return ops
-
-
-# ---------------------------------------------------------------------------
-# per-primitive interpreter kernels
-# ---------------------------------------------------------------------------
-#
-# Every emitter receives one instruction's spec and returns a *kernel*: a
-# closure over the spec's constants mapping the parent slot values to
-# ``(value, vjp)``.  Kernels execute exactly the numpy expressions the
-# corresponding ops-layer primitive executes -- the elementwise/unary/
-# min-max families share their rule tables with :mod:`repro.ad.ops`
-# outright, the rest mirror the primitive line for line (and reuse the ops
-# helpers ``_unbroadcast`` / ``_unbroadcast_keep_probe`` /
-# ``_matmul_grad_*``) -- so a replayed value or cotangent is bitwise what a
-# fresh trace produces.
-
-
-def _emit_ewbinary(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    (_, op, a_tr, b_tr, a_const, b_const,
-     a_shape, b_shape, a_lift, b_lift) = spec
-    compute, grad_a, grad_b = ops.EW_BINARY_RULES[op]
-    unbroadcast, restore = ops._unbroadcast, ops._probe_restore
-    a_re = a_tr and tuple(a_lift) != tuple(a_shape)
-    b_re = b_tr and tuple(b_lift) != tuple(b_shape)
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            av = vals[i].reshape(a_lift) if a_re else vals[i]
-            i += 1
-        else:
-            av = a_const
-        bv = (vals[i].reshape(b_lift) if b_re else vals[i]) if b_tr \
-            else b_const
-        out = compute(av, bv)
-
-        def vjp(g: np.ndarray) -> tuple:
-            grads = []
-            if a_tr:
-                grads.append(restore(unbroadcast(grad_a(g, av, bv), a_lift),
-                                     a_shape))
-            if b_tr:
-                grads.append(restore(unbroadcast(grad_b(g, av, bv), b_lift),
-                                     b_shape))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_minmax(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    (_, op, a_tr, b_tr, a_const, b_const,
-     a_shape, b_shape, a_lift, b_lift) = spec
-    compute, mask_of = ops.MINMAX_RULES[op]
-    unbroadcast, restore = ops._unbroadcast, ops._probe_restore
-    a_re = a_tr and tuple(a_lift) != tuple(a_shape)
-    b_re = b_tr and tuple(b_lift) != tuple(b_shape)
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            av = vals[i].reshape(a_lift) if a_re else vals[i]
-            i += 1
-        else:
-            av = a_const
-        bv = (vals[i].reshape(b_lift) if b_re else vals[i]) if b_tr \
-            else b_const
-        out = compute(av, bv)
-        mask_a = mask_of(av, bv)
-
-        def vjp(g: np.ndarray) -> tuple:
-            grads = []
-            if a_tr:
-                grads.append(restore(unbroadcast(g * mask_a, a_lift),
-                                     a_shape))
-            if b_tr:
-                grads.append(restore(unbroadcast(g * ~mask_a, b_lift),
-                                     b_shape))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_unary(spec: tuple, node: Instr) -> Callable:
-    compute, dydx = _ops_mod().UNARY_RULES[spec[1]]
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = compute(av)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (g * dydx(av, out),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_negative(spec: tuple, node: Instr) -> Callable:
-    def kernel(vals: list) -> tuple:
-        return -vals[0], lambda g: (-g,)
-
-    return kernel
-
-
-def _emit_copy(spec: tuple, node: Instr) -> Callable:
-    def kernel(vals: list) -> tuple:
-        return np.array(vals[0], copy=True), lambda g: (g,)
-
-    return kernel
-
-
-def _emit_astype(spec: tuple, node: Instr) -> Callable:
-    _, dtype_str, src_str = spec
-    dtype, src = np.dtype(dtype_str), np.dtype(src_str)
-
-    def kernel(vals: list) -> tuple:
-        out = vals[0].astype(dtype)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.asarray(g, dtype=src),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_sum(spec: tuple, node: Instr) -> Callable:
-    _, axis, keepdims, in_shape = spec
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = np.sum(av, axis=axis, keepdims=keepdims)
-
-        def vjp(g: np.ndarray) -> tuple:
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g, in_shape).copy(),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_mean(spec: tuple, node: Instr) -> Callable:
-    _, axis, keepdims, count, in_shape = spec
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = np.mean(av, axis=axis, keepdims=keepdims)
-
-        def vjp(g: np.ndarray) -> tuple:
-            g = np.asarray(g) / count
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g, in_shape).copy(),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_redminmax(spec: tuple, node: Instr) -> Callable:
-    _, op, axis, keepdims, in_shape = spec
-    reduce_fn = np.max if op == "max" else np.min
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = reduce_fn(av, axis=axis, keepdims=keepdims)
-
-        def vjp(g: np.ndarray) -> tuple:
-            g = np.asarray(g)
-            out_k = out
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                out_k = np.expand_dims(out, axis=axis)
-            mask = (av == out_k)
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None \
-                else mask.sum()
-            return (mask * g / denom,)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_prod(spec: tuple, node: Instr) -> Callable:
-    _, axis, keepdims, in_shape = spec
-    partials = _ops_mod()._prod_partials
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = np.prod(av, axis=axis, keepdims=keepdims)
-
-        def vjp(g: np.ndarray) -> tuple:
-            g = np.asarray(g)
-            out_k = out
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                out_k = np.expand_dims(out, axis=axis)
-            return (g * partials(av, out_k, axis),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_getitem(spec: tuple, node: Instr) -> Callable:
-    _, idx, advanced, contig, in_shape = spec
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = av[idx]
-        if contig:
-            out = np.ascontiguousarray(out)
-
-        def vjp(g: np.ndarray) -> tuple:
-            grad = np.zeros(in_shape, dtype=np.result_type(g, np.float64))
-            if advanced:
-                np.add.at(grad, idx, g)
-            else:
-                grad[idx] += g
-            return (grad,)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_index_update(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    (_, idx, a_tr, b_tr, a_const, b_const, b_shape, batched,
-     lift_shape) = spec
-    keep_probe = ops._unbroadcast_keep_probe
-    lifted_const = None
-    if not a_tr and lift_shape is not None:
-        lifted_const = np.broadcast_to(a_const, lift_shape)
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            out = np.array(vals[i], copy=True)
-            i += 1
-        elif lifted_const is not None:
-            out = np.array(lifted_const, copy=True, order="C")
-        else:
-            out = np.array(a_const, copy=True)
-        bv = vals[i] if b_tr else b_const
-        out[idx] = bv
-
-        def vjp(g: np.ndarray) -> tuple:
-            grads = []
-            if a_tr:
-                ga = np.array(g, copy=True)
-                ga[idx] = 0.0
-                grads.append(ga)
-            if b_tr:
-                gb = np.asarray(g)[idx]
-                grads.append(keep_probe(gb, b_shape, batched))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_index_add(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    (_, idx, a_tr, b_tr, a_const, b_const, b_shape, batched,
-     lift_shape) = spec
-    keep_probe = ops._unbroadcast_keep_probe
-    lifted_const = None
-    if not a_tr and lift_shape is not None:
-        lifted_const = np.broadcast_to(a_const, lift_shape)
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            out = np.array(vals[i], copy=True)
-            i += 1
-        elif lifted_const is not None:
-            out = np.array(lifted_const, copy=True, order="C")
-        else:
-            out = np.array(a_const, copy=True)
-        bv = vals[i] if b_tr else b_const
-        np.add.at(out, idx, bv)
-
-        def vjp(g: np.ndarray) -> tuple:
-            grads = []
-            if a_tr:
-                grads.append(np.asarray(g))
-            if b_tr:
-                gb = np.asarray(g)[idx]
-                grads.append(keep_probe(gb, b_shape, batched))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_where(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    (_, cv, a_tr, b_tr, a_const, b_const,
-     a_shape, b_shape, a_lift, b_lift) = spec
-    unbroadcast, restore = ops._unbroadcast, ops._probe_restore
-    a_re = a_tr and tuple(a_lift) != tuple(a_shape)
-    b_re = b_tr and tuple(b_lift) != tuple(b_shape)
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            av = vals[i].reshape(a_lift) if a_re else vals[i]
-            i += 1
-        else:
-            av = a_const
-        bv = (vals[i].reshape(b_lift) if b_re else vals[i]) if b_tr \
-            else b_const
-        out = np.where(cv, av, bv)
-
-        def vjp(g: np.ndarray) -> tuple:
-            grads = []
-            if a_tr:
-                grads.append(restore(unbroadcast(g * cv, a_lift), a_shape))
-            if b_tr:
-                grads.append(restore(unbroadcast(g * (~cv), b_lift),
-                                     b_shape))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_matmul(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    _, a_tr, b_tr, a_const, b_const = spec
-    grad_a, grad_b = ops._matmul_grad_a, ops._matmul_grad_b
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            av = vals[i]
-            i += 1
-        else:
-            av = a_const
-        bv = vals[i] if b_tr else b_const
-        out = np.matmul(av, bv)
-
-        def vjp(g: np.ndarray) -> tuple:
-            g = np.asarray(g)
-            grads = []
-            if a_tr:
-                grads.append(grad_a(g, av, bv))
-            if b_tr:
-                grads.append(grad_b(g, av, bv))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_matmul_probe(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    _, a_tr, b_tr, a_const, b_const, la, lb = spec
-    keep_probe = ops._unbroadcast_keep_probe
-
-    def kernel(vals: list) -> tuple:
-        i = 0
-        if a_tr:
-            av = vals[i]
-            i += 1
-        else:
-            av = a_const
-        bv = vals[i] if b_tr else b_const
-        av_m = av[..., None, :] if la == 1 else av
-        bv_m = bv[..., :, None] if lb == 1 else bv
-        out_m = np.matmul(av_m, bv_m)
-        if la == 1 and lb == 1:
-            out = out_m[..., 0, 0]
-        elif la == 1:
-            out = out_m[..., 0, :]
-        elif lb == 1:
-            out = out_m[..., :, 0]
-        else:
-            out = out_m
-
-        def vjp(g: np.ndarray) -> tuple:
-            g = np.asarray(g)
-            if la == 1 and lb == 1:
-                g_m = g[..., None, None]
-            elif la == 1:
-                g_m = g[..., None, :]
-            elif lb == 1:
-                g_m = g[..., :, None]
-            else:
-                g_m = g
-            grads = []
-            if a_tr:
-                ga = np.matmul(g_m, np.swapaxes(bv_m, -1, -2))
-                grads.append(keep_probe(ga, av_m.shape,
-                                        True).reshape(av.shape))
-            if b_tr:
-                gb = np.matmul(np.swapaxes(av_m, -1, -2), g_m)
-                grads.append(keep_probe(gb, bv_m.shape,
-                                        True).reshape(bv.shape))
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_banded(spec: tuple, node: Instr) -> Callable:
-    _, bands, bands_t, offsets = spec
-    matvec = _ops_mod()._dia_matvec
-    offsets_t = tuple(-o for o in offsets)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (matvec(bands_t, offsets_t, g),)
-
-    def kernel(vals: list) -> tuple:
-        return matvec(bands, offsets, vals[0]), vjp
-
-    return kernel
-
-
-def _emit_ifftn_sampled(spec: tuple, node: Instr) -> Callable:
-    _, traced, consts, scale, points, nb = spec
-    rule = _ops_mod()._ifftn_sampled_rule
-
-    def kernel(vals: list) -> tuple:
-        it = iter(vals)
-        return rule([next(it) if t else c for t, c in zip(traced, consts)],
-                    traced, scale, points, nb)
-
-    return kernel
-
-
-def _emit_reshape(spec: tuple, node: Instr) -> Callable:
-    _, out_shape, in_shape = spec
-
-    def kernel(vals: list) -> tuple:
-        out = np.reshape(vals[0], out_shape)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.reshape(g, in_shape),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_transpose(spec: tuple, node: Instr) -> Callable:
-    _, axes, inv_axes = spec
-
-    def kernel(vals: list) -> tuple:
-        out = np.transpose(vals[0], axes)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.transpose(g, inv_axes),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_swapaxes(spec: tuple, node: Instr) -> Callable:
-    _, ax1, ax2 = spec
-
-    def kernel(vals: list) -> tuple:
-        out = np.swapaxes(vals[0], ax1, ax2)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.swapaxes(g, ax1, ax2),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _moveaxis_order(src: Any, dst: Any, ndim: int) -> tuple[int, ...]:
-    """The axis permutation ``np.moveaxis(a, src, dst)`` applies.
-
-    Mirrors numpy's own implementation (normalize, remove sources, insert
-    at destinations in ascending order); precomputing it lets the compiled
-    kernel run one C-level ``transpose`` instead of re-normalising the
-    axes on every replay -- same view, same bits.
-    """
-    src_t = tuple(ax % ndim for ax in
-                  (src if isinstance(src, (tuple, list)) else (src,)))
-    dst_t = tuple(ax % ndim for ax in
-                  (dst if isinstance(dst, (tuple, list)) else (dst,)))
-    order = [ax for ax in range(ndim) if ax not in src_t]
-    for d, s in sorted(zip(dst_t, src_t)):
-        order.insert(d, s)
-    return tuple(order)
-
-
-def _emit_moveaxis(spec: tuple, node: Instr) -> Callable:
-    _, src, dst = spec
-    ndim = len(node.shape)
-    fwd = _moveaxis_order(src, dst, ndim)
-    rev = _moveaxis_order(dst, src, ndim)
-
-    def kernel(vals: list) -> tuple:
-        out = vals[0].transpose(fwd)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.asarray(g).transpose(rev),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_broadcast_to(spec: tuple, node: Instr) -> Callable:
-    ops = _ops_mod()
-    _, out_shape, in_shape = spec
-    unbroadcast = ops._unbroadcast
-
-    def kernel(vals: list) -> tuple:
-        out = np.array(np.broadcast_to(vals[0], out_shape))
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (unbroadcast(g, in_shape),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_squeeze(spec: tuple, node: Instr) -> Callable:
-    _, axis, in_shape = spec
-
-    def kernel(vals: list) -> tuple:
-        out = np.squeeze(vals[0], axis=axis)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.reshape(g, in_shape),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_expand_dims(spec: tuple, node: Instr) -> Callable:
-    _, axis, in_shape = spec
-
-    def kernel(vals: list) -> tuple:
-        out = np.expand_dims(vals[0], axis)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.reshape(g, in_shape),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_flip(spec: tuple, node: Instr) -> Callable:
-    _, axis = spec
-
-    def kernel(vals: list) -> tuple:
-        out = np.flip(vals[0], axis=axis)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.flip(g, axis=axis),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_roll(spec: tuple, node: Instr) -> Callable:
-    _, shift, axis = spec
-    neg = -np.asarray(shift) if np.ndim(shift) else -shift
-
-    def kernel(vals: list) -> tuple:
-        out = np.roll(vals[0], shift, axis=axis)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.roll(g, neg, axis=axis),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_roll_flat(spec: tuple, node: Instr) -> Callable:
-    _, shift, flat_shape, in_shape = spec
-    neg = -np.asarray(shift) if np.ndim(shift) else -shift
-
-    def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = np.roll(av.reshape(flat_shape), shift, axis=1).reshape(in_shape)
-
-        def vjp(g: np.ndarray) -> tuple:
-            g2 = np.asarray(g).reshape(flat_shape)
-            return (np.roll(g2, neg, axis=1).reshape(in_shape),)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_pad_zero(spec: tuple, node: Instr) -> Callable:
-    _, norm_pad, in_shape = spec
-    pad = np.asarray(norm_pad)
-    index = tuple(slice(before, before + size)
-                  for (before, _after), size in zip(pad, in_shape))
-
-    def kernel(vals: list) -> tuple:
-        out = np.pad(vals[0], pad, mode="constant")
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (g[index],)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_concat(spec: tuple, node: Instr) -> Callable:
-    _, axis, parts, offsets = spec
-    traced_spans = [(start, stop)
-                    for (tag, payload), start, stop
-                    in zip(parts, offsets[:-1], offsets[1:]) if tag == "t"]
-
-    def kernel(vals: list) -> tuple:
-        seq = []
-        i = 0
-        for tag, payload in parts:
-            if tag == "t":
-                seq.append(vals[i])
-                i += 1
-            else:
-                seq.append(payload)
-        out = np.concatenate(seq, axis=axis)
-
-        def vjp(g: np.ndarray) -> tuple:
-            grads = []
-            for start, stop in traced_spans:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                grads.append(g[tuple(index)])
-            return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_stack(spec: tuple, node: Instr) -> Callable:
-    _, axis, parts = spec
-    traced_pos = [i for i, (tag, _payload) in enumerate(parts)
-                  if tag == "t"]
-
-    def kernel(vals: list) -> tuple:
-        seq = []
-        i = 0
-        for tag, payload in parts:
-            if tag == "t":
-                seq.append(vals[i])
-                i += 1
-            else:
-                seq.append(payload)
-        out = np.stack(seq, axis=axis)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return tuple(np.take(g, i, axis=axis) for i in traced_pos)
-
-        return out, vjp
-
-    return kernel
-
-
-#: spec kind -> emitter
-_EMITTERS: dict[str, Callable] = {
-    "ewbinary": _emit_ewbinary,
-    "minmax": _emit_minmax,
-    "unary": _emit_unary,
-    "negative": _emit_negative,
-    "copy": _emit_copy,
-    "astype": _emit_astype,
-    "sum": _emit_sum,
-    "mean": _emit_mean,
-    "redminmax": _emit_redminmax,
-    "prod": _emit_prod,
-    "getitem": _emit_getitem,
-    "index_update": _emit_index_update,
-    "index_add": _emit_index_add,
-    "where": _emit_where,
-    "matmul": _emit_matmul,
-    "matmul_probe": _emit_matmul_probe,
-    "banded": _emit_banded,
-    "ifftn_sampled": _emit_ifftn_sampled,
-    "reshape": _emit_reshape,
-    "transpose": _emit_transpose,
-    "swapaxes": _emit_swapaxes,
-    "moveaxis": _emit_moveaxis,
-    "broadcast_to": _emit_broadcast_to,
-    "squeeze": _emit_squeeze,
-    "expand_dims": _emit_expand_dims,
-    "flip": _emit_flip,
-    "roll": _emit_roll,
-    "roll_flat": _emit_roll_flat,
-    "pad_zero": _emit_pad_zero,
-    "concat": _emit_concat,
-    "stack": _emit_stack,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +61,7 @@ _EMITTERS: dict[str, Callable] = {
 # replay (safe: each instruction's VJP fires at most once per replay, and
 # ``_collect`` defensively copies every non-owned leaf cotangent before it
 # leaves the plan).  Each factory returns ``None`` when its static
-# conditions do not hold and the generic emitter serves the instruction
+# conditions do not hold and the primitive's rule serves the instruction
 # unchanged; ``plan_optimize="off"`` never consults this table.
 
 def _ew_identity_gate(spec: tuple, node: Instr) -> tuple | None:
@@ -1057,7 +343,7 @@ def _spec_matmul_probe(spec: tuple, node: Instr,
 
 #: pass-gated singleton specialisations (consulted only when the layout
 #: says the optimisation pipeline ran; ``None`` from a factory falls back
-#: to the generic emitter above).  Factories receive the full IR so they
+#: to the primitive's rule).  Factories receive the full IR so they
 #: can read parent geometry when their gate needs it.
 _SPECIALIZED: dict[str, Callable] = {
     "ewbinary": lambda spec, node, ir: _spec_ewbinary(spec, node),
@@ -1080,7 +366,7 @@ _SPECIALIZED: dict[str, Callable] = {
 # instructions whose interiors are each consumed exactly once, by the next
 # member.  The group compiles to ONE generated kernel: a straight-line
 # function evaluating the chain in slot order (same numpy calls as the
-# per-op kernels, with preallocated ``out=`` buffers wherever a ufunc is
+# primitives' rules, with preallocated ``out=`` buffers wherever a ufunc is
 # available) plus one generated VJP walking the chain in reverse.  The VJP
 # emits per-operand gradient expressions in exactly the order the unfused
 # reverse sweep would evaluate them -- externals in descending-op order
@@ -1126,7 +412,7 @@ class _Operand:
 
 
 def _parse_group(ir: PlanIR, group: Sequence[int]) -> dict[int, list[_Operand]]:
-    """Per-member operand records, in the emitter's (a, b) order."""
+    """Per-member operand records, in the rule's (a, b) order."""
     interior = set(group[:-1])
     recs: dict[int, list[_Operand]] = {}
     for slot in group:
@@ -1369,11 +655,10 @@ def build_ops(ir: PlanIR, layout
                 if specialize is not None:
                     kernel = specialize(instr.spec, instr, ir)
             if kernel is None:
-                emitter = _EMITTERS.get(instr.kind)
-                if emitter is None:
-                    raise KeyError(
-                        f"no emitter for spec kind {instr.kind!r}")
-                kernel = emitter(instr.spec, instr)
+                rule = _ops_mod().RULES.get(instr.kind)
+                if rule is None:
+                    raise KeyError(f"no rule for spec kind {instr.kind!r}")
+                kernel = partial(rule, instr.spec)
             ops.append((slot, instr.parents, kernel))
             continue
         out_bufs: dict[int, np.ndarray] = {}

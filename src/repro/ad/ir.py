@@ -40,9 +40,9 @@ class Instr:
         Output slot (== the captured tape node index).
     kind:
         Spec kind (``"ewbinary"``, ``"leaf"``, ``"reshape"``, ...); the key
-        into the executor's emitter table.
+        into the rule table :data:`repro.ad.ops.RULES`.
     parents:
-        Input slots, in the operand order the emitter expects.
+        Input slots, in the operand order the rule expects.
     spec:
         The full captured spec tuple (kind first), carrying constants and
         geometry decisions.  Opaque to the IR, typed by ``kind``.

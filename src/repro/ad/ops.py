@@ -2,14 +2,23 @@
 
 This module is both
 
-* the **primitive library** of the reverse-mode AD engine -- every function
-  here knows how to compute its value with NumPy *and* how to pull a
-  cotangent back to its inputs -- and
+* the **primitive library** of the reverse-mode AD engine -- every
+  primitive is one *rule* in :data:`RULES`, computing its value with NumPy
+  *and* a VJP that pulls a cotangent back to its inputs -- and
 * the **numpy-like facade** the NPB mini-apps are written against: every
   function accepts either plain numpy arrays (in which case it behaves
   exactly like the corresponding :mod:`numpy` function and returns plain
   numpy data) or traced :class:`~repro.ad.tensor.ADArray` objects (in which
   case the operation is recorded on the tape of its traced operands).
+
+A rule is ``rule(spec, vals) -> (out, vjp)`` over plain arrays: ``spec`` is
+a tuple, its kind first, holding every constant operand and every shape,
+axis, index and probe-axis decision; ``vals`` are the traced operands'
+values.  A facade function resolves the spec from its arguments, calls the
+rule and records a node carrying the spec, so the VJP closes over plain
+values only and a tape is freed by reference counting.  The compiled replay
+plans (:mod:`repro.ad.exec`) call the same rules on the recorded specs, so
+a replayed value or cotangent is bitwise what the tracer produces.
 
 The design follows the guidance of the HPC-Python coding guides used for
 this project: hot paths stay fully vectorised (the tape records *array*
@@ -17,8 +26,9 @@ operations, never per-element ones), gradient buffers are reused in place
 during the reverse sweep, and no Python-level loop runs over array elements.
 
 Only the primitives required by the NPB kernels and the checkpoint analysis
-are implemented; adding a new primitive means adding one function following
-the ``_record`` pattern below.
+are implemented; adding a new primitive means adding one rule with
+:func:`_rule` and one facade function that resolves its spec and calls
+:func:`_apply`.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .plan import _CAPTURE
 from .probes import ProbeBatchingError, probe_axis_size
 from .tape import Tape, _TAPES, get_active_tape
 from .tensor import ADArray, value_of
@@ -86,17 +95,13 @@ def _target_tape(parents: Sequence[ADArray]) -> Tape | None:
 
 
 def _record(op: str, value: np.ndarray, parents: Sequence[ADArray],
-            vjp: Callable[[np.ndarray], tuple],
-            meta: dict | None = None, spec: tuple | None = None) -> Any:
+            vjp: Callable[[np.ndarray], tuple], spec: tuple,
+            meta: dict | None = None) -> Any:
     """Record one primitive and wrap its output.
 
     If there are no traced parents, or tracing is suspended, the plain numpy
-    value is returned so untraced code pays no overhead.  ``spec`` is the
-    primitive's replay description, supplied only while a plan capture
-    (:mod:`repro.ad.plan`) is active; a recorded node without one marks the
-    capture as unreplayable (the plan cache then falls back to tracing).
+    value is returned so untraced code pays no tape overhead.
     """
-    parents = list(parents)
     if not parents:
         return value
     tape = _target_tape(parents)
@@ -111,11 +116,31 @@ def _record(op: str, value: np.ndarray, parents: Sequence[ADArray],
             f"primitive {op!r} produced shape {np.shape(value)} without a "
             f"leading probe axis of length {nb}")
     node = tape.add_node(op, [p.node for p in parents], vjp,
-                         np.shape(value), np.asarray(value).dtype, meta=meta)
-    capture = _CAPTURE.capture
-    if capture is not None:
-        capture.on_node(node, spec)
+                         np.shape(value), np.asarray(value).dtype, meta=meta,
+                         spec=spec)
     return ADArray(value, node=node, tape=tape)
+
+
+#: spec kind -> ``rule(spec, vals) -> (out, vjp)`` (see the module
+#: docstring); ``vals`` holds the traced operands' values in parent order,
+#: and a one-operand rule always receives its operand
+RULES: dict[str, Callable[[tuple, list], tuple]] = {}
+
+
+def _rule(kind: str) -> Callable:
+    """Register the decorated function as the rule of spec ``kind``."""
+    def register(rule: Callable) -> Callable:
+        RULES[kind] = rule
+        return rule
+
+    return register
+
+
+def _apply(op: str, spec: tuple, parents: Sequence[ADArray], vals: list,
+           meta: dict | None = None) -> Any:
+    """Run the rule of ``spec`` on ``vals`` and record its node as ``op``."""
+    out, vjp = RULES[spec[0]](spec, vals)
+    return _record(op, out, parents, vjp, spec, meta)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -314,10 +339,8 @@ def _power_grad_b(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     return g * (av ** bv) * loga
 
 
-#: shared compute/VJP rules of the elementwise binary primitives -- the
-#: single source the tracer *and* the compiled replay plans
-#: (:mod:`repro.ad.plan`) execute, so replayed values and cotangents are
-#: bitwise-identical by construction
+#: compute/VJP lambdas of the elementwise binary primitives, shared by
+#: their rule and the plan executor's fused-chain generator
 EW_BINARY_RULES: dict[str, tuple] = {
     "add": (lambda av, bv: av + bv,
             lambda g, av, bv: g,
@@ -337,67 +360,87 @@ EW_BINARY_RULES: dict[str, tuple] = {
 }
 
 
-def _elementwise_binary(op: str, a: Any, b: Any,
-                        compute: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        grad_a: Callable[..., np.ndarray],
-                        grad_b: Callable[..., np.ndarray]) -> Any:
-    """Record one elementwise binary primitive with probe-aware broadcasting.
+def _lifted_spec(kind: str, op: Any, a: Any, b: Any) -> tuple:
+    """Spec of a probe-aware elementwise binary primitive.
 
-    ``compute(av, bv)`` produces the value; ``grad_a(g, av, bv)`` /
-    ``grad_b(g, av, bv)`` produce the raw cotangents, which are then
-    unbroadcast to the (possibly probe-lifted) operand shape and restored to
-    the operand's true node shape.
+    ``(kind, op, a_traced, b_traced, a_const, b_const, a_shape, b_shape,
+    a_lift, b_lift)``: the constants are the untraced operands' values, the
+    shapes are the operands' node shapes and the lifts the shapes
+    :func:`_probe_align` gives them under a probe axis.
     """
-    av0, bv0 = value_of(a), value_of(b)
-    nb = _probe_batch(a, b)
+    av, bv = value_of(a), value_of(b)
+    a_tr, b_tr = _is_traced(a), _is_traced(b)
+    a_shape = a_lift = av.shape
+    b_shape = b_lift = bv.shape
+    nb = probe_axis_size() if a_tr or b_tr else None
     if nb is not None:
-        av, bv = _probe_align(nb, (av0, _is_traced(a)), (bv0, _is_traced(b)))
-    else:
-        av, bv = av0, bv0
-    out = compute(av, bv)
-    parents = _traced_parents(a, b)
-    a_shape, b_shape = np.shape(av0), np.shape(bv0)
-    a_lift, b_lift = np.shape(av), np.shape(bv)
+        av, bv = _probe_align(nb, (av, a_tr), (bv, b_tr))
+        a_lift, b_lift = av.shape, bv.shape
+    return (kind, op, a_tr, b_tr, None if a_tr else av, None if b_tr else bv,
+            a_shape, b_shape, a_lift, b_lift)
+
+
+def _lifted_values(spec: tuple, vals: list) -> tuple:
+    """The two operands of a :func:`_lifted_spec` rule, lifted."""
+    (_, _, a_tr, b_tr, av, bv, a_shape, b_shape, a_lift, b_lift) = spec
+    if a_tr:
+        av = vals[0] if a_lift == a_shape else vals[0].reshape(a_lift)
+    if b_tr:
+        bv = vals[-1] if b_lift == b_shape else vals[-1].reshape(b_lift)
+    return av, bv
+
+
+def _lifted_vjp(spec: tuple, grad_a: Callable, grad_b: Callable) -> Callable:
+    """VJP of a :func:`_lifted_spec` rule from its raw operand cotangents:
+    each is unbroadcast to the operand's lift and restored to its shape."""
+    (_, _, a_tr, b_tr, _, _, a_shape, b_shape, a_lift, b_lift) = spec
 
     def vjp(g: np.ndarray) -> tuple:
         grads = []
-        if _is_traced(a):
-            grads.append(_probe_restore(
-                _unbroadcast(grad_a(g, av, bv), a_lift), a_shape))
-        if _is_traced(b):
-            grads.append(_probe_restore(
-                _unbroadcast(grad_b(g, av, bv), b_lift), b_shape))
+        if a_tr:
+            grads.append(_probe_restore(_unbroadcast(grad_a(g), a_lift),
+                                        a_shape))
+        if b_tr:
+            grads.append(_probe_restore(_unbroadcast(grad_b(g), b_lift),
+                                        b_shape))
         return tuple(grads)
 
-    spec = None
-    if _CAPTURE.capture is not None and op in EW_BINARY_RULES:
-        spec = ("ewbinary", op, _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv,
-                a_shape, b_shape, a_lift, b_lift)
-    return _record(op, out, parents, vjp, spec=spec)
+    return vjp
+
+
+@_rule("ewbinary")
+def _ewbinary_rule(spec: tuple, vals: list) -> tuple:
+    compute, grad_a, grad_b = EW_BINARY_RULES[spec[1]]
+    av, bv = _lifted_values(spec, vals)
+    return compute(av, bv), _lifted_vjp(spec, lambda g: grad_a(g, av, bv),
+                                        lambda g: grad_b(g, av, bv))
+
+
+def _binary(op: str, kind: str, a: Any, b: Any) -> Any:
+    """Record one probe-aware elementwise binary primitive."""
+    parents = _traced_parents(a, b)
+    return _apply(op, _lifted_spec(kind, op, a, b), parents,
+                  [p.value for p in parents])
 
 
 def add(a: Any, b: Any) -> Any:
     """Elementwise ``a + b`` with NumPy broadcasting."""
-    return _elementwise_binary("add", a, b, *EW_BINARY_RULES["add"])
+    return _binary("add", "ewbinary", a, b)
 
 
 def subtract(a: Any, b: Any) -> Any:
     """Elementwise ``a - b`` with NumPy broadcasting."""
-    return _elementwise_binary("subtract", a, b,
-                               *EW_BINARY_RULES["subtract"])
+    return _binary("subtract", "ewbinary", a, b)
 
 
 def multiply(a: Any, b: Any) -> Any:
     """Elementwise ``a * b`` with NumPy broadcasting."""
-    return _elementwise_binary("multiply", a, b,
-                               *EW_BINARY_RULES["multiply"])
+    return _binary("multiply", "ewbinary", a, b)
 
 
 def divide(a: Any, b: Any) -> Any:
     """Elementwise true division ``a / b``."""
-    return _elementwise_binary("divide", a, b, *EW_BINARY_RULES["divide"])
+    return _binary("divide", "ewbinary", a, b)
 
 
 def power(a: Any, b: Any) -> Any:
@@ -407,85 +450,63 @@ def power(a: Any, b: Any) -> Any:
     constant scalar exponent, for which the VJP reduces to
     ``g * b * a**(b-1)``.
     """
-    return _elementwise_binary("power", a, b, *EW_BINARY_RULES["power"])
+    return _binary("power", "ewbinary", a, b)
 
 
-#: shared compute/tie-mask rules of maximum/minimum (tracer + replay plans)
+#: compute/tie-mask pairs of maximum/minimum (rule + fused-chain generator)
 MINMAX_RULES: dict[str, tuple] = {
     "maximum": (np.maximum, lambda av, bv: av >= bv),
     "minimum": (np.minimum, lambda av, bv: av <= bv),
 }
 
 
-def _minmax_binary(op: str, a: Any, b: Any, compute, mask_of) -> Any:
-    """Shared maximum/minimum recorder; the tie mask is computed once at
-    trace time and shared by both cotangents."""
-    av0, bv0 = value_of(a), value_of(b)
-    nb = _probe_batch(a, b)
-    if nb is not None:
-        av, bv = _probe_align(nb, (av0, _is_traced(a)), (bv0, _is_traced(b)))
-    else:
-        av, bv = av0, bv0
-    out = compute(av, bv)
+@_rule("minmax")
+def _minmax_rule(spec: tuple, vals: list) -> tuple:
+    """The tie mask is computed once, in the forward, and shared by both
+    cotangents."""
+    compute, mask_of = MINMAX_RULES[spec[1]]
+    av, bv = _lifted_values(spec, vals)
     mask_a = mask_of(av, bv)
-    parents = _traced_parents(a, b)
-    a_shape, b_shape = np.shape(av0), np.shape(bv0)
-    a_lift, b_lift = np.shape(av), np.shape(bv)
-
-    def vjp(g: np.ndarray) -> tuple:
-        grads = []
-        if _is_traced(a):
-            grads.append(_probe_restore(
-                _unbroadcast(g * mask_a, a_lift), a_shape))
-        if _is_traced(b):
-            grads.append(_probe_restore(
-                _unbroadcast(g * ~mask_a, b_lift), b_shape))
-        return tuple(grads)
-
-    spec = None
-    if _CAPTURE.capture is not None:
-        spec = ("minmax", op, _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv,
-                a_shape, b_shape, a_lift, b_lift)
-    return _record(op, out, parents, vjp, spec=spec)
+    return compute(av, bv), _lifted_vjp(spec, lambda g: g * mask_a,
+                                        lambda g: g * ~mask_a)
 
 
 def maximum(a: Any, b: Any) -> Any:
     """Elementwise maximum; ties send the cotangent to the first operand."""
-    return _minmax_binary("maximum", a, b, *MINMAX_RULES["maximum"])
+    return _binary("maximum", "minmax", a, b)
 
 
 def minimum(a: Any, b: Any) -> Any:
     """Elementwise minimum; ties send the cotangent to the first operand."""
-    return _minmax_binary("minimum", a, b, *MINMAX_RULES["minimum"])
+    return _binary("minimum", "minmax", a, b)
+
+
+@_rule("mod")
+def _mod_rule(spec: tuple, vals: list) -> tuple:
+    av, bv = _lifted_values(spec, vals)
+    return np.mod(av, bv), _lifted_vjp(spec, lambda g: g, None)
 
 
 def mod(a: Any, b: Any) -> Any:
-    """Elementwise ``a % b``; derivative taken w.r.t. ``a`` only."""
-    av0, bv0 = value_of(a), value_of(b)
-    nb = _probe_batch(a, b)
-    if nb is not None:
-        av, bv = _probe_align(nb, (av0, _is_traced(a)), (bv0, _is_traced(b)))
-    else:
-        av, bv = av0, bv0
-    out = np.mod(av, bv)
+    """Elementwise ``a % b``; derivative taken w.r.t. ``a`` only.
+
+    A traced divisor enters as a constant: the spec keeps its (lifted)
+    value and it is no parent of the node.
+    """
+    spec = _lifted_spec("mod", None, a, b)
+    if spec[3]:
+        spec = spec[:3] + (False, spec[4],
+                           value_of(b).reshape(spec[9])) + spec[6:]
     parents = _traced_parents(a)
-    a_shape, a_lift = np.shape(av0), np.shape(av)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (_probe_restore(_unbroadcast(g, a_lift), a_shape),)
-
-    return _record("mod", out, parents, vjp)
+    return _apply("mod", spec, parents, [p.value for p in parents])
 
 
 # ---------------------------------------------------------------------------
 # elementwise unary primitives
 # ---------------------------------------------------------------------------
 
-#: shared compute/derivative rules of the unary primitives, as
-#: ``(compute(av), dydx(av, out))`` pairs -- executed by the tracer and by
-#: the compiled replay plans alike (bitwise-identical by construction)
+#: ``(compute(av), dydx(av, out))`` pairs of the table-driven unary
+#: primitives (rule + fused-chain generator)
 UNARY_RULES: dict[str, tuple] = {
     "absolute": (np.abs, lambda av, out: np.sign(av)),
     "sqrt": (np.sqrt, lambda av, out: 0.5 / np.where(out == 0, np.inf, out)),
@@ -503,36 +524,36 @@ UNARY_RULES: dict[str, tuple] = {
 }
 
 
-def _unary(op: str, a: Any, out: np.ndarray,
-           dydx: Callable[[], np.ndarray],
-           spec: tuple | None = None) -> Any:
-    parents = _traced_parents(a)
+@_rule("unary")
+def _unary_rule(spec: tuple, vals: list) -> tuple:
+    compute, dydx = UNARY_RULES[spec[1]]
+    av = vals[0]
+    out = compute(av)
 
     def vjp(g: np.ndarray) -> tuple:
-        return (g * dydx(),)
+        return (g * dydx(av, out),)
 
-    return _record(op, out, parents, vjp, spec=spec)
+    return out, vjp
+
+
+def _unary(op: str, spec: tuple, a: Any, meta: dict | None = None) -> Any:
+    """Record a one-operand primitive: its rule always gets the operand."""
+    return _apply(op, spec, _traced_parents(a), [value_of(a)], meta)
 
 
 def _rule_unary(op: str, a: Any) -> Any:
     """Record one table-driven unary primitive (see :data:`UNARY_RULES`)."""
-    compute, dydx = UNARY_RULES[op]
-    av = value_of(a)
-    out = compute(av)
-    spec = ("unary", op) if _CAPTURE.capture is not None else None
-    return _unary(op, a, out, lambda: dydx(av, out), spec=spec)
+    return _unary(op, ("unary", op), a)
+
+
+@_rule("negative")
+def _negative_rule(spec: tuple, vals: list) -> tuple:
+    return -vals[0], lambda g: (-g,)
 
 
 def negative(a: Any) -> Any:
     """Elementwise negation."""
-    av = value_of(a)
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (-g,)
-
-    spec = ("negative",) if _CAPTURE.capture is not None else None
-    return _record("negative", -av, parents, vjp, spec=spec)
+    return _unary("negative", ("negative",), a)
 
 
 def absolute(a: Any) -> Any:
@@ -600,12 +621,21 @@ def reciprocal(a: Any) -> Any:
     return _rule_unary("reciprocal", a)
 
 
+@_rule("clip")
+def _clip_rule(spec: tuple, vals: list) -> tuple:
+    _, lo, hi = spec
+    av = vals[0]
+    inside = (av >= lo) & (av <= hi)
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (g * inside.astype(av.dtype),)
+
+    return np.clip(av, lo, hi), vjp
+
+
 def clip(a: Any, lo: float, hi: float) -> Any:
     """Clamp values to ``[lo, hi]``; cotangent passes only inside the range."""
-    av = value_of(a)
-    out = np.clip(av, lo, hi)
-    inside = (av >= lo) & (av <= hi)
-    return _unary("clip", a, out, lambda: inside.astype(av.dtype))
+    return _unary("clip", ("clip", lo, hi), a)
 
 
 def isnan(a: Any) -> np.ndarray:
@@ -627,82 +657,82 @@ def allclose(a: Any, b: Any, rtol: float = 1e-5, atol: float = 1e-8) -> bool:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _keep_reduced(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's cotangent with its reduced axes kept (size 1)."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis=axis)
+    return g
+
+
+@_rule("sum")
+def _sum_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, keepdims, in_shape = spec
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (np.broadcast_to(_keep_reduced(g, axis, keepdims),
+                                in_shape).copy(),)
+
+    return np.sum(vals[0], axis=axis, keepdims=keepdims), vjp
+
+
 def sum(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Sum of elements over the given axis."""
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
-    out = np.sum(av, axis=axis, keepdims=keepdims)
-    parents = _traced_parents(a)
+    return _unary("sum", ("sum", axis, keepdims, av.shape), a)
+
+
+@_rule("mean")
+def _mean_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, keepdims, count, in_shape = spec
 
     def vjp(g: np.ndarray) -> tuple:
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(g, av.shape).copy(),)
+        return (np.broadcast_to(_keep_reduced(np.asarray(g) / count, axis,
+                                              keepdims), in_shape).copy(),)
 
-    spec = ("sum", axis, keepdims, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("sum", out, parents, vjp, spec=spec)
+    return np.mean(vals[0], axis=axis, keepdims=keepdims), vjp
 
 
 def mean(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Arithmetic mean over the given axis."""
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
-    out = np.mean(av, axis=axis, keepdims=keepdims)
-    parents = _traced_parents(a)
     count = av.size if axis is None else np.prod(
         [av.shape[ax] for ax in np.atleast_1d(axis)], dtype=np.int64)
+    return _unary("mean", ("mean", axis, keepdims, count, av.shape), a)
+
+
+@_rule("redminmax")
+def _redminmax_rule(spec: tuple, vals: list) -> tuple:
+    _, op, axis, keepdims, _in_shape = spec
+    av = vals[0]
+    out = (np.max if op == "max" else np.min)(av, axis=axis,
+                                              keepdims=keepdims)
 
     def vjp(g: np.ndarray) -> tuple:
-        g = np.asarray(g) / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(g, av.shape).copy(),)
-
-    spec = ("mean", axis, keepdims, count, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("mean", out, parents, vjp, spec=spec)
-
-
-def _minmax_vjp(av: np.ndarray, out: np.ndarray, axis, keepdims: bool):
-    def vjp(g: np.ndarray) -> tuple:
-        g = np.asarray(g)
-        out_k = out
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-            out_k = np.expand_dims(out, axis=axis)
-        mask = (av == out_k)
+        g = _keep_reduced(g, axis, keepdims)
+        mask = av == _keep_reduced(out, axis, keepdims)
         # split the cotangent equally across ties to keep the VJP a linear map
         denom = mask.sum(axis=axis, keepdims=True) if axis is not None \
             else mask.sum()
         return (mask * g / denom,)
 
-    return vjp
+    return out, vjp
 
 
 def max(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Maximum over the given axis (ties share the cotangent equally)."""
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
-    out = np.max(av, axis=axis, keepdims=keepdims)
-    parents = _traced_parents(a)
-    spec = ("redminmax", "max", axis, keepdims, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("max", out, parents, _minmax_vjp(av, out, axis, keepdims),
-                   spec=spec)
+    return _unary("max", ("redminmax", "max", axis, keepdims, av.shape), a)
 
 
 def min(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Minimum over the given axis (ties share the cotangent equally)."""
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
-    out = np.min(av, axis=axis, keepdims=keepdims)
-    parents = _traced_parents(a)
-    spec = ("redminmax", "min", axis, keepdims, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("min", out, parents, _minmax_vjp(av, out, axis, keepdims),
-                   spec=spec)
+    return _unary("min", ("redminmax", "min", axis, keepdims, av.shape), a)
 
 
 def _prod_partials(av: np.ndarray, out_k: np.ndarray, axis) -> np.ndarray:
@@ -719,24 +749,25 @@ def _prod_partials(av: np.ndarray, out_k: np.ndarray, axis) -> np.ndarray:
     return partials
 
 
+@_rule("prod")
+def _prod_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, keepdims, _in_shape = spec
+    av = vals[0]
+    out = np.prod(av, axis=axis, keepdims=keepdims)
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (_keep_reduced(g, axis, keepdims)
+                * _prod_partials(av, _keep_reduced(out, axis, keepdims),
+                                 axis),)
+
+    return out, vjp
+
+
 def prod(a: Any, axis=None, keepdims: bool = False) -> Any:
     """Product over the given axis; its derivative is exact at zeros."""
     av = value_of(a)
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
-    out = np.prod(av, axis=axis, keepdims=keepdims)
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        g = np.asarray(g)
-        out_k = out
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-            out_k = np.expand_dims(out, axis=axis)
-        return (g * _prod_partials(av, out_k, axis),)
-
-    spec = ("prod", axis, keepdims, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("prod", out, parents, vjp, spec=spec)
+    return _unary("prod", ("prod", axis, keepdims, av.shape), a)
 
 
 def norm(a: Any, ord: int = 2) -> Any:
@@ -758,6 +789,12 @@ def norm(a: Any, ord: int = 2) -> Any:
 # shape manipulation
 # ---------------------------------------------------------------------------
 
+@_rule("reshape")
+def _reshape_rule(spec: tuple, vals: list) -> tuple:
+    _, shape, in_shape = spec
+    return np.reshape(vals[0], shape), lambda g: (np.reshape(g, in_shape),)
+
+
 def reshape(a: Any, shape) -> Any:
     """Reshape to ``shape`` (a view-like differentiable operation).
 
@@ -765,23 +802,22 @@ def reshape(a: Any, shape) -> Any:
     probe axis is preserved in front of it.
     """
     av = value_of(a)
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if _probe_batch(a) is not None:
-        shape = (av.shape[0],) + ((shape,) if np.ndim(shape) == 0
-                                  else tuple(shape))
-    out = np.reshape(av, shape)
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.reshape(g, av.shape),)
-
-    spec = ("reshape", np.shape(out), av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("reshape", out, parents, vjp, spec=spec)
+        shape = (av.shape[0],) + shape
+    return _unary("reshape", ("reshape", shape, av.shape), a)
 
 
 def ravel(a: Any) -> Any:
     """Flatten to one dimension."""
     return reshape(a, (-1,))
+
+
+@_rule("transpose")
+def _transpose_rule(spec: tuple, vals: list) -> tuple:
+    _, axes, inv_axes = spec
+    return np.transpose(vals[0], axes), \
+        lambda g: (np.transpose(g, inv_axes),)
 
 
 def transpose(a: Any, axes=None) -> Any:
@@ -793,76 +829,65 @@ def transpose(a: Any, axes=None) -> Any:
         else:
             axes = (0,) + tuple(ax + 1 if ax >= 0 else av.ndim + ax
                                 for ax in axes)
-    out = np.transpose(av, axes)
-    parents = _traced_parents(a)
-    if axes is None:
-        inv_axes = None
-    else:
-        inv_axes = np.argsort(axes)
+    spec = ("transpose", None, None) if axes is None \
+        else ("transpose", tuple(axes), np.argsort(axes))
+    return _unary("transpose", spec, a)
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.transpose(g, inv_axes),)
 
-    spec = ("transpose", None if axes is None else tuple(axes), inv_axes) \
-        if _CAPTURE.capture is not None else None
-    return _record("transpose", out, parents, vjp, spec=spec)
+@_rule("swapaxes")
+def _swapaxes_rule(spec: tuple, vals: list) -> tuple:
+    _, axis1, axis2 = spec
+    return np.swapaxes(vals[0], axis1, axis2), \
+        lambda g: (np.swapaxes(g, axis1, axis2),)
 
 
 def swapaxes(a: Any, axis1: int, axis2: int) -> Any:
     """Interchange two axes."""
     nb = _probe_batch(a)
-    axis1 = _probe_shift_axis(axis1, nb)
-    axis2 = _probe_shift_axis(axis2, nb)
-    av = value_of(a)
-    out = np.swapaxes(av, axis1, axis2)
-    parents = _traced_parents(a)
+    return _unary("swapaxes", ("swapaxes", _probe_shift_axis(axis1, nb),
+                               _probe_shift_axis(axis2, nb)), a)
 
-    spec = ("swapaxes", axis1, axis2) \
-        if _CAPTURE.capture is not None else None
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.swapaxes(g, axis1, axis2),)
-
-    return _record("swapaxes", out, parents, vjp, spec=spec)
+@_rule("moveaxis")
+def _moveaxis_rule(spec: tuple, vals: list) -> tuple:
+    _, source, destination = spec
+    return np.moveaxis(vals[0], source, destination), \
+        lambda g: (np.moveaxis(g, destination, source),)
 
 
 def moveaxis(a: Any, source, destination) -> Any:
     """Move array axes to new positions."""
     nb = _probe_batch(a)
-    source = _probe_shift_axis(source, nb)
-    destination = _probe_shift_axis(destination, nb)
-    av = value_of(a)
-    out = np.moveaxis(av, source, destination)
-    parents = _traced_parents(a)
+    return _unary("moveaxis", ("moveaxis", _probe_shift_axis(source, nb),
+                               _probe_shift_axis(destination, nb)), a)
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.moveaxis(g, destination, source),)
 
-    spec = ("moveaxis", source, destination) \
-        if _CAPTURE.capture is not None else None
-    return _record("moveaxis", out, parents, vjp, spec=spec)
+@_rule("broadcast_to")
+def _broadcast_to_rule(spec: tuple, vals: list) -> tuple:
+    _, shape, in_shape = spec
+    return np.array(np.broadcast_to(vals[0], shape)), \
+        lambda g: (_unbroadcast(g, in_shape),)
 
 
 def broadcast_to(a: Any, shape) -> Any:
     """Broadcast to a new (logical) shape."""
     av = value_of(a)
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if _probe_batch(a) is not None:
-        shape = tuple(shape)
         if av.ndim - 1 < len(shape):
             # numpy aligns shapes from the right, the probe axis sits on
             # the left: give the operand the target's logical rank first
             a = reshape(a, (1,) * (len(shape) - av.ndim + 1) + av.shape[1:])
             av = value_of(a)
         shape = (av.shape[0],) + shape
-    out = np.broadcast_to(av, shape)
-    parents = _traced_parents(a)
+    return _unary("broadcast_to", ("broadcast_to", shape, av.shape), a)
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (_unbroadcast(g, av.shape),)
 
-    spec = ("broadcast_to", np.shape(out), av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("broadcast_to", np.array(out), parents, vjp, spec=spec)
+@_rule("squeeze")
+def _squeeze_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, in_shape = spec
+    return np.squeeze(vals[0], axis=axis), \
+        lambda g: (np.reshape(g, in_shape),)
 
 
 def squeeze(a: Any, axis=None) -> Any:
@@ -875,109 +900,128 @@ def squeeze(a: Any, axis=None) -> Any:
                          if av.shape[ax] == 1)
         else:
             axis = _probe_shift_axis(axis, nb)
-    out = np.squeeze(av, axis=axis)
-    parents = _traced_parents(a)
+    return _unary("squeeze", ("squeeze", axis, av.shape), a)
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.reshape(g, av.shape),)
 
-    spec = ("squeeze", axis, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("squeeze", out, parents, vjp, spec=spec)
+@_rule("expand_dims")
+def _expand_dims_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, in_shape = spec
+    return np.expand_dims(vals[0], axis), \
+        lambda g: (np.reshape(g, in_shape),)
 
 
 def expand_dims(a: Any, axis) -> Any:
     """Insert a size-1 dimension at (logical) ``axis``."""
     axis = _probe_shift_axis(axis, _probe_batch(a))
-    av = value_of(a)
-    out = np.expand_dims(av, axis)
-    parents = _traced_parents(a)
+    return _unary("expand_dims",
+                  ("expand_dims", axis, value_of(a).shape), a)
+
+
+def _parts(arrays: list, nb: int | None) -> tuple:
+    """Per-operand ``("t", None)`` / ``("c", value)`` records of a joining
+    primitive; under a probe axis plain operands gain it."""
+    return tuple(("t", None) if _is_traced(x)
+                 else ("c", value_of(x) if nb is None
+                       else np.broadcast_to(value_of(x),
+                                            (nb,) + np.shape(value_of(x))))
+                 for x in arrays)
+
+
+def _joined(parts: tuple, vals: list) -> list:
+    """The operands of a joining primitive: traced values fill the
+    ``"t"`` parts in order."""
+    it = iter(vals)
+    return [next(it) if tag == "t" else value for tag, value in parts]
+
+
+@_rule("concat")
+def _concat_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, parts, offsets = spec
+    spans = [(start, stop) for (tag, _), start, stop
+             in zip(parts, offsets[:-1], offsets[1:]) if tag == "t"]
 
     def vjp(g: np.ndarray) -> tuple:
-        return (np.reshape(g, av.shape),)
+        grads = []
+        for start, stop in spans:
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(start, stop)
+            grads.append(g[tuple(index)])
+        return tuple(grads)
 
-    spec = ("expand_dims", axis, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("expand_dims", out, parents, vjp, spec=spec)
+    return np.concatenate(_joined(parts, vals), axis=axis), vjp
 
 
 def concatenate(arrays: Sequence[Any], axis: int = 0) -> Any:
     """Join arrays along an existing (logical) axis."""
     arrays = list(arrays)
-    values = [value_of(a) for a in arrays]
     nb = _probe_batch(*arrays)
-    if nb is not None:
-        axis = _probe_shift_axis(axis, nb)
-        # plain operands gain the probe axis so every part is batched
-        values = [v if _is_traced(arr)
-                  else np.broadcast_to(v, (nb,) + np.shape(v))
-                  for arr, v in zip(arrays, values)]
-    out = np.concatenate(values, axis=axis)
+    axis = _probe_shift_axis(axis, nb)
     parents = _traced_parents(*arrays)
-    # offsets of every *traced* input along the concat axis
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
+    vals = [p.value for p in parents]
+    parts = _parts(arrays, nb)
+    # offsets of every input along the concat axis
+    sizes = [np.shape(v)[axis] for v in _joined(parts, vals)]
+    offsets = tuple(int(o) for o in np.cumsum([0] + sizes))
+    return _apply("concatenate", ("concat", axis, parts, offsets), parents,
+                  vals)
 
-    def vjp(g: np.ndarray) -> tuple:
-        grads = []
-        for arr, val, start, stop in zip(arrays, values, offsets[:-1], offsets[1:]):
-            if isinstance(arr, ADArray) and arr.node is not None:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                grads.append(g[tuple(index)])
-        return tuple(grads)
 
-    spec = None
-    if _CAPTURE.capture is not None:
-        parts = tuple(("t", None) if _is_traced(arr) else ("c", val)
-                      for arr, val in zip(arrays, values))
-        spec = ("concat", axis, parts, tuple(int(o) for o in offsets))
-    return _record("concatenate", out, parents, vjp, spec=spec)
+@_rule("stack")
+def _stack_rule(spec: tuple, vals: list) -> tuple:
+    _, axis, parts = spec
+    traced = [i for i, (tag, _) in enumerate(parts) if tag == "t"]
+    return np.stack(_joined(parts, vals), axis=axis), \
+        lambda g: tuple(np.take(g, i, axis=axis) for i in traced)
 
 
 def stack(arrays: Sequence[Any], axis: int = 0) -> Any:
     """Join arrays along a new (logical) axis."""
     arrays = list(arrays)
-    values = [value_of(a) for a in arrays]
     nb = _probe_batch(*arrays)
-    if nb is not None:
-        axis = _probe_shift_axis(axis, nb)
-        values = [v if _is_traced(arr)
-                  else np.broadcast_to(v, (nb,) + np.shape(v))
-                  for arr, v in zip(arrays, values)]
-    out = np.stack(values, axis=axis)
     parents = _traced_parents(*arrays)
+    return _apply("stack", ("stack", _probe_shift_axis(axis, nb),
+                            _parts(arrays, nb)), parents,
+                  [p.value for p in parents])
 
-    def vjp(g: np.ndarray) -> tuple:
-        grads = []
-        for i, arr in enumerate(arrays):
-            if isinstance(arr, ADArray) and arr.node is not None:
-                grads.append(np.take(g, i, axis=axis))
-        return tuple(grads)
 
-    spec = None
-    if _CAPTURE.capture is not None:
-        parts = tuple(("t", None) if _is_traced(arr) else ("c", val)
-                      for arr, val in zip(arrays, values))
-        spec = ("stack", axis, parts)
-    return _record("stack", out, parents, vjp, spec=spec)
+@_rule("flip")
+def _flip_rule(spec: tuple, vals: list) -> tuple:
+    axis = spec[1]
+    return np.flip(vals[0], axis=axis), lambda g: (np.flip(g, axis=axis),)
 
 
 def flip(a: Any, axis=None) -> Any:
     """Reverse element order along the given (logical) axis."""
-    av = value_of(a)
     nb = _probe_batch(a)
     if nb is not None:
-        axis = tuple(range(1, av.ndim)) if axis is None \
+        axis = tuple(range(1, value_of(a).ndim)) if axis is None \
             else _probe_shift_axis(axis, nb)
-    out = np.flip(av, axis=axis)
-    parents = _traced_parents(a)
+    return _unary("flip", ("flip", axis), a)
+
+
+def _negated(shift):
+    return -np.asarray(shift) if np.ndim(shift) else -shift
+
+
+@_rule("roll")
+def _roll_rule(spec: tuple, vals: list) -> tuple:
+    _, shift, axis = spec
+    return np.roll(vals[0], shift, axis=axis), \
+        lambda g: (np.roll(g, _negated(shift), axis=axis),)
+
+
+@_rule("roll_flat")
+def _roll_flat_rule(spec: tuple, vals: list) -> tuple:
+    """``roll`` with ``axis=None`` under a probe axis: each flattened probe
+    slice rolls on its own."""
+    _, shift, flat_shape, in_shape = spec
 
     def vjp(g: np.ndarray) -> tuple:
-        return (np.flip(g, axis=axis),)
+        return (np.roll(np.asarray(g).reshape(flat_shape), _negated(shift),
+                        axis=1).reshape(in_shape),)
 
-    spec = ("flip", axis) if _CAPTURE.capture is not None else None
-    return _record("flip", out, parents, vjp, spec=spec)
+    return np.roll(vals[0].reshape(flat_shape), shift,
+                   axis=1).reshape(in_shape), vjp
 
 
 def roll(a: Any, shift, axis=None) -> Any:
@@ -985,30 +1029,18 @@ def roll(a: Any, shift, axis=None) -> Any:
     av = value_of(a)
     nb = _probe_batch(a)
     if nb is not None and axis is None:
-        # numpy's axis=None rolls the flattened array; per probe that means
-        # rolling each flattened probe slice
-        flat_shape = (av.shape[0], -1)
-        out = np.roll(av.reshape(flat_shape), shift, axis=1).reshape(av.shape)
-        parents = _traced_parents(a)
+        spec = ("roll_flat", shift, (av.shape[0], -1), av.shape)
+    else:
+        spec = ("roll", shift, _probe_shift_axis(axis, nb))
+    return _unary("roll", spec, a)
 
-        def vjp_flat(g: np.ndarray) -> tuple:
-            g2 = np.asarray(g).reshape(flat_shape)
-            return (np.roll(g2, -np.asarray(shift) if np.ndim(shift)
-                            else -shift, axis=1).reshape(av.shape),)
 
-        spec = ("roll_flat", shift, flat_shape, av.shape) \
-            if _CAPTURE.capture is not None else None
-        return _record("roll", out, parents, vjp_flat, spec=spec)
-    axis = _probe_shift_axis(axis, nb)
-    out = np.roll(av, shift, axis=axis)
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.roll(g, -np.asarray(shift) if np.ndim(shift) else -shift,
-                        axis=axis),)
-
-    spec = ("roll", shift, axis) if _CAPTURE.capture is not None else None
-    return _record("roll", out, parents, vjp, spec=spec)
+@_rule("pad_zero")
+def _pad_zero_rule(spec: tuple, vals: list) -> tuple:
+    _, pad, in_shape = spec
+    index = tuple(slice(before, before + size)
+                  for (before, _after), size in zip(pad, in_shape))
+    return np.pad(vals[0], pad, mode="constant"), lambda g: (g[index],)
 
 
 def pad_zero(a: Any, pad_width) -> Any:
@@ -1026,17 +1058,7 @@ def pad_zero(a: Any, pad_width) -> Any:
                                           (lndim, 2)))
     if nb is not None:
         norm_pad = np.vstack([[[0, 0]], norm_pad])
-    out = np.pad(av, norm_pad, mode="constant")
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        index = tuple(slice(before, before + size)
-                      for (before, _after), size in zip(norm_pad, av.shape))
-        return (g[index],)
-
-    spec = ("pad_zero", norm_pad, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("pad_zero", out, parents, vjp, spec=spec)
+    return _unary("pad_zero", ("pad_zero", norm_pad, av.shape), a)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,86 +1083,50 @@ def _is_advanced(index: Any) -> bool:
     return False
 
 
+@_rule("getitem")
+def _getitem_rule(spec: tuple, vals: list) -> tuple:
+    _, idx, advanced, contig, in_shape = spec
+    out = vals[0][idx]
+    if contig:
+        out = np.ascontiguousarray(out)
+
+    def vjp(g: np.ndarray) -> tuple:
+        grad = np.zeros(in_shape, dtype=np.result_type(g, np.float64))
+        if advanced:
+            np.add.at(grad, idx, g)
+        else:
+            grad[idx] += g
+        return (grad,)
+
+    return out, vjp
+
+
 def getitem(a: Any, index: Any) -> Any:
     """Differentiable ``a[index]`` (basic slicing or advanced indexing).
 
     Index expressions always address the logical dimensions; under a
     batched probe sweep a full slice of the probe axis is prepended, so
-    every probe slice is indexed identically.
+    every probe slice is indexed identically.  The advanced gather of a
+    batched operand is made C-contiguous: numpy places the advanced-index
+    subspace before the probe slice in memory, and restoring C order lays
+    every probe row out like the unbatched gather (downstream reductions
+    then use the same summation order, keeping probe slices bitwise
+    faithful).
     """
-    av = value_of(a)
     idx = _index_values(index)
     nb = _probe_batch(a)
-    full_idx = _probe_index(idx, nb)
-    out = av[full_idx]
-    if nb is not None and _is_advanced(idx):
-        # numpy places the advanced-index subspace before the probe slice in
-        # memory; restore C order so every probe row is laid out exactly
-        # like the unbatched gather (downstream reductions then use the
-        # same summation order, keeping probe slices bitwise faithful)
-        out = np.ascontiguousarray(out)
-    parents = _traced_parents(a)
     advanced = _is_advanced(idx)
+    return _unary("getitem", ("getitem", _probe_index(idx, nb), advanced,
+                              nb is not None and advanced,
+                              value_of(a).shape), a, meta={"index": idx})
+
+
+@_rule("take")
+def _take_rule(spec: tuple, vals: list) -> tuple:
+    _, idx, axis, in_shape = spec
 
     def vjp(g: np.ndarray) -> tuple:
-        grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
-        if advanced:
-            np.add.at(grad, full_idx, g)
-        else:
-            grad[full_idx] += g
-        return (grad,)
-
-    spec = ("getitem", full_idx, advanced,
-            nb is not None and advanced, av.shape) \
-        if _CAPTURE.capture is not None else None
-    return _record("getitem", out, parents, vjp, meta={"index": idx},
-                   spec=spec)
-
-
-def take(a: Any, indices: Any, axis=None) -> Any:
-    """Differentiable ``numpy.take`` (``axis`` addresses logical dims)."""
-    av = value_of(a)
-    idx = _index_values(indices)
-    nb = _probe_batch(a)
-    if nb is not None:
-        if axis is None:
-            # numpy's axis=None takes from the flattened array; per probe
-            # that means taking from each flattened probe slice
-            flat = av.reshape(av.shape[0], -1)
-            out = np.take(flat, idx, axis=1)
-            parents = _traced_parents(a)
-
-            def vjp_flat(g: np.ndarray) -> tuple:
-                grad = np.zeros(av.shape,
-                                dtype=np.result_type(g, np.float64))
-                gflat = grad.reshape(grad.shape[0], -1)
-                np.add.at(gflat, (slice(None),
-                                  np.asarray(idx).reshape(-1)),
-                          np.asarray(g).reshape(g.shape[0] if np.ndim(g)
-                                                else 1, -1))
-                return (grad,)
-
-            return _record("take", out, parents, vjp_flat,
-                           meta={"indices": np.asarray(idx), "axis": axis})
-        # a single advanced index at `axis` is exactly np.take(..., axis);
-        # a negative axis counts from the end of the batched array
-        ax1 = _probe_shift_axis(axis, nb) % av.ndim
-        take_idx = (slice(None),) * ax1 + (np.asarray(idx),)
-        out = np.ascontiguousarray(av[take_idx])
-        parents = _traced_parents(a)
-
-        def vjp_axis(g: np.ndarray) -> tuple:
-            grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
-            np.add.at(grad, take_idx, g)
-            return (grad,)
-
-        return _record("take", out, parents, vjp_axis,
-                       meta={"indices": np.asarray(idx), "axis": axis})
-    out = np.take(av, idx, axis=axis)
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
+        grad = np.zeros(in_shape, dtype=np.result_type(g, np.float64))
         if axis is None:
             np.add.at(grad.reshape(-1), np.asarray(idx).reshape(-1),
                       np.asarray(g).reshape(-1))
@@ -1152,8 +1138,43 @@ def take(a: Any, indices: Any, axis=None) -> Any:
                       g_moved.reshape((-1,) + grad_moved.shape[1:]))
         return (grad,)
 
-    return _record("take", out, parents, vjp,
-                   meta={"indices": np.asarray(idx), "axis": axis})
+    return np.take(vals[0], idx, axis=axis), vjp
+
+
+@_rule("take_flat")
+def _take_flat_rule(spec: tuple, vals: list) -> tuple:
+    """``take`` with ``axis=None`` under a probe axis: each flattened probe
+    slice is taken from on its own."""
+    _, idx, in_shape = spec
+
+    def vjp(g: np.ndarray) -> tuple:
+        grad = np.zeros(in_shape, dtype=np.result_type(g, np.float64))
+        gflat = grad.reshape(grad.shape[0], -1)
+        np.add.at(gflat, (slice(None), np.asarray(idx).reshape(-1)),
+                  np.asarray(g).reshape(g.shape[0] if np.ndim(g) else 1, -1))
+        return (grad,)
+
+    return np.take(vals[0].reshape(in_shape[0], -1), idx, axis=1), vjp
+
+
+def take(a: Any, indices: Any, axis=None) -> Any:
+    """Differentiable ``numpy.take`` (``axis`` addresses logical dims)."""
+    av = value_of(a)
+    idx = _index_values(indices)
+    nb = _probe_batch(a)
+    if nb is None:
+        spec = ("take", idx, axis, av.shape)
+    elif axis is None:
+        spec = ("take_flat", idx, av.shape)
+    else:
+        # a single advanced index at `axis` is exactly np.take(..., axis),
+        # gathered C-contiguous like every batched advanced getitem; a
+        # negative axis counts from the end of the batched array
+        ax1 = _probe_shift_axis(axis, nb) % av.ndim
+        spec = ("getitem", (slice(None),) * ax1 + (np.asarray(idx),), True,
+                True, av.shape)
+    return _unary("take", spec, a,
+                  meta={"indices": np.asarray(idx), "axis": axis})
 
 
 def _index_roles(a: Any, b: Any) -> tuple[str, ...]:
@@ -1167,6 +1188,85 @@ def _index_roles(a: Any, b: Any) -> tuple[str, ...]:
                  if _is_traced(x))
 
 
+def _indexed_write(op: str, a: Any, index: Any, b: Any) -> Any:
+    """Record ``index_update``/``index_add``; their spec is
+    ``(op, index, a_traced, b_traced, a_const, b_const, b_shape, batched,
+    lift)``, with ``lift`` the probe-batched shape a plain target gains."""
+    idx = _index_values(index)
+    nb = _probe_batch(a, b)
+    a_tr, b_tr = _is_traced(a), _is_traced(b)
+    av, bv = value_of(a), value_of(b)
+    lift = (nb,) + av.shape if nb is not None and not a_tr else None
+    spec = (op, _probe_index(idx, nb), a_tr, b_tr, None if a_tr else av,
+            None if b_tr else bv, bv.shape, nb is not None, lift)
+    parents = _traced_parents(a, b)
+    return _apply(op, spec, parents, [p.value for p in parents],
+                  meta={"index": idx, "roles": _index_roles(a, b)})
+
+
+def _write_target(spec: tuple, vals: list) -> tuple:
+    """A fresh copy of an indexed write's target, and its written value.
+
+    A plain target written with batched values gains the probe axis, in C
+    order: an order-'K' copy of the broadcast view would give the probe
+    axis the smallest stride, changing downstream reduction orders away
+    from the per-probe layout.
+    """
+    _, _, a_tr, b_tr, a_const, b_const, _, _, lift = spec
+    if a_tr:
+        out = np.array(vals[0], copy=True)
+    elif lift is not None:
+        out = np.array(np.broadcast_to(a_const, lift), copy=True, order="C")
+    else:
+        out = np.array(a_const, copy=True)
+    return out, (vals[-1] if b_tr else b_const)
+
+
+def _value_cotangent(spec: tuple, g: np.ndarray) -> np.ndarray:
+    """The cotangent of an indexed write's traced value operand."""
+    _, idx, _, _, _, _, b_shape, batched, _ = spec
+    return _unbroadcast_keep_probe(np.asarray(g)[idx], b_shape, batched)
+
+
+@_rule("index_update")
+def _index_update_rule(spec: tuple, vals: list) -> tuple:
+    """The target's cotangent is the incoming one with the written region
+    zeroed (those elements were overwritten); the value's is the written
+    region's."""
+    idx, a_tr, b_tr = spec[1:4]
+    out, bv = _write_target(spec, vals)
+    out[idx] = bv
+
+    def vjp(g: np.ndarray) -> tuple:
+        grads = []
+        if a_tr:
+            ga = np.array(g, copy=True)
+            ga[idx] = 0.0
+            grads.append(ga)
+        if b_tr:
+            grads.append(_value_cotangent(spec, g))
+        return tuple(grads)
+
+    return out, vjp
+
+
+@_rule("index_add")
+def _index_add_rule(spec: tuple, vals: list) -> tuple:
+    idx, a_tr, b_tr = spec[1:4]
+    out, bv = _write_target(spec, vals)
+    np.add.at(out, idx, bv)
+
+    def vjp(g: np.ndarray) -> tuple:
+        grads = []
+        if a_tr:
+            grads.append(np.asarray(g))
+        if b_tr:
+            grads.append(_value_cotangent(spec, g))
+        return tuple(grads)
+
+    return out, vjp
+
+
 def index_update(a: Any, index: Any, b: Any) -> Any:
     """Functional update: a copy of ``a`` with ``a[index] = b``.
 
@@ -1175,130 +1275,44 @@ def index_update(a: Any, index: Any, b: Any) -> Any:
     elements of ``a`` were overwritten, so they no longer influence the
     output); the cotangent of ``b`` is the cotangent of the updated region.
     """
-    av, bv = value_of(a), value_of(b)
-    idx = _index_values(index)
-    nb = _probe_batch(a, b)
-    full_idx = _probe_index(idx, nb)
-    spec = None
-    if _CAPTURE.capture is not None:
-        lift = (nb,) + np.shape(av) \
-            if nb is not None and not _is_traced(a) else None
-        spec = ("index_update", full_idx, _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv,
-                np.shape(bv), nb is not None, lift)
-    if nb is not None and not _is_traced(a):
-        # plain target written with batched values: the copy gains the axis.
-        # Copy in C order -- an order-'K' copy of the broadcast view would
-        # give the probe axis the smallest stride, changing downstream
-        # reduction orders away from the per-probe layout.
-        av = np.broadcast_to(av, (nb,) + np.shape(av))
-        out = np.array(av, copy=True, order="C")
-    else:
-        out = np.array(av, copy=True)
-    out[full_idx] = bv
-    parents = _traced_parents(a, b)
-
-    def vjp(g: np.ndarray) -> tuple:
-        grads = []
-        if isinstance(a, ADArray) and a.node is not None:
-            ga = np.array(g, copy=True)
-            ga[full_idx] = 0.0
-            grads.append(ga)
-        if isinstance(b, ADArray) and b.node is not None:
-            gb = np.asarray(g)[full_idx]
-            grads.append(_unbroadcast_keep_probe(gb, np.shape(bv),
-                                                 nb is not None))
-        return tuple(grads)
-
-    return _record("index_update", out, parents, vjp,
-                   meta={"index": idx, "roles": _index_roles(a, b)},
-                   spec=spec)
+    return _indexed_write("index_update", a, index, b)
 
 
 def index_add(a: Any, index: Any, b: Any) -> Any:
     """Functional scatter-add: a copy of ``a`` with ``a[index] += b``
     (unbuffered, i.e. repeated indices accumulate as ``np.add.at`` does)."""
-    av, bv = value_of(a), value_of(b)
-    idx = _index_values(index)
-    nb = _probe_batch(a, b)
-    full_idx = _probe_index(idx, nb)
-    spec = None
-    if _CAPTURE.capture is not None:
-        lift = (nb,) + np.shape(av) \
-            if nb is not None and not _is_traced(a) else None
-        spec = ("index_add", full_idx, _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv,
-                np.shape(bv), nb is not None, lift)
-    if nb is not None and not _is_traced(a):
-        # see index_update: lift the plain target in C order
-        av = np.broadcast_to(av, (nb,) + np.shape(av))
-        out = np.array(av, copy=True, order="C")
-    else:
-        out = np.array(av, copy=True)
-    np.add.at(out, full_idx, bv)
-    parents = _traced_parents(a, b)
+    return _indexed_write("index_add", a, index, b)
 
-    def vjp(g: np.ndarray) -> tuple:
-        grads = []
-        if isinstance(a, ADArray) and a.node is not None:
-            grads.append(np.asarray(g))
-        if isinstance(b, ADArray) and b.node is not None:
-            gb = np.asarray(g)[full_idx]
-            grads.append(_unbroadcast_keep_probe(gb, np.shape(bv),
-                                                 nb is not None))
-        return tuple(grads)
 
-    return _record("index_add", out, parents, vjp,
-                   meta={"index": idx, "roles": _index_roles(a, b)},
-                   spec=spec)
+@_rule("where")
+def _where_rule(spec: tuple, vals: list) -> tuple:
+    cv = spec[1]
+    av, bv = _lifted_values(spec, vals)
+    return np.where(cv, av, bv), _lifted_vjp(spec, lambda g: g * cv,
+                                             lambda g: g * (~cv))
 
 
 def where(cond: Any, a: Any, b: Any) -> Any:
     """Elementwise select; the condition is treated as non-differentiable."""
-    cv = value_of(cond).astype(bool)
-    av0, bv0 = value_of(a), value_of(b)
-    nb = _probe_batch(a, b)
-    if nb is not None:
-        av, bv = _probe_align(nb, (av0, _is_traced(a)), (bv0, _is_traced(b)))
-    else:
-        av, bv = av0, bv0
-    out = np.where(cv, av, bv)
+    spec = _lifted_spec("where", value_of(cond).astype(bool), a, b)
     parents = _traced_parents(a, b)
-    a_shape, b_shape = np.shape(av0), np.shape(bv0)
-    a_lift, b_lift = np.shape(av), np.shape(bv)
+    return _apply("where", spec, parents, [p.value for p in parents])
 
-    def vjp(g: np.ndarray) -> tuple:
-        grads = []
-        if isinstance(a, ADArray) and a.node is not None:
-            grads.append(_probe_restore(_unbroadcast(g * cv, a_lift),
-                                        a_shape))
-        if isinstance(b, ADArray) and b.node is not None:
-            grads.append(_probe_restore(_unbroadcast(g * (~cv), b_lift),
-                                        b_shape))
-        return tuple(grads)
 
-    spec = None
-    if _CAPTURE.capture is not None:
-        spec = ("where", cv, _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv,
-                a_shape, b_shape, a_lift, b_lift)
-    return _record("where", out, parents, vjp, spec=spec)
+@_rule("copy")
+def _copy_rule(spec: tuple, vals: list) -> tuple:
+    return np.array(vals[0], copy=True), lambda g: (g,)
 
 
 def copy(a: Any) -> Any:
     """Differentiable identity copy."""
-    av = value_of(a)
-    out = np.array(av, copy=True)
-    parents = _traced_parents(a)
+    return _unary("copy", ("copy",), a)
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (g,)
 
-    spec = ("copy",) if _CAPTURE.capture is not None else None
-    return _record("copy", out, parents, vjp, spec=spec)
+@_rule("astype")
+def _astype_rule(spec: tuple, vals: list) -> tuple:
+    _, dtype, src = spec
+    return vals[0].astype(dtype), lambda g: (np.asarray(g, dtype=src),)
 
 
 def astype(a: Any, dtype) -> Any:
@@ -1310,17 +1324,9 @@ def astype(a: Any, dtype) -> Any:
     """
     av = value_of(a)
     dtype = np.dtype(dtype)
-    out = av.astype(dtype)
     if not np.issubdtype(dtype, np.floating):
-        return out
-    parents = _traced_parents(a)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.asarray(g, dtype=av.dtype),)
-
-    spec = ("astype", dtype.str, av.dtype.str) \
-        if _CAPTURE.capture is not None else None
-    return _record("astype", out, parents, vjp, spec=spec)
+        return av.astype(dtype)
+    return _unary("astype", ("astype", dtype.str, av.dtype.str), a)
 
 
 def detach(a: Any) -> np.ndarray:
@@ -1332,6 +1338,36 @@ def detach(a: Any) -> np.ndarray:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _operand_pair(spec: tuple, vals: list) -> tuple:
+    """The two operands of a ``(kind, a_traced, b_traced, a_const,
+    b_const, ...)`` spec."""
+    _, a_tr, b_tr, av, bv = spec[:5]
+    return (vals[0] if a_tr else av), (vals[-1] if b_tr else bv)
+
+
+def _matmul_spec(kind: str, a: Any, b: Any) -> tuple:
+    a_tr, b_tr = _is_traced(a), _is_traced(b)
+    return (kind, a_tr, b_tr, None if a_tr else value_of(a),
+            None if b_tr else value_of(b))
+
+
+@_rule("matmul")
+def _matmul_rule(spec: tuple, vals: list) -> tuple:
+    a_tr, b_tr = spec[1:3]
+    av, bv = _operand_pair(spec, vals)
+
+    def vjp(g: np.ndarray) -> tuple:
+        g = np.asarray(g)
+        grads = []
+        if a_tr:
+            grads.append(_matmul_grad_a(g, av, bv))
+        if b_tr:
+            grads.append(_matmul_grad_b(g, av, bv))
+        return tuple(grads)
+
+    return np.matmul(av, bv), vjp
+
+
 def matmul(a: Any, b: Any) -> Any:
     """Matrix product following :func:`numpy.matmul` semantics.
 
@@ -1341,39 +1377,26 @@ def matmul(a: Any, b: Any) -> Any:
     traced operands' *logical* ranks decide the vector/matrix semantics and
     the probe axis broadcasts as a leading batch dimension.
     """
-    nb = _probe_batch(a, b)
-    if nb is not None:
-        return _probe_matmul(a, b, nb)
-    av, bv = value_of(a), value_of(b)
-    out = np.matmul(av, bv)
     parents = _traced_parents(a, b)
-
-    def vjp(g: np.ndarray) -> tuple:
-        g = np.asarray(g)
-        grads = []
-        if isinstance(a, ADArray) and a.node is not None:
-            grads.append(_matmul_grad_a(g, av, bv))
-        if isinstance(b, ADArray) and b.node is not None:
-            grads.append(_matmul_grad_b(g, av, bv))
-        return tuple(grads)
-
-    spec = None
-    if _CAPTURE.capture is not None:
-        spec = ("matmul", _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv)
-    return _record("matmul", out, parents, vjp, spec=spec)
+    if _probe_batch(a, b) is None:
+        spec = _matmul_spec("matmul", a, b)
+    else:
+        av, bv = value_of(a), value_of(b)
+        la = av.ndim - 1 if _is_traced(a) else av.ndim
+        lb = bv.ndim - 1 if _is_traced(b) else bv.ndim
+        if la == 0 or lb == 0:
+            raise ProbeBatchingError("matmul operands must be at least 1-D")
+        spec = _matmul_spec("matmul_probe", a, b) + (la, lb)
+    return _apply("matmul", spec, parents, [p.value for p in parents])
 
 
-def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
+@_rule("matmul_probe")
+def _matmul_probe_rule(spec: tuple, vals: list) -> tuple:
     """Probe-batched matmul: logical vectors are lifted to matrices, the
     probe axis broadcasts as a batch dimension, and the inserted singleton
     axes are squeezed back out of both the value and the cotangents."""
-    av, bv = value_of(a), value_of(b)
-    la = av.ndim - 1 if _is_traced(a) else av.ndim
-    lb = bv.ndim - 1 if _is_traced(b) else bv.ndim
-    if la == 0 or lb == 0:
-        raise ProbeBatchingError("matmul operands must be at least 1-D")
+    _, a_tr, b_tr, _, _, la, lb = spec
+    av, bv = _operand_pair(spec, vals)
     av_m = av[..., None, :] if la == 1 else av
     bv_m = bv[..., :, None] if lb == 1 else bv
     out_m = np.matmul(av_m, bv_m)
@@ -1385,7 +1408,6 @@ def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
         out = out_m[..., :, 0]
     else:
         out = out_m
-    parents = _traced_parents(a, b)
 
     def vjp(g: np.ndarray) -> tuple:
         g = np.asarray(g)
@@ -1398,22 +1420,17 @@ def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
         else:
             g_m = g
         grads = []
-        if _is_traced(a):
+        if a_tr:
             ga = np.matmul(g_m, np.swapaxes(bv_m, -1, -2))
             grads.append(_unbroadcast_keep_probe(ga, av_m.shape,
                                                  True).reshape(av.shape))
-        if _is_traced(b):
+        if b_tr:
             gb = np.matmul(np.swapaxes(av_m, -1, -2), g_m)
             grads.append(_unbroadcast_keep_probe(gb, bv_m.shape,
                                                  True).reshape(bv.shape))
         return tuple(grads)
 
-    spec = None
-    if _CAPTURE.capture is not None:
-        spec = ("matmul_probe", _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv, la, lb)
-    return _record("matmul", out, parents, vjp, spec=spec)
+    return out, vjp
 
 
 def _matmul_grad_a(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -1530,6 +1547,16 @@ def dia_transpose(bands: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
     return out
 
 
+
+
+@_rule("banded")
+def _banded_rule(spec: tuple, vals: list) -> tuple:
+    _, bands, bands_t, offsets = spec
+    offsets_t = tuple(-o for o in offsets)
+    return _dia_matvec(bands, offsets, vals[0]), \
+        lambda g: (_dia_matvec(bands_t, offsets_t, g),)
+
+
 def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
                   bands_t: np.ndarray) -> Any:
     """Constant banded matrix times a (traced) vector.
@@ -1557,15 +1584,7 @@ def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
     if shape != (n,):
         raise ValueError(f"banded_matvec: vector of shape {shape} for an "
                          f"order-{n} matrix")
-    out = _dia_matvec(bands, offsets, value_of(x))
-    offsets_t = tuple(-o for o in offsets)
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (_dia_matvec(bands_t, offsets_t, g),)
-
-    spec = ("banded", bands, bands_t, offsets) \
-        if _CAPTURE.capture is not None else None
-    return _record("banded_matvec", out, _traced_parents(x), vjp, spec=spec)
+    return _unary("banded_matvec", ("banded", bands, bands_t, offsets), x)
 
 
 #: complex elements per numpy FFT call: a batch of small grids shares one
@@ -1633,6 +1652,29 @@ def _ifftn_samples_vjp(g: np.ndarray, scale: np.ndarray, points: tuple,
     return g_re, g_im
 
 
+@_rule("ifftn_sampled")
+def _ifftn_sampled_rule(spec: tuple, vals: list) -> tuple:
+    """Under a probe axis of ``nb`` the traced parts carry it and the
+    constant ones are broadcast along it."""
+    _, traced, consts, scale, points, nb = spec
+    lead = (1,) if nb is None else (nb,)
+    k = len(points)
+    it = iter(vals)
+    re, im = (np.broadcast_to(v, lead + np.shape(v)[np.ndim(v) - k:])
+              for v in [next(it) if t else c for t, c in zip(traced, consts)])
+    grid = re.shape[1:]
+    out = _ifftn_samples(re, im, scale, points)
+    batch_shape = out.shape
+
+    def vjp(g: np.ndarray) -> tuple:
+        grads = _ifftn_samples_vjp(np.reshape(g, batch_shape), scale,
+                                   points, grid)
+        return tuple(gr if nb is not None else gr[0]
+                     for gr, t in zip(grads, traced) if t)
+
+    return (out if nb is not None else out[0]), vjp
+
+
 def ifftn_sampled(re: Any, im: Any, scale: Any, points: Sequence) -> Any:
     """Samples of the inverse DFT of a scaled complex field.
 
@@ -1659,38 +1701,14 @@ def ifftn_sampled(re: Any, im: Any, scale: Any, points: Sequence) -> Any:
             or points[0].ndim != 1:
         raise ValueError(f"ifftn_sampled: expected one 1-D index array of "
                          f"equal length per axis of the grid {grid}")
-    scale = np.asarray(scale)
-    nb = _probe_batch(re, im)
     traced = (_is_traced(re), _is_traced(im))
-    values = [value_of(re), value_of(im)]
-    out, vjp = _ifftn_sampled_rule(values, traced, scale, points, nb)
-    spec = ("ifftn_sampled", traced,
-            tuple(None if t else v for t, v in zip(traced, values)),
-            scale, points, nb) if _CAPTURE.capture is not None else None
-    return _record("ifftn_sampled", out, _traced_parents(re, im), vjp,
-                   spec=spec)
-
-
-def _ifftn_sampled_rule(values: list, traced: tuple, scale: np.ndarray,
-                        points: tuple, nb: int | None) -> tuple:
-    """``(samples, vjp)`` of :func:`ifftn_sampled` on plain values (shared
-    by the tracer and the replay plans).  Under a probe axis of ``nb`` the
-    traced parts carry it and the constant ones are broadcast along it."""
-    lead = (1,) if nb is None else (nb,)
-    k = len(points)
-    re, im = (np.broadcast_to(v, lead + np.shape(v)[np.ndim(v) - k:])
-              for v in values)
-    grid = re.shape[1:]
-    out = _ifftn_samples(re, im, scale, points)
-    batch_shape = out.shape
-
-    def vjp(g: np.ndarray) -> tuple:
-        grads = _ifftn_samples_vjp(np.reshape(g, batch_shape), scale,
-                                   points, grid)
-        return tuple(gr if nb is not None else gr[0]
-                     for gr, t in zip(grads, traced) if t)
-
-    return (out if nb is not None else out[0]), vjp
+    consts = tuple(None if t else value_of(v)
+                   for t, v in zip(traced, (re, im)))
+    parents = _traced_parents(re, im)
+    return _apply("ifftn_sampled", ("ifftn_sampled", traced, consts,
+                                    np.asarray(scale), points,
+                                    _probe_batch(re, im)),
+                  parents, [p.value for p in parents])
 
 
 # ---------------------------------------------------------------------------

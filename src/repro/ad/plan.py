@@ -18,13 +18,13 @@ sweep) and the concrete forward pass (``bench.run``) are never planned.
 How a plan is built
 -------------------
 
-1. **Capture.**  While a normal ``traced_step`` runs, every primitive in
-   :mod:`repro.ad.ops` deposits a *spec* -- its name, its constant
-   operands, and every shape/axis/index decision it made (all post
-   probe-axis adjustment, so batched probe traces capture their final
-   geometry) -- keyed by the node it recorded.  The capture costs a few
-   percent on top of the trace it piggy-backs on and is only active while a
-   plan is being learned.
+1. **Capture.**  Every node a primitive of :mod:`repro.ad.ops` records
+   carries the *spec* its rule ran on -- the rule kind, its constant
+   operands, and every shape/axis/index decision (all post probe-axis
+   adjustment, so batched probe traces carry their final geometry).  A
+   capture reads the wiring, geometry and spec of every node off the tape
+   of a normal ``traced_step``; it is taken only while a plan is being
+   learned.
 
 2. **Validation.**  A captured program alone proves nothing: constants may
    depend on untraced state (EP's per-batch seed, FT's per-``kt``
@@ -40,12 +40,11 @@ How a plan is built
 
 3. **Lowering.**  The agreed capture is lowered to the typed IR
    (:mod:`repro.ad.ir`), optimised (:mod:`repro.ad.passes`) and turned into
-   kernels (:mod:`repro.ad.exec`): closures over the spec's constants that
-   map parent slot values to the node's value and a fresh VJP.  Kernels
-   execute the **same numpy expressions** the ops layer executes (shared
-   rule tables for the elementwise and unary primitives, mirrored code
-   elsewhere), so replayed gradients are bitwise-identical to traced ones
-   -- pinned for all eight NPB ports by ``tests/ad/test_plan.py``.
+   kernels (:mod:`repro.ad.exec`) that map parent slot values to the
+   node's value and a fresh VJP.  An unfused kernel *is* the primitive's
+   rule (:data:`repro.ad.ops.RULES`) bound to the recorded spec, so
+   replayed gradients are bitwise-identical to traced ones -- pinned for
+   all eight NPB ports by ``tests/ad/test_plan.py``.
 
 Replaying a plan
 ----------------
@@ -64,23 +63,24 @@ Safety
 
 Structure changes fall back to fresh tracing automatically: a shape/dtype
 change misses the structural signature, an op-sequence or constant change
-fails the two-capture agreement, an unsupported primitive rejects the plan,
-and any replay-time error poisons the cache entry with a
-:class:`RuntimeWarning` and re-traces.  Two residual caveats are inherited
-from every trace-specialising system: a kernel whose *structure* depends on
-traced float values, or one that diverges only at an iteration the two
-captures did not see, replays its captured structure.  None of the NPB
-ports does either; a custom benchmark that does must override
-``plan_structure_token`` (see :class:`repro.npb.base.NPBBenchmark`) to key
-plans by the discriminating value.
+fails the two-capture agreement, a node recorded without a rule spec
+rejects the plan, and any replay-time error poisons the cache entry with a
+:class:`RuntimeWarning` and re-traces.  An entry that stops learning logs
+one INFO event, with its reason, on the ``repro.ad.plan`` logger.  Two
+residual caveats are inherited from every trace-specialising system: a
+kernel whose *structure* depends on traced float values, or one that
+diverges only at an iteration the two captures did not see, replays its
+captured structure.  None of the NPB ports does either; a custom benchmark
+that does must override ``plan_structure_token`` (see
+:class:`repro.npb.base.NPBBenchmark`) to key plans by the discriminating
+value.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
+import logging
 import warnings
-from contextlib import nullcontext
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -108,38 +108,8 @@ TRACE_CACHES = ("plan", "off")
 DEFAULT_TRACE_CACHE = "plan"
 
 
-# ---------------------------------------------------------------------------
-# capture hook (consumed by repro.ad.ops)
-# ---------------------------------------------------------------------------
-
-class _CaptureSlot(threading.local):
-    """Thread-local holder of the active capture sink (``None`` = off)."""
-
-    def __init__(self) -> None:
-        self.capture: "_CaptureSink | None" = None
-
-
-#: the ops layer reads ``_CAPTURE.capture`` on every recorded primitive;
-#: ``None`` keeps the per-op cost to a single attribute check
-_CAPTURE = _CaptureSlot()
-
-
-class _CaptureSink:
-    """Collects per-node specs while one trace runs."""
-
-    __slots__ = ("specs", "ok", "reason")
-
-    def __init__(self) -> None:
-        self.specs: dict[int, tuple] = {}
-        self.ok = True
-        self.reason = ""
-
-    def on_node(self, node, spec: tuple | None) -> None:
-        if spec is None:
-            self.ok = False
-            self.reason = f"primitive {node.op!r} has no replay kernel"
-            return
-        self.specs[node.index] = spec
+#: the logger of the plan cache's fallback events
+_LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +174,7 @@ class _NodeRec:
     __slots__ = ("op", "parents", "shape", "dtype", "spec")
 
     def __init__(self, op: str, parents: tuple[int, ...], shape: tuple,
-                 dtype: str, spec: tuple) -> None:
+                 dtype: str, spec: tuple | None) -> None:
         self.op = op
         self.parents = parents
         self.shape = shape
@@ -213,7 +183,7 @@ class _NodeRec:
 
 
 class CaptureProgram:
-    """The raw harvest of one instrumented step trace (pre-compilation)."""
+    """The raw harvest of one step's tape (pre-compilation)."""
 
     __slots__ = ("n_probes", "watch", "leaf_slots", "nodes", "out_entries",
                  "supported", "reason")
@@ -229,29 +199,22 @@ class CaptureProgram:
         self.reason = ""
 
 
-def _build_program(sink: _CaptureSink, tape, leaves, watch: Sequence[str],
+def _build_program(tape, leaves, watch: Sequence[str],
                    next_state: Mapping[str, Any],
                    n_probes: int | None) -> CaptureProgram:
-    """Assemble a :class:`CaptureProgram` from one instrumented trace."""
+    """Assemble a :class:`CaptureProgram` from one step's tape."""
     prog = CaptureProgram()
     prog.n_probes = n_probes
     prog.watch = tuple(watch)
-    prog.supported = sink.ok
-    prog.reason = sink.reason
-
     prog.leaf_slots = tuple(leaves[key].node.index for key in prog.watch)
     for node in tape.nodes:
-        if node.op == "leaf":
-            spec: tuple | None = ("leaf",)
-        else:
-            spec = sink.specs.get(node.index)
-            if spec is None and prog.supported:
-                prog.supported = False
-                prog.reason = f"primitive {node.op!r} was not captured"
+        if node.spec is None and prog.supported:
+            prog.supported = False
+            prog.reason = f"primitive {node.op!r} has no replay rule"
         prog.nodes.append(_NodeRec(node.op,
                                    tuple(p.index for p in node.parents),
                                    tuple(node.shape), np.dtype(node.dtype).str,
-                                   spec or ("leaf",)))
+                                   node.spec))
 
     for key, val in next_state.items():
         if isinstance(val, ADArray) and val.node is not None:
@@ -502,9 +465,11 @@ class CompiledPlan:
 class _Entry:
     """Learning state of one (probes, watch, coarse-signature) key."""
 
-    __slots__ = ("plan", "pending", "learning", "reason")
+    __slots__ = ("plan", "pending", "learning", "reason", "label")
 
-    def __init__(self) -> None:
+    def __init__(self, label: str) -> None:
+        #: the benchmark the entry learns a step of, for the fallback log
+        self.label = label
         self.plan: CompiledPlan | None = None
         #: the first capture and its fine signature, held until a capture
         #: at a different boundary decides the entry
@@ -512,18 +477,6 @@ class _Entry:
         #: False once the entry has a plan or has given up on one
         self.learning = True
         self.reason = ""
-
-
-class _capture_scope:
-    """Context manager installing a capture sink for one trace."""
-
-    def __enter__(self) -> _CaptureSink:
-        self.sink = _CaptureSink()
-        _CAPTURE.capture = self.sink
-        return self.sink
-
-    def __exit__(self, *exc: Any) -> None:
-        _CAPTURE.capture = None
 
 
 class PlanCache:
@@ -575,10 +528,10 @@ class PlanCache:
         return {"hits": self.hits, "misses": self.misses,
                 "compiles": self.compiles, "rejects": self.rejects}
 
-    def _entry(self, key: tuple) -> _Entry:
+    def _entry(self, key: tuple, label: str) -> _Entry:
         entry = self._entries.get(key)
         if entry is None:
-            entry = _Entry()
+            entry = _Entry(label)
             self._entries[key] = entry
         return entry
 
@@ -588,6 +541,8 @@ class PlanCache:
         entry.learning = False
         entry.reason = reason
         self.rejects += 1
+        _LOG.info("replay plan of %s rejected: %s; tracing every segment",
+                  entry.label, reason)
 
     def _compiled(self, entry: _Entry,
                   program: CaptureProgram) -> CompiledPlan | None:
@@ -627,6 +582,8 @@ class PlanCache:
             # counter-dependent structure: a sweep sees each boundary once,
             # so no plan could replay -- trace every segment (not a reject)
             entry.reason = "step structure depends on the non-float state"
+            _LOG.info("replay plan of %s not compiled: %s; tracing every "
+                      "segment", entry.label, entry.reason)
 
 
 class Planner:
@@ -643,7 +600,8 @@ class Planner:
     def _entry(self, state: Mapping[str, Any]) -> _Entry:
         return self.cache._entry(
             (self.n_probes, self.watch,
-             coarse_signature(state, _structure_token(self.bench, state))))
+             coarse_signature(state, _structure_token(self.bench, state))),
+            repr(getattr(self.bench, "name", self.bench)))
 
     def step(self, state: Mapping[str, Any],
              cotangents: Mapping[str, np.ndarray],
@@ -666,8 +624,7 @@ class Planner:
                 self.cache._reject(
                     entry, f"replay failed: {type(exc).__name__}: {exc}")
                 warnings.warn(
-                    f"replay plan for "
-                    f"{getattr(self.bench, 'name', self.bench)!r} failed "
+                    f"replay plan for {entry.label} failed "
                     f"({entry.reason}); falling back to fresh tracing",
                     RuntimeWarning, stacklevel=3)
             else:
@@ -678,13 +635,10 @@ class Planner:
                 return result
         # a miss traces the step, capturing it while the entry still learns
         self.cache.misses += 1
-        learning = entry.learning
-        with _capture_scope() if learning else nullcontext() as sink:
-            tape, leaves, next_state = self.trace(state,
-                                                  watch=list(self.watch))
-        if learning:
+        tape, leaves, next_state = self.trace(state, watch=list(self.watch))
+        if entry.learning:
             self.cache.learn(entry, fine_signature(state), _build_program(
-                sink, tape, leaves, self.watch, next_state, self.n_probes))
+                tape, leaves, self.watch, next_state, self.n_probes))
         if stats is not None:
             stats.observe(tape)
         return chain(tape, leaves, next_state, self.watch, cotangents)

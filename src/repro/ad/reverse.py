@@ -34,11 +34,12 @@ def _run_sweep(tape: Tape, grads: dict[int, np.ndarray],
     buffer per *leaf* node that received a cotangent, with ``owned`` marking
     buffers private to this sweep (safe to hand out without copying).
 
-    The compiled replay plans (:mod:`repro.ad.plan`) mirror this loop --
-    visit order, accumulation arithmetic and the ownership discipline --
-    bit for bit; a semantic change here must be reflected there (the
-    plan-vs-tracer bitwise tests in ``tests/ad/test_plan.py`` catch a
-    divergence).
+    The compiled replay plans (:mod:`repro.ad.plan`) call the same
+    per-primitive VJP rules (:data:`repro.ad.ops.RULES`) but keep their own
+    copy of this loop -- visit order, accumulation arithmetic and the
+    ownership discipline -- bit for bit; a semantic change here must be
+    reflected there (the plan-vs-tracer bitwise tests in
+    ``tests/ad/test_plan.py`` catch a divergence).
     """
     for index in range(start_index, -1, -1):
         if index not in grads:

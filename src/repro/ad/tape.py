@@ -27,9 +27,12 @@ Design notes
   gradient with respect to **all** elements of **all** watched inputs -- the
   property the paper relies on to scrutinise every element of a checkpoint
   variable in a single AD pass.
-* Nodes hold a ``vjp`` callable (vector-Jacobian product) produced by the
-  primitive that created them.  Constants (plain numpy arrays or scalars)
-  never appear as nodes; their gradient is simply discarded.
+* Nodes hold a ``vjp`` callable (vector-Jacobian product) and the ``spec``
+  of the primitive rule that created them (:data:`repro.ad.ops.RULES`).
+  Both close over plain arrays only, never over traced arrays, so a tape
+  holds no reference cycle and is freed as soon as its last reference
+  goes.  Constants (plain numpy arrays or scalars) never appear as nodes;
+  their gradient is simply discarded.
 """
 
 from __future__ import annotations
@@ -59,8 +62,7 @@ class Node:
         only for debugging and tape statistics.
     parents:
         The :class:`Node` objects whose outputs feed this operation.  Only
-        *traced* inputs appear here; constant operands are captured inside
-        the ``vjp`` closure instead.
+        *traced* inputs appear here; constant operands live in ``spec``.
     vjp:
         Callable mapping the incoming cotangent (gradient of the final
         output with respect to this node's output) to a tuple of cotangents
@@ -72,9 +74,14 @@ class Node:
         Optional primitive-specific metadata (e.g. the index expression of a
         ``getitem``).  Consumed by the activity analysis in
         :mod:`repro.ad.activity`, never by the reverse sweep itself.
+    spec:
+        The primitive's rule spec (kind first, then its constants and
+        geometry), or ``None`` for a node recorded without a rule.  The
+        replay-plan capture (:mod:`repro.ad.plan`) reads it off the tape.
     """
 
-    __slots__ = ("op", "parents", "vjp", "shape", "dtype", "index", "meta")
+    __slots__ = ("op", "parents", "vjp", "shape", "dtype", "index", "meta",
+                 "spec")
 
     def __init__(
         self,
@@ -85,6 +92,7 @@ class Node:
         dtype: np.dtype,
         index: int,
         meta: dict | None = None,
+        spec: tuple | None = None,
     ) -> None:
         self.op = op
         self.parents = tuple(parents)
@@ -93,6 +101,7 @@ class Node:
         self.dtype = dtype
         self.index = index
         self.meta = meta
+        self.spec = spec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -174,6 +183,7 @@ class Tape:
         shape: tuple,
         dtype: np.dtype,
         meta: dict | None = None,
+        spec: tuple | None = None,
     ) -> Node:
         """Append a new node to the tape and return it.
 
@@ -182,13 +192,14 @@ class Tape:
         so nodes must never be reordered or removed from a live tape.
         """
         node = Node(op, parents, vjp, shape, dtype, index=len(self.nodes),
-                    meta=meta)
+                    meta=meta, spec=spec)
         self.nodes.append(node)
         return node
 
     def leaf(self, shape: tuple, dtype: np.dtype, name: str | None = None) -> Node:
         """Create a leaf (input) node with no parents."""
-        node = self.add_node("leaf", (), _leaf_vjp, shape, dtype)
+        node = self.add_node("leaf", (), _leaf_vjp, shape, dtype,
+                             spec=("leaf",))
         if name is not None:
             self.watched[node.index] = name
         return node

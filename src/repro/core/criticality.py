@@ -37,14 +37,12 @@ treatment of loop counters, keys and bucket pointers.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import logging
 import numbers
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -234,24 +232,6 @@ class VariableCriticality:
                 f"method={self.method!r})")
 
 
-@contextmanager
-def _collect_own_cycles() -> Iterator[None]:
-    """Free the reference cycles a block leaves behind, when it ends.
-
-    Every recorded AD tape is a cycle (a node's VJP closure holds its
-    operands, which hold the tape), so a sweep's tapes outlive it until a
-    full collection, often in the middle of the next analysis.  Objects
-    that predate the block are frozen meanwhile, so the collection only
-    examines what the block allocated.
-    """
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.collect()
-        gc.unfreeze()
-
-
 class CriticalityAnalyzer:
     """Runs the element-level analysis for one or more benchmarks.
 
@@ -349,14 +329,10 @@ class CriticalityAnalyzer:
                     results[var.name] = VariableCriticality(
                         var, np.ones(var.shape, dtype=bool), method="rule")
             elif self.method == "activity":
-                with _collect_own_cycles():
-                    results.update(self._activity_masks(bench, state,
-                                                        ad_vars))
+                results.update(self._activity_masks(bench, state, ad_vars))
             else:
                 rng = self._analysis_rng(bench, state, step)
-                with _collect_own_cycles():
-                    results.update(self._ad_masks(bench, state, ad_vars,
-                                                  rng))
+                results.update(self._ad_masks(bench, state, ad_vars, rng))
 
         # preserve Table I ordering
         return {v.name: results[v.name] for v in variables}

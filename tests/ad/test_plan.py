@@ -6,12 +6,14 @@ traced segment produces, for every NPB port, in the plain and the
 probe-batched segmented sweeps, warm or cold.  These tests pin that, plus
 the learning rule (one plan from two agreeing step captures; a
 counter-dependent step stops learning and keeps nothing) and the safety
-properties: unsupported primitives reject the plan instead of corrupting
-it, and the reusable arena never aliases anything handed back to the
+properties: a node recorded without a rule rejects the plan instead of
+corrupting it, every fallback logs one event, and the reusable arena never aliases anything handed back to the
 caller.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.ad import ops
 from repro.ad.plan import (PlanCache, coarse_signature, fine_signature)
 from repro.ad.probes import segmented_batched_gradients
 from repro.ad.segmented import SweepStats, segmented_gradients
+from repro.ad.tensor import ADArray
 from repro.core.analysis import scrutinize
 from repro.npb import registry
 
@@ -251,15 +254,26 @@ class _ParityBench:
         return tape, leaves, out
 
 
+def _scaled_without_rule(x):
+    """``2 * x`` recorded straight on the tape, with a VJP but no rule
+    spec: a custom primitive no plan can replay."""
+    node = x.tape.add_node("custom_scale", [x.node], lambda g: (2.0 * g,),
+                           x.shape, x.dtype)
+    return ADArray(2.0 * x.value, node=node, tape=x.tape)
+
+
 class _UnsupportedOpBench(_ParityBench):
-    """Fake benchmark using a primitive without a replay kernel."""
+    """Fake benchmark using a primitive without a replay rule."""
 
     name = "NOKERNEL"
 
     def _advance(self, state):
-        # ops.clip records a node but carries no plan spec
-        return {"x": ops.clip(state["x"] * 1.1, 0.0, 10.0),
-                "it": int(state["it"]) + 1}
+        x = state["x"] * 1.1
+        if isinstance(x, ADArray):
+            x = _scaled_without_rule(x)
+        else:
+            x = 2.0 * x
+        return {"x": x, "it": int(state["it"]) + 1}
 
 
 class TestStructureDivergenceFallback:
@@ -289,6 +303,24 @@ class TestStructureDivergenceFallback:
             _assert_bitwise(reference["x"], got["x"], "unsupported")
         assert cache.rejects > 0
         assert cache.hits == 0
+
+    def test_fallbacks_log_one_event_per_entry(self, caplog):
+        # an entry that stops learning says so once, with its reason, on
+        # the plan logger -- however many sweeps then trace its segments
+        for bench, reason in ((_ParityBench(), "non-float state"),
+                              (_UnsupportedOpBench(), "no replay rule")):
+            cache = PlanCache()
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro.ad.plan"):
+                for _ in range(3):
+                    segmented_gradients(bench, bench.initial_state(),
+                                        plan_cache=cache)
+            records = [r for r in caplog.records
+                       if r.name == "repro.ad.plan"]
+            assert len(records) == len(cache._entries) == 1, bench.name
+            assert records[0].levelno == logging.INFO
+            assert reason in records[0].getMessage()
+            assert repr(bench.name) in records[0].getMessage()
 
     def test_shape_change_misses_signature(self):
         bench = _ParityBench()

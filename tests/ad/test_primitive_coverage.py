@@ -1,10 +1,10 @@
 """Primitive-coverage audit: no dispatch table may silently miss an op.
 
-The AD engine routes every primitive through three dispatch layers: the
-plan executor's emitters (:data:`repro.ad.exec._EMITTERS`, each of which
-embeds the primitive's VJP rule), the activity classification of tape op
-names (:data:`repro.ad.activity.CONSUMING_OPS` / ``MOVEMENT_OPS`` /
-``INDEXING_OPS``) and the shared reverse-mode rule tables.  A new
+The AD engine routes every primitive through two dispatch layers: the rule
+table (:data:`repro.ad.ops.RULES`, spec kind -> value and VJP, run by the
+tracer and the plan executor alike) and the activity classification of
+tape op names (:data:`repro.ad.activity.CONSUMING_OPS` / ``MOVEMENT_OPS``
+/ ``INDEXING_OPS``).  A new
 primitive that lands in one table but not another produces wrong masks or
 a crash only on the benchmark that happens to exercise it -- these audits
 fail immediately instead.
@@ -17,8 +17,6 @@ import pytest
 
 from repro.ad import ops
 from repro.ad.activity import CONSUMING_OPS, INDEXING_OPS, MOVEMENT_OPS
-from repro.ad.exec import _EMITTERS
-from repro.ad.ir import Instr
 from repro.ad.probes import stack_states
 from repro.ad.segmented import float_state_keys
 from repro.npb import registry
@@ -26,36 +24,48 @@ from repro.npb import registry
 ALL_PORTS = ("BT", "SP", "MG", "CG", "LU", "FT", "EP", "IS")
 
 
-def _recorded_ops(name: str) -> set[str]:
-    """Op names of every node the tracing hooks record for one class-T
-    port: the whole restart from step 0, and one plain and one
+def _recorded_ops(name: str) -> set[tuple[str, str | None]]:
+    """``(op name, spec kind)`` of every node the tracing hooks record for
+    one class-T port: the whole restart from step 0, and one plain and one
     probe-batched step watching every chained float entry."""
     bench = registry.create(name, "T")
     state = bench.checkpoint_state(0)
     chain = float_state_keys(state)
     recorded = set()
     tape, _leaves, _out = bench.traced_restart(state)
-    recorded.update(node.op for node in tape.nodes)
+    recorded.update(_kinds(tape))
     tape, _leaves, _next = bench.traced_step(state, watch=chain)
-    recorded.update(node.op for node in tape.nodes)
+    recorded.update(_kinds(tape))
     tape, _leaves, _next = bench.traced_step_probes(
         stack_states([state, state], chain), 2, watch=chain)
-    recorded.update(node.op for node in tape.nodes)
+    recorded.update(_kinds(tape))
     return recorded
+
+
+def _kinds(tape) -> set[tuple[str, str | None]]:
+    return {(node.op, None if node.spec is None else node.spec[0])
+            for node in tape.nodes}
 
 
 class TestActivityClassification:
     @pytest.mark.parametrize("name", ALL_PORTS)
     def test_every_recorded_op_is_in_exactly_one_category(self, name):
+        recorded = _recorded_ops(name)
         categories = (CONSUMING_OPS, MOVEMENT_OPS, INDEXING_OPS)
         counts = {op: sum(op in cat for cat in categories)
-                  for op in _recorded_ops(name)}
+                  for op, _kind in recorded}
         wrong = {op: n for op, n in counts.items() if n != 1}
         assert not wrong, (
             f"{name}: tape ops in no or several activity categories "
             f"(op: count) {wrong} -- add each to exactly one of "
             f"CONSUMING_OPS/MOVEMENT_OPS/INDEXING_OPS, or the activity "
             f"walk falls back to reading every element")
+        # every node carries the spec its rule ran on, so a plan can
+        # replay it (leaves are the plan's inputs, not rules)
+        no_rule = {(op, kind) for op, kind in recorded
+                   if kind != "leaf" and kind not in ops.RULES}
+        assert not no_rule, (
+            f"{name}: tape nodes without a rule spec (op, kind) {no_rule}")
 
     def test_tape_op_categories_are_disjoint(self):
         assert not CONSUMING_OPS & MOVEMENT_OPS
@@ -64,12 +74,12 @@ class TestActivityClassification:
 
 
 # ---------------------------------------------------------------------------
-# VJP coverage: every emitter kind replays forward AND reverse
+# VJP coverage: every rule runs forward AND reverse
 # ---------------------------------------------------------------------------
 #
-# One minimal, valid capture spec per kind.  Each entry is
+# One minimal, valid spec per rule kind.  Each entry is
 # (spec, out_shape, vals, grad_shapes): the traced operand values handed to
-# the compiled kernel and the cotangent shapes its VJP must hand back.
+# the rule and the cotangent shapes its VJP must hand back.
 
 _A = np.linspace(0.5, 2.0, 6).reshape(2, 3)
 _B = np.linspace(1.0, 2.5, 6).reshape(2, 3)
@@ -82,7 +92,11 @@ _VJP_EXAMPLES = {
     "minmax": (("minmax", "maximum", True, True, None, None,
                 (2, 3), (2, 3), (2, 3), (2, 3)),
                (2, 3), [_A, _B], [(2, 3), (2, 3)]),
+    "mod": (("mod", None, True, False, None, 0.75,
+              (2, 3), (), (2, 3), ()),
+            (2, 3), [_A], [(2, 3)]),
     "unary": (("unary", "sqrt"), (2, 3), [_A], [(2, 3)]),
+    "clip": (("clip", 0.75, 1.5), (2, 3), [_A], [(2, 3)]),
     "negative": (("negative",), (2, 3), [_A], [(2, 3)]),
     "copy": (("copy",), (2, 3), [_A], [(2, 3)]),
     "astype": (("astype", "float64", "float64"),
@@ -94,6 +108,10 @@ _VJP_EXAMPLES = {
     "prod": (("prod", 1, False, (2, 3)), (2,), [_A], [(2, 3)]),
     "getitem": (("getitem", (slice(0, 1),), False, False, (2, 3)),
                 (1, 3), [_A], [(2, 3)]),
+    "take": (("take", np.array([2, 0, 2]), 1, (2, 3)),
+             (2, 3), [_A], [(2, 3)]),
+    "take_flat": (("take_flat", np.array([2, 0]), (2, 3)),
+                  (2, 2), [_A], [(2, 3)]),
     "index_update": (("index_update", 0, True, True, None, None,
                       (3,), False, None),
                      (2, 3), [_A, _B[0]], [(2, 3), (3,)]),
@@ -134,18 +152,16 @@ _VJP_EXAMPLES = {
 
 
 class TestVjpRuleCoverage:
-    def test_every_emitter_kind_has_an_example(self):
-        # keep the audit honest: a kind added to _EMITTERS without a
-        # matching example here would silently escape the VJP audit below
-        assert set(_VJP_EXAMPLES) == set(_EMITTERS)
+    def test_every_rule_kind_has_an_example(self):
+        # keep the audit honest: a kind added to RULES without a matching
+        # example here would silently escape the VJP audit below
+        assert set(_VJP_EXAMPLES) == set(ops.RULES)
 
-    @pytest.mark.parametrize("kind", sorted(_EMITTERS))
-    def test_kernel_replays_forward_and_reverse(self, kind):
+    @pytest.mark.parametrize("kind", sorted(ops.RULES))
+    def test_rule_runs_forward_and_reverse(self, kind):
         spec, out_shape, vals, grad_shapes = _VJP_EXAMPLES[kind]
-        instr = Instr(len(vals), kind, tuple(range(len(vals))), spec,
-                      out_shape, "float64")
-        kernel = _EMITTERS[kind](spec, instr)
-        out, vjp = kernel([np.asarray(v, dtype=np.float64) for v in vals])
+        out, vjp = ops.RULES[kind](
+            spec, [np.asarray(v, dtype=np.float64) for v in vals])
         assert np.shape(out) == out_shape, f"{kind}: forward shape"
         assert callable(vjp), f"{kind}: no VJP rule"
         grads = vjp(np.ones(out_shape, dtype=np.float64))
