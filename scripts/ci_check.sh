@@ -37,9 +37,12 @@ python -m pytest -q tests/ad/test_segmented.py tests/ad/test_tape_lifetime.py \
     tests/ad/test_probes.py tests/experiments/test_probe_plumbing.py \
     tests/ad/test_activity_sweep.py tests/experiments/test_activity_plumbing.py
 
-echo "== snapshot store: aliasing, dtypes, no schedule surface =="
+echo "== snapshot store: shared boundaries, pure run(), dtypes, no knobs =="
+# boundaries are kept uncopied, so every port's run() must leave the state
+# it is handed untouched and an in-place run() must be refused by name
 python -m pytest -q tests/ad/test_schedule.py \
-    tests/experiments/test_schedule_plumbing.py
+    tests/experiments/test_schedule_plumbing.py \
+    "tests/npb/test_base.py::test_run_never_writes_into_the_state_it_is_handed"
 
 echo "== fault tolerance: retries, quarantine, chaos, resumable batches =="
 python -m pytest -q tests/experiments/test_faults.py \

@@ -18,11 +18,13 @@ decreasing** order (``steps`` first for the output segment, then
 Because access is strictly decreasing, a fetched boundary -- and every
 boundary above it -- is dead and its snapshot is released.
 
-Every snapshot the forward pass records is a *real copy* of the state
-(:func:`snapshot_state`): a benchmark whose ``run`` mutates arrays in place
-must not be able to corrupt earlier boundaries through aliasing.  Boundary
-0 is the caller's own state, kept uncopied: the forward steps from a copy
-of it, and the tracing hooks write into no state they are handed.
+Snapshots are kept *by reference*, never copied.  Boundary 0 is the
+caller's own state; every later boundary is the dict ``run`` returned.  The
+forward pass hands ``run`` read-only views of each boundary
+(:func:`repro.ad.segmented._segmented_sweep`), so an array a step passes
+through unchanged is shared by every later boundary, and a ``run`` that
+writes into its input fails loudly instead of corrupting a boundary.  The
+resident-bytes meter counts each shared buffer once.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ def state_nbytes(state: Mapping[str, Any]) -> int:
     return total
 
 
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array at the root of ``array``'s view chain: the buffer that
+    stays resident while any view of it does."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 class SnapshotSchedule:
     """Keep-everything boundary store of one segmented sweep.
 
@@ -76,36 +86,51 @@ class SnapshotSchedule:
     peak_snapshots:
         Largest number of simultaneously resident snapshots.
     peak_snapshot_nbytes:
-        Largest resident snapshot payload, in bytes.
+        Largest resident snapshot payload, in bytes.  A buffer shared by
+        several boundaries (an array a step passes through unchanged, or
+        views of it) counts once, at its owner's size.
     """
 
     def __init__(self, steps: int) -> None:
         self.steps = int(steps)
-        self._kept: dict[int, dict[str, Any]] = {}
+        self._kept: dict[int, Mapping[str, Any]] = {}
+        # id(owner) -> [owner, boundaries referencing it]
+        self._owners: dict[int, list] = {}
         self._resident_nbytes = 0
         self.peak_snapshots = 0
         self.peak_snapshot_nbytes = 0
 
-    def _take(self, k: int) -> dict[str, Any]:
+    def _account(self, snap: Mapping[str, Any], sign: int) -> None:
+        """Add (``sign=1``) or drop (``-1``) one boundary's payload."""
+        for val in snap.values():
+            val = value_of(val)
+            if not isinstance(val, np.ndarray):
+                self._resident_nbytes += sign * np.asarray(val).nbytes
+                continue
+            owner = _owner(val)
+            entry = self._owners.setdefault(id(owner), [owner, 0])
+            if entry[1] == 0:
+                self._resident_nbytes += owner.nbytes
+            entry[1] += sign
+            if entry[1] == 0:
+                self._resident_nbytes -= owner.nbytes
+                del self._owners[id(owner)]
+
+    def _take(self, k: int) -> Mapping[str, Any]:
         snap = self._kept.pop(k)
-        self._resident_nbytes -= state_nbytes(snap)
+        self._account(snap, -1)
         return snap
 
-    def record(self, k: int, state: Mapping[str, Any],
-               copy: bool = True) -> None:
-        """Store the boundary-``k`` snapshot (called in increasing ``k``).
-
-        ``copy=False`` keeps ``state`` itself, for a plain-numpy state that
-        nothing writes into while the sweep runs.
-        """
-        snap = snapshot_state(state) if copy else state
-        self._kept[k] = snap
-        self._resident_nbytes += state_nbytes(snap)
+    def record(self, k: int, state: Mapping[str, Any]) -> None:
+        """Keep ``state`` itself as boundary ``k`` (called in increasing
+        ``k``); nothing may write into it while the sweep runs."""
+        self._kept[k] = state
+        self._account(state, 1)
         self.peak_snapshots = max(self.peak_snapshots, len(self._kept))
         self.peak_snapshot_nbytes = max(self.peak_snapshot_nbytes,
                                         self._resident_nbytes)
 
-    def fetch(self, k: int) -> dict[str, Any]:
+    def fetch(self, k: int) -> Mapping[str, Any]:
         """Hand out boundary ``k`` (called once, in decreasing ``k``)."""
         # strictly decreasing access: boundaries above ``k`` are dead
         for dead in [b for b in self._kept if b > k]:
@@ -115,6 +140,7 @@ class SnapshotSchedule:
     def close(self) -> None:
         """Release every retained snapshot."""
         self._kept.clear()
+        self._owners.clear()
         self._resident_nbytes = 0
 
 

@@ -10,7 +10,7 @@ This module implements the standard fix -- checkpointing the reverse sweep at
 iteration granularity (Griewank's *revolve* idea, at its simplest schedule):
 
 1. run the first ``steps - tail`` iterations **forward on concrete numpy
-   state**, keeping the (cheap) state snapshot at every iteration boundary;
+   state**, keeping the state at every iteration boundary by reference;
 2. trace the output segment -- the last ``tail`` iterations together with
    the final output reduction (``traced_restart(..., steps=tail)``) -- and
    sweep it, producing the cotangent of every state entry of its boundary;
@@ -22,10 +22,12 @@ iteration granularity (Griewank's *revolve* idea, at its simplest schedule):
 With ``tail = 0`` (the segmented sweep) peak tape memory is O(1 iteration)
 instead of O(remaining steps).  With ``tail = steps`` (the monolithic
 sweep) the output segment is the whole run: nothing runs forward
-concretely, no step is walked back and one tape is swept.  The boundary
-snapshots are held by a :class:`repro.ad.schedule.SnapshotSchedule`, which
-keeps every boundary in memory (O(steps x state) -- for the NPB kernels one
-state is smaller than one iteration's tape).
+concretely, no step is walked back and one tape is swept.  The boundaries
+are held by a :class:`repro.ad.schedule.SnapshotSchedule`, which keeps every
+one in memory, uncopied: ``run`` steps from read-only views, so an array an
+iteration passes through unchanged is resident once however many boundaries
+share it, and at most O(steps x state) in all -- for the NPB kernels one
+state is smaller than one iteration's tape.
 
 One driver, three sweeps
 ------------------------
@@ -78,8 +80,8 @@ import numpy as np
 from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE, TRACE_CACHES,
                    PlanCache)
 from .reverse import backward, backward_from_seeds
-from .schedule import SnapshotSchedule, make_schedule, snapshot_state
-from .tape import Tape
+from .schedule import SnapshotSchedule, make_schedule
+from .tape import Tape, read_only_view
 from .tensor import ADArray, value_of
 
 __all__ = ["SweepStats", "float_state_keys", "gradient_dtype",
@@ -346,6 +348,26 @@ def _check_tail(tail: Any, steps: int) -> int:
     return int(tail)
 
 
+def _run_step(bench, state: Mapping[str, Any]) -> dict[str, Any]:
+    """One concrete iteration from a boundary the sweep keeps.
+
+    ``run`` gets read-only views, so one that writes into its input fails
+    before anything is written instead of corrupting the boundary.
+    """
+    try:
+        return bench.run({key: read_only_view(val)
+                          if isinstance(val, np.ndarray) else val
+                          for key, val in state.items()}, 1)
+    except ValueError as exc:
+        if "read-only" not in str(exc):
+            raise
+        raise ValueError(
+            f"benchmark {getattr(bench, 'name', bench)!r}: run() wrote into "
+            f"the state it was handed ({exc}); the sweeps keep every "
+            f"boundary by reference, so run() must return new arrays "
+            f"instead of updating its input in place") from exc
+
+
 class _Walk(NamedTuple):
     """What one kind of segmented sweep carries backwards, and how.
 
@@ -445,19 +467,17 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
 
     try:
         # -- forward pass: a snapshot at every boundary ---------------------
-        # ``record`` copies every array entry, so a benchmark whose ``run``
-        # mutates arrays in place cannot corrupt earlier boundaries through
-        # aliasing.  Boundary 0 is the caller's state itself: the forward
-        # steps from a copy of it, and the tracing hooks write into no
-        # state.  The concrete forward is recording-free numpy, run per
-        # probe.
+        # every boundary is kept by reference, boundary 0 being the
+        # caller's state; ``run`` steps from read-only views of it, so an
+        # array a step passes through is shared by every later boundary
+        # and a ``run`` that writes into its input raises before writing.
+        # The concrete forward is recording-free numpy, run per probe.
         for schedule, state in zip(schedules, states):
-            schedule.record(0, state, copy=False)
-            current = snapshot_state(state) if head else None
+            schedule.record(0, state)
             for t in range(1, head + 1):
-                current = bench.run(current, 1)
-                schedule.record(t, current)
-            del current
+                state = _run_step(bench, state)
+                schedule.record(t, state)
+            del state
 
         # -- output segment: the last ``tail`` iterations and the output --
         tape, leaves, out = getattr(bench, restart_hook)(

@@ -49,6 +49,7 @@ __all__ = [
     "push_tape",
     "pop_tape",
     "no_tape",
+    "read_only_view",
 ]
 
 
@@ -208,14 +209,16 @@ class Tape:
         """Wrap ``value`` in a traced :class:`ADArray` rooted at a new leaf.
 
         Returns the traced array; its gradient can be queried after the
-        reverse sweep with :meth:`gradient`.
+        reverse sweep with :meth:`gradient`.  A float64 ``value`` is not
+        copied: the leaf holds a read-only view of it, so the trace shares
+        the caller's buffer and cannot write into it.
         """
         from .tensor import ADArray  # local import to avoid cycle
 
         # Derivatives only make sense for floating point data; integer
         # checkpoint variables (loop counters, index arrays) are handled by
         # the activity analysis / criticality rules instead of the tape.
-        arr = np.array(value, dtype=np.float64, copy=True)
+        arr = read_only_view(np.asarray(value, dtype=np.float64))
         node = self.leaf(arr.shape, arr.dtype, name=name)
         return ADArray(arr, node=node, tape=self)
 
@@ -261,6 +264,13 @@ class Tape:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Tape(nodes={len(self.nodes)}, watched={len(self.watched)})"
+
+
+def read_only_view(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that nothing can write through."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _leaf_vjp(g: np.ndarray) -> tuple:

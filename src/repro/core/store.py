@@ -53,11 +53,12 @@ Corruption detection: the metadata records the SHA-256 of the ``.npz``
 bytes (``digest``), verified on every load, so silent bit rot is caught
 even when the zip container still parses.  A corrupt entry (digest
 mismatch, torn zip, bad JSON, an orphaned half of the pair) is counted in
-:attr:`ResultStore.corrupt_entries`, reported once per store instance via
-a single :class:`RuntimeWarning`, and *quarantined*: both files are
-renamed aside to ``<name>.corrupt-<n>`` -- content preserved for
-post-mortem -- so the entry re-misses cleanly (and is recomputed) instead
-of failing the same way forever.
+:attr:`ResultStore.corrupt_entries`, logged as one WARNING per entry on
+the ``repro.core.store`` logger (benchmark, key and where its files went),
+reported once per store instance via a single :class:`RuntimeWarning`, and
+*quarantined*: both files are renamed aside to ``<name>.corrupt-<n>`` --
+content preserved for post-mortem -- so the entry re-misses cleanly (and
+is recomputed) instead of failing the same way forever.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import os
 import tempfile
 import warnings
@@ -81,6 +83,8 @@ __all__ = ["ResultStore", "cache_key"]
 
 #: bump when the serialisation layout changes incompatibly
 _FORMAT = 1
+
+logger = logging.getLogger(__name__)
 
 
 class _CorruptEntryError(RuntimeError):
@@ -281,11 +285,12 @@ class ResultStore:
 
         Corrupt entries (torn writes, digest mismatches, stray files)
         count as misses -- a cache must never be able to fail a run -- but
-        not *silent* misses: each one bumps :attr:`corrupt_entries`, the
-        first raises a single :class:`RuntimeWarning`, and the damaged
-        files are renamed aside (content preserved for post-mortem) so the
-        key re-misses cleanly and is recomputed.  An absent entry or a
-        format/version bump stays a plain, uncounted miss.
+        not *silent* misses: each one bumps :attr:`corrupt_entries` and
+        logs a WARNING, the first raises a single :class:`RuntimeWarning`,
+        and the damaged files are renamed aside (content preserved for
+        post-mortem) so the key re-misses cleanly and is recomputed.  An
+        absent entry or a format/version bump stays a plain, uncounted
+        miss.
         """
         meta_path, data_path = self._paths(benchmark, key)
         if not meta_path.exists():
@@ -322,6 +327,7 @@ class ResultStore:
         """Move a corrupt entry's files aside and account for it."""
         self.corrupt_entries += 1
         meta_path, data_path = self._paths(benchmark, key)
+        moved: list[Path] = []
         for path in (meta_path, data_path):
             if not path.exists():
                 continue
@@ -331,9 +337,14 @@ class ResultStore:
                     break
             try:
                 os.replace(path, aside)
-                self.quarantined_paths.append(aside)
+                moved.append(aside)
             except OSError:  # pragma: no cover - read-only store
                 pass
+        self.quarantined_paths.extend(moved)
+        logger.warning("result store %s: corrupt entry %s/%s quarantined "
+                       "(%s: %s), moved to %s", self.root, benchmark, key,
+                       type(exc).__name__, exc, ", ".join(map(str, moved))
+                       or "nowhere (read-only store)")
         if not self._warned_corrupt:
             self._warned_corrupt = True
             warnings.warn(

@@ -159,7 +159,13 @@ class RestartableApplication(Protocol):
         ...
 
     def run(self, state: Mapping[str, Any], steps: int) -> dict[str, Any]:
-        """Advance ``state`` by ``steps`` main-loop iterations."""
+        """Advance ``state`` by ``steps`` main-loop iterations.
+
+        Must return a new dict and never write into ``state``'s arrays: the
+        segmented sweeps keep every boundary by reference and hand ``run``
+        read-only views of it.  An array the iterations leave unchanged
+        may be returned as is.
+        """
         ...
 
     def output(self, state: Mapping[str, Any]):

@@ -280,8 +280,13 @@ class ParallelRunner:
             if cached is not None:
                 results[job] = cached
                 self.stats.cache_hits += 1
-                if self.journal is not None and self.journal.is_done(token):
-                    self.stats.journal_skips += 1
+                if self.journal is not None:
+                    if self.journal.is_done(token):
+                        self.stats.journal_skips += 1
+                    else:
+                        # stored but never journalled: a kill landed
+                        # between ``store.put`` and the journal append
+                        self.journal.mark_done(token, job.benchmark)
                 continue
             if self.on_failure == "record" and self.journal is not None:
                 known = self.journal.failure_for(token)

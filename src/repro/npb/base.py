@@ -159,7 +159,13 @@ class NPBBenchmark:
         return self.step_name
 
     def run(self, state: Mapping[str, Any], steps: int) -> dict[str, Any]:
-        """Advance ``state`` by ``steps`` iterations (new dict returned)."""
+        """Advance ``state`` by ``steps`` iterations (new dict returned).
+
+        Never writes into ``state``'s arrays (every ``_advance`` returns new
+        ones or passes an unchanged one through), so the segmented sweeps
+        can keep each boundary by reference and step from read-only views
+        of it.
+        """
         if steps < 0:
             raise ValueError("steps must be non-negative")
         current = dict(state)

@@ -2,11 +2,11 @@
 
 Covers :class:`repro.ad.schedule.SnapshotSchedule` itself (it keeps every
 boundary; telemetry through :class:`~repro.ad.segmented.SweepStats`) plus
-the regressions its introduction fixed:
+two contracts of the sweeps around it:
 
-* **snapshot aliasing** -- boundary snapshots used to store *references*
-  into the running state, so a benchmark whose ``run`` mutates arrays in
-  place silently corrupted earlier boundaries;
+* **snapshot aliasing** -- boundaries are kept by reference, so a
+  benchmark whose ``run`` mutates arrays in place must be refused with a
+  named ``ValueError`` rather than silently corrupt earlier boundaries;
 * **cotangent dtype drift** -- returned gradients (and the zero-cotangent
   fallback) were force-cast to float64, upcasting float32 state entries.
 """
@@ -127,44 +127,58 @@ def _assert_bitwise(a, b, label):
 
 
 # ---------------------------------------------------------------------------
-# regression: snapshot aliasing under an in-place-mutating run()
+# contract: run() must not write into the boundary it is handed
 # ---------------------------------------------------------------------------
 
+#: the sweeps' refusal of an in-place run(), naming the benchmark
+INPLACE_REFUSAL = r"benchmark 'SQUARE': run\(\) wrote into the state"
+
+
+def _refused_sweep(bench, state):
+    """Run a segmented sweep that must refuse ``bench``; return what it
+    handed back (nothing) and check ``state`` kept every byte."""
+    before = {key: np.asarray(val).copy() for key, val in state.items()}
+    returned = []
+    with pytest.raises(ValueError, match=INPLACE_REFUSAL):
+        returned.append(segmented_gradients(bench, state, watch=["x"]))
+    for key, want in before.items():
+        got = np.asarray(state[key])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            f"caller state[{key!r}] mutated"
+    return returned
+
+
 class TestSnapshotAliasing:
-    def test_inplace_run_matches_functional_run(self):
-        # before the copy-on-snapshot fix, every boundary aliased the same
-        # mutated array and the chained gradients came out wrong
-        functional = SquareMapBench(inplace=False)
+    """Boundaries are kept by reference, so an in-place ``run`` is refused
+    loudly before it writes, instead of corrupting an earlier boundary."""
+
+    def test_inplace_run_is_refused_by_name(self):
         inplace = SquareMapBench(inplace=True)
+        assert _refused_sweep(inplace, inplace.initial_state()) == []
+        # a functional run() is served, bitwise equal to the monolithic sweep
+        functional = SquareMapBench(inplace=False)
         state = functional.initial_state()
         ref = segmented_gradients(functional, state, watch=["x"])
-        got = segmented_gradients(inplace, dict(state), watch=["x"])
-        _assert_bitwise(ref["x"], got["x"], "aliasing")
-        # and both match the monolithic sweep
-        mono = _monolithic(functional, state, ["x"])
-        _assert_bitwise(mono["x"], got["x"], "aliasing-vs-mono")
+        _assert_bitwise(_monolithic(functional, state, ["x"])["x"], ref["x"],
+                        "functional-vs-mono")
 
     def test_inplace_run_leaves_caller_state_intact(self):
         bench = SquareMapBench(inplace=True)
         state = bench.initial_state()
         before = state["x"].copy()
-        segmented_gradients(bench, state, watch=["x"])
+        _refused_sweep(bench, state)
         np.testing.assert_array_equal(state["x"], before)
+        assert state["x"].flags.writeable
 
-    def test_inplace_run_batched_matches_functional(self):
-        functional = SquareMapBench(inplace=False)
+    def test_inplace_run_per_probe_sweeps_are_refused(self):
         inplace = SquareMapBench(inplace=True)
-        base = functional.initial_state()
+        base = inplace.initial_state()
         probe = dict(base)
         probe["x"] = base["x"] + 1.0e-3
-        states = [base, probe]
-        # the fake has no probe-tracing hooks, so compare per-probe plain
-        # sweeps instead: every probe's segmented gradients must survive
-        # in-place mutation
-        for state in states:
-            ref = segmented_gradients(functional, dict(state), watch=["x"])
-            got = segmented_gradients(inplace, dict(state), watch=["x"])
-            _assert_bitwise(ref["x"], got["x"], "batched")
+        # the fake has no probe-tracing hooks, so run the per-probe plain
+        # sweeps: each must refuse and leave its probe state untouched
+        for state in (base, probe):
+            assert _refused_sweep(inplace, state) == []
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +341,19 @@ def _mid_state(name):
 
 
 def _boundary_nbytes(bench, state):
-    """Payload of every boundary ``state .. end of loop``, run forward."""
-    sizes = [state_nbytes(state)]
+    """Resident payload of every boundary ``state .. end of loop``, run
+    forward: each distinct array buffer once, scalars per boundary."""
+    boundaries = [state]
     for _ in range(bench._default_remaining_steps(state)):
-        state = bench.run(state, 1)
-        sizes.append(state_nbytes(state))
-    return sizes
+        boundaries.append(bench.run(boundaries[-1], 1))
+    distinct, scalars = [], 0
+    for boundary in boundaries:
+        for val in boundary.values():
+            if not isinstance(val, np.ndarray):
+                scalars += np.asarray(val).nbytes
+            elif not any(np.shares_memory(val, seen) for seen in distinct):
+                distinct.append(val)
+    return sum(arr.nbytes for arr in distinct) + scalars
 
 
 def _assert_state_unchanged(before, after, label):
@@ -347,23 +368,24 @@ def _assert_state_unchanged(before, after, label):
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_npb_snapshot_peak_is_every_boundary(name):
+    # every boundary resident at once, a buffer shared between boundaries
+    # (an array a step passes through unchanged) counted once
     bench, state = _mid_state(name)
-    sizes = _boundary_nbytes(bench, state)
     stats = SweepStats()
     segmented_gradients(bench, state, stats=stats)
-    assert stats.peak_snapshots == len(sizes)
-    assert stats.peak_snapshot_nbytes == sum(sizes)
+    assert stats.peak_snapshots == bench._default_remaining_steps(state) + 1
+    assert stats.peak_snapshot_nbytes == _boundary_nbytes(bench, state)
 
 
 @pytest.mark.parametrize("name", FLOAT_BENCHMARKS)
 def test_npb_batched_snapshot_peak_adds_per_probe(name):
     # one store per probe, all resident together
     bench, state = _mid_state(name)
-    sizes = _boundary_nbytes(bench, state)
     stats = SweepStats()
     segmented_batched_gradients(bench, [state, dict(state)], stats=stats)
-    assert stats.peak_snapshots == 2 * len(sizes)
-    assert stats.peak_snapshot_nbytes == 2 * sum(sizes)
+    assert stats.peak_snapshots == \
+        2 * (bench._default_remaining_steps(state) + 1)
+    assert stats.peak_snapshot_nbytes == 2 * _boundary_nbytes(bench, state)
 
 
 @pytest.mark.parametrize("name", FLOAT_BENCHMARKS)

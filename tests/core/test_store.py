@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -236,6 +237,28 @@ class TestCorruptionQuarantine:
                    if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
         assert store.corrupt_entries == 2
+
+    def test_every_quarantine_is_logged(self, store, bt_t_result, caplog):
+        key1, _, npz1 = self._entry(store, bt_t_result)
+        key2 = store.key(**dict(KEY_PARAMS, n_probes=2))
+        store.save(key2, bt_t_result)
+        npz2 = store.root / "BT" / f"{key2}.npz"
+        self._flip_byte(npz1)
+        self._flip_byte(npz2)
+
+        caplog.set_level(logging.WARNING, logger="repro.core.store")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert store.load("BT", key1) is None
+            assert store.load("BT", key2) is None
+        records = [r for r in caplog.records if r.name == "repro.core.store"]
+        assert [r.levelno for r in records] == [logging.WARNING] * 2
+        for record, key, npz in zip(records, (key1, key2), (npz1, npz2)):
+            message = record.getMessage()
+            assert f"BT/{key}" in message
+            assert str(npz.with_name(f"{npz.name}.corrupt-0")) in message
+        assert len([w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]) == 1
 
     def test_quarantine_suffix_never_clobbers(self, store, bt_t_result):
         key, _, npz_path = self._entry(store, bt_t_result)

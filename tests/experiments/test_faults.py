@@ -328,6 +328,27 @@ class TestJournalIntegration:
         assert engine.stats.journal_skips == len(self.JOBS)
         assert all(result.ok for result in results)
 
+    def test_stored_but_unjournalled_job_is_journalled_on_serve(
+            self, tmp_path, monkeypatch):
+        # a kill between ``store.put`` and the journal append leaves a
+        # stored result the journal does not know; serving it from the
+        # store must record it as done, without recomputing it
+        job = self.JOBS[0]
+        ResultStore(tmp_path / "cache").put(
+            run_job(job), n_probes=job.n_probes, step=job.step,
+            steps=job.steps, probe_scale=job.probe_scale)
+        journal_path = tmp_path / "cache" / "journal.jsonl"
+        assert not journal_path.exists()
+        calls: list[ScrutinyJob] = []
+        import repro.experiments.parallel as parallel_mod
+        monkeypatch.setattr(parallel_mod, "run_job", calls.append)
+        engine = self._engine(tmp_path)
+        results = engine.run([job])
+        assert calls == []
+        assert results[0].ok
+        assert engine.stats.journal_skips == 0
+        assert BatchJournal(journal_path).is_done(job_token(job))
+
     def test_poisoned_jobs_are_journalled_and_skipped_on_resume(
             self, tmp_path):
         bad = ScrutinyJob("NOPE", "T")

@@ -9,6 +9,7 @@ import pytest
 
 from repro.ad import ops
 from repro.ad.probes import stack_states
+from repro.ad.tape import read_only_view
 from repro.core.variables import CheckpointVariable, VariableKind
 from repro.npb import registry
 from repro.npb.base import NPBBenchmark, concrete_state, copy_state
@@ -153,8 +154,9 @@ def _assert_state_bitwise(before, after, label):
 
 @pytest.mark.parametrize("name", registry.available_benchmarks())
 def test_tracing_hooks_leave_the_passed_state_unchanged(name):
-    # the hooks trace the state they are handed without copying it, so
-    # no port may write into it, whether traced plainly or probe-batched
+    # the hooks trace the state they are handed without copying it (each
+    # leaf is a view of its entry), so no port may write into it, whether
+    # traced plainly or probe-batched, directly or through a leaf
     bench = registry.create(name, "T")
     state = bench.checkpoint_state(bench.total_steps // 2)
     watch = bench.default_watch_keys()
@@ -171,6 +173,25 @@ def test_tracing_hooks_leave_the_passed_state_unchanged(name):
         before = copy_state(passed)
         call(passed)
         _assert_state_bitwise(before, passed, f"{name}.{hook}")
+
+
+@pytest.mark.parametrize("name,cls", [
+    *((name, "T") for name in registry.available_benchmarks()),
+    ("FT", "S"), ("IS", "S")])
+def test_run_never_writes_into_the_state_it_is_handed(name, cls):
+    # the segmented sweeps keep every boundary by reference and step from
+    # it with run(), so run() must return new arrays: a write into a
+    # read-only input raises, and the caller's arrays keep every byte
+    bench = registry.create(name, cls)
+    step = bench.total_steps // 2
+    state = bench.checkpoint_state(step)
+    for t in range(step, min(step + 2, bench.total_steps)):
+        before = copy_state(state)
+        after = bench.run({key: read_only_view(val)
+                           if isinstance(val, np.ndarray) else val
+                           for key, val in state.items()}, 1)
+        _assert_state_bitwise(before, state, f"{name}-{cls}.run@{t}")
+        state = after
 
 
 class TestHooksAreAbstract:
