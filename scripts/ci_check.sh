@@ -60,7 +60,15 @@ python -m pytest -q tests/ad/test_plan.py
 
 echo "== plan lowering: IR passes, fused-vs-unfused bitwise equivalence =="
 python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py \
-    tests/ad/test_banded.py tests/ad/test_ifftn_sampled.py
+    tests/ad/test_banded.py
+
+echo "== FT kernel: bitwise vs the numpy chain =="
+# the sampled inverse FFT transforms only what the checksum reads (blocked
+# slabs, a pruned last forward pass, a pruned first adjoint pass); it must
+# stay bitwise the whole-grid numpy chain on FT's T/S/A grids for any block
+# budget, and every port's recorded verification values must still hold
+python -m pytest -q tests/ad/test_ifftn_sampled.py \
+    tests/npb/test_reference_values.py
 
 echo "== CLI smoke: segmented sweep, enlarged class A =="
 python -m repro.cli --class A --sweep segmented analyze CG >/dev/null
@@ -88,7 +96,6 @@ echo "== verification values: recorded table matches fresh full runs =="
 # every port's verify compares against repro.npb.reference; a kernel change
 # that moves a recorded value must regenerate the table
 python -m repro.npb.reference --check
-python -m pytest -q tests/npb/test_reference_values.py
 
 echo "== correctness: class-S restart verification, default engine =="
 # every port's pruned restart must verify and the negative control (a

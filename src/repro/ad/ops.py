@@ -1587,37 +1587,71 @@ def banded_matvec(bands: np.ndarray, offsets: Sequence[int], x: Any,
     return _unary("banded_matvec", ("banded", bands, bands_t, offsets), x)
 
 
-#: complex elements per numpy FFT call: a batch of small grids shares one
-#: call (the per-call overhead dominates there), a large grid goes one
-#: slice at a time (its buffer then stays in cache between the copies)
+#: complex elements per numpy FFT call of the blocked passes: the leading
+#: rows of one grid (or of several probes' small grids) are transformed
+#: together, so the block stays in cache between its scaling, its passes and
+#: the copy out of the lines the samples need
 _FFT_BLOCK = 1 << 16
+
+
+def _sample_lines(coords: tuple, shape: tuple, n: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct lines ``n`` samples lie on, and each sample's line.
+
+    ``coords`` holds one index array per axis of ``shape`` (none for a
+    1-D grid: one line).  Returns the sorted flat indices into ``shape`` of
+    the distinct lines and, per sample, its position among them.
+    """
+    flat = np.zeros(n, dtype=np.intp)
+    for index, extent in zip(coords, shape):
+        flat = flat * extent + index
+    return np.unique(flat, return_inverse=True)
 
 
 def _ifftn_samples(re: np.ndarray, im: np.ndarray, scale: np.ndarray,
                    points: tuple) -> np.ndarray:
     """``(B, 2, n)`` samples at ``points`` of ``ifftn((re + i im) * scale)``.
 
-    ``re``/``im`` are ``(B, *grid)`` batches.  Each block of up to
-    :data:`_FFT_BLOCK` elements is scaled straight into the complex buffer,
-    transformed in place and sampled; numpy transforms every slice of a
-    call independently, so each is computed exactly as an unbatched call
-    would.
+    ``re``/``im`` are ``(B, *grid)`` batches.  numpy's ``ifftn`` runs one
+    1-D ``ifft`` per axis, the last axis first; this runs the same passes on
+    only what the samples need.  The probe batch folds into the first grid
+    axis, and blocks of up to :data:`_FFT_BLOCK` elements of those rows are
+    scaled into one small complex buffer and transformed along every axis
+    but the first.  Of each block only the first-axis lines that hold a
+    sample are copied out; the first axis is then transformed on those lines
+    alone, in one call, and the samples are gathered.  numpy transforms
+    every line independently, so each value is bitwise the one a full
+    ``ifftn`` of an unbatched call gives.
     """
     grid = re.shape[1:]
-    step = builtins.max(1, _FFT_BLOCK // math.prod(grid))
-    buf = np.empty((builtins.min(step, len(re)),) + grid,
+    rows, rest = grid[0], grid[1:]
+    lines, at = _sample_lines(points[1:], rest, len(points[0]))
+    scale = np.broadcast_to(scale, grid)
+    total = len(re) * rows
+    step = builtins.max(1, _FFT_BLOCK // math.prod(rest))
+    buf = np.empty((builtins.min(step, total),) + rest,
                    dtype=np.result_type(re, im, scale, np.complex64))
-    out = np.empty((len(re), 2, len(points[0])), dtype=buf.real.dtype)
-    axes = tuple(range(1, len(grid) + 1))
-    at = (slice(None),) + points
-    for start in range(0, len(re), step):
-        stop = builtins.min(start + step, len(re))
+    picked = np.empty((total, len(lines)), dtype=buf.dtype)
+    for start in range(0, total, step):
+        stop = builtins.min(start + step, total)
         blk = buf[:stop - start]
-        np.multiply(re[start:stop], scale, out=blk.real)
-        np.multiply(im[start:stop], scale, out=blk.imag)
-        np.fft.ifftn(blk, axes=axes, out=blk)
-        out[start:stop, 0] = blk.real[at]
-        out[start:stop, 1] = blk.imag[at]
+        # the rows of a block may span several probes
+        for b in range(start // rows, (stop - 1) // rows + 1):
+            lo = builtins.max(start - b * rows, 0)
+            hi = builtins.min(stop - b * rows, rows)
+            dst = blk[b * rows + lo - start:b * rows + hi - start]
+            np.multiply(re[b, lo:hi], scale[lo:hi], out=dst.real)
+            np.multiply(im[b, lo:hi], scale[lo:hi], out=dst.imag)
+        for axis in range(len(grid) - 1, 0, -1):
+            np.fft.ifft(blk, axis=axis, out=blk)
+        np.take(blk.reshape(len(blk), -1), lines, axis=1,
+                out=picked[start:stop])
+    picked = picked.reshape(len(re), rows, len(lines))
+    np.fft.ifft(picked, axis=1, out=picked)
+    samples = picked[:, points[0], at]
+    out = np.empty((len(re), 2, len(at)), dtype=buf.real.dtype)
+    out[:, 0] = samples.real
+    out[:, 1] = samples.imag
     return out
 
 
@@ -1628,24 +1662,36 @@ def _ifftn_samples_vjp(g: np.ndarray, scale: np.ndarray, points: tuple,
     Scatters ``g`` onto zeros at ``points`` (``0.0 + g``, as the gather's
     own VJP would), applies ``fftn(.) / N`` with ``N`` the grid size and
     multiplies by ``scale``: ``(B, *grid)`` cotangents of ``re`` and ``im``.
+    ``fftn`` transforms the last axis first, and only the last-axis lines
+    that hold a sample are nonzero there, so the cotangent is scattered onto
+    those lines alone and only they are transformed; they are then placed
+    into the zeroed grid, whose other axes are transformed in full, one
+    block of up to :data:`_FFT_BLOCK` elements of probes at a time.  The
+    line indices are derived here, so the VJP keeps only ``scale`` and
+    ``points``.
     """
     size = math.prod(grid)
+    lines, at = _sample_lines(points[:-1], grid[:-1], g.shape[-1])
+    picked = np.zeros((len(g), len(lines), grid[-1]),
+                      dtype=np.result_type(g, np.float64, np.complex64))
+    on_lines = (slice(None), at, points[-1])
+    np.add.at(picked.real, on_lines, g[:, 0])
+    np.add.at(picked.imag, on_lines, g[:, 1])
+    np.fft.fft(picked, axis=-1, out=picked)
     step = builtins.max(1, _FFT_BLOCK // size)
-    buf = np.zeros((builtins.min(step, len(g)),) + grid,
-                   dtype=np.result_type(g, np.float64, np.complex64))
+    buf = np.zeros((builtins.min(step, len(g)),) + grid, dtype=picked.dtype)
     dtype = np.result_type(buf.real.dtype, scale)
     g_re = np.empty((len(g),) + grid, dtype=dtype)
     g_im = np.empty((len(g),) + grid, dtype=dtype)
-    axes = tuple(range(1, len(grid) + 1))
-    at = (slice(None),) + points
+    axes = tuple(range(1, len(grid)))
     for start in range(0, len(g), step):
         stop = builtins.min(start + step, len(g))
         blk = buf[:stop - start]
         if start:
             blk.fill(0)
-        np.add.at(blk.real, at, g[start:stop, 0])
-        np.add.at(blk.imag, at, g[start:stop, 1])
-        np.fft.fftn(blk, axes=axes, out=blk)
+        blk.reshape(len(blk), -1, grid[-1])[:, lines] = picked[start:stop]
+        if axes:
+            np.fft.fftn(blk, axes=axes, out=blk)
         for part, dst in ((blk.real, g_re), (blk.imag, g_im)):
             np.divide(part, size, out=dst[start:stop])
             np.multiply(dst[start:stop], scale, out=dst[start:stop])
@@ -1681,13 +1727,17 @@ def ifftn_sampled(re: Any, im: Any, scale: Any, points: Sequence) -> Any:
     Returns the ``(2, n)`` real and imaginary parts of
     ``numpy.fft.ifftn((re + 1j * im) * scale)`` at the ``n`` grid points
     ``points`` (one index array per axis), and never materialises the
-    transformed field beyond one work buffer.  ``scale`` is a constant
-    broadcast against the grid.  The map is linear, so the VJP keeps no
-    forward operand, only ``scale`` and ``points``: it scatters the
+    transformed field: the forward scales and transforms cache-sized slabs
+    of the leading axis and runs its last pass (the first axis) only on the
+    lines that hold a sample (:func:`_ifftn_samples`).  ``scale`` is a
+    constant broadcast against the grid.  The map is linear, so the VJP
+    keeps no forward operand, only ``scale`` and ``points``: it scatters the
     cotangent onto the sample points, applies the adjoint transform
-    ``fftn(.) / N`` with ``N`` the grid size and multiplies by ``scale``.
-    Under a probe axis every slice is computed bitwise as an unbatched call
-    would.
+    ``fftn(.) / N`` with ``N`` the grid size -- its first pass (the last
+    axis) on the sampled lines alone -- and multiplies by ``scale``.  Both
+    keep numpy's per-axis order, so every value is bitwise what
+    ``numpy.fft.ifftn``/``fftn`` of the whole grid gives, and under a probe
+    axis every slice is computed bitwise as an unbatched call would.
     """
     if _is_traced(scale):
         raise TypeError("ifftn_sampled: the scale must be constant")

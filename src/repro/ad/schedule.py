@@ -24,7 +24,10 @@ forward pass hands ``run`` read-only views of each boundary
 (:func:`repro.ad.segmented._segmented_sweep`), so an array a step passes
 through unchanged is shared by every later boundary, and a ``run`` that
 writes into its input fails loudly instead of corrupting a boundary.  The
-resident-bytes meter counts each shared buffer once.
+resident-bytes meter (:class:`SnapshotMeter`) counts each shared buffer
+once; the per-probe schedules of a batched sweep share one meter, so a
+buffer several probes' boundaries reference (every unperturbed entry) counts
+once across them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from .tensor import ADArray, value_of
 
 __all__ = [
+    "SnapshotMeter",
     "SnapshotSchedule",
     "make_schedule",
     "snapshot_state",
@@ -78,29 +82,28 @@ def _owner(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class SnapshotSchedule:
-    """Keep-everything boundary store of one segmented sweep.
+class SnapshotMeter:
+    """Resident bytes of the boundary snapshots it is shown, each buffer
+    once.
+
+    A buffer referenced by several boundaries -- an array a step passes
+    through unchanged, views of it, or an array several probe states share
+    -- counts once, at the size of the owner at the root of its view chain,
+    while any boundary references it.  Scalars count per boundary.
 
     Attributes
     ----------
-    peak_snapshots:
-        Largest number of simultaneously resident snapshots.
-    peak_snapshot_nbytes:
-        Largest resident snapshot payload, in bytes.  A buffer shared by
-        several boundaries (an array a step passes through unchanged, or
-        views of it) counts once, at its owner's size.
+    peak_nbytes:
+        Largest resident payload, in bytes.
     """
 
-    def __init__(self, steps: int) -> None:
-        self.steps = int(steps)
-        self._kept: dict[int, Mapping[str, Any]] = {}
+    def __init__(self) -> None:
         # id(owner) -> [owner, boundaries referencing it]
         self._owners: dict[int, list] = {}
         self._resident_nbytes = 0
-        self.peak_snapshots = 0
-        self.peak_snapshot_nbytes = 0
+        self.peak_nbytes = 0
 
-    def _account(self, snap: Mapping[str, Any], sign: int) -> None:
+    def account(self, snap: Mapping[str, Any], sign: int) -> None:
         """Add (``sign=1``) or drop (``-1``) one boundary's payload."""
         for val in snap.values():
             val = value_of(val)
@@ -115,6 +118,46 @@ class SnapshotSchedule:
             if entry[1] == 0:
                 self._resident_nbytes -= owner.nbytes
                 del self._owners[id(owner)]
+        self.peak_nbytes = max(self.peak_nbytes, self._resident_nbytes)
+
+
+class SnapshotSchedule:
+    """Keep-everything boundary store of one segmented sweep.
+
+    ``meter`` is a :class:`SnapshotMeter` the schedules of one sweep share
+    (one per probe in a batched sweep), so a buffer several probes'
+    boundaries reference counts once across them; without one the schedule
+    is metered alone.
+
+    Attributes
+    ----------
+    peak_snapshots:
+        Largest number of simultaneously resident snapshots.
+    peak_snapshot_nbytes:
+        Largest resident snapshot payload of this schedule alone, in bytes.
+        A buffer shared by several of its boundaries (an array a step passes
+        through unchanged, or views of it) counts once, at its owner's size.
+    meter:
+        The meter shared with the other schedules of the sweep (this
+        schedule's own meter when none was given).
+    """
+
+    def __init__(self, steps: int, meter: SnapshotMeter | None = None
+                 ) -> None:
+        self.steps = int(steps)
+        self._kept: dict[int, Mapping[str, Any]] = {}
+        self._own = SnapshotMeter()
+        self.meter = self._own if meter is None else meter
+        self._meters = (self._own,) if meter is None else (self._own, meter)
+        self.peak_snapshots = 0
+
+    @property
+    def peak_snapshot_nbytes(self) -> int:
+        return self._own.peak_nbytes
+
+    def _account(self, snap: Mapping[str, Any], sign: int) -> None:
+        for meter in self._meters:
+            meter.account(snap, sign)
 
     def _take(self, k: int) -> Mapping[str, Any]:
         snap = self._kept.pop(k)
@@ -127,8 +170,6 @@ class SnapshotSchedule:
         self._kept[k] = state
         self._account(state, 1)
         self.peak_snapshots = max(self.peak_snapshots, len(self._kept))
-        self.peak_snapshot_nbytes = max(self.peak_snapshot_nbytes,
-                                        self._resident_nbytes)
 
     def fetch(self, k: int) -> Mapping[str, Any]:
         """Hand out boundary ``k`` (called once, in decreasing ``k``)."""
@@ -139,11 +180,12 @@ class SnapshotSchedule:
 
     def close(self) -> None:
         """Release every retained snapshot."""
-        self._kept.clear()
-        self._owners.clear()
-        self._resident_nbytes = 0
+        for k in list(self._kept):
+            self._take(k)
 
 
-def make_schedule(steps: int) -> SnapshotSchedule:
-    """The boundary store for one segmented sweep over ``steps`` iterations."""
-    return SnapshotSchedule(steps)
+def make_schedule(steps: int, meter: SnapshotMeter | None = None
+                  ) -> SnapshotSchedule:
+    """The boundary store for one segmented sweep over ``steps`` iterations,
+    metered on ``meter`` too when one is given."""
+    return SnapshotSchedule(steps, meter)

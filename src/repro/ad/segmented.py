@@ -80,7 +80,7 @@ import numpy as np
 from .plan import (DEFAULT_PLAN_OPTIMIZE, DEFAULT_TRACE_CACHE, TRACE_CACHES,
                    PlanCache)
 from .reverse import backward, backward_from_seeds
-from .schedule import SnapshotSchedule, make_schedule
+from .schedule import SnapshotMeter, SnapshotSchedule, make_schedule
 from .tape import Tape, read_only_view
 from .tensor import ADArray, value_of
 
@@ -199,14 +199,17 @@ class SweepStats:
         """Fold one sweep's snapshot-store telemetry in.
 
         The batched probe sweep keeps one schedule per probe and their
-        snapshots are resident simultaneously, so per-schedule peaks *add*
-        before being folded into this collector's running maximum.
+        snapshots are resident simultaneously, so per-schedule snapshot
+        counts *add*; their bytes come from the meter they share, which
+        counts a buffer several probes reference once (schedules metered
+        apart add their meters' peaks).  Both fold into this collector's
+        running maximum.
         """
+        meters = {id(s.meter): s.meter for s in schedules}.values()
         self.peak_snapshots = max(
             self.peak_snapshots, sum(s.peak_snapshots for s in schedules))
         self.peak_snapshot_nbytes = max(
-            self.peak_snapshot_nbytes,
-            sum(s.peak_snapshot_nbytes for s in schedules))
+            self.peak_snapshot_nbytes, sum(m.peak_nbytes for m in meters))
 
 
 def float_state_keys(state: Mapping[str, Any]) -> list[str]:
@@ -457,8 +460,10 @@ def _segmented_sweep(bench, states: Sequence[Mapping[str, Any]],
         plan_base = cache.counters()
         planner = cache.planner(bench, chain, n_probes, trace_step)
 
-    # one schedule per probe; a batched boundary is stacked on fetch
-    schedules = [make_schedule(head) for _ in states]
+    # one schedule per probe, metered together; a batched boundary is
+    # stacked on fetch
+    meter = SnapshotMeter()
+    schedules = [make_schedule(head, meter) for _ in states]
 
     def boundary(k: int) -> dict[str, Any]:
         per_probe = [schedule.fetch(k) for schedule in schedules]

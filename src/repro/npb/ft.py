@@ -24,18 +24,20 @@ only ``k = 0 .. 63`` is ever read, leaving exactly the ``64 x 64`` top layer
 (4096 elements, 1.5 %) uncritical.
 
 Substitutions: the random initial field uses a fixed-seed NumPy generator
-instead of ``vranlc``; the inverse transform is,
-as in NPB, a 3-D FFT -- NumPy's, through the differentiable primitive
+instead of ``vranlc``; the inverse transform is, as in NPB, a 3-D FFT --
+NumPy's, through the differentiable primitive
 :func:`repro.ad.ops.ifftn_sampled`, which scales the real/imaginary planes
-by the evolution factor into one complex buffer, transforms it in place and
-returns only the checksum samples, and pulls cotangents back with the
-adjoint forward FFT -- rather than the original Stockham kernel; the checksum
-sample points are a fixed pseudo-random *proper* subset instead of
-the original arithmetic progression, verified at construction so that no
-spectral coefficient has an exactly-zero structural weight in the checksum
-(see :meth:`FT._make_sample_indices`; sampling every grid point would zero
-out every non-DC weight, since the full-field sum only sees the DC
-coefficient).
+by the evolution factor into a small complex buffer one cache-sized slab at
+a time, transforms the slab's last two axes, runs the first-axis pass only
+on the lines that hold a checksum sample and returns only the samples, and
+pulls cotangents back with the adjoint forward FFT, whose last-axis pass
+likewise runs only on the sampled lines -- rather than the original Stockham
+kernel; the checksum sample points are a fixed pseudo-random *proper* subset
+instead of the original arithmetic progression, verified at construction so
+that no spectral coefficient has an exactly-zero structural weight in the
+checksum (see :meth:`FT._make_sample_indices`; sampling every grid point
+would zero out every non-DC weight, since the full-field sum only sees the
+DC coefficient).
 """
 
 from __future__ import annotations
@@ -151,9 +153,11 @@ class FT(NPBBenchmark):
             np.ascontiguousarray(spectrum.imag)
 
     def _evolution_factor(self, t: int) -> np.ndarray:
-        """Heat-kernel damping factor ``exp(-4 alpha pi^2 t k^2)``."""
-        return np.exp(-4.0 * self.params.alpha * np.pi ** 2
-                      * float(t) * self._k_squared)
+        """Heat-kernel damping factor ``exp(-4 alpha pi^2 t k^2)``, built in
+        one grid-sized array."""
+        factor = np.multiply(-4.0 * self.params.alpha * np.pi ** 2 * float(t),
+                             self._k_squared)
+        return np.exp(factor, out=factor)
 
     # ------------------------------------------------------------------
     # state construction

@@ -8,11 +8,17 @@ it -- central finite differences and a dense cosine/sine DFT built by the
 test itself -- on random non-cubic grids in float32 and float64.  It is
 pinned bitwise against the numpy chain it replaced in FT (scale, stack,
 ``ifftn``, gather; adjoint scatter, ``fftn / N``, scale) on FT's own grids
-and sample points.  The batch invariance the probe axis relies on, and
-plan replay against the tracer, are pinned bitwise.
+and sample points.  The kernel's blocked and pruned passes (the forward's
+last pass and the adjoint's first run only on the lines that hold a sample)
+must reproduce that chain in float32 and float64 for any block budget, and
+the forward must stay below one complex grid of memory.  The batch
+invariance the probe axis relies on, and plan replay against the tracer,
+are pinned bitwise.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,7 +111,8 @@ def _numpy_chain(re, im, scale, points, g):
     scatters ``g`` onto zeros, applies ``fftn / N`` and multiplies by
     ``scale``."""
     field = np.stack([re * scale, im * scale])
-    spectrum = np.empty(field.shape[1:], dtype=np.complex128)
+    spectrum = np.empty(field.shape[1:],
+                        dtype=np.result_type(re, im, scale, np.complex64))
     spectrum.real, spectrum.imag = field[0], field[1]
     inv = np.fft.ifftn(spectrum)
     at = (np.arange(2)[:, None],) + tuple(points)
@@ -218,6 +225,75 @@ class TestReplacesFTChain:
             _assert_bitwise(value_of(out)[k], samples, f"samples {k}")
             _assert_bitwise(got_re[k], g_re, f"cotangent re {k}")
             _assert_bitwise(got_im[k], g_im, f"cotangent im {k}")
+
+
+@pytest.fixture(params=["T", "S", "A"], scope="module")
+def ft_grid(request):
+    """FT's checksum operands at a class: the two ``0:nz`` planes of the
+    spectrum, the evolution factor of step 2 and the sample points."""
+    bench = FT(problem_class=request.param)
+    p = bench.params
+    state = bench.checkpoint_state(1)
+    return (state["y_re"][:, :, :p.nz], state["y_im"][:, :, :p.nz],
+            bench._evolution_factor(2), bench._sample_indices)
+
+
+class TestPrunedPassesOnFTGrids:
+    """The blocked, pruned kernel is bitwise the whole-grid numpy chain on
+    FT's class T, S and A grids and sample sets."""
+
+    @staticmethod
+    def _operands(ft_grid, dtype, n_probes):
+        re, im, scale, points = ft_grid
+        res = [(re * (1.0 + 1e-3 * k)).astype(dtype) for k in range(n_probes)]
+        ims = [(im * (1.0 - 1e-3 * k)).astype(dtype) for k in range(n_probes)]
+        g = np.random.default_rng(7).standard_normal(
+            (n_probes, 2, len(points[0])))
+        return res, ims, scale.astype(dtype), points, g
+
+    def _check(self, ft_grid, dtype, n_probes):
+        # the kernels themselves: a tape would watch the planes in float64
+        res, ims, scale, points, g = self._operands(ft_grid, dtype, n_probes)
+        out = ops._ifftn_samples(np.stack(res), np.stack(ims), scale, points)
+        got_re, got_im = ops._ifftn_samples_vjp(g, scale, points,
+                                                res[0].shape)
+        for k in range(n_probes):
+            samples, g_re, g_im = _numpy_chain(res[k], ims[k], scale,
+                                               points, g[k])
+            _assert_bitwise(out[k], samples, f"samples {k}")
+            _assert_bitwise(got_re[k], g_re, f"cotangent re {k}")
+            _assert_bitwise(got_im[k], g_im, f"cotangent im {k}")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_probe(self, ft_grid, dtype):
+        self._check(ft_grid, dtype, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("budget", ["5 rows", "2 grids + 3 rows"])
+    def test_three_probes_in_split_blocks(self, monkeypatch, ft_grid, dtype,
+                                          budget):
+        # 5 rows divide no FT extent, so forward blocks end inside a probe
+        # and span two; 2 grids + 3 rows also give the adjoint blocks of two
+        # probes and a last one of one
+        nx, ny, nz = ft_grid[0].shape
+        rows = 5 if budget == "5 rows" else 2 * nx + 3
+        monkeypatch.setattr(ops, "_FFT_BLOCK", rows * ny * nz)
+        self._check(ft_grid, dtype, 3)
+
+    def test_forward_peaks_below_one_complex_grid(self):
+        bench = FT(problem_class="A")
+        p = bench.params
+        y = bench.initial_state()
+        re, im = y["y_re"][:, :, :p.nz], y["y_im"][:, :, :p.nz]
+        scale, points = bench._evolution_factor(2), bench._sample_indices
+        grid_nbytes = re.size * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            ops.ifftn_sampled(re, im, scale, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_nbytes, f"{peak} B for a {grid_nbytes} B grid"
 
 
 class TestDerivatives:
